@@ -35,6 +35,7 @@ from .spectral import (
     verify_spectral_n,
 )
 from .terwilliger import (
+    Instance,
     lambda_set,
     omega_set,
     structure_report,
@@ -171,10 +172,9 @@ def _cmd_shapes(args, parser) -> dict:
 
 def _cmd_scheme_verify(args, parser) -> dict:
     params = _params_from_args(args, parser)
-    report = verify_axioms(params, args.max_points)
-    checks = report.to_json()
-    checks.pop("all_pass")
-    table = intersection_numbers(params, args.max_points)
+    inst = Instance(params, args.max_points)
+    checks = verify_axioms(inst)
+    table = intersection_numbers(inst)
     return _run_report(
         "scheme-verify", params, checks, {"intersection_numbers": intersection_table_json(table)}
     )
@@ -256,20 +256,20 @@ def _cmd_omega(args, parser) -> dict:
 
 def _cmd_identities(args, parser) -> dict:
     params = _params_from_args(args, parser)
-    checks = verify_terw_identities(params, args.max_points)
-    return _run_report("identities", params, dict(checks), {})
+    checks = verify_terw_identities(Instance(params, args.max_points))
+    return _run_report("identities", params, checks, {})
 
 
 def _cmd_closure(args, parser) -> dict:
     params = _params_from_args(args, parser)
-    sub = terwilliger_closure(params, args.generators, args.max_points)
+    sub = terwilliger_closure(Instance(params, args.max_points), args.generators)
     data = {"generators": args.generators, "dimension": sub.dimension}
     return _run_report("closure", params, {}, data)
 
 
 def _cmd_report(args, parser) -> dict:
     params = _params_from_args(args, parser)
-    report = structure_report(params, args.max_points)
+    report = structure_report(Instance(params, args.max_points))
     checks = dict(report.checks)
     if args.strict:
         checks["predictions_agree"] = report.all_predictions_agree
@@ -277,23 +277,24 @@ def _cmd_report(args, parser) -> dict:
 
 
 def _run_instance(params: SchemeParams, max_points: int, strict: bool) -> dict:
-    axioms = verify_axioms(params, max_points)
-    spectral = verify_spectral_n(params, max_points)
+    inst = Instance(params, max_points)
+    axioms = verify_axioms(inst)
+    spectral = verify_spectral_n(inst)
     duality = verify_base_duality(params)
-    report = structure_report(params, max_points)
+    report = structure_report(inst)
     checks = {
-        "axioms_all_pass": axioms.all_pass,
-        "spectral_all_pass": spectral.all_pass,
-        "base_duality_all_pass": duality.all_pass,
+        "axioms_all_pass": _overall(axioms),
+        "spectral_all_pass": _overall(spectral),
+        "base_duality_all_pass": _overall(duality),
     }
     checks.update(report.checks)
     if strict:
         checks["predictions_agree"] = report.all_predictions_agree
     data = {
         "instance": params.label(),
-        "axioms": axioms.to_json(),
-        "spectral": spectral.to_json(),
-        "duality": duality.to_json(),
+        "axioms": {**axioms, "all_pass": checks["axioms_all_pass"]},
+        "spectral": {**spectral, "all_pass": checks["spectral_all_pass"]},
+        "duality": {**duality, "all_pass": checks["base_duality_all_pass"]},
         "report": report.to_json(),
     }
     out = _run_report("instance", params, checks, data)

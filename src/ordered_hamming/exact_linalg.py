@@ -27,11 +27,6 @@ class NotAnAlgebra(ValueError):
     """A subspace presented as multiplication-closed failed a product check."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text)
-
-
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:
@@ -210,6 +205,17 @@ class RatMatrix:
         }
 
 
+def mat_sum(mats: Iterable[RatMatrix]) -> RatMatrix:
+    """Sum of a non-empty run of same-shape matrices, added as they arrive."""
+    it = iter(mats)
+    total = next(it, None)
+    if total is None:
+        raise EmptyInput("sum of no matrices")
+    for m in it:
+        total = total + m
+    return total
+
+
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Kronecker product; block (i, j) is a[i, j] * b, second factor fastest."""
     nb = b.nrows
@@ -363,10 +369,6 @@ class MatrixSubspace:
     @property
     def dimension(self) -> int:
         return self._reducer.dimension
-
-    @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(self._reducer.pivots)
 
     def contains(self, mat: RatMatrix) -> bool:
         if mat.nrows != self.ambient_side or mat.ncols != self.ambient_side:

@@ -13,8 +13,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
-from .exact_linalg import RatMatrix
+from .exact_linalg import RatMatrix, mat_sum
+
+if TYPE_CHECKING:
+    from .terwilliger import Instance
 
 DEFAULT_MAX_POINTS = 256
 
@@ -164,44 +168,13 @@ def relation_matrices(
     return {lam: RatMatrix(grids[lam]) for lam in shapes}
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """One flag per defining axiom of a symmetric association scheme."""
-
-    diagonal_relation: bool
-    partition: bool
-    symmetric: bool
-    constants_well_defined: bool
-    constants_commute: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.diagonal_relation
-            and self.partition
-            and self.symmetric
-            and self.constants_well_defined
-            and self.constants_commute
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "R1_diagonal_relation": self.diagonal_relation,
-            "R2_partition": self.partition,
-            "R3_symmetric": self.symmetric,
-            "R4_constants_well_defined": self.constants_well_defined,
-            "R5_constants_commute": self.constants_commute,
-            "all_pass": self.all_pass,
-        }
-
-
 def _decompose_product(
     mats: dict[Shape, RatMatrix], i: Shape, j: Shape
 ) -> dict[Shape, int] | None:
     """Write A_i A_j as a relation-constant combination, or None if impossible."""
     prod = mats[i] * mats[j]
     coeffs: dict[Shape, int] = {}
-    recon = None
+    terms = []
     for k, ak in mats.items():
         # sample the first pair in relation k
         sample = None
@@ -219,59 +192,54 @@ def _decompose_product(
             return None
         coeffs[k] = int(p)
         if p:
-            term = ak.scale(p)
-            recon = term if recon is None else recon + term
-    if recon is None:
-        recon = RatMatrix.zeros(prod.nrows)
+            terms.append(ak.scale(p))
+    recon = mat_sum(terms) if terms else RatMatrix.zeros(prod.nrows)
     if recon != prod:
         return None
     return coeffs
 
 
-def verify_axioms(params: SchemeParams, max_points: int | None = None) -> AxiomReport:
+def decompose_products(
+    mats: dict[Shape, RatMatrix],
+) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
+    """Every ordered product A_i A_j as relation coefficients, None where impossible."""
+    return {(i, j): _decompose_product(mats, i, j) for i in mats for j in mats}
+
+
+def verify_axioms(inst: Instance) -> dict[str, bool]:
     """Exhaustively check the five association-scheme axioms."""
-    mats = relation_matrices(params, max_points)
-    shapes = enumerate_shapes(params)
-    npts = params.num_points
+    mats = inst.relations
+    shapes = inst.shapes
+    npts = inst.params.num_points
     diag = mats[shapes[0]] == RatMatrix.identity(npts)
-    total = None
-    for lam in shapes:
-        total = mats[lam] if total is None else total + mats[lam]
-    partition = total == RatMatrix.ones(npts) and all(
+    partition = mat_sum(mats.values()) == RatMatrix.ones(npts) and all(
         mats[lam].is_zero_one() for lam in shapes
     )
     symmetric = all(mats[lam].is_symmetric() for lam in shapes)
-    well_defined = True
-    commute = True
-    tables: dict[tuple[Shape, Shape], dict[Shape, int]] = {}
-    for i in shapes:
-        for j in shapes:
-            coeffs = _decompose_product(mats, i, j)
-            if coeffs is None:
-                well_defined = False
-            else:
-                tables[(i, j)] = coeffs
-    if well_defined:
-        commute = all(tables[(i, j)] == tables[(j, i)] for i in shapes for j in shapes)
-    return AxiomReport(diag, partition, symmetric, well_defined, commute)
+    tables = inst.products
+    well_defined = None not in tables.values()
+    commute = not well_defined or all(
+        tables[(i, j)] == tables[(j, i)] for i in shapes for j in shapes
+    )
+    return {
+        "R1_diagonal_relation": diag,
+        "R2_partition": partition,
+        "R3_symmetric": symmetric,
+        "R4_constants_well_defined": well_defined,
+        "R5_constants_commute": commute,
+    }
 
 
-def intersection_numbers(
-    params: SchemeParams, max_points: int | None = None
-) -> dict[tuple[Shape, Shape, Shape], int]:
+def intersection_numbers(inst: Instance) -> dict[tuple[Shape, Shape, Shape], int]:
     """Table of p^k_{ij}, sampled per relation and verified against A_i A_j."""
-    mats = relation_matrices(params, max_points)
-    shapes = enumerate_shapes(params)
     table: dict[tuple[Shape, Shape, Shape], int] = {}
-    for i in shapes:
-        for j in shapes:
-            coeffs = _decompose_product(mats, i, j)
-            if coeffs is None:
-                raise AxiomViolation(
-                    f"A_{i} A_{j} is not relation-constant on {params.label()}"
-                )
-            for k, p in coeffs.items():
-                table[(i, j, k)] = p
+    for (i, j), coeffs in inst.products.items():
+        if coeffs is None:
+            raise AxiomViolation(
+                f"A_{i} A_{j} is not relation-constant on {inst.params.label()}"
+            )
+        for k, p in coeffs.items():
+            table[(i, j, k)] = p
     return table
 
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .exact_linalg import RatMatrix, kron_all
-from .scheme import (
-    SchemeParams,
-    Shape,
-    enumerate_shapes,
-    relation_matrices,
-    require_within_bound,
-)
+from typing import TYPE_CHECKING
+
+from .exact_linalg import RatMatrix, kron_all, mat_sum
+from .scheme import SchemeParams, Shape, enumerate_shapes, require_within_bound
 from .symtensor import lifted_sum, multinomial
+
+if TYPE_CHECKING:
+    from .terwilliger import Instance
 
 
 class InternalMismatch(AssertionError):
@@ -165,39 +164,11 @@ def base_spectral(params: SchemeParams) -> BaseSpectralData:
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    p_equals_reversed_q: bool
-    q_equals_reversed_p: bool
-    valencies_swap_with_multiplicities: bool
-    pq_product_is_size_identity: bool
-    self_dual: bool | None  # None when q is not palindromic
+def verify_base_duality(params: SchemeParams) -> dict[str, bool | None]:
+    """Reversing the alphabet order swaps the two eigenmatrices.
 
-    @property
-    def all_pass(self) -> bool:
-        checks = [
-            self.p_equals_reversed_q,
-            self.q_equals_reversed_p,
-            self.valencies_swap_with_multiplicities,
-            self.pq_product_is_size_identity,
-        ]
-        if self.self_dual is not None:
-            checks.append(self.self_dual)
-        return all(checks)
-
-    def to_json(self) -> dict:
-        return {
-            "p_equals_reversed_q": self.p_equals_reversed_q,
-            "q_equals_reversed_p": self.q_equals_reversed_p,
-            "valencies_swap_with_multiplicities": self.valencies_swap_with_multiplicities,
-            "pq_product_is_size_identity": self.pq_product_is_size_identity,
-            "self_dual": self.self_dual,
-            "all_pass": self.all_pass,
-        }
-
-
-def verify_base_duality(params: SchemeParams) -> DualityReport:
-    """Reversing the alphabet order swaps the two eigenmatrices."""
+    `self_dual` is None when q is not palindromic.
+    """
     rev = params.reversed()
     P, Q = base_eigenmatrix_P(params), base_eigenmatrix_Q(params)
     Pr, Qr = base_eigenmatrix_P(rev), base_eigenmatrix_Q(rev)
@@ -205,13 +176,13 @@ def verify_base_duality(params: SchemeParams) -> DualityReport:
     kr = base_valencies(rev)
     palindromic = params.q == rev.q
     size = params.base_size
-    return DualityReport(
-        p_equals_reversed_q=(Pr == Q),
-        q_equals_reversed_p=(Qr == P),
-        valencies_swap_with_multiplicities=(kr == mult and base_multiplicities(rev) == k),
-        pq_product_is_size_identity=(P * Q == RatMatrix.identity(params.m + 1).scale(size)),
-        self_dual=(P == Q) if palindromic else None,
-    )
+    return {
+        "p_equals_reversed_q": Pr == Q,
+        "q_equals_reversed_p": Qr == P,
+        "valencies_swap_with_multiplicities": kr == mult and base_multiplicities(rev) == k,
+        "pq_product_is_size_identity": P * Q == RatMatrix.identity(params.m + 1).scale(size),
+        "self_dual": (P == Q) if palindromic else None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -301,44 +272,7 @@ def eigen_n(params: SchemeParams) -> tuple[RatMatrix, RatMatrix]:
     return P, Q
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    eigenvalue_equations: bool
-    hadamard_equations: bool
-    valencies_match_row_sums: bool
-    multiplicities_match_traces: bool
-    lifted_matches_bruteforce: bool
-    idempotents_resolve_identity: bool
-    pq_product_is_size_identity: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return all(
-            [
-                self.eigenvalue_equations,
-                self.hadamard_equations,
-                self.valencies_match_row_sums,
-                self.multiplicities_match_traces,
-                self.lifted_matches_bruteforce,
-                self.idempotents_resolve_identity,
-                self.pq_product_is_size_identity,
-            ]
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalue_equations": self.eigenvalue_equations,
-            "hadamard_equations": self.hadamard_equations,
-            "valencies_match_row_sums": self.valencies_match_row_sums,
-            "multiplicities_match_traces": self.multiplicities_match_traces,
-            "lifted_matches_bruteforce": self.lifted_matches_bruteforce,
-            "idempotents_resolve_identity": self.idempotents_resolve_identity,
-            "pq_product_is_size_identity": self.pq_product_is_size_identity,
-            "all_pass": self.all_pass,
-        }
-
-
-def verify_spectral_n(params: SchemeParams, max_points: int | None = None) -> SpectralReport:
+def verify_spectral_n(inst: Instance) -> dict[str, bool]:
     """Exact spectral verification at depth n.
 
     Checks, for all shape pairs: the eigenvalue equations
@@ -347,10 +281,10 @@ def verify_spectral_n(params: SchemeParams, max_points: int | None = None) -> Sp
     multiplicity values, and that lifted adjacency matrices equal the
     brute-force relation matrices.
     """
-    require_within_bound(params, max_points)
-    shapes = enumerate_shapes(params)
-    adj = {lam: adjacency_n(lam, params, max_points) for lam in shapes}
-    idem = {lam: idempotent_n(lam, params, max_points) for lam in shapes}
+    params = inst.params
+    shapes = inst.shapes
+    adj = inst.adjacency
+    idem = inst.idempotents
     P, Q = eigen_n(params)
     npts = params.num_points
     inv_size = Fraction(1, npts)
@@ -369,22 +303,19 @@ def verify_spectral_n(params: SchemeParams, max_points: int | None = None) -> Sp
     )
     mult_ok = all(idem[lam].trace() == multiplicity_n(lam, params) for lam in shapes)
 
-    brute = relation_matrices(params, max_points)
+    brute = inst.relations
     lift_ok = all(adj[lam] == brute[lam] for lam in shapes)
 
-    total = None
-    for lam in shapes:
-        total = idem[lam] if total is None else total + idem[lam]
-    resolve_ok = total == RatMatrix.identity(npts)
+    resolve_ok = mat_sum(idem.values()) == RatMatrix.identity(npts)
 
     pq_ok = P * Q == RatMatrix.identity(len(shapes)).scale(npts)
 
-    return SpectralReport(
-        eigenvalue_equations=eig_ok,
-        hadamard_equations=had_ok,
-        valencies_match_row_sums=val_ok,
-        multiplicities_match_traces=mult_ok,
-        lifted_matches_bruteforce=lift_ok,
-        idempotents_resolve_identity=resolve_ok,
-        pq_product_is_size_identity=pq_ok,
-    )
+    return {
+        "eigenvalue_equations": eig_ok,
+        "hadamard_equations": had_ok,
+        "valencies_match_row_sums": val_ok,
+        "multiplicities_match_traces": mult_ok,
+        "lifted_matches_bruteforce": lift_ok,
+        "idempotents_resolve_identity": resolve_ok,
+        "pq_product_is_size_identity": pq_ok,
+    }

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .exact_linalg import DimensionMismatch, EmptyInput, RatMatrix, kron, kron_all
+from .exact_linalg import DimensionMismatch, EmptyInput, RatMatrix, kron, kron_all, mat_sum
 
 
 def multinomial(multiplicities: Sequence[int]) -> int:
@@ -66,11 +66,10 @@ def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
             raise DimensionMismatch("all factors must be square with one common side")
     mats = [m for m, _ in kept]
     counts = [c for _, c in kept]
-    total = None
-    for arrangement in multiset_arrangements(counts):
-        term = kron_all([mats[i] for i in arrangement])
-        total = term if total is None else total + term
-    return total
+    return mat_sum(
+        kron_all([mats[i] for i in arrangement])
+        for arrangement in multiset_arrangements(counts)
+    )
 
 
 def lifted_sum_grid(grid: Sequence[Sequence[RatMatrix]], counts: Sequence[Sequence[int]]) -> RatMatrix:
@@ -126,14 +125,12 @@ def sym_product(u: RatMatrix, n1: int, w: RatMatrix, n2: int, base: int) -> RatM
         return u
     joined = kron(u, w)
     n = n1 + n2
-    total = None
-    for positions in combinations(range(n), n1):
-        rest = [t for t in range(n) if t not in positions]
-        # u-factor slots land on `positions` in order, w-factor slots on the rest
-        target = list(positions) + rest
-        term = permute_positions(joined, target, base)
-        total = term if total is None else total + term
-    return total
+    # u-factor slots land on `positions` in order, w-factor slots on the rest
+    targets = (
+        list(positions) + [t for t in range(n) if t not in positions]
+        for positions in combinations(range(n), n1)
+    )
+    return mat_sum(permute_positions(joined, target, base) for target in targets)
 
 
 def sym_product_spanset(
@@ -153,8 +150,5 @@ def sym_product_spanset(
 
 def symmetrizer_average(mat: RatMatrix, n: int, base: int) -> RatMatrix:
     """Average of all n! coordinate permutations of `mat` (n-factor symmetrizer)."""
-    total = None
-    for perm in permutations(range(n)):
-        term = permute_positions(mat, perm, base)
-        total = term if total is None else total + term
+    total = mat_sum(permute_positions(mat, perm, base) for perm in permutations(range(n)))
     return total.scale(Fraction(1, math.factorial(n)))

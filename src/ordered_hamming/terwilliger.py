@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .exact_linalg import (
@@ -21,24 +22,24 @@ from .exact_linalg import (
     algebra_closure,
     center_dimension,
     kron_all,
+    mat_sum,
     span_basis,
 )
 from .scheme import (
     SchemeParams,
     Shape,
     compositions,
+    decompose_products,
     enumerate_shapes,
+    relation_matrices,
     relation_matrix,
     require_within_bound,
 )
 from .spectral import (
+    BaseSpectralData,
     InternalMismatch,
     adjacency_n,
-    base_adjacency,
-    base_idempotents,
-    base_multiplicities,
     base_spectral,
-    base_valencies,
     factor_identity,
     factor_ones_normalized,
     factor_zero_unit,
@@ -105,7 +106,7 @@ def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
     return tuple(mats)
 
 
-def terw_basis(params: SchemeParams) -> TerwBasisSet:
+def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
     """Construct every depth-one ingredient, cross-checking each closed form.
 
     Dual idempotents are built twice (Kronecker formula vs. diagonal of the
@@ -113,15 +114,12 @@ def terw_basis(params: SchemeParams) -> TerwBasisSet:
     built twice (normalized sandwich products vs. Kronecker closed forms);
     a mismatch raises InternalMismatch.
     """
+    params = data.params
     q = params.q
     m = params.m
     size = params.base_size
     base_params = SchemeParams(q, 1)
-
-    E = base_idempotents(params)
-    A = base_adjacency(params)
-    k = base_valencies(params)
-    mult = base_multiplicities(params)
+    E, k, mult = data.E, data.k, data.mult
 
     estar = base_dual_idempotents(params)
     # diagonal-of-relation cross-check
@@ -155,9 +153,7 @@ def terw_basis(params: SchemeParams) -> TerwBasisSet:
 
     G = tuple(E[j] - F[j] for j in range(1, m + 1))
     Gstar = tuple(estar[j] - Fstar[j] for j in range(1, m + 1))
-    fnat = F[0]
-    for fj in F[1:]:
-        fnat = fnat + fj
+    fnat = mat_sum(F)
     gnat = RatMatrix.identity(size) - fnat
     return TerwBasisSet(
         params=params,
@@ -178,6 +174,57 @@ def dual_idempotent_n(lam: Shape, params: SchemeParams, max_points: int | None =
     require_within_bound(params, max_points)
     estar = base_dual_idempotents(params)
     return lifted_sum(list(zip(estar, lam)))
+
+
+class Instance:
+    """One scheme X(m, n; q) whose matrix families are each built once, on first use.
+
+    The size bound is checked here, once. An instance keeps what it built
+    for its own lifetime: create one per command or per suite instance.
+    `relations` always comes from the brute-force definition, never from
+    the lifted families it is compared against.
+    """
+
+    def __init__(self, params: SchemeParams, max_points: int | None = None):
+        require_within_bound(params, max_points)
+        self.params = params
+        self.max_points = max_points
+        self.shapes = enumerate_shapes(params)
+        self._closures: dict[str, MatrixSubspace] = {}
+
+    @cached_property
+    def relations(self) -> dict[Shape, RatMatrix]:
+        return relation_matrices(self.params, self.max_points)
+
+    @cached_property
+    def products(self) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
+        return decompose_products(self.relations)
+
+    @cached_property
+    def adjacency(self) -> dict[Shape, RatMatrix]:
+        return {lam: adjacency_n(lam, self.params, self.max_points) for lam in self.shapes}
+
+    @cached_property
+    def idempotents(self) -> dict[Shape, RatMatrix]:
+        return {lam: idempotent_n(lam, self.params, self.max_points) for lam in self.shapes}
+
+    @cached_property
+    def duals(self) -> dict[Shape, RatMatrix]:
+        return {lam: dual_idempotent_n(lam, self.params, self.max_points) for lam in self.shapes}
+
+    @cached_property
+    def spectral(self) -> BaseSpectralData:
+        return base_spectral(self.params)
+
+    @cached_property
+    def basis(self) -> TerwBasisSet:
+        return terw_basis(self.spectral)
+
+    def closure(self, generators: str = "bm") -> MatrixSubspace:
+        """`terwilliger_closure` of this instance, built once per generator set."""
+        if generators not in self._closures:
+            self._closures[generators] = terwilliger_closure(self, generators)
+        return self._closures[generators]
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +352,19 @@ def omega_set(params: SchemeParams) -> list[tuple[Shape, Shape]]:
 # ---------------------------------------------------------------------------
 
 
-def verify_terw_identities(
-    params: SchemeParams, max_points: int | None = None
-) -> dict[str, bool | None]:
+def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     """Exact checks of every structural identity tying E, E*, F, F*, G, G* together.
 
     Returns named booleans; identities about the G families are reported as
     None (vacuous) in the single binary case where those families vanish.
     """
-    require_within_bound(params, max_points)
+    params = inst.params
     q = params.q
     m = params.m
     n = params.n
     size = params.base_size
-    data = base_spectral(params)
-    tw = terw_basis(params)
+    data = inst.spectral
+    tw = inst.basis
     E, A, k, mult = data.E, data.A, data.k, data.mult
     estar, F, Fstar = tw.Estar, tw.F, tw.Fstar
     G = (None,) + tw.G  # 1-based access
@@ -360,13 +405,7 @@ def verify_terw_identities(
         for i in range(m + 1)
         for j in range(m + 1)
     )
-    fsum = F[0]
-    for fj in F[1:]:
-        fsum = fsum + fj
-    fssum = Fstar[0]
-    for fj in Fstar[1:]:
-        fssum = fssum + fj
-    checks["f_natural_identity"] = fsum == fssum == tw.Fnat
+    checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == tw.Fnat
 
     checks["g_orthogonal_idempotents"] = all(
         G[i] * G[j] == (G[i] if i == j else zero)
@@ -408,12 +447,7 @@ def verify_terw_identities(
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
-    gsum = None
-    gssum = None
-    for j in range(1, m + 1):
-        gsum = G[j] if gsum is None else gsum + G[j]
-        gssum = Gstar[j] if gssum is None else gssum + Gstar[j]
-    checks["g_natural_sum"] = gsum == gssum == tw.Gnat
+    checks["g_natural_sum"] = mat_sum(tw.G) == mat_sum(tw.Gstar) == tw.Gnat
 
     checks["factor_identities"] = _factor_identities_hold(q, tw)
 
@@ -443,13 +477,10 @@ def verify_terw_identities(
         gslist = list(tw.Gstar)
         lifted_g = {tau: lifted_sum(list(zip(glist, tau))) for tau in inner}
         lifted_gs = {tau: lifted_sum(list(zip(gslist, tau))) for tau in inner}
-        gn_sum = None
-        gns_sum = None
-        for tau in inner:
-            gn_sum = lifted_g[tau] if gn_sum is None else gn_sum + lifted_g[tau]
-            gns_sum = lifted_gs[tau] if gns_sum is None else gns_sum + lifted_gs[tau]
         gnat_power = kron_all([tw.Gnat] * n)
-        checks["g_natural_lifted"] = gn_sum == gns_sum == gnat_power
+        checks["g_natural_lifted"] = (
+            mat_sum(lifted_g.values()) == mat_sum(lifted_gs.values()) == gnat_power
+        )
         checks["lifted_g_products"] = _lifted_g_products_hold(
             params, tw, lifted_g, lifted_gs
         )
@@ -543,10 +574,7 @@ def _lifted_g_products_hold(
                 if not left.is_zero():
                     return False
                 continue
-            expected = None
-            for c in grids:
-                term = lifted_sum_grid(grid, c)
-                expected = term if expected is None else expected + term
+            expected = mat_sum(lifted_sum_grid(grid, c) for c in grids)
             if left != expected or left.is_zero():
                 return False
     return True
@@ -557,20 +585,19 @@ def _lifted_g_products_hold(
 # ---------------------------------------------------------------------------
 
 
-def primary_subalgebra(
-    params: SchemeParams, max_points: int | None = None
-) -> tuple[MatrixSubspace, dict[str, bool]]:
+def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]:
     """Span of the sandwiches E*_lam E_0^(n) E*_mu, with its structure checks.
 
     The report verifies the rational multiplication law
     B(lam,mu) B(nu,rho) = delta(mu,nu) |X^n|^-1 k_mu B(lam,rho) and that the
     dual sandwiches E_lam E*_0^(n) E_mu span the same subspace.
     """
-    require_within_bound(params, max_points)
-    shapes = enumerate_shapes(params)
+    params = inst.params
+    shapes = inst.shapes
     npts = params.num_points
-    e0n = idempotent_n(shapes[0], params, max_points)
-    duals = {lam: dual_idempotent_n(lam, params, max_points) for lam in shapes}
+    idems = inst.idempotents
+    duals = inst.duals
+    e0n = idems[shapes[0]]
     sandwich = {
         (lam, mu): duals[lam] * e0n * duals[mu] for lam in shapes for mu in shapes
     }
@@ -593,7 +620,6 @@ def primary_subalgebra(
                     law_ok = False
 
     dual0n = duals[shapes[0]]
-    idems = {lam: idempotent_n(lam, params, max_points) for lam in shapes}
     dual_span = span_basis(
         [idems[lam] * dual0n * idems[mu] for lam in shapes for mu in shapes]
     )
@@ -605,22 +631,19 @@ def primary_subalgebra(
     return sub, report
 
 
-def terwilliger_closure(
-    params: SchemeParams,
-    generators: str = "bm",
-    max_points: int | None = None,
-) -> MatrixSubspace:
-    """Unital closure of the adjacency (or idempotent) family plus the dual idempotents."""
-    require_within_bound(params, max_points)
-    shapes = enumerate_shapes(params)
+def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspace:
+    """Unital closure of the adjacency (or idempotent) family plus the dual idempotents.
+
+    Builds a new closure on every call; `Instance.closure` keeps one per
+    generator set.
+    """
     if generators == "bm":
-        first = [adjacency_n(lam, params, max_points) for lam in shapes]
+        first = inst.adjacency
     elif generators == "idem":
-        first = [idempotent_n(lam, params, max_points) for lam in shapes]
+        first = inst.idempotents
     else:
         raise ValueError("generators must be 'bm' or 'idem'")
-    duals = [dual_idempotent_n(lam, params, max_points) for lam in shapes]
-    return algebra_closure(first + duals, unital=True)
+    return algebra_closure(list(first.values()) + list(inst.duals.values()), unital=True)
 
 
 @dataclass(frozen=True)
@@ -641,11 +664,7 @@ class ComponentDecomposition:
     dim_T: int
 
 
-def component_dims(
-    params: SchemeParams,
-    max_points: int | None = None,
-    dim_total: int | None = None,
-) -> ComponentDecomposition:
+def component_dims(inst: Instance) -> ComponentDecomposition:
     """Dimensions of the closure-generated pieces graded by G-degree d.
 
     For each d the spanning set is the symmetric interleaving of a lifted
@@ -654,12 +673,12 @@ def component_dims(
     that set. Cross products between distinct degrees must vanish and the
     dimensions must add up to the full closure dimension.
     """
-    require_within_bound(params, max_points)
+    params = inst.params
     m = params.m
     n = params.n
     if m == 1 and params.q[0] == 2:
         raise ValueError("component split is vacuous when the G families vanish")
-    tw = terw_basis(params)
+    tw = inst.basis
     size = params.base_size
     flist = list(tw.F)
     fslist = list(tw.Fstar)
@@ -712,8 +731,7 @@ def component_dims(
                     if not (x * y).is_zero() or not (y * x).is_zero():
                         annihilating = False
 
-    if dim_total is None:
-        dim_total = terwilliger_closure(params, "bm", max_points).dimension
+    dim_total = inst.closure("bm").dimension
     sums_match = sum(info.dim for info in infos) == dim_total
     return ComponentDecomposition(
         components=tuple(infos),
@@ -769,26 +787,24 @@ class StructureReport:
         }
 
 
-def structure_report(
-    params: SchemeParams, max_points: int | None = None
-) -> StructureReport:
+def structure_report(inst: Instance) -> StructureReport:
     """Measure the Terwilliger algebra and compare every printed formula against it.
 
     Every prediction row carries an agrees flag set by measurement; the
     report records which formulas match the closure oracle and which do
     not, without deciding which printed form was intended.
     """
-    require_within_bound(params, max_points)
+    params = inst.params
     m = params.m
     n = params.n
     q = params.q
     degenerate = m == 1 and q[0] == 2
 
-    closure_bm = terwilliger_closure(params, "bm", max_points)
-    closure_idem = terwilliger_closure(params, "idem", max_points)
+    closure_bm = inst.closure("bm")
+    closure_idem = inst.closure("idem")
     dim_t = closure_bm.dimension
-    primary_sub, primary_report = primary_subalgebra(params, max_points)
-    identity_suite = verify_terw_identities(params, max_points)
+    primary_sub, primary_report = primary_subalgebra(inst)
+    identity_suite = verify_terw_identities(inst)
     center = center_dimension(closure_bm)
 
     checks: dict[str, bool] = {
@@ -804,7 +820,7 @@ def structure_report(
     components: tuple[ComponentInfo, ...] = ()
     omega_n = len(_omega_pairs(q, n))
     if not degenerate:
-        decomp = component_dims(params, max_points, dim_total=dim_t)
+        decomp = component_dims(inst)
         components = decomp.components
         checks["components_pairwise_annihilating"] = decomp.pairwise_annihilating
         checks["components_sum_to_total"] = decomp.sums_match_total
@@ -854,7 +870,9 @@ def structure_report(
             )
 
     depth_one_dim = (
-        dim_t if n == 1 else terwilliger_closure(SchemeParams(q, 1), "bm", max_points).dimension
+        dim_t
+        if n == 1
+        else terwilliger_closure(Instance(SchemeParams(q, 1), inst.max_points)).dimension
     )
     add(
         "dim_T: symmetric power of the measured depth-one dimension",

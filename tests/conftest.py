@@ -1,17 +1,7 @@
 import pytest
 
-from ordered_hamming import SchemeParams, structure_report
-
-SUITE = (
-    ((2,), 1),
-    ((3,), 1),
-    ((2,), 2),
-    ((2,), 3),
-    ((2, 2), 1),
-    ((2, 3), 1),
-    ((2, 2), 2),
-    ((2, 2, 2), 1),
-)
+from ordered_hamming import Instance, SchemeParams, structure_report
+from ordered_hamming.cli import SUITE_INSTANCES
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +12,7 @@ def report_for():
     def get(q, n):
         key = (tuple(q), n)
         if key not in cache:
-            cache[key] = structure_report(SchemeParams(*key))
+            cache[key] = structure_report(Instance(SchemeParams(*key)))
         return cache[key]
 
     return get
@@ -30,4 +20,4 @@ def report_for():
 
 @pytest.fixture(scope="session")
 def suite_params():
-    return [SchemeParams(q, n) for q, n in SUITE]
+    return [SchemeParams(q, n) for q, n in SUITE_INSTANCES]

@@ -6,12 +6,14 @@ closure oracle and cross-checked against the independent counting
 formulas; the suite asserts the oracle values.
 """
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
 from ordered_hamming import (
+    Instance,
     SchemeParams,
     adjacency_n,
     eigen_n,
@@ -39,9 +41,9 @@ def _conclude(num: int, name: str, failures: list) -> None:
 def test_criterion_1_axiom_suite(suite_params):
     failures = []
     for params in suite_params:
-        report = verify_axioms(params)
-        if not report.all_pass:
-            failures.append((params.label(), report.to_json()))
+        checks = verify_axioms(Instance(params))
+        if not all(checks.values()):
+            failures.append((params.label(), checks))
     _conclude(1, "axiom suite", failures)
 
 
@@ -58,10 +60,10 @@ def test_criterion_2_construction_cross_oracle(suite_params):
 def test_criterion_3_spectral_suite(suite_params):
     failures = []
     for params in suite_params:
-        report = verify_spectral_n(params)
-        if not report.all_pass:
-            failures.append((params.label(), report.to_json()))
-        if not verify_base_duality(params).all_pass:
+        checks = verify_spectral_n(Instance(params))
+        if not all(checks.values()):
+            failures.append((params.label(), checks))
+        if False in verify_base_duality(params).values():
             failures.append((params.label(), "base duality"))
         P, Q = eigen_n(params)
         P_rev, Q_rev = eigen_n(params.reversed())
@@ -169,8 +171,9 @@ def test_criterion_6_closure_dimensions(report_for):
             failures.append((params.label(), "measured", report.dim_T, expected))
         if not report.checks["generator_sets_agree"]:
             failures.append((params.label(), "generator sets differ"))
-    bm = terwilliger_closure(SchemeParams((2, 3), 1), "bm")
-    idem = terwilliger_closure(SchemeParams((2, 3), 1), "idem")
+    inst = Instance(SchemeParams((2, 3), 1))
+    bm = terwilliger_closure(inst, "bm")
+    idem = terwilliger_closure(inst, "idem")
     if bm != idem:
         failures.append(("X(2,1;2,3)", "generator subspaces differ"))
     _conclude(6, "closure dimensions", failures)
@@ -229,6 +232,11 @@ def test_criterion_8_conflict_surfacing(report_for):
     _conclude(8, "printed-formula conflicts are surfaced", failures)
 
 
+# SHA-256 of the full `suite --json` stdout. Comparing two runs alone would
+# let a change to the output pass, so the first run is also held to this.
+SUITE_JSON_SHA256 = "68cfef2010b3ce69fe048998440e201c0cba33e16becf33ea5c8361281c86ad7"
+
+
 def test_criterion_9_suite_determinism():
     cmd = [sys.executable, "-m", "ordered_hamming.cli", "suite", "--json"]
     first = subprocess.run(cmd, capture_output=True, timeout=1200)
@@ -240,6 +248,8 @@ def test_criterion_9_suite_determinism():
         failures.append(("second run exit", second.returncode))
     if first.stdout != second.stdout:
         failures.append(("stdout differs between runs",))
+    if hashlib.sha256(first.stdout).hexdigest() != SUITE_JSON_SHA256:
+        failures.append(("stdout differs from the recorded digest",))
     payload = json.loads(first.stdout)
     if len(payload["instances"]) != 8:
         failures.append(("instance count", len(payload["instances"])))

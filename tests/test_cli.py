@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,22 @@ def test_scheme_verify_command(capsys):
     assert payload["checks"]["R4_constants_well_defined"] is True
     rows = payload["data"]["intersection_numbers"]
     assert {"i": [0, 1], "j": [0, 1], "k": [0, 1], "p": 1} in rows
+
+
+# SHA-256 of stdout. `suite` never calls intersection_numbers, so the suite
+# digest does not cover this path.
+@pytest.mark.parametrize(
+    "q,n,digest",
+    [
+        ("2,3", "1", "3f9bfb46f2ec9f659db844d387be09d1c66a882703bda20ba561741efb6da119"),
+        ("2", "2", "c0f41a256a3e1deebb60372fe67c961a206e69998e1ebb23f053f3978e3c91b8"),
+    ],
+)
+def test_scheme_verify_golden_output(capsys, q, n, digest):
+    code = main(["scheme-verify", "--q", q, "--n", n, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_adjacency_command_cross_checks(capsys):

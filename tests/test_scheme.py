@@ -1,6 +1,7 @@
 import pytest
 
 from ordered_hamming import (
+    Instance,
     RatMatrix,
     SchemeParams,
     SizeBound,
@@ -73,7 +74,7 @@ def test_binary_pair_swap_relation():
 
 @pytest.mark.parametrize("q,n", [((3,), 1), ((2, 2), 2), ((2, 2, 2), 1), ((2, 3), 1)])
 def test_axioms_hold(q, n):
-    assert verify_axioms(SchemeParams(q, n)).all_pass
+    assert all(verify_axioms(Instance(SchemeParams(q, n))).values())
 
 
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2), ((2, 2), 2)])
@@ -96,21 +97,19 @@ def test_relation_row_sums_match_valency_formula(q, n):
 
 
 def test_intersection_numbers_on_triangle():
-    params = SchemeParams((3,), 1)
-    table = intersection_numbers(params)
+    table = intersection_numbers(Instance(SchemeParams((3,), 1)))
     assert table[((0, 1), (0, 1), (0, 1))] == 1
 
 
 def test_intersection_number_of_four_cycle():
-    params = SchemeParams((2,), 2)
-    table = intersection_numbers(params)
+    table = intersection_numbers(Instance(SchemeParams((2,), 2)))
     assert table[((1, 1), (1, 1), (2, 0))] == 2
 
 
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2)])
 def test_valency_diagonal_identity(q, n):
     params = SchemeParams(q, n)
-    table = intersection_numbers(params)
+    table = intersection_numbers(Instance(params))
     shapes = enumerate_shapes(params)
     diag = shapes[0]
     for lam in shapes:
@@ -124,7 +123,7 @@ def test_valency_diagonal_identity(q, n):
 def test_products_decompose_exactly(q, n):
     params = SchemeParams(q, n)
     mats = relation_matrices(params)
-    table = intersection_numbers(params)
+    table = intersection_numbers(Instance(params))
     shapes = enumerate_shapes(params)
     for i in shapes:
         for j in shapes:
@@ -140,5 +139,21 @@ def test_size_bound_enforced():
     with pytest.raises(SizeBound):
         relation_matrix((2, 0, 0), params, max_points=4)
     with pytest.raises(SizeBound):
-        verify_axioms(params, max_points=15)
-    assert verify_axioms(params, max_points=16).all_pass
+        Instance(params, max_points=15)
+    assert all(verify_axioms(Instance(params, max_points=16)).values())
+
+
+def test_axioms_and_intersection_numbers_share_one_product_pass(monkeypatch):
+    products = []
+    plain_mul = RatMatrix.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, RatMatrix):
+            products.append((self.nrows, other.ncols))
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    inst = Instance(SchemeParams((2, 3), 1))
+    verify_axioms(inst)
+    intersection_numbers(inst)
+    assert len(products) == len(inst.shapes) ** 2

@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from ordered_hamming import (
+    Instance,
     RatMatrix,
     SchemeParams,
     adjacency_n,
@@ -51,8 +52,8 @@ def test_base_idempotent_axioms(q):
 
 @pytest.mark.parametrize("q", [(2, 3), (2, 2), (2, 2, 2), (3, 4)])
 def test_base_duality(q):
-    report = verify_base_duality(SchemeParams(q, 1))
-    assert report.all_pass
+    checks = verify_base_duality(SchemeParams(q, 1))
+    assert False not in checks.values()
 
 
 def test_base_duality_spot_values():
@@ -60,7 +61,7 @@ def test_base_duality_spot_values():
         SchemeParams((2, 3), 1)
     )
     palindromic = verify_base_duality(SchemeParams((2, 2), 1))
-    assert palindromic.self_dual is True
+    assert palindromic["self_dual"] is True
     p = base_eigenmatrix_P(SchemeParams((2, 3), 1))
     q = base_eigenmatrix_Q(SchemeParams((2, 3), 1))
     assert p * q == RatMatrix.identity(3).scale(6)
@@ -164,8 +165,8 @@ def test_lifted_idempotents_resolve_identity():
     [((2, 3), 1), ((2,), 2), ((2, 2), 2), ((3,), 1), ((2, 2, 2), 1)],
 )
 def test_spectral_verification_passes(q, n):
-    report = verify_spectral_n(SchemeParams(q, n))
-    assert report.all_pass, report.to_json()
+    checks = verify_spectral_n(Instance(SchemeParams(q, n)))
+    assert all(checks.values()), checks
 
 
 def test_zero_eigenvalue_example():

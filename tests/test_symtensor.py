@@ -140,7 +140,7 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
 @pytest.mark.parametrize("q,expected", [((2, 2), 3), ((2, 3), 6)])
 def test_sym_product_span_dimension_multiplies(q, expected):
     params = SchemeParams(q, 1)
-    tw = terw_basis(params)
+    tw = terw_basis(base_spectral(params))
     f_span = span_basis(list(tw.F))
     g_span = span_basis([g for g in tw.G if not g.is_zero()])
     pairs = sym_product_spanset(

@@ -1,8 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
 
+import ordered_hamming.scheme as scheme_module
+import ordered_hamming.spectral as spectral_module
+import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming import (
+    Instance,
     RatMatrix,
     SchemeParams,
     component_dims,
@@ -11,18 +16,21 @@ from ordered_hamming import (
     iter_points,
     lambda_set,
     omega_set,
+    intersection_numbers,
     primary_subalgebra,
     shape_of,
-    terw_basis,
+    structure_report,
     terwilliger_closure,
     theta_enumerate,
     theta_feasible,
+    verify_axioms,
+    verify_spectral_n,
     verify_terw_identities,
 )
 
 
 def test_basis_families_in_binary_single_case():
-    tw = terw_basis(SchemeParams((2,), 1))
+    tw = Instance(SchemeParams((2,), 1)).basis
     data_E1 = RatMatrix([["1/2", "-1/2"], ["-1/2", "1/2"]])
     assert tw.F[1] == data_E1
     assert tw.G[0].is_zero() and tw.Gstar[0].is_zero()
@@ -30,20 +38,20 @@ def test_basis_families_in_binary_single_case():
 
 
 def test_residual_family_survives_for_three_letters():
-    tw = terw_basis(SchemeParams((3,), 1))
+    tw = Instance(SchemeParams((3,), 1)).basis
     z = tw.G[0] * tw.Gstar[0]
     assert not z.is_zero()
     assert z.trace() == 1  # alphabet size minus 2
 
 
 def test_base_dual_idempotent_is_point_mass():
-    tw = terw_basis(SchemeParams((2, 2), 1))
+    tw = Instance(SchemeParams((2, 2), 1)).basis
     assert tw.Estar[0] == RatMatrix.diagonal([1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("q", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_dual_idempotents_partition_identity(q):
-    tw = terw_basis(SchemeParams(q, 1))
+    tw = Instance(SchemeParams(q, 1)).basis
     size = tw.Estar[0].nrows
     total = None
     for e in tw.Estar:
@@ -152,16 +160,16 @@ def test_omega_counts():
     [((2,), 1), ((3,), 1), ((2,), 2), ((2, 2), 1), ((2, 3), 1), ((2, 2), 2)],
 )
 def test_identity_suite_passes(q, n):
-    checks = verify_terw_identities(SchemeParams(q, n))
+    checks = verify_terw_identities(Instance(SchemeParams(q, n)))
     failed = {k: v for k, v in checks.items() if v is False}
     assert not failed
 
 
 def test_identity_suite_marks_vacuous_cases():
-    checks = verify_terw_identities(SchemeParams((2,), 2))
+    checks = verify_terw_identities(Instance(SchemeParams((2,), 2)))
     assert checks["g_products_by_regime"] is None
     assert checks["lifted_g_products"] is None
-    checks = verify_terw_identities(SchemeParams((2, 2), 1))
+    checks = verify_terw_identities(Instance(SchemeParams((2, 2), 1)))
     assert checks["g_products_by_regime"] is True
 
 
@@ -171,7 +179,7 @@ def test_identity_suite_marks_vacuous_cases():
 )
 def test_primary_subalgebra_dimensions(q, n, expected_dim):
     params = SchemeParams(q, n)
-    sub, report = primary_subalgebra(params)
+    sub, report = primary_subalgebra(Instance(params))
     assert sub.dimension == expected_dim == params.class_count**2
     assert report == {
         "dimension_is_class_count_squared": True,
@@ -185,20 +193,20 @@ def test_primary_subalgebra_dimensions(q, n, expected_dim):
     [((2,), 1, 4), ((3,), 1, 5), ((2,), 2, 10), ((2, 2), 1, 10), ((2, 3), 1, 11)],
 )
 def test_closure_dimensions(q, n, dim):
-    params = SchemeParams(q, n)
-    bm = terwilliger_closure(params, "bm")
-    idem = terwilliger_closure(params, "idem")
+    inst = Instance(SchemeParams(q, n))
+    bm = terwilliger_closure(inst, "bm")
+    idem = terwilliger_closure(inst, "idem")
     assert bm.dimension == dim
     assert bm == idem
 
 
 def test_closure_rejects_unknown_generator_label():
     with pytest.raises(ValueError):
-        terwilliger_closure(SchemeParams((2,), 1), "foo")
+        terwilliger_closure(Instance(SchemeParams((2,), 1)), "foo")
 
 
 def test_component_dims_wreath_case():
-    decomp = component_dims(SchemeParams((2, 2), 1))
+    decomp = component_dims(Instance(SchemeParams((2, 2), 1)))
     assert [c.dim for c in decomp.components] == [9, 1]
     assert decomp.components[1].commutative
     assert decomp.pairwise_annihilating
@@ -208,12 +216,12 @@ def test_component_dims_wreath_case():
 
 def test_component_dims_refuses_degenerate_case():
     with pytest.raises(ValueError):
-        component_dims(SchemeParams((2,), 2))
+        component_dims(Instance(SchemeParams((2,), 2)))
 
 
 def test_component_top_level_is_commutative_with_feasible_pair_count():
     params = SchemeParams((2, 3), 1)
-    decomp = component_dims(params)
+    decomp = component_dims(Instance(params))
     top = decomp.components[-1]
     assert top.commutative
     assert top.dim == len(omega_set(params)) == 2
@@ -269,3 +277,42 @@ def test_structure_report_json_schema(report_for):
     assert all(
         set(p) == {"source", "value", "agrees"} for p in blob["predictions"]
     )
+
+
+FAMILY_BUILDERS = (
+    "relation_matrices",
+    "terw_basis",
+    "adjacency_n",
+    "idempotent_n",
+    "dual_idempotent_n",
+)
+
+
+def test_each_family_is_built_once_per_instance(monkeypatch):
+    """The suite's per-instance checks share one build of every matrix family.
+
+    Builds are counted per argument tuple, so a per-shape builder may run
+    once for each shape, and the depth-one instance the report measures for
+    n > 1 has its own keys.
+    """
+    builds = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[(name, *args)] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (scheme_module, spectral_module, terwilliger_module):
+        for name in FAMILY_BUILDERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    inst = Instance(SchemeParams((3,), 2))
+    verify_axioms(inst)
+    intersection_numbers(inst)
+    verify_spectral_n(inst)
+    structure_report(inst)
+    assert {key[0] for key in builds} == set(FAMILY_BUILDERS)
+    assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
