@@ -1,10 +1,13 @@
 """Dense exact-rational matrices, spans, algebra closure, and center computation.
 
-Every scalar is a Python Fraction; nothing here ever rounds. Subspace
-bookkeeping happens in fully reduced row-echelon form with denominators
-cleared, so pivot arithmetic runs on plain integers and the resulting
-basis is canonical: two subspaces are equal exactly when their stored
-rows are identical.
+A matrix is a grid of Python ints over one positive common denominator,
+kept in lowest terms: no prime divides the denominator and every entry,
+and the zero matrix has denominator 1. So equal matrices have equal grids,
+and all arithmetic runs on plain integers; `Fraction` appears only where
+entries enter or leave. Nothing ever rounds. Subspace bookkeeping happens
+in fully reduced integer row-echelon form, so the resulting basis is
+canonical: two subspaces are equal exactly when their stored rows are
+identical.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -44,45 +49,64 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
 
 
-class RatMatrix:
-    """Immutable dense matrix of exact rationals."""
+def _lowest_terms(grid: Iterable[Iterable[int]], den: int) -> RatMatrix:
+    """The matrix grid / den (den > 0), with the common factors divided out."""
+    grid = tuple(map(tuple, grid))
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(grid))
+        if g != 1:
+            grid = tuple(tuple(a // g for a in row) for row in grid)
+            den //= g
+    mat = object.__new__(RatMatrix)
+    mat._grid = grid
+    mat._den = den
+    return mat
 
-    __slots__ = ("_rows",)
+
+def _flat(mat: RatMatrix) -> list[int]:
+    """Row-major vectorization of the grid; a positive multiple of the matrix."""
+    return list(chain.from_iterable(mat._grid))
+
+
+class RatMatrix:
+    """Immutable dense matrix of exact rationals: an integer grid over one denominator."""
+
+    __slots__ = ("_grid", "_den")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(_coerce(x) for x in row) for row in rows)
+        data = [[_coerce(x) for x in row] for row in rows]
         if not data or not data[0]:
             raise EmptyInput("matrix needs at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "_rows", data)
+        # The lcm of lowest-terms denominators leaves no common factor.
+        den = math.lcm(*{x.denominator for row in data for x in row})
+        self._grid = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
+        )
+        self._den = den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int | None = None) -> RatMatrix:
         ncols = nrows if ncols is None else ncols
-        zero = Fraction(0)
-        return cls([[zero] * ncols for _ in range(nrows)])
+        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def ones(cls, nrows: int, ncols: int | None = None) -> RatMatrix:
         ncols = nrows if ncols is None else ncols
-        one = Fraction(1)
-        return cls([[one] * ncols for _ in range(nrows)])
+        return cls([[1] * ncols for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> RatMatrix:
         vals = [_coerce(x) for x in entries]
-        zero = Fraction(0)
-        return cls(
-            [[vals[i] if i == j else zero for j in range(len(vals))] for i in range(len(vals))]
-        )
+        return cls([[vals[i] if i == j else 0 for j in range(len(vals))] for i in range(len(vals))])
 
     @classmethod
     def from_json(cls, obj: dict) -> RatMatrix:
@@ -91,23 +115,25 @@ class RatMatrix:
             raise DimensionMismatch("declared shape disagrees with entries")
         return mat
 
-    # -- shape ----------------------------------------------------------
+    # -- shape and entries ----------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self._grid)
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0])
+        return len(self._grid[0])
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        den = self._den
+        value = {a: Fraction(a, den) for a in set(chain.from_iterable(self._grid))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in self._grid)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        return Fraction(self._grid[i][j], self._den)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -117,20 +143,24 @@ class RatMatrix:
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
 
-    def __add__(self, other: RatMatrix) -> RatMatrix:
+    def _entrywise(self, other: RatMatrix, op) -> RatMatrix:
+        """op(self, other) entry by entry, for op in (add, sub)."""
         self._same_shape(other)
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        pairs = zip(self._grid, other._grid)
+        return _lowest_terms(
+            ([op(x * sa, y * sb) for x, y in zip(ra, rb)] for ra, rb in pairs), den
         )
+
+    def __add__(self, other: RatMatrix) -> RatMatrix:
+        return self._entrywise(other, add)
 
     def __sub__(self, other: RatMatrix) -> RatMatrix:
-        self._same_shape(other)
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> RatMatrix:
-        return RatMatrix([[-a for a in row] for row in self._rows])
+        return _lowest_terms(([-a for a in row] for row in self._grid), self._den)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -138,9 +168,10 @@ class RatMatrix:
                 raise DimensionMismatch(
                     f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
                 )
-            cols = list(zip(*other._rows))
-            return RatMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
+            cols = list(zip(*other._grid))
+            return _lowest_terms(
+                ([sum(map(mul, row, col)) for col in cols] for row in self._grid),
+                self._den * other._den,
             )
         return self.scale(other)
 
@@ -149,24 +180,27 @@ class RatMatrix:
 
     def scale(self, scalar) -> RatMatrix:
         c = _coerce(scalar)
-        return RatMatrix([[c * a for a in row] for row in self._rows])
+        num = c.numerator
+        return _lowest_terms(
+            ([num * a for a in row] for row in self._grid), self._den * c.denominator
+        )
 
     def hadamard(self, other: RatMatrix) -> RatMatrix:
         self._same_shape(other)
-        return RatMatrix(
-            [[a * b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        return _lowest_terms(
+            (map(mul, ra, rb) for ra, rb in zip(self._grid, other._grid)), self._den * other._den
         )
 
     def transpose(self) -> RatMatrix:
-        return RatMatrix(list(zip(*self._rows)))
+        return _lowest_terms(zip(*self._grid), self._den)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise DimensionMismatch("trace needs a square matrix")
-        return sum((self._rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._grid)), self._den)
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self._rows)
+        return tuple(Fraction(sum(row), self._den) for row in self._grid)
 
     def commutes_with(self, other: RatMatrix) -> bool:
         return self * other == other * self
@@ -174,23 +208,23 @@ class RatMatrix:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not a for row in self._rows for a in row)
+        return not any(map(any, self._grid))
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        return self._grid == tuple(zip(*self._grid))
 
     def is_zero_one(self) -> bool:
-        return all(a == 0 or a == 1 for row in self._rows for a in row)
+        return self._den == 1 and set(chain.from_iterable(self._grid)) <= {0, 1}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self._rows == other._rows
+        return (
+            isinstance(other, RatMatrix)
+            and self._den == other._den
+            and self._grid == other._grid
+        )
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self._den, self._grid))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"
@@ -201,7 +235,7 @@ class RatMatrix:
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [[format_rational(a) for a in row] for row in self._rows],
+            "entries": [[format_rational(a) for a in row] for row in self.rows],
         }
 
 
@@ -218,13 +252,9 @@ def mat_sum(mats: Iterable[RatMatrix]) -> RatMatrix:
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Kronecker product; block (i, j) is a[i, j] * b, second factor fastest."""
-    nb = b.nrows
-    rows = []
-    for i in range(a.nrows * nb):
-        ia, ib = divmod(i, nb)
-        ra, rb = a.rows[ia], b.rows[ib]
-        rows.append([x * y for x in ra for y in rb])
-    return RatMatrix(rows)
+    return _lowest_terms(
+        ([x * y for x in ra for y in rb] for ra in a._grid for rb in b._grid), a._den * b._den
+    )
 
 
 def kron_all(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -264,18 +294,6 @@ def _first_nonzero(vec: Sequence[int]) -> int | None:
         if a:
             return i
     return None
-
-
-def _fractions_to_int_vec(values: Iterable[Fraction]) -> list[int]:
-    vals = list(values)
-    den = 1
-    for x in vals:
-        d = x.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    if den == 1:
-        return [x.numerator for x in vals]
-    return [int(x * den) for x in vals]
 
 
 class _IntRowReducer:
@@ -330,22 +348,27 @@ class _IntRowReducer:
         return len(self.rows)
 
 
-def _nullspace(rows: Iterable[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace of the stacked rows, free columns ascending."""
+def _nullspace(mats: Sequence[RatMatrix]) -> list[list[int]]:
+    """Integer basis of {c : sum_k c[k] * mats[k] = 0}, free coordinates ascending."""
+    width = len(mats)
+    # Scaling every entry row by one factor keeps the nullspace.
+    den = math.lcm(*(m._den for m in mats))
+    cols = [[a * (den // m._den) for a in _flat(m)] for m in mats]
     red = _IntRowReducer(width)
-    for row in rows:
-        red.insert(_fractions_to_int_vec(row))
+    for row in zip(*cols):
+        red.insert(row)
     pivots = set(red.pivots)
     basis = []
     for free in range(width):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for row, p in zip(red.rows, red.pivots):
-            if row[free]:
-                vec[p] = Fraction(-row[free], row[p])
-        basis.append(tuple(vec))
+        used = [(row, p) for row, p in zip(red.rows, red.pivots) if row[free]]
+        lead = math.lcm(*(row[p] for row, p in used))
+        vec = [0] * width
+        vec[free] = lead
+        for row, p in used:
+            vec[p] = -row[free] * (lead // row[p])
+        basis.append(vec)
     return basis
 
 
@@ -373,23 +396,17 @@ class MatrixSubspace:
     def contains(self, mat: RatMatrix) -> bool:
         if mat.nrows != self.ambient_side or mat.ncols != self.ambient_side:
             raise DimensionMismatch("matrix does not live in this ambient space")
-        return self._reducer.contains(_vectorize_int(mat))
+        return self._reducer.contains(_flat(mat))
 
     def __contains__(self, mat: RatMatrix) -> bool:
         return self.contains(mat)
 
-    def basis_vectors(self) -> list[tuple[Fraction, ...]]:
-        out = []
-        for row, p in zip(self._reducer.rows, self._reducer.pivots):
-            lead = row[p]
-            out.append(tuple(Fraction(a, lead) for a in row))
-        return out
-
     def basis_matrices(self) -> list[RatMatrix]:
+        """The reduced basis, each element scaled to pivot entry 1."""
         n = self.ambient_side
         return [
-            RatMatrix([vec[i * n : (i + 1) * n] for i in range(n)])
-            for vec in self.basis_vectors()
+            _lowest_terms((row[i * n : (i + 1) * n] for i in range(n)), row[p])
+            for row, p in zip(self._reducer.rows, self._reducer.pivots)
         ]
 
     def __eq__(self, other) -> bool:
@@ -404,10 +421,6 @@ class MatrixSubspace:
 
     def __repr__(self) -> str:
         return f"MatrixSubspace(side={self.ambient_side}, dim={self.dimension})"
-
-
-def _vectorize_int(mat: RatMatrix) -> list[int]:
-    return _fractions_to_int_vec(a for row in mat.rows for a in row)
 
 
 def _check_square_same_side(mats: Sequence[RatMatrix]) -> int:
@@ -426,20 +439,8 @@ def span_basis(mats: Sequence[RatMatrix]) -> MatrixSubspace:
     side = _check_square_same_side(mats)
     red = _IntRowReducer(side * side)
     for m in mats:
-        red.insert(_vectorize_int(m))
+        red.insert(_flat(m))
     return MatrixSubspace(side, red)
-
-
-def _int_grid(mat: RatMatrix) -> list[list[int]]:
-    vec = _vectorize_int(mat)
-    vec = _primitive(vec)
-    n = mat.nrows
-    return [vec[i * n : (i + 1) * n] for i in range(n)]
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def algebra_closure(generators: Sequence[RatMatrix], unital: bool) -> MatrixSubspace:
@@ -456,16 +457,16 @@ def algebra_closure(generators: Sequence[RatMatrix], unital: bool) -> MatrixSubs
         raise EmptyInput("closure of an empty generator list")
     side = _check_square_same_side(gens)
     red = _IntRowReducer(side * side)
-    pool: list[list[list[int]]] = []
+    pool: list[RatMatrix] = []
 
-    def try_add(grid: list[list[int]]) -> None:
-        if red.insert([a for row in grid for a in row]):
-            pool.append(grid)
+    def try_add(mat: RatMatrix) -> None:
+        if red.insert(_flat(mat)):
+            pool.append(mat)
 
     if unital:
-        try_add([[int(i == j) for j in range(side)] for i in range(side)])
+        try_add(RatMatrix.identity(side))
     for g in gens:
-        try_add(_int_grid(g))
+        try_add(g)
 
     new_lo = 0
     while new_lo < len(pool):
@@ -474,9 +475,9 @@ def algebra_closure(generators: Sequence[RatMatrix], unital: bool) -> MatrixSubs
             left = pool[li]
             for ri in range(new_hi):
                 right = pool[ri]
-                try_add(_int_matmul(left, right))
+                try_add(left * right)
                 if ri != li:
-                    try_add(_int_matmul(right, left))
+                    try_add(right * left)
         new_lo = new_hi
     return MatrixSubspace(side, red)
 
@@ -504,22 +505,8 @@ def center_dimension(alg: MatrixSubspace) -> int:
         comms = [z * b - b * z for z in current]
         if all(c.is_zero() for c in comms):
             continue
-        stacked = zip(*[[a for row in c.rows for a in row] for c in comms])
-        coords = _nullspace(stacked, len(current))
         current = [
-            _linear_combination(current, coeffs) for coeffs in coords
+            mat_sum(z.scale(c) for z, c in zip(current, coeffs) if c)
+            for coeffs in _nullspace(comms)
         ]
     return len(current)
-
-
-def _linear_combination(mats: Sequence[RatMatrix], coeffs: Sequence[Fraction]) -> RatMatrix:
-    n = mats[0].nrows
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for m, c in zip(mats, coeffs):
-        if c:
-            for i, row in enumerate(m.rows):
-                acc_i = acc[i]
-                for j, a in enumerate(row):
-                    if a:
-                        acc_i[j] += c * a
-    return RatMatrix(acc)

@@ -36,10 +36,7 @@ def factor_ones_normalized(qj: int) -> RatMatrix:
 
 def factor_zero_unit(qj: int) -> RatMatrix:
     """Matrix unit at (0, 0)."""
-    m = RatMatrix.zeros(qj).rows
-    grid = [list(row) for row in m]
-    grid[0][0] = Fraction(1)
-    return RatMatrix(grid)
+    return RatMatrix.diagonal([1] + [0] * (qj - 1))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ n!-term symmetrizer average and any rational division.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 from .exact_linalg import DimensionMismatch, EmptyInput, RatMatrix, kron, kron_all, mat_sum
@@ -147,8 +146,3 @@ def sym_product_spanset(
         return list(u_list)
     return [sym_product(u, n1, w, n2, base) for u in u_list for w in w_list]
 
-
-def symmetrizer_average(mat: RatMatrix, n: int, base: int) -> RatMatrix:
-    """Average of all n! coordinate permutations of `mat` (n-factor symmetrizer)."""
-    total = mat_sum(permute_positions(mat, perm, base) for perm in permutations(range(n)))
-    return total.scale(Fraction(1, math.factorial(n)))

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from ordered_hamming import cli
 from ordered_hamming.cli import main
+from ordered_hamming.exact_linalg import NotAnAlgebra
+from ordered_hamming.spectral import InternalMismatch
 
 
 def run_cli(capsys, *argv):
@@ -144,3 +147,18 @@ def test_single_command_output_is_stable(capsys):
     main(["eigenmatrix", "--q", "2,3", "--n", "1", "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("error", [InternalMismatch, NotAnAlgebra])
+def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
+    def broken(inst):
+        raise error("constructions disagree")
+
+    monkeypatch.setattr(cli, "structure_report", broken)
+    code, payload = run_cli(capsys, "report", "--q", "2", "--n", "1", "--json")
+    assert code == 3
+    assert payload == {
+        "command": "report",
+        "error": {"type": error.__name__, "message": "constructions disagree"},
+        "overall_pass": False,
+    }

@@ -23,6 +23,17 @@ from ordered_hamming import (
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def grids(nrows, ncols):
+    """Plain list[list[Fraction]] matrices: the reference representation."""
+    return st.lists(
+        st.lists(rationals, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    )
+
+
+sides = st.integers(min_value=1, max_value=3)
+matrices = st.tuples(sides, sides).flatmap(lambda shape: grids(*shape)).map(RatMatrix)
+
+
 def mat2x2():
     return st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2).map(
         RatMatrix
@@ -187,3 +198,95 @@ def test_matrix_json_round_trip():
 def test_format_rational():
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(10, 5)) == "2"
+
+
+def _frozen(grid):
+    return tuple(tuple(row) for row in grid)
+
+
+def _ref_matmul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_operations_match_fraction_reference(data):
+    r, k, c = data.draw(sides), data.draw(sides), data.draw(sides)
+    a, b, w = data.draw(grids(r, k)), data.draw(grids(r, k)), data.draw(grids(k, c))
+    sq = data.draw(grids(k, k))
+    s = data.draw(rationals)
+    A, B, W, SQ = RatMatrix(a), RatMatrix(b), RatMatrix(w), RatMatrix(sq)
+    cases = [
+        (A + B, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (A - B, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (-A, [[-x for x in row] for row in a]),
+        (A * W, _ref_matmul(a, w)),
+        (A.scale(s), [[s * x for x in row] for row in a]),
+        (A.hadamard(B), [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (A.transpose(), [list(col) for col in zip(*a)]),
+        (kron(A, W), _ref_kron(a, w)),
+    ]
+    for got, want in cases:
+        assert got.rows == _frozen(want)
+        assert got == RatMatrix(want) and hash(got) == hash(RatMatrix(want))
+    assert SQ.trace() == sum((sq[i][i] for i in range(k)), Fraction(0))
+    assert A.row_sums() == tuple(sum(row, Fraction(0)) for row in a)
+    assert all(A[i, j] == a[i][j] for i in range(r) for j in range(k))
+    assert A.to_json() == {"rows": r, "cols": k, "entries": [[str(x) for x in row] for row in a]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices)
+def test_lowest_terms_make_equality_structural(m):
+    for got, want in [
+        (m - m, RatMatrix.zeros(m.nrows, m.ncols)),
+        (m.scale(6).scale(Fraction(1, 6)), m),
+        ((m + m) - m, m),
+    ]:
+        assert got == want
+        assert hash(got) == hash(want)
+
+
+def test_entries_must_be_exact():
+    with pytest.raises(TypeError):
+        RatMatrix([[0.5]])
+
+
+int3x3 = st.lists(
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3),
+    min_size=3,
+    max_size=3,
+).map(RatMatrix)
+
+
+def _vec(m):
+    return [m[i, j] for i in range(m.nrows) for j in range(m.ncols)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(int3x3, min_size=1, max_size=4))
+def test_span_dimension_matches_sympy_rank(mats):
+    sympy = pytest.importorskip("sympy")
+    assert span_basis(mats).dimension == sympy.Matrix([_vec(m) for m in mats]).rank()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(int3x3, min_size=1, max_size=4))
+def test_center_dimension_matches_sympy_commutant_rank(mats):
+    sympy = pytest.importorskip("sympy")
+    alg = algebra_closure(mats, unital=True)
+    basis = [sympy.Matrix(3, 3, _vec(b)) for b in alg.basis_matrices()]
+    d = len(basis)
+    # column k stacks vec(B_k B_j - B_j B_k) over every basis element B_j
+    columns = [
+        [x for bj in basis for x in (bk * bj - bj * bk)] for bk in basis
+    ]
+    commutators = sympy.Matrix(columns).T
+    assert center_dimension(alg) == d - commutators.rank()

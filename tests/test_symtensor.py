@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +20,9 @@ from ordered_hamming import (
     span_basis,
     sym_product,
     sym_product_spanset,
-    symmetrizer_average,
     terw_basis,
 )
+from ordered_hamming.exact_linalg import mat_sum
 from ordered_hamming.symtensor import permute_positions
 
 A = RatMatrix([[1, 2], [3, 4]])
@@ -65,6 +69,12 @@ def test_lifted_sum_drops_zero_multiplicities():
 
 def test_lifted_sum_part_order_invariant():
     assert lifted_sum([(A, 2), (B, 1)]) == lifted_sum([(B, 1), (A, 2)])
+
+
+def symmetrizer_average(mat: RatMatrix, n: int, base: int) -> RatMatrix:
+    """Average of all n! coordinate permutations of `mat`: the plain oracle for lifted_sum."""
+    total = mat_sum(permute_positions(mat, perm, base) for perm in permutations(range(n)))
+    return total.scale(Fraction(1, math.factorial(n)))
 
 
 def test_lifted_sum_is_scaled_symmetrizer_average():
