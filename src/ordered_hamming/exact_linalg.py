@@ -210,6 +210,14 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self._grid))
 
+    def first_nonzero(self) -> tuple[int, int] | None:
+        """(row, col) of the first nonzero entry in row-major order, None if zero."""
+        for r, row in enumerate(self._grid):
+            c = _first_nonzero(row)
+            if c is not None:
+                return r, c
+        return None
+
     def is_symmetric(self) -> bool:
         return self._grid == tuple(zip(*self._grid))
 
@@ -446,11 +454,20 @@ def span_basis(mats: Sequence[RatMatrix]) -> MatrixSubspace:
 def algebra_closure(generators: Sequence[RatMatrix], unital: bool) -> MatrixSubspace:
     """Smallest multiplication-closed subspace containing the generators.
 
-    Fixpoint iteration: each round multiplies the elements added in the
-    previous round against the whole round-start pool on both sides and
-    inserts whatever is independent. Merging is serial in (round,
-    left-index, right-index) order, so the result is deterministic; it is
-    also canonical, hence independent of generator order.
+    The algebra is the span of the nonempty words in the generators, plus
+    I when `unital`. It is found by spinning: the pool starts with I (when
+    `unital`) and the generators, and one walk over the pool multiplies
+    each element on the left by every generator the pool accepted,
+    appending each product that is independent. The walk ends when it
+    reaches the end of the pool, after about dim * k products for k
+    accepted generators.
+
+    The walked pool spans a space that holds the seeds and is closed under
+    left multiplication by the accepted generators, so it holds every word.
+    A rejected generator is a combination of I (when `unital`) and the
+    accepted ones, so it is not needed for spinning. The span is kept in
+    canonical reduced echelon form, so the result does not depend on
+    generator order or on the order of the walk.
     """
     gens = list(generators)
     if not gens:
@@ -459,26 +476,18 @@ def algebra_closure(generators: Sequence[RatMatrix], unital: bool) -> MatrixSubs
     red = _IntRowReducer(side * side)
     pool: list[RatMatrix] = []
 
-    def try_add(mat: RatMatrix) -> None:
+    def try_add(mat: RatMatrix) -> bool:
         if red.insert(_flat(mat)):
             pool.append(mat)
+            return True
+        return False
 
     if unital:
         try_add(RatMatrix.identity(side))
-    for g in gens:
-        try_add(g)
-
-    new_lo = 0
-    while new_lo < len(pool):
-        new_hi = len(pool)
-        for li in range(new_lo, new_hi):
-            left = pool[li]
-            for ri in range(new_hi):
-                right = pool[ri]
-                try_add(left * right)
-                if ri != li:
-                    try_add(right * left)
-        new_lo = new_hi
+    spin = [g for g in gens if try_add(g)]
+    for b in pool:  # also visits the products appended during the walk
+        for g in spin:
+            try_add(g * b)
     return MatrixSubspace(side, red)
 
 

@@ -169,30 +169,25 @@ def relation_matrices(
 
 
 def _decompose_product(
-    mats: dict[Shape, RatMatrix], i: Shape, j: Shape
+    mats: dict[Shape, RatMatrix],
+    samples: dict[Shape, tuple[int, int]],
+    i: Shape,
+    j: Shape,
 ) -> dict[Shape, int] | None:
-    """Write A_i A_j as a relation-constant combination, or None if impossible."""
+    """Write A_i A_j as a relation-constant combination, or None if impossible.
+
+    `samples[k]` is one pair in relation k; relations without a pair are left out.
+    """
     prod = mats[i] * mats[j]
     coeffs: dict[Shape, int] = {}
     terms = []
-    for k, ak in mats.items():
-        # sample the first pair in relation k
-        sample = None
-        for r, row in enumerate(ak.rows):
-            for c, v in enumerate(row):
-                if v:
-                    sample = (r, c)
-                    break
-            if sample:
-                break
-        if sample is None:
-            continue
+    for k, sample in samples.items():
         p = prod[sample]
         if p.denominator != 1:
             return None
         coeffs[k] = int(p)
         if p:
-            terms.append(ak.scale(p))
+            terms.append(mats[k].scale(p))
     recon = mat_sum(terms) if terms else RatMatrix.zeros(prod.nrows)
     if recon != prod:
         return None
@@ -203,7 +198,10 @@ def decompose_products(
     mats: dict[Shape, RatMatrix],
 ) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
     """Every ordered product A_i A_j as relation coefficients, None where impossible."""
-    return {(i, j): _decompose_product(mats, i, j) for i in mats for j in mats}
+    # sample the first pair in each relation, once for all products
+    firsts = {k: ak.first_nonzero() for k, ak in mats.items()}
+    samples = {k: pos for k, pos in firsts.items() if pos is not None}
+    return {(i, j): _decompose_product(mats, samples, i, j) for i in mats for j in mats}
 
 
 def verify_axioms(inst: Instance) -> dict[str, bool]:

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming import (
     DimensionMismatch,
     EmptyInput,
+    Instance,
     NotAnAlgebra,
     RatMatrix,
     SchemeParams,
@@ -18,7 +20,9 @@ from ordered_hamming import (
     kron,
     relation_matrices,
     span_basis,
+    terwilliger_closure,
 )
+from ordered_hamming.exact_linalg import MatrixSubspace, _flat, _IntRowReducer
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -239,6 +243,8 @@ def test_operations_match_fraction_reference(data):
     assert SQ.trace() == sum((sq[i][i] for i in range(k)), Fraction(0))
     assert A.row_sums() == tuple(sum(row, Fraction(0)) for row in a)
     assert all(A[i, j] == a[i][j] for i in range(r) for j in range(k))
+    nonzeros = ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+    assert A.first_nonzero() == next(nonzeros, None)
     assert A.to_json() == {"rows": r, "cols": k, "entries": [[str(x) for x in row] for row in a]}
 
 
@@ -290,3 +296,103 @@ def test_center_dimension_matches_sympy_commutant_rank(mats):
     ]
     commutators = sympy.Matrix(columns).T
     assert center_dimension(alg) == d - commutators.rank()
+
+
+def pool_closure(generators, unital):
+    """Reference closure: every new pool element times the whole pool, both sides.
+
+    About dim**2 products; used only to cross-check `algebra_closure`.
+    """
+    gens = list(generators)
+    side = gens[0].nrows
+    red = _IntRowReducer(side * side)
+    pool = []
+
+    def try_add(mat):
+        if red.insert(_flat(mat)):
+            pool.append(mat)
+
+    if unital:
+        try_add(RatMatrix.identity(side))
+    for g in gens:
+        try_add(g)
+    new_lo = 0
+    while new_lo < len(pool):
+        new_hi = len(pool)
+        for li in range(new_lo, new_hi):
+            left = pool[li]
+            for ri in range(new_hi):
+                right = pool[ri]
+                try_add(left * right)
+                if ri != li:
+                    try_add(right * left)
+        new_lo = new_hi
+    return MatrixSubspace(side, red)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(int3x3, min_size=1, max_size=4), st.booleans())
+def test_closure_matches_pool_reference(mats, unital):
+    assert algebra_closure(mats, unital) == pool_closure(mats, unital)
+
+
+def test_closure_of_nilpotent_matrix_unit():
+    e12 = _matrix_unit(2, 0, 1)
+    assert algebra_closure([e12], unital=False).dimension == 1
+    assert algebra_closure([e12], unital=True).dimension == 2
+
+
+def test_closure_skips_zero_generator():
+    zero = RatMatrix.zeros(3)
+    a = RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for unital in (False, True):
+        got = algebra_closure([zero, a], unital)
+        assert got == algebra_closure([a], unital) == pool_closure([zero, a], unital)
+        assert got.dimension == 3
+
+
+def test_closure_of_multiple_of_identity():
+    two_i = RatMatrix.identity(3).scale(2)
+    e11 = _matrix_unit(3, 0, 0)
+    assert algebra_closure([two_i], unital=False).dimension == 1
+    assert algebra_closure([two_i], unital=True).dimension == 1
+    for unital in (False, True):
+        got = algebra_closure([two_i, e11], unital)
+        assert got == pool_closure([two_i, e11], unital)
+        assert got.dimension == 2
+
+
+def test_closure_with_all_later_generators_dependent():
+    a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    gens = [a, a.scale(3), -a, RatMatrix.zeros(3)]
+    for unital in (False, True):
+        got = algebra_closure(gens, unital)
+        assert got == algebra_closure([a], unital) == pool_closure(gens, unital)
+    assert algebra_closure(gens, unital=False).dimension == 2
+    assert algebra_closure(gens, unital=True).dimension == 3
+
+
+@pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 2, 2), 1)])
+def test_terwilliger_closure_matches_pool_reference(q, n):
+    inst = Instance(SchemeParams(q, n))
+    duals = list(inst.duals.values())
+    for generators, first in (("bm", inst.adjacency), ("idem", inst.idempotents)):
+        reference = pool_closure(list(first.values()) + duals, unital=True)
+        assert terwilliger_closure(inst, generators) == reference
+
+
+def test_component_closures_match_pool_reference(monkeypatch):
+    calls = []
+    plain_closure = terwilliger_module.algebra_closure
+
+    def recording_closure(gens, unital):
+        sub = plain_closure(gens, unital)
+        calls.append((list(gens), unital, sub))
+        return sub
+
+    monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
+    terwilliger_module.component_dims(Instance(SchemeParams((3,), 2)))
+    pieces = [call for call in calls if not call[1]]
+    assert pieces
+    for gens, unital, sub in pieces:
+        assert sub == pool_closure(gens, unital)

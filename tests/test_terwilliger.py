@@ -19,6 +19,7 @@ from ordered_hamming import (
     intersection_numbers,
     primary_subalgebra,
     shape_of,
+    span_basis,
     structure_report,
     terwilliger_closure,
     theta_enumerate,
@@ -203,6 +204,29 @@ def test_closure_dimensions(q, n, dim):
 def test_closure_rejects_unknown_generator_label():
     with pytest.raises(ValueError):
         terwilliger_closure(Instance(SchemeParams((2,), 1)), "foo")
+
+
+@pytest.mark.parametrize("generators", ["bm", "idem"])
+def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
+    inst = Instance(SchemeParams((2,), 4))
+    first = inst.adjacency if generators == "bm" else inst.idempotents
+    gens = list(first.values()) + list(inst.duals.values())
+    # the generators the closure keeps: those independent of I and earlier ones
+    accepted = span_basis([RatMatrix.identity(16)] + gens).dimension - 1
+    products = 0
+    plain_mul = RatMatrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        if isinstance(other, RatMatrix):
+            products += 1
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    dim = terwilliger_closure(inst, generators).dimension
+    assert dim == 35 and accepted == 8
+    # the pool-against-pool reference engine needs 1897 here
+    assert products <= dim * accepted
 
 
 def test_component_dims_wreath_case():
