@@ -108,13 +108,6 @@ class RatMatrix:
         vals = [_coerce(x) for x in entries]
         return cls([[vals[i] if i == j else 0 for j in range(len(vals))] for i in range(len(vals))])
 
-    @classmethod
-    def from_json(cls, obj: dict) -> RatMatrix:
-        mat = cls([[Fraction(x) for x in row] for row in obj["entries"]])
-        if mat.nrows != obj["rows"] or mat.ncols != obj["cols"]:
-            raise DimensionMismatch("declared shape disagrees with entries")
-        return mat
-
     # -- shape and entries ----------------------------------------------
 
     @property

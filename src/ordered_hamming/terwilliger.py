@@ -46,7 +46,7 @@ from .spectral import (
     idempotent_n,
     valency_n,
 )
-from .symtensor import lifted_sum, lifted_sum_grid, sym_product_spanset
+from .symtensor import lifted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +574,10 @@ def _lifted_g_products_hold(
                 if not left.is_zero():
                     return False
                 continue
-            expected = mat_sum(lifted_sum_grid(grid, c) for c in grids)
+            expected = mat_sum(
+                lifted_sum([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
+                for c in grids
+            )
             if left != expected or left.is_zero():
                 return False
     return True
@@ -667,8 +670,8 @@ class ComponentDecomposition:
 def component_dims(inst: Instance) -> ComponentDecomposition:
     """Dimensions of the closure-generated pieces graded by G-degree d.
 
-    For each d the spanning set is the symmetric interleaving of a lifted
-    F-family basis (n - d factors) with a lifted G-family basis (d factors),
+    For each d every spanning matrix is one `lifted_sum` over the combined
+    F/G multiset: n - d factors from the F family and d from the G family,
     together with the starred twin; the piece is the non-unital closure of
     that set. Cross products between distinct degrees must vanish and the
     dimensions must add up to the full closure dimension.
@@ -679,33 +682,19 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     if m == 1 and params.q[0] == 2:
         raise ValueError("component split is vacuous when the G families vanish")
     tw = inst.basis
-    size = params.base_size
-    flist = list(tw.F)
-    fslist = list(tw.Fstar)
-    glist = list(tw.G)
-    gslist = list(tw.Gstar)
-
-    def spanning(fam: list[RatMatrix], gfam: list[RatMatrix], d: int) -> list[RatMatrix]:
-        us = (
-            [lifted_sum(list(zip(fam, sigma))) for sigma in compositions(n - d, m + 1)]
-            if n - d
-            else []
-        )
-        ws = (
-            [lifted_sum(list(zip(gfam, tau))) for tau in compositions(d, m)]
-            if d
-            else []
-        )
-        if not ws:
-            return us
-        if not us:
-            return ws
-        return sym_product_spanset(us, n - d, ws, d, size)
+    families = ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
 
     infos = []
     spaces: list[MatrixSubspace | None] = []
     for d in range(n + 1):
-        gens = spanning(flist, glist, d) + spanning(fslist, gslist, d)
+        # compositions(0, k) is the all-zero tuple, and lifted_sum drops
+        # zero multiplicities, so d = 0 and d = n need no special case
+        gens = [
+            lifted_sum(list(zip(fam, sigma)) + list(zip(gfam, tau)))
+            for fam, gfam in families
+            for sigma in compositions(n - d, m + 1)
+            for tau in compositions(d, m)
+        ]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))

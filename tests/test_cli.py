@@ -58,6 +58,22 @@ def test_scheme_verify_golden_output(capsys, q, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of stdout. The suite runs no instance with both F and G factors at
+# n >= 2; X(1,3;3) is the only pinned output with the two-and-one splits.
+@pytest.mark.parametrize(
+    "q,n,digest",
+    [
+        ("3", "2", "3e15b919733bf69629287ced2436e92734da9b74431ceb6c586c848acb330e53"),
+        ("3", "3", "07d428e75e00984abc77e69399e2bd324c5d0ad2c59bcc8338abb0b1e9748e3f"),
+    ],
+)
+def test_report_golden_output(capsys, q, n, digest):
+    code = main(["report", "--q", q, "--n", n, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_adjacency_command_cross_checks(capsys):
     code, payload = run_cli(
         capsys, "adjacency", "--q", "2,2", "--n", "2", "--shape", "1,1,0", "--json"

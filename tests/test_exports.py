@@ -1,0 +1,32 @@
+import inspect
+
+import ordered_hamming
+
+
+def test_all_names_resolve_once():
+    names = ordered_hamming.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(ordered_hamming, name), name
+
+
+def test_every_imported_function_and_class_is_exported():
+    public = {
+        name
+        for name, value in vars(ordered_hamming).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+    }
+    assert public <= set(ordered_hamming.__all__), sorted(public - set(ordered_hamming.__all__))
+
+
+def test_symtensor_public_functions():
+    from ordered_hamming import symtensor
+
+    public = {
+        name
+        for name, value in vars(symtensor).items()
+        if not name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == symtensor.__name__
+    }
+    assert public == {"multinomial", "multiset_arrangements", "lifted_sum"}

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordered_hamming import (
@@ -14,16 +15,12 @@ from ordered_hamming import (
     kron,
     kron_all,
     lifted_sum,
-    lifted_sum_grid,
     multinomial,
     multiset_arrangements,
     span_basis,
-    sym_product,
-    sym_product_spanset,
     terw_basis,
 )
 from ordered_hamming.exact_linalg import mat_sum
-from ordered_hamming.symtensor import permute_positions
 
 A = RatMatrix([[1, 2], [3, 4]])
 B = RatMatrix([[0, 1], [1, 1]])
@@ -65,10 +62,39 @@ def test_lifted_sum_three_term_example():
 
 def test_lifted_sum_drops_zero_multiplicities():
     assert lifted_sum([(A, 1), (B, 0), (C, 1)]) == lifted_sum([(A, 1), (C, 1)])
+    assert lifted_sum([(A, 0), (B, 0), (C, 0), (A, 2)]) == kron(A, A)
 
 
 def test_lifted_sum_part_order_invariant():
     assert lifted_sum([(A, 2), (B, 1)]) == lifted_sum([(B, 1), (A, 2)])
+
+
+def _digits(index: int, base: int, length: int) -> list[int]:
+    out = [0] * length
+    for pos in range(length - 1, -1, -1):
+        out[pos] = index % base
+        index //= base
+    return out
+
+
+def permute_positions(mat: RatMatrix, perm: Sequence[int], base: int) -> RatMatrix:
+    """Conjugate by the coordinate permutation sending input slot r to output position perm[r].
+
+    Indices of `mat` are read as len(perm) digits in the given base, first
+    digit slowest, matching the Kronecker convention.
+    """
+    n = len(perm)
+    size = base**n
+    assert mat.nrows == mat.ncols == size
+    source = []
+    for x in range(size):
+        dx = _digits(x, base, n)
+        s = 0
+        for r in range(n):
+            s = s * base + dx[perm[r]]
+        source.append(s)
+    rows = mat.rows
+    return RatMatrix([[rows[source[i]][source[j]] for j in range(size)] for i in range(size)])
 
 
 def symmetrizer_average(mat: RatMatrix, n: int, base: int) -> RatMatrix:
@@ -83,40 +109,37 @@ def test_lifted_sum_is_scaled_symmetrizer_average():
     assert symmetrizer_average(ordered, 3, 2).scale(multinomial((1, 2))) == lifted
 
 
-def test_grid_form_reduces_to_power():
-    grid = [[A, B], [C, A]]
-    counts = [[0, 0], [0, 2]]
-    assert lifted_sum_grid(grid, counts) == kron(A, A)
-
-
 def test_permute_positions_three_cycle():
     m = kron_all([A, B, C])
     # slot 0 -> position 1, slot 1 -> position 2, slot 2 -> position 0
     assert permute_positions(m, (1, 2, 0), 2) == kron_all([C, A, B])
 
 
-def test_sym_product_of_singletons():
-    assert sym_product(A, 1, B, 1, 2) == kron(A, B) + kron(B, A)
-    assert sym_product_spanset([A], 1, [B], 1, 2) == [kron(A, B) + kron(B, A)]
+_entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_factors = st.lists(_entries, min_size=4, max_size=4).map(
+    lambda e: RatMatrix([e[:2], e[2:]])
+)
 
 
-def test_sym_product_matches_lifted_concatenation():
-    # (sum over arrangements of A) (.) (sum over arrangements of B, C twice)
-    left = sym_product(lifted_sum([(A, 1)]), 1, lifted_sum([(B, 1), (C, 1)]), 2, 2)
-    assert left == lifted_sum([(A, 1), (B, 1), (C, 1)])
-    power = sym_product(lifted_sum([(A, 2)]), 2, lifted_sum([(B, 1)]), 1, 2)
-    assert power == lifted_sum([(A, 2), (B, 1)])
+_parts = st.lists(
+    st.tuples(_factors, st.integers(min_value=0, max_value=3)), min_size=1, max_size=2
+).filter(lambda ps: 1 <= sum(c for _, c in ps) <= 3)
 
 
-def test_sym_product_with_scalar_factor_counts():
-    assert sym_product(A, 1, B, 0, 2) == A
-    assert sym_product_spanset([A, B], 2, [], 0, 2) == [A, B]
+@settings(max_examples=20, deadline=None)
+@given(_parts, _parts)
+def test_lifted_concatenation_is_scaled_symmetrized_kron(pu, pw):
+    # one lifted_sum over the joined parts is the symmetric product of the two lifts
+    n1 = sum(c for _, c in pu)
+    n = n1 + sum(c for _, c in pw)
+    assume(n <= 4)
+    joined = kron(lifted_sum(pu), lifted_sum(pw))
+    assert lifted_sum(pu + pw) == symmetrizer_average(joined, n, 2).scale(math.comb(n, n1))
 
 
 def test_identity_symmetric_product_is_scaled_identity():
-    i4 = RatMatrix.identity(4)
-    out = sym_product(i4, 2, RatMatrix.identity(2), 1, 2)
-    assert out == RatMatrix.identity(8).scale(3)
+    i2 = RatMatrix.identity(2)
+    assert lifted_sum([(i2, 2), (i2, 1)]) == RatMatrix.identity(8).scale(3)
 
 
 @pytest.mark.parametrize("q", [(2, 2), (2, 3)])
@@ -153,7 +176,9 @@ def test_sym_product_span_dimension_multiplies(q, expected):
     tw = terw_basis(base_spectral(params))
     f_span = span_basis(list(tw.F))
     g_span = span_basis([g for g in tw.G if not g.is_zero()])
-    pairs = sym_product_spanset(
-        f_span.basis_matrices(), 1, g_span.basis_matrices(), 1, params.base_size
-    )
+    pairs = [
+        lifted_sum([(f, 1), (g, 1)])
+        for f in f_span.basis_matrices()
+        for g in g_span.basis_matrices()
+    ]
     assert span_basis(pairs).dimension == f_span.dimension * g_span.dimension == expected

@@ -340,3 +340,23 @@ def test_each_family_is_built_once_per_instance(monkeypatch):
     structure_report(inst)
     assert {key[0] for key in builds} == set(FAMILY_BUILDERS)
     assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_structure_report_stays_on_the_integer_grid(monkeypatch, n):
+    """The report never reads `RatMatrix.rows`, which rebuilds a Fraction grid.
+
+    X(1,n;3) has both F and G factors at every split 0 < d < n, so the
+    spanning sets of `component_dims` are built from mixed lifted sums.
+    """
+    reads = 0
+    plain_rows = RatMatrix.rows
+
+    def counting_rows(self):
+        nonlocal reads
+        reads += 1
+        return plain_rows.fget(self)
+
+    monkeypatch.setattr(RatMatrix, "rows", property(counting_rows))
+    structure_report(Instance(SchemeParams((3,), n)))
+    assert reads == 0
