@@ -263,16 +263,30 @@ def _cmd_identities(args, parser) -> dict:
     return _run_report("identities", params, checks, {})
 
 
+def _log_dimension(args, inst: Instance, dim_t: int) -> None:
+    """N, the orbital count r and the measured dim T; r only bounds dim T from above."""
+    _log(
+        args,
+        f"{inst.params.label()}: N = {inst.params.num_points} points, "
+        f"r = {inst.orbitals.count} orbitals (an upper bound on dim T), "
+        f"measured dim T = {dim_t}",
+    )
+
+
 def _cmd_closure(args, parser) -> dict:
     params = _params_from_args(args, parser)
-    sub = terwilliger_closure(Instance(params, args.max_points), args.generators)
+    inst = Instance(params, args.max_points)
+    sub = terwilliger_closure(inst, args.generators)
+    _log_dimension(args, inst, sub.dimension)
     data = {"generators": args.generators, "dimension": sub.dimension}
     return _run_report("closure", params, {}, data)
 
 
 def _cmd_report(args, parser) -> dict:
     params = _params_from_args(args, parser)
-    report = structure_report(Instance(params, args.max_points))
+    inst = Instance(params, args.max_points)
+    report = structure_report(inst)
+    _log_dimension(args, inst, report.dim_T)
     checks = dict(report.checks)
     if args.strict:
         checks["predictions_agree"] = report.all_predictions_agree

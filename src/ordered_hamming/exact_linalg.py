@@ -1,20 +1,29 @@
-"""Dense exact-rational matrices, spans, algebra closure, and center computation.
+"""Exact-rational matrices, orbital coordinates, spans, algebra closure, and center.
 
 A matrix is a grid of Python ints over one positive common denominator,
 kept in lowest terms: no prime divides the denominator and every entry,
 and the zero matrix has denominator 1. So equal matrices have equal grids,
 and all arithmetic runs on plain integers; `Fraction` appears only where
-entries enter or leave. Nothing ever rounds. Subspace bookkeeping happens
-in fully reduced integer row-echelon form, so the resulting basis is
-canonical: two subspaces are equal exactly when their stored rows are
-identical.
+entries enter or leave. Nothing ever rounds.
+
+Subspaces live in orbital coordinates (`Orbitals`): a matrix that every
+permutation of a group commutes with is constant on each orbit of that
+group on pairs of points, so it is one integer per orbital. The discrete
+partition, every pair its own orbital, is the plain row-major vectorization.
+Closures multiply in these coordinates through one structure table and
+never form a dense product. Subspace bookkeeping happens in fully reduced
+integer row-echelon form, so the resulting basis is canonical: two
+subspaces in the same coordinates are equal exactly when their stored rows
+are identical.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -30,6 +39,15 @@ class EmptyInput(ValueError):
 
 class NotAnAlgebra(ValueError):
     """A subspace presented as multiplication-closed failed a product check."""
+
+
+class InternalMismatch(AssertionError):
+    """Two independent constructions of one object disagree, or a self-check failed.
+
+    The self-checks are those the code relies on for exactness, such as a
+    symmetry map keeping every relation or a matrix being constant on an
+    orbital.
+    """
 
 
 def format_rational(value: Fraction) -> str:
@@ -374,114 +392,233 @@ def _nullspace(mats: Sequence[RatMatrix]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Subspaces of vectorized square matrices.
+# Orbital coordinates.
+# ---------------------------------------------------------------------------
+
+
+class Orbitals:
+    """The orbitals of a group of point permutations: its orbits on pairs of points.
+
+    `maps` generate the group; each is a permutation of range(side), moving
+    the pair (x, y) to (map[x], map[y]). Pairs are numbered row-major,
+    x * side + y. Orbitals are numbered in order of their first pair, which
+    is their representative, so a row-major scan of a matrix meets the
+    orbitals in label order. A matrix that every map commutes with is
+    constant on each orbital; its orbital vector holds one grid entry per
+    orbital, a positive multiple of the matrix. With no maps every pair is
+    its own orbital, and the orbital vector is the row-major vectorization.
+    """
+
+    def __init__(self, side: int, maps: Sequence[Sequence[int]] = ()):
+        self.side = side
+        labels = [-1] * (side * side)
+        reps: list[int] = []
+        for start in range(side * side):
+            if labels[start] >= 0:
+                continue
+            # every earlier pair lies in an orbital already labelled
+            label = len(reps)
+            reps.append(start)
+            labels[start] = label
+            todo = [start]
+            while todo:
+                x, y = divmod(todo.pop(), side)
+                for perm in maps:
+                    pair = perm[x] * side + perm[y]
+                    if labels[pair] < 0:
+                        labels[pair] = label
+                        todo.append(pair)
+        self.labels = labels
+        self.reps = reps
+
+    @property
+    def count(self) -> int:
+        return len(self.reps)
+
+    def _entries(self, mat: RatMatrix) -> list[int] | None:
+        """The orbital vector of `mat`, or None when `mat` is not constant on every orbital."""
+        if mat.nrows != self.side or mat.ncols != self.side:
+            raise DimensionMismatch(
+                f"matrix is {mat.nrows}x{mat.ncols}, orbitals are on {self.side} points"
+            )
+        flat = _flat(mat)
+        vec = [flat[p] for p in self.reps]
+        return vec if list(map(vec.__getitem__, self.labels)) == flat else None
+
+    def vector(self, mat: RatMatrix) -> list[int]:
+        """The orbital vector of `mat`, after checking every entry against its orbital."""
+        vec = self._entries(mat)
+        if vec is None:
+            flat = _flat(mat)
+            pair = next(
+                p for p, label in enumerate(self.labels) if flat[p] != flat[self.reps[label]]
+            )
+            label = self.labels[pair]
+            raise InternalMismatch(
+                f"matrix is not constant on orbital {label}: entry {divmod(pair, self.side)} "
+                f"differs from {divmod(self.reps[label], self.side)}"
+            )
+        return vec
+
+    def matrix(self, vec: Sequence[int], den: int = 1) -> RatMatrix:
+        """The matrix that is vec[o] / den on every pair of orbital o (den > 0)."""
+        side = self.side
+        flat = list(map(vec.__getitem__, self.labels))
+        return _lowest_terms((flat[i * side : (i + 1) * side] for i in range(side)), den)
+
+    @cached_property
+    def _table(self) -> list[list[tuple[int, int, int]]]:
+        """Structure table indexed by the left orbital i: entries (o, j, count).
+
+        count is the number of points y with (x, y) in orbital i and (y, z)
+        in orbital j, for the representative (x, z) of orbital o; r * side
+        points y in all, grouped by (i, j).
+        """
+        side, labels = self.side, self.labels
+        table: list[list[tuple[int, int, int]]] = [[] for _ in self.reps]
+        for o, rep in enumerate(self.reps):
+            x, z = divmod(rep, side)
+            pairs = Counter(zip(labels[x * side : (x + 1) * side], labels[z::side]))
+            for (i, j), count in pairs.items():
+                table[i].append((o, j, count))
+        return table
+
+    def product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Orbital vector of AB from those of A and B, each constant on every orbital.
+
+        (AB)[x, z] = sum over y of a[orb(x, y)] * b[orb(y, z)], read at each
+        representative; work is the table entries of the orbitals where a
+        is nonzero, so a diagonal A costs one entry per orbital it touches.
+        """
+        out = [0] * len(self.reps)
+        table = self._table
+        for i, ai in enumerate(a):
+            if ai:
+                for o, j, count in table[i]:
+                    out[o] += ai * count * b[j]
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Subspaces of orbital-constant square matrices.
 # ---------------------------------------------------------------------------
 
 
 class MatrixSubspace:
-    """A subspace of N-by-N matrices, held as a canonical reduced basis.
+    """A subspace of N-by-N matrices constant on the given orbitals.
 
-    Vectorization is row-major. Membership tests and equality are exact.
+    Held as a canonical reduced basis of orbital vectors. Membership tests
+    and equality are exact.
     """
 
-    __slots__ = ("ambient_side", "_reducer")
+    __slots__ = ("orbitals", "_reducer")
 
-    def __init__(self, ambient_side: int, reducer: _IntRowReducer):
-        self.ambient_side = ambient_side
+    def __init__(self, orbitals: Orbitals, reducer: _IntRowReducer):
+        self.orbitals = orbitals
         self._reducer = reducer
+
+    @property
+    def ambient_side(self) -> int:
+        return self.orbitals.side
 
     @property
     def dimension(self) -> int:
         return self._reducer.dimension
 
     def contains(self, mat: RatMatrix) -> bool:
-        if mat.nrows != self.ambient_side or mat.ncols != self.ambient_side:
-            raise DimensionMismatch("matrix does not live in this ambient space")
-        return self._reducer.contains(_flat(mat))
+        """Whether `mat` lies in the subspace; one not constant on every orbital does not."""
+        vec = self.orbitals._entries(mat)
+        return vec is not None and self._reducer.contains(vec)
 
     def __contains__(self, mat: RatMatrix) -> bool:
         return self.contains(mat)
 
     def basis_matrices(self) -> list[RatMatrix]:
         """The reduced basis, each element scaled to pivot entry 1."""
-        n = self.ambient_side
         return [
-            _lowest_terms((row[i * n : (i + 1) * n] for i in range(n)), row[p])
+            self.orbitals.matrix(row, row[p])
             for row, p in zip(self._reducer.rows, self._reducer.pivots)
         ]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixSubspace)
-            and self.ambient_side == other.ambient_side
-            and self._reducer.rows == other._reducer.rows
+        if not isinstance(other, MatrixSubspace) or self.ambient_side != other.ambient_side:
+            return False
+        if self.orbitals.labels == other.orbitals.labels:
+            return self._reducer.rows == other._reducer.rows
+        # in any coordinates the canonical basis expands to the dense one
+        return self.dimension == other.dimension and (
+            self.basis_matrices() == other.basis_matrices()
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_side, tuple(tuple(r) for r in self._reducer.rows)))
+        return hash((self.ambient_side, self.dimension))
 
     def __repr__(self) -> str:
-        return f"MatrixSubspace(side={self.ambient_side}, dim={self.dimension})"
-
-
-def _check_square_same_side(mats: Sequence[RatMatrix]) -> int:
-    side = mats[0].nrows
-    for m in mats:
-        if m.nrows != m.ncols or m.nrows != side:
-            raise DimensionMismatch("all matrices must be square with one common side")
-    return side
+        return (
+            f"MatrixSubspace(side={self.ambient_side}, orbitals={self.orbitals.count}, "
+            f"dim={self.dimension})"
+        )
 
 
 def span_basis(mats: Sequence[RatMatrix]) -> MatrixSubspace:
-    """Linear span of the given square matrices."""
+    """Linear span of the given square matrices, in the discrete (dense) coordinates."""
     mats = list(mats)
     if not mats:
         raise EmptyInput("span of an empty list")
-    side = _check_square_same_side(mats)
-    red = _IntRowReducer(side * side)
+    orbitals = Orbitals(mats[0].nrows)
+    red = _IntRowReducer(orbitals.count)
     for m in mats:
-        red.insert(_flat(m))
-    return MatrixSubspace(side, red)
+        red.insert(orbitals.vector(m))
+    return MatrixSubspace(orbitals, red)
 
 
-def algebra_closure(generators: Sequence[RatMatrix], unital: bool) -> MatrixSubspace:
+def algebra_closure(
+    generators: Sequence[RatMatrix], unital: bool, orbitals: Orbitals
+) -> MatrixSubspace:
     """Smallest multiplication-closed subspace containing the generators.
 
     The algebra is the span of the nonempty words in the generators, plus
-    I when `unital`. It is found by spinning: the pool starts with I (when
-    `unital`) and the generators, and one walk over the pool multiplies
-    each element on the left by every generator the pool accepted,
-    appending each product that is independent. The walk ends when it
-    reaches the end of the pool, after about dim * k products for k
-    accepted generators.
+    I when `unital`. Every generator must be constant on each orbital (the
+    group's maps commute with it), checked entry by entry; one that is not
+    raises InternalMismatch. Words then stay constant too, so the closure
+    runs on orbital vectors of length `orbitals.count` and multiplies
+    through `Orbitals.product`, never forming a dense matrix.
+
+    It is found by spinning: the pool starts with I (when `unital`) and the
+    generators, and one walk over the pool multiplies each element on the
+    left by every generator the pool accepted, appending each product that
+    is independent. The walk ends when it reaches the end of the pool,
+    after about dim * k products for k accepted generators.
 
     The walked pool spans a space that holds the seeds and is closed under
     left multiplication by the accepted generators, so it holds every word.
     A rejected generator is a combination of I (when `unital`) and the
     accepted ones, so it is not needed for spinning. The span is kept in
     canonical reduced echelon form, so the result does not depend on
-    generator order or on the order of the walk.
+    generator order or on the order of the walk; and because orbitals are
+    labelled in row-major order of their first pair, `basis_matrices()`
+    equals, row for row, the basis the same span has in dense coordinates.
     """
-    gens = list(generators)
+    gens = [orbitals.vector(g) for g in generators]
     if not gens:
         raise EmptyInput("closure of an empty generator list")
-    side = _check_square_same_side(gens)
-    red = _IntRowReducer(side * side)
-    pool: list[RatMatrix] = []
+    red = _IntRowReducer(orbitals.count)
+    pool: list[list[int]] = []
 
-    def try_add(mat: RatMatrix) -> bool:
-        if red.insert(_flat(mat)):
-            pool.append(mat)
+    def try_add(vec: list[int]) -> bool:
+        if red.insert(vec):
+            pool.append(vec)
             return True
         return False
 
     if unital:
-        try_add(RatMatrix.identity(side))
+        side = orbitals.side
+        try_add([int(x == y) for x, y in (divmod(p, side) for p in orbitals.reps)])
     spin = [g for g in gens if try_add(g)]
     for b in pool:  # also visits the products appended during the walk
         for g in spin:
-            try_add(g * b)
-    return MatrixSubspace(side, red)
+            try_add(_primitive(orbitals.product(g, b)))
+    return MatrixSubspace(orbitals, red)
 
 
 def center_dimension(alg: MatrixSubspace) -> int:

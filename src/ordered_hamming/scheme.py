@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .exact_linalg import RatMatrix, mat_sum
+from .exact_linalg import InternalMismatch, Orbitals, RatMatrix, mat_sum
 
 if TYPE_CHECKING:
     from .terwilliger import Instance
@@ -158,14 +158,86 @@ def relation_matrices(
 ) -> dict[Shape, RatMatrix]:
     """All relation matrices keyed by shape, built in one sweep over pairs."""
     require_within_bound(params, max_points)
-    pts = iter_points(params)
-    npts = len(pts)
+    npts = params.num_points
     shapes = enumerate_shapes(params)
     grids = {lam: [[0] * npts for _ in range(npts)] for lam in shapes}
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            grids[shape_of(point_sub(x, y, params), params)][i][j] = 1
+    for pair, lam in enumerate(_pair_shapes(params)):
+        i, j = divmod(pair, npts)
+        grids[lam][i][j] = 1
     return {lam: RatMatrix(grids[lam]) for lam in shapes}
+
+
+def _pair_shapes(params: SchemeParams) -> list[Shape]:
+    """shape_of(x - y) for every pair of points, row-major."""
+    pts = iter_points(params)
+    return [shape_of(point_sub(x, y, params), params) for x in pts for y in pts]
+
+
+def _swap_values(block: tuple[int, ...], j: int, above: tuple[int, ...], a: int):
+    """Swap the values a and a + 1 at coordinate j, if the coordinates above j are `above`."""
+    if block[j + 1 :] == above and block[j] in (a, a + 1):
+        return block[:j] + (2 * a + 1 - block[j],) + block[j + 1 :]
+    return block
+
+
+def stabilizer_maps(params: SchemeParams) -> list[tuple[int, ...]]:
+    """Point permutations, as flat-index tuples, that fix 0 and keep every relation.
+
+    - When n > 1, the transposition of blocks 0 and 1 and the n-cycle of
+      blocks; the shape of x - y counts blocks, so their order is free.
+    - In block 0, the triangular value swaps: at coordinate j, for one
+      setting of the coordinates above j, swap the values a and a + 1 and
+      leave the coordinates below j alone. A swap changes coordinate j
+      only, by a bijection of its values that depends only on the
+      coordinates above j, so two blocks keep the last coordinate at which
+      they differ. When the setting above j is all zeros, a starts at 1,
+      so the zero point stays put.
+
+    They generate a group of scheme automorphisms fixing 0, so each
+    commutes with every A_lam and E*_lam. `stabilizer_orbitals` checks
+    each map before it uses them.
+    """
+    q = params.q
+    pts = iter_points(params)
+    index = {x: i for i, x in enumerate(pts)}
+
+    def as_perm(move) -> tuple[int, ...]:
+        return tuple(index[move(x)] for x in pts)
+
+    maps = []
+    if params.n > 1:
+        maps.append(as_perm(lambda x: (x[1], x[0]) + x[2:]))
+        if params.n > 2:  # for n = 2 the n-cycle is the transposition
+            maps.append(as_perm(lambda x: x[1:] + x[:1]))
+    for j in range(params.m):
+        for above in product(*(range(qi) for qi in q[j + 1 :])):
+            for a in range(0 if any(above) else 1, q[j] - 1):
+                maps.append(as_perm(lambda x: (_swap_values(x[0], j, above, a),) + x[1:]))
+    return maps
+
+
+def stabilizer_orbitals(params: SchemeParams) -> Orbitals:
+    """The orbitals on pairs of points of the group `stabilizer_maps` generates.
+
+    Every map is checked on every point and pair before use: it must be a
+    permutation of the points, fix the zero point, and keep shape_of(x - y)
+    for all N^2 pairs. A map that fails raises InternalMismatch.
+    """
+    npts = params.num_points
+    shapes = _pair_shapes(params)
+    maps = stabilizer_maps(params)
+    for k, perm in enumerate(maps):
+        if sorted(perm) != list(range(npts)):
+            raise InternalMismatch(f"stabilizer map {k} is not a permutation of the points")
+        if perm[0] != 0:
+            raise InternalMismatch(f"stabilizer map {k} moves the zero point")
+        for x, px in enumerate(perm):
+            image = shapes[px * npts : (px + 1) * npts]
+            if [image[py] for py in perm] != shapes[x * npts : (x + 1) * npts]:
+                raise InternalMismatch(
+                    f"stabilizer map {k} changes the shape of a difference from point {x}"
+                )
+    return Orbitals(npts, maps)
 
 
 def _decompose_product(

@@ -13,16 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact_linalg import RatMatrix, kron_all, mat_sum
+from .exact_linalg import InternalMismatch, RatMatrix, kron_all, mat_sum
 from .scheme import SchemeParams, Shape, enumerate_shapes, require_within_bound
 from .symtensor import lifted_sum, multinomial
 
 if TYPE_CHECKING:
     from .terwilliger import Instance
-
-
-class InternalMismatch(AssertionError):
-    """Two independent constructions of the same object disagree."""
 
 
 def factor_identity(qj: int) -> RatMatrix:

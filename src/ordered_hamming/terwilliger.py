@@ -17,7 +17,9 @@ from functools import cached_property
 from itertools import product
 
 from .exact_linalg import (
+    InternalMismatch,
     MatrixSubspace,
+    Orbitals,
     RatMatrix,
     algebra_closure,
     center_dimension,
@@ -34,10 +36,10 @@ from .scheme import (
     relation_matrices,
     relation_matrix,
     require_within_bound,
+    stabilizer_orbitals,
 )
 from .spectral import (
     BaseSpectralData,
-    InternalMismatch,
     adjacency_n,
     base_spectral,
     factor_identity,
@@ -213,6 +215,11 @@ class Instance:
         return {lam: dual_idempotent_n(lam, self.params, self.max_points) for lam in self.shapes}
 
     @cached_property
+    def orbitals(self) -> Orbitals:
+        """Orbitals of the checked stabilizer maps of 0; every closure runs in them."""
+        return stabilizer_orbitals(self.params)
+
+    @cached_property
     def spectral(self) -> BaseSpectralData:
         return base_spectral(self.params)
 
@@ -315,15 +322,8 @@ def _theta_feasible(lam: Shape, mu: Shape, q: tuple[int, ...]) -> bool:
             cols = {j + 1 for j in range(m) if jmask[j]}
             if any((i, j) in allowed for i in rows for j in cols):
                 continue
-            supply = sum(lam[i - 1] for i in rows)
-            reachable = total - sum(mu[j - 1] for j in cols)
-            first = supply <= reachable
-            second = sum(mu[j - 1] for j in cols) <= total - supply
-            if first != second:
-                raise InternalMismatch(
-                    "the two margin inequalities disagree; they are complementary"
-                )
-            if not first:
+            # rows and cols share no allowed cell, so their margins add up to at most n
+            if sum(lam[i - 1] for i in rows) + sum(mu[j - 1] for j in cols) > total:
                 return False
     return True
 
@@ -646,7 +646,8 @@ def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspac
         first = inst.idempotents
     else:
         raise ValueError("generators must be 'bm' or 'idem'")
-    return algebra_closure(list(first.values()) + list(inst.duals.values()), unital=True)
+    gens = list(first.values()) + list(inst.duals.values())
+    return algebra_closure(gens, unital=True, orbitals=inst.orbitals)
 
 
 @dataclass(frozen=True)
@@ -700,7 +701,7 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
             spaces.append(None)
             continue
-        comp = algebra_closure(gens, unital=False)
+        comp = algebra_closure(gens, unital=False, orbitals=inst.orbitals)
         basis = comp.basis_matrices()
         commutative = all(
             basis[i].commutes_with(basis[j])

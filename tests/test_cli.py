@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import ordered_hamming.scheme as scheme_module
 from ordered_hamming import cli
 from ordered_hamming.cli import main
 from ordered_hamming.exact_linalg import NotAnAlgebra
@@ -178,3 +179,33 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
         "error": {"type": error.__name__, "message": "constructions disagree"},
         "overall_pass": False,
     }
+
+
+def test_closure_with_a_bad_stabilizer_map_exits_3(capsys, monkeypatch):
+    # on X(1,2;2), swapping the points 10 and 11 fixes 0 but changes a weight
+    monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda params: [(0, 1, 3, 2)])
+    code, payload = run_cli(capsys, "closure", "--q", "2", "--n", "2", "--json")
+    assert code == 3
+    assert payload == {
+        "command": "closure",
+        "error": {
+            "type": "InternalMismatch",
+            "message": "stabilizer map 0 changes the shape of a difference from point 0",
+        },
+        "overall_pass": False,
+    }
+
+
+@pytest.mark.parametrize("command", ["closure", "report"])
+def test_orbital_bound_goes_to_stderr_only(capsys, command):
+    argv = [command, "--q", "2,2", "--n", "2"]
+    assert main(argv) == 0
+    logged = capsys.readouterr()
+    assert main(argv + ["--json"]) == 0
+    quiet = capsys.readouterr()
+    assert logged.out == quiet.out
+    assert quiet.err == ""
+    assert (
+        "X(2,2;2,2): N = 16 points, r = 55 orbitals (an upper bound on dim T), "
+        "measured dim T = 55\n"
+    ) in logged.err

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming import (
+    InternalMismatch,
     DimensionMismatch,
     EmptyInput,
     Instance,
     NotAnAlgebra,
+    Orbitals,
     RatMatrix,
     SchemeParams,
     algebra_closure,
@@ -22,6 +24,7 @@ from ordered_hamming import (
     span_basis,
     terwilliger_closure,
 )
+from ordered_hamming.cli import SUITE_INSTANCES
 from ordered_hamming.exact_linalg import MatrixSubspace, _flat, _IntRowReducer
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -142,7 +145,7 @@ def test_span_basis_order_invariant(perm, mats):
 
 def test_closure_of_triangle_adjacency():
     a = RatMatrix.ones(3) - RatMatrix.identity(3)
-    sub = algebra_closure([a], unital=True)
+    sub = algebra_closure([a], unital=True, orbitals=Orbitals(3))
     assert sub.dimension == 2
 
 
@@ -151,16 +154,17 @@ def test_closure_is_multiplication_closed_and_order_invariant():
     gens = list(relation_matrices(params).values()) + [
         dual_idempotent_n(lam, params) for lam in enumerate_shapes(params)
     ]
-    sub = algebra_closure(gens, unital=True)
+    orbitals = Instance(params).orbitals
+    sub = algebra_closure(gens, unital=True, orbitals=orbitals)
     assert sub.dimension == 5
     basis = sub.basis_matrices()
     assert all(x * y in sub for x in basis for y in basis)
-    assert algebra_closure(list(reversed(gens)), unital=True) == sub
+    assert algebra_closure(list(reversed(gens)), unital=True, orbitals=orbitals) == sub
 
 
 def test_closure_requires_generators():
     with pytest.raises(EmptyInput):
-        algebra_closure([], unital=True)
+        algebra_closure([], unital=True, orbitals=Orbitals(2))
 
 
 def _matrix_unit(n, i, j):
@@ -181,7 +185,8 @@ def test_center_of_diagonal_algebra_is_its_dimension():
 
 def test_center_of_commutative_closure_equals_dimension():
     params = SchemeParams((2, 2), 1)
-    sub = algebra_closure(list(relation_matrices(params).values()), unital=True)
+    gens = list(relation_matrices(params).values())
+    sub = algebra_closure(gens, unital=True, orbitals=Instance(params).orbitals)
     assert center_dimension(sub) == sub.dimension == 3
 
 
@@ -287,7 +292,7 @@ def test_span_dimension_matches_sympy_rank(mats):
 @given(st.lists(int3x3, min_size=1, max_size=4))
 def test_center_dimension_matches_sympy_commutant_rank(mats):
     sympy = pytest.importorskip("sympy")
-    alg = algebra_closure(mats, unital=True)
+    alg = algebra_closure(mats, unital=True, orbitals=Orbitals(3))
     basis = [sympy.Matrix(3, 3, _vec(b)) for b in alg.basis_matrices()]
     d = len(basis)
     # column k stacks vec(B_k B_j - B_j B_k) over every basis element B_j
@@ -327,37 +332,67 @@ def pool_closure(generators, unital):
                 if ri != li:
                     try_add(right * left)
         new_lo = new_hi
-    return MatrixSubspace(side, red)
+    return MatrixSubspace(Orbitals(side), red)
+
+
+def dense_closure(generators, unital):
+    """Reference closure: the spinning walk on dense matrices, with `RatMatrix` products.
+
+    The same walk as `algebra_closure`, over row-major vectorizations of
+    N-by-N matrices instead of orbital vectors; used only to cross-check it.
+    """
+    gens = list(generators)
+    side = gens[0].nrows
+    red = _IntRowReducer(side * side)
+    pool = []
+
+    def try_add(mat):
+        if red.insert(_flat(mat)):
+            pool.append(mat)
+            return True
+        return False
+
+    if unital:
+        try_add(RatMatrix.identity(side))
+    spin = [g for g in gens if try_add(g)]
+    for b in pool:
+        for g in spin:
+            try_add(g * b)
+    return MatrixSubspace(Orbitals(side), red)
+
+
+def closure3(gens, unital):
+    return algebra_closure(gens, unital, Orbitals(3))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(int3x3, min_size=1, max_size=4), st.booleans())
 def test_closure_matches_pool_reference(mats, unital):
-    assert algebra_closure(mats, unital) == pool_closure(mats, unital)
+    assert closure3(mats, unital) == pool_closure(mats, unital) == dense_closure(mats, unital)
 
 
 def test_closure_of_nilpotent_matrix_unit():
     e12 = _matrix_unit(2, 0, 1)
-    assert algebra_closure([e12], unital=False).dimension == 1
-    assert algebra_closure([e12], unital=True).dimension == 2
+    assert algebra_closure([e12], unital=False, orbitals=Orbitals(2)).dimension == 1
+    assert algebra_closure([e12], unital=True, orbitals=Orbitals(2)).dimension == 2
 
 
 def test_closure_skips_zero_generator():
     zero = RatMatrix.zeros(3)
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for unital in (False, True):
-        got = algebra_closure([zero, a], unital)
-        assert got == algebra_closure([a], unital) == pool_closure([zero, a], unital)
+        got = closure3([zero, a], unital)
+        assert got == closure3([a], unital) == pool_closure([zero, a], unital)
         assert got.dimension == 3
 
 
 def test_closure_of_multiple_of_identity():
     two_i = RatMatrix.identity(3).scale(2)
     e11 = _matrix_unit(3, 0, 0)
-    assert algebra_closure([two_i], unital=False).dimension == 1
-    assert algebra_closure([two_i], unital=True).dimension == 1
+    assert closure3([two_i], unital=False).dimension == 1
+    assert closure3([two_i], unital=True).dimension == 1
     for unital in (False, True):
-        got = algebra_closure([two_i, e11], unital)
+        got = closure3([two_i, e11], unital)
         assert got == pool_closure([two_i, e11], unital)
         assert got.dimension == 2
 
@@ -366,10 +401,10 @@ def test_closure_with_all_later_generators_dependent():
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     gens = [a, a.scale(3), -a, RatMatrix.zeros(3)]
     for unital in (False, True):
-        got = algebra_closure(gens, unital)
-        assert got == algebra_closure([a], unital) == pool_closure(gens, unital)
-    assert algebra_closure(gens, unital=False).dimension == 2
-    assert algebra_closure(gens, unital=True).dimension == 3
+        got = closure3(gens, unital)
+        assert got == closure3([a], unital) == pool_closure(gens, unital)
+    assert closure3(gens, unital=False).dimension == 2
+    assert closure3(gens, unital=True).dimension == 3
 
 
 @pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 2, 2), 1)])
@@ -385,8 +420,8 @@ def test_component_closures_match_pool_reference(monkeypatch):
     calls = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital):
-        sub = plain_closure(gens, unital)
+    def recording_closure(gens, unital, orbitals):
+        sub = plain_closure(gens, unital, orbitals)
         calls.append((list(gens), unital, sub))
         return sub
 
@@ -396,3 +431,93 @@ def test_component_closures_match_pool_reference(monkeypatch):
     assert pieces
     for gens, unital, sub in pieces:
         assert sub == pool_closure(gens, unital)
+
+
+def test_discrete_orbitals_are_the_row_major_vectorization():
+    m = RatMatrix([[1, "1/2"], [0, -3]])
+    orbitals = Orbitals(2)
+    assert orbitals.count == 4 and orbitals.reps == [0, 1, 2, 3]
+    assert orbitals.vector(m) == _flat(m) == [2, 1, 0, -6]
+    assert orbitals.matrix(orbitals.vector(m), 2) == m
+
+
+@pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 2), 2), ((2, 3), 1)])
+def test_orbitals_are_labelled_by_first_pair(q, n):
+    orbitals = Instance(SchemeParams(q, n)).orbitals
+    assert orbitals.reps == sorted(orbitals.reps)
+    assert all(orbitals.labels[rep] == o for o, rep in enumerate(orbitals.reps))
+    assert all(orbitals.reps[label] <= p for p, label in enumerate(orbitals.labels))
+
+
+@pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 3), 1)])
+def test_orbital_product_matches_dense_product(q, n):
+    inst = Instance(SchemeParams(q, n))
+    orbitals = inst.orbitals
+    npts = inst.params.num_points
+    # integer multiples of T elements: A, E* and N * E
+    mats = (
+        list(inst.adjacency.values())
+        + list(inst.duals.values())
+        + [e.scale(npts) for e in inst.idempotents.values()]
+    )
+    for a in mats:
+        for b in mats:
+            got = orbitals.product(orbitals.vector(a), orbitals.vector(b))
+            assert orbitals.matrix(got) == a * b
+
+
+def test_vector_rejects_a_matrix_not_constant_on_an_orbital():
+    orbitals = Instance(SchemeParams((2,), 2)).orbitals
+    # 01 and 10 share the orbital of (01, 01), so a point mass at 01 is not constant
+    with pytest.raises(InternalMismatch, match="not constant on orbital"):
+        orbitals.vector(RatMatrix.diagonal([0, 1, 0, 0]))
+    with pytest.raises(DimensionMismatch):
+        orbitals.vector(RatMatrix.identity(3))
+
+
+def test_subspace_equality_across_coordinates():
+    inst = Instance(SchemeParams((3,), 2))
+    gens = list(inst.adjacency.values()) + list(inst.duals.values())
+    orbital = algebra_closure(gens, unital=True, orbitals=inst.orbitals)
+    dense = dense_closure(gens, unital=True)
+    assert orbital.orbitals.count == 15 < dense.orbitals.count == 81
+    assert orbital == dense and hash(orbital) == hash(dense)
+    assert orbital != span_basis(gens)
+    assert RatMatrix.identity(9) in orbital
+    assert RatMatrix.diagonal([0, 1] + [0] * 7) not in orbital
+
+
+def _label(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize(
+    "q,n", list(SUITE_INSTANCES) + [((2,), 4), ((2,), 5), ((2, 3), 2)], ids=_label
+)
+def test_terwilliger_closure_matches_dense_oracle(q, n):
+    """Both generator sets, expanded from orbital coordinates, row for row."""
+    inst = Instance(SchemeParams(q, n))
+    duals = list(inst.duals.values())
+    for generators, first in (("bm", inst.adjacency), ("idem", inst.idempotents)):
+        got = terwilliger_closure(inst, generators)
+        assert got.orbitals is inst.orbitals
+        want = dense_closure(list(first.values()) + duals, unital=True)
+        assert got.basis_matrices() == want.basis_matrices()
+
+
+@pytest.mark.parametrize("q,n", [((3,), 2), ((2, 2), 2), ((3,), 3)], ids=_label)
+def test_component_closures_match_dense_oracle(monkeypatch, q, n):
+    calls = []
+    plain_closure = terwilliger_module.algebra_closure
+
+    def recording_closure(gens, unital, orbitals):
+        sub = plain_closure(gens, unital, orbitals)
+        calls.append((list(gens), unital, sub))
+        return sub
+
+    monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
+    terwilliger_module.component_dims(Instance(SchemeParams(q, n)))
+    pieces = [call for call in calls if not call[1]]
+    assert len(pieces) == n + 1
+    for gens, unital, sub in pieces:
+        assert sub.basis_matrices() == dense_closure(gens, unital).basis_matrices()

@@ -1,7 +1,9 @@
 import pytest
 
+import ordered_hamming.scheme as scheme_module
 from ordered_hamming import (
     Instance,
+    InternalMismatch,
     RatMatrix,
     SchemeParams,
     SizeBound,
@@ -11,7 +13,10 @@ from ordered_hamming import (
     point_index,
     relation_matrices,
     relation_matrix,
+    point_sub,
     shape_of,
+    stabilizer_maps,
+    stabilizer_orbitals,
     valency_n,
     verify_axioms,
 )
@@ -157,3 +162,55 @@ def test_axioms_and_intersection_numbers_share_one_product_pass(monkeypatch):
     verify_axioms(inst)
     intersection_numbers(inst)
     assert len(products) == len(inst.shapes) ** 2
+
+
+@pytest.mark.parametrize(
+    "q,n", [((2,), 3), ((3,), 2), ((2, 3), 1), ((2, 2), 2), ((3, 2), 2), ((2, 2, 2), 1)]
+)
+def test_stabilizer_maps_fix_zero_and_keep_every_relation(q, n):
+    params = SchemeParams(q, n)
+    pts = iter_points(params)
+    for perm in stabilizer_maps(params):
+        assert sorted(perm) == list(range(len(pts))) and perm[0] == 0
+        for x, px in zip(pts, perm):
+            for y, py in zip(pts, perm):
+                assert shape_of(point_sub(pts[px], pts[py], params), params) == shape_of(
+                    point_sub(x, y, params), params
+                )
+
+
+def test_stabilizer_maps_of_one_block():
+    # X(1,1;3): the only move fixing 0 swaps the values 1 and 2
+    assert stabilizer_maps(SchemeParams((3,), 1)) == [(0, 2, 1)]
+    # X(2,1;2,2): coordinate 1 under the setting 1 of coordinate 2 swaps 01 and 11
+    assert stabilizer_maps(SchemeParams((2, 2), 1)) == [(0, 3, 2, 1)]
+    # X(1,3;2): the block transposition and the 3-cycle, no value swap
+    assert len(stabilizer_maps(SchemeParams((2,), 3))) == 2
+
+
+@pytest.mark.parametrize(
+    "q,n,orbitals", [((2,), 4, 35), ((2, 2), 2, 55), ((3,), 2, 15), ((2, 3), 1, 11)]
+)
+def test_orbital_counts(q, n, orbitals):
+    # these equal dim T, measured by the closure tests
+    assert stabilizer_orbitals(SchemeParams(q, n)).count == orbitals
+
+
+# X(1,2;2) has the points 00, 01, 10, 11 in flat-index order
+@pytest.mark.parametrize(
+    "bad,reason",
+    [
+        ((1, 0, 2, 3), "moves the zero point"),
+        ((0, 1, 3, 2), "changes the shape"),
+        ((0, 1, 1, 3), "not a permutation"),
+        ((0, 2, 1), "not a permutation"),
+    ],
+)
+def test_stabilizer_orbitals_reject_a_bad_map(monkeypatch, bad, reason):
+    params = SchemeParams((2,), 2)
+    good = stabilizer_maps(params)
+    monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda p: good + [bad])
+    with pytest.raises(InternalMismatch, match=reason):
+        stabilizer_orbitals(params)
+    with pytest.raises(InternalMismatch, match=reason):
+        Instance(params).orbitals

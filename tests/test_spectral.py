@@ -191,6 +191,6 @@ def test_adjacency_span_is_already_closed(q, n):
     params = SchemeParams(q, n)
     mats = [adjacency_n(lam, params) for lam in enumerate_shapes(params)]
     span = span_basis(mats)
-    closed = algebra_closure(mats, unital=True)
+    closed = algebra_closure(mats, unital=True, orbitals=Instance(params).orbitals)
     assert span == closed
     assert closed.dimension == params.class_count

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordered_hamming import (
+    Instance,
     RatMatrix,
     SchemeParams,
     algebra_closure,
@@ -167,7 +168,8 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
 
     shapes = compositions(n, params1.m + 1)
     full_span = span_basis([lifted_sum(list(zip(data.E, lam))) for lam in shapes])
-    assert algebra_closure(gens, unital=True) == full_span
+    orbitals = Instance(SchemeParams((2, 2), n)).orbitals
+    assert algebra_closure(gens, unital=True, orbitals=orbitals) == full_span
 
 
 @pytest.mark.parametrize("q,expected", [((2, 2), 3), ((2, 3), 6)])

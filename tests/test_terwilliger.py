@@ -8,6 +8,8 @@ import ordered_hamming.spectral as spectral_module
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming import (
     Instance,
+    InternalMismatch,
+    Orbitals,
     RatMatrix,
     SchemeParams,
     component_dims,
@@ -122,7 +124,8 @@ def test_theta_feasibility_examples():
 
 @pytest.mark.parametrize(
     "q,n",
-    [((2, 2), 2), ((2, 3), 2), ((3, 2), 2), ((2, 3, 2), 2), ((2, 3, 2), 3), ((2, 2, 2), 2)],
+    [((2, 2), 2), ((2, 3), 2), ((3, 2), 2), ((2, 3, 2), 2), ((2, 3, 2), 3), ((2, 2, 2), 2)]
+    + [(q, n) for q in ((2, 3), (3, 2), (2, 2, 2)) for n in (1, 3)],
 )
 def test_feasibility_matches_enumeration(q, n):
     params = SchemeParams(q, n)
@@ -213,20 +216,41 @@ def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
     gens = list(first.values()) + list(inst.duals.values())
     # the generators the closure keeps: those independent of I and earlier ones
     accepted = span_basis([RatMatrix.identity(16)] + gens).dimension - 1
-    products = 0
+    products = Counter()
     plain_mul = RatMatrix.__mul__
+    plain_product = Orbitals.product
 
     def counting_mul(self, other):
-        nonlocal products
         if isinstance(other, RatMatrix):
-            products += 1
+            products["dense"] += 1
         return plain_mul(self, other)
 
+    def counting_product(self, a, b):
+        products["orbital"] += 1
+        return plain_product(self, a, b)
+
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(Orbitals, "product", counting_product)
     dim = terwilliger_closure(inst, generators).dimension
     assert dim == 35 and accepted == 8
+    assert products["dense"] == 0
     # the pool-against-pool reference engine needs 1897 here
-    assert products <= dim * accepted
+    assert 0 < products["orbital"] <= dim * accepted
+
+
+def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
+    params = SchemeParams((2,), 2)
+    plain_dual = terwilliger_module.dual_idempotent_n
+
+    def broken_dual(lam, params, max_points=None):
+        if lam == (1, 1):
+            # points 01 and 10 share one orbital; this E* tells them apart
+            return RatMatrix.diagonal([0, 1, 0, 0])
+        return plain_dual(lam, params, max_points)
+
+    monkeypatch.setattr(terwilliger_module, "dual_idempotent_n", broken_dual)
+    with pytest.raises(InternalMismatch, match="not constant on orbital"):
+        terwilliger_closure(Instance(params), "bm")
 
 
 def test_component_dims_wreath_case():
@@ -309,6 +333,7 @@ FAMILY_BUILDERS = (
     "adjacency_n",
     "idempotent_n",
     "dual_idempotent_n",
+    "stabilizer_orbitals",
 )
 
 
