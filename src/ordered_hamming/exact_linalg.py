@@ -11,10 +11,12 @@ permutation of a group commutes with is constant on each orbit of that
 group on pairs of points, so it is one integer per orbital. The discrete
 partition, every pair its own orbital, is the plain row-major vectorization.
 Closures multiply in these coordinates through one structure table and
-never form a dense product. Subspace bookkeeping happens in fully reduced
-integer row-echelon form, so the resulting basis is canonical: two
-subspaces in the same coordinates are equal exactly when their stored rows
-are identical.
+never form a dense product. A closure keeps the generators it spun under,
+and the spinning proves it closed under multiplication; `center_dimension`
+works from those generators in the same coordinates. Subspace bookkeeping
+happens in fully reduced integer row-echelon form, so the resulting basis
+is canonical: two subspaces in the same coordinates are equal exactly when
+their stored rows are identical.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ class RatMatrix:
         return len(self._grid[0])
 
     @property
+    def denominator(self) -> int:
+        """The common denominator of the integer grid, in lowest terms."""
+        return self._den
+
+    @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self._den
         value = {a: Fraction(a, den) for a in set(chain.from_iterable(self._grid))}
@@ -212,9 +219,6 @@ class RatMatrix:
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(sum(row), self._den) for row in self._grid)
-
-    def commutes_with(self, other: RatMatrix) -> bool:
-        return self * other == other * self
 
     # -- predicates -----------------------------------------------------
 
@@ -367,30 +371,6 @@ class _IntRowReducer:
         return len(self.rows)
 
 
-def _nullspace(mats: Sequence[RatMatrix]) -> list[list[int]]:
-    """Integer basis of {c : sum_k c[k] * mats[k] = 0}, free coordinates ascending."""
-    width = len(mats)
-    # Scaling every entry row by one factor keeps the nullspace.
-    den = math.lcm(*(m._den for m in mats))
-    cols = [[a * (den // m._den) for a in _flat(m)] for m in mats]
-    red = _IntRowReducer(width)
-    for row in zip(*cols):
-        red.insert(row)
-    pivots = set(red.pivots)
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        used = [(row, p) for row, p in zip(red.rows, red.pivots) if row[free]]
-        lead = math.lcm(*(row[p] for row, p in used))
-        vec = [0] * width
-        vec[free] = lead
-        for row, p in used:
-            vec[p] = -row[free] * (lead // row[p])
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # Orbital coordinates.
 # ---------------------------------------------------------------------------
@@ -483,13 +463,21 @@ class Orbitals:
                 table[i].append((o, j, count))
         return table
 
-    def product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Orbital vector of AB from those of A and B, each constant on every orbital.
+    @cached_property
+    def _transposed(self) -> list[int]:
+        """The orbital of the transposed pairs of each orbital.
 
-        (AB)[x, z] = sum over y of a[orb(x, y)] * b[orb(y, z)], read at each
-        representative; work is the table entries of the orbitals where a
-        is nonzero, so a diagonal A costs one entry per orbital it touches.
+        The maps move (x, z) and (z, x) alike, so the pairs (z, x) of one
+        orbital form an orbital again.
         """
+        side, labels = self.side, self.labels
+        return [labels[z * side + x] for x, z in (divmod(rep, side) for rep in self.reps)]
+
+    def transpose(self, vec: Sequence[int]) -> list[int]:
+        """Orbital vector of the transpose of the matrix with orbital vector `vec`."""
+        return list(map(vec.__getitem__, self._transposed))
+
+    def _left_product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         out = [0] * len(self.reps)
         table = self._table
         for i, ai in enumerate(a):
@@ -497,6 +485,20 @@ class Orbitals:
                 for o, j, count in table[i]:
                     out[o] += ai * count * b[j]
         return out
+
+    def product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Orbital vector of AB from those of A and B, each constant on every orbital.
+
+        (AB)[x, z] = sum over y of a[orb(x, y)] * b[orb(y, z)], read at each
+        representative; work is the table entries of the orbitals where the
+        left factor is nonzero, so a diagonal A costs one entry per orbital
+        it touches. When B has fewer nonzero entries than A, the sparser
+        factor leads instead, through AB = (B^T A^T)^T.
+        """
+        if len(b) - b.count(0) < len(a) - a.count(0):
+            transpose = self.transpose
+            return transpose(self._left_product(transpose(b), transpose(a)))
+        return self._left_product(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +510,34 @@ class MatrixSubspace:
     """A subspace of N-by-N matrices constant on the given orbitals.
 
     Held as a canonical reduced basis of orbital vectors. Membership tests
-    and equality are exact.
+    and equality are exact. `spin` is a set S of orbital vectors that
+    generates the subspace as an algebra when it is one: a closure keeps
+    the generators it spun under, and any other subspace its own basis.
+    `closed` is True for a closure only, whose spinning proved the span
+    closed under multiplication; equality and hashing ignore both.
     """
 
-    __slots__ = ("orbitals", "_reducer")
+    __slots__ = ("orbitals", "_reducer", "spin", "closed")
 
-    def __init__(self, orbitals: Orbitals, reducer: _IntRowReducer):
+    def __init__(
+        self,
+        orbitals: Orbitals,
+        reducer: _IntRowReducer,
+        spin: Sequence[Sequence[int]] | None = None,
+        closed: bool = False,
+    ):
         self.orbitals = orbitals
         self._reducer = reducer
+        self.spin = reducer.rows if spin is None else spin
+        self.closed = closed
+
+    @classmethod
+    def span(cls, orbitals: Orbitals, vectors: Iterable[Sequence[int]]) -> MatrixSubspace:
+        """Linear span of orbital vectors, with no closure certificate."""
+        red = _IntRowReducer(orbitals.count)
+        for vec in vectors:
+            red.insert(vec)
+        return cls(orbitals, red)
 
     @property
     def ambient_side(self) -> int:
@@ -566,10 +588,7 @@ def span_basis(mats: Sequence[RatMatrix]) -> MatrixSubspace:
     if not mats:
         raise EmptyInput("span of an empty list")
     orbitals = Orbitals(mats[0].nrows)
-    red = _IntRowReducer(orbitals.count)
-    for m in mats:
-        red.insert(orbitals.vector(m))
-    return MatrixSubspace(orbitals, red)
+    return MatrixSubspace.span(orbitals, [orbitals.vector(m) for m in mats])
 
 
 def algebra_closure(
@@ -598,6 +617,10 @@ def algebra_closure(
     generator order or on the order of the walk; and because orbitals are
     labelled in row-major order of their first pair, `basis_matrices()`
     equals, row for row, the basis the same span has in dense coordinates.
+
+    The result keeps the accepted generators as its `spin` set S, and is
+    `closed`: every pool element is a word in S, so the walk is itself the
+    proof that the span is an algebra, and S generates it.
     """
     gens = [orbitals.vector(g) for g in generators]
     if not gens:
@@ -618,34 +641,35 @@ def algebra_closure(
     for b in pool:  # also visits the products appended during the walk
         for g in spin:
             try_add(_primitive(orbitals.product(g, b)))
-    return MatrixSubspace(orbitals, red)
+    return MatrixSubspace(orbitals, red, spin, closed=True)
 
 
 def center_dimension(alg: MatrixSubspace) -> int:
-    """Dimension of {Z in alg : ZB = BZ for every basis element B}.
+    """Dimension of the center of the algebra `alg`, measured from its spin set S.
 
-    Spot-checks a deterministic sample of basis pair products for closure
-    under multiplication and raises NotAnAlgebra when one escapes.
+    Z in alg is central exactly when [Z, s] = 0 for every s in S, because S
+    generates alg. Z = sum of c_b b over the basis, so the center is the
+    kernel of c -> sum of c_b ([b, s])_{s in S}: its dimension is d minus
+    the rank of the d vectors that concatenate [b, s] = bs - sb over S, one
+    per basis element b. Every product runs in orbital coordinates.
+
+    A closure needs no further check that it is an algebra (see
+    `algebra_closure`). Any other subspace has S = its basis, and every
+    basis pair product b_i b_j is checked to stay inside; one that leaves
+    raises NotAnAlgebra.
     """
-    basis = alg.basis_matrices()
-    d = len(basis)
-    if d == 0:
-        return 0
-    for i in range(d):
-        for j in (i, (i + 1) % d):
-            if basis[i] * basis[j] not in alg:
-                raise NotAnAlgebra(
-                    f"product of basis elements {i} and {j} leaves the subspace"
-                )
-    current = list(basis)
+    basis = alg._reducer.rows
+    product = alg.orbitals.product
+    if not alg.closed:
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                if not alg._reducer.contains(product(a, b)):
+                    raise NotAnAlgebra(
+                        f"product of basis elements {i} and {j} leaves the subspace"
+                    )
+    commutators = _IntRowReducer(len(alg.spin) * alg.orbitals.count)
     for b in basis:
-        if not current:
-            break
-        comms = [z * b - b * z for z in current]
-        if all(c.is_zero() for c in comms):
-            continue
-        current = [
-            mat_sum(z.scale(c) for z, c in zip(current, coeffs) if c)
-            for coeffs in _nullspace(comms)
-        ]
-    return len(current)
+        commutators.insert(
+            [x - y for s in alg.spin for x, y in zip(product(b, s), product(s, b))]
+        )
+    return len(basis) - commutators.dimension

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .exact_linalg import InternalMismatch, Orbitals, RatMatrix, mat_sum
 
@@ -154,20 +154,25 @@ def relation_matrix(
 
 
 def relation_matrices(
-    params: SchemeParams, max_points: int | None = None
+    params: SchemeParams,
+    max_points: int | None = None,
+    sweep: Sequence[Shape] | None = None,
 ) -> dict[Shape, RatMatrix]:
-    """All relation matrices keyed by shape, built in one sweep over pairs."""
+    """All relation matrices keyed by shape, built in one sweep over pairs.
+
+    `sweep`, when given, is `pair_shapes(params)`, already computed.
+    """
     require_within_bound(params, max_points)
     npts = params.num_points
     shapes = enumerate_shapes(params)
     grids = {lam: [[0] * npts for _ in range(npts)] for lam in shapes}
-    for pair, lam in enumerate(_pair_shapes(params)):
+    for pair, lam in enumerate(pair_shapes(params) if sweep is None else sweep):
         i, j = divmod(pair, npts)
         grids[lam][i][j] = 1
     return {lam: RatMatrix(grids[lam]) for lam in shapes}
 
 
-def _pair_shapes(params: SchemeParams) -> list[Shape]:
+def pair_shapes(params: SchemeParams) -> list[Shape]:
     """shape_of(x - y) for every pair of points, row-major."""
     pts = iter_points(params)
     return [shape_of(point_sub(x, y, params), params) for x in pts for y in pts]
@@ -216,15 +221,18 @@ def stabilizer_maps(params: SchemeParams) -> list[tuple[int, ...]]:
     return maps
 
 
-def stabilizer_orbitals(params: SchemeParams) -> Orbitals:
+def stabilizer_orbitals(
+    params: SchemeParams, sweep: Sequence[Shape] | None = None
+) -> Orbitals:
     """The orbitals on pairs of points of the group `stabilizer_maps` generates.
 
     Every map is checked on every point and pair before use: it must be a
     permutation of the points, fix the zero point, and keep shape_of(x - y)
-    for all N^2 pairs. A map that fails raises InternalMismatch.
+    for all N^2 pairs. A map that fails raises InternalMismatch. `sweep`,
+    when given, is `pair_shapes(params)`, already computed.
     """
     npts = params.num_points
-    shapes = _pair_shapes(params)
+    shapes = pair_shapes(params) if sweep is None else sweep
     maps = stabilizer_maps(params)
     for k, perm in enumerate(maps):
         if sorted(perm) != list(range(npts)):
@@ -233,7 +241,7 @@ def stabilizer_orbitals(params: SchemeParams) -> Orbitals:
             raise InternalMismatch(f"stabilizer map {k} moves the zero point")
         for x, px in enumerate(perm):
             image = shapes[px * npts : (px + 1) * npts]
-            if [image[py] for py in perm] != shapes[x * npts : (x + 1) * npts]:
+            if [image[py] for py in perm] != list(shapes[x * npts : (x + 1) * npts]):
                 raise InternalMismatch(
                     f"stabilizer map {k} changes the shape of a difference from point {x}"
                 )

@@ -25,7 +25,6 @@ from .exact_linalg import (
     center_dimension,
     kron_all,
     mat_sum,
-    span_basis,
 )
 from .scheme import (
     SchemeParams,
@@ -33,6 +32,7 @@ from .scheme import (
     compositions,
     decompose_products,
     enumerate_shapes,
+    pair_shapes,
     relation_matrices,
     relation_matrix,
     require_within_bound,
@@ -195,8 +195,13 @@ class Instance:
         self._closures: dict[str, MatrixSubspace] = {}
 
     @cached_property
+    def pair_shapes(self) -> tuple[Shape, ...]:
+        """shape_of(x - y) for every pair, one sweep shared by `relations` and `orbitals`."""
+        return tuple(pair_shapes(self.params))
+
+    @cached_property
     def relations(self) -> dict[Shape, RatMatrix]:
-        return relation_matrices(self.params, self.max_points)
+        return relation_matrices(self.params, self.max_points, self.pair_shapes)
 
     @cached_property
     def products(self) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
@@ -217,7 +222,7 @@ class Instance:
     @cached_property
     def orbitals(self) -> Orbitals:
         """Orbitals of the checked stabilizer maps of 0; every closure runs in them."""
-        return stabilizer_orbitals(self.params)
+        return stabilizer_orbitals(self.params, self.pair_shapes)
 
     @cached_property
     def spectral(self) -> BaseSpectralData:
@@ -594,17 +599,29 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     The report verifies the rational multiplication law
     B(lam,mu) B(nu,rho) = delta(mu,nu) |X^n|^-1 k_mu B(lam,rho) and that the
     dual sandwiches E_lam E*_0^(n) E_mu span the same subspace.
+
+    Every factor lies in T, so it enters as an orbital vector, checked on
+    every entry, and every product runs in orbital coordinates. A pair
+    (v, den) stands for the matrix v / den, so the law is compared exactly,
+    on integers with the denominators cleared.
     """
     params = inst.params
     shapes = inst.shapes
     npts = params.num_points
-    idems = inst.idempotents
-    duals = inst.duals
+    orbitals = inst.orbitals
+    product = orbitals.product
+    idems = {lam: orbitals.vector(mat) for lam, mat in inst.idempotents.items()}
+    duals = {lam: orbitals.vector(mat) for lam, mat in inst.duals.items()}
+    dual_den = {lam: mat.denominator for lam, mat in inst.duals.items()}
     e0n = idems[shapes[0]]
+    e0n_den = inst.idempotents[shapes[0]].denominator
+    left = {lam: product(duals[lam], e0n) for lam in shapes}
     sandwich = {
-        (lam, mu): duals[lam] * e0n * duals[mu] for lam in shapes for mu in shapes
+        (lam, mu): (product(left[lam], duals[mu]), dual_den[lam] * e0n_den * dual_den[mu])
+        for lam in shapes
+        for mu in shapes
     }
-    sub = span_basis([sandwich[(lam, mu)] for lam in shapes for mu in shapes])
+    sub = MatrixSubspace.span(orbitals, (vec for vec, _ in sandwich.values()))
     dim_ok = sub.dimension == params.class_count**2
 
     law_ok = True
@@ -612,19 +629,22 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
         for nu in shapes:
             if mu == nu:
                 continue
-            if not (duals[mu] * duals[nu]).is_zero():
+            if any(product(duals[mu], duals[nu])):
                 law_ok = False
     for lam in shapes:
         for mu in shapes:
             for rho in shapes:
-                left = sandwich[(lam, mu)] * sandwich[(mu, rho)]
-                right = sandwich[(lam, rho)].scale(Fraction(valency_n(mu, params), npts))
-                if left != right:
+                (a, a_den), (b, b_den) = sandwich[(lam, mu)], sandwich[(mu, rho)]
+                c, c_den = sandwich[(lam, rho)]
+                # a b / (a_den b_den) == k_mu / N * c / c_den, cross-multiplied
+                lhs_scale = npts * c_den
+                rhs_scale = valency_n(mu, params) * a_den * b_den
+                if any(lhs_scale * x != rhs_scale * y for x, y in zip(product(a, b), c)):
                     law_ok = False
 
-    dual0n = duals[shapes[0]]
-    dual_span = span_basis(
-        [idems[lam] * dual0n * idems[mu] for lam in shapes for mu in shapes]
+    dual_left = {lam: product(idems[lam], duals[shapes[0]]) for lam in shapes}
+    dual_span = MatrixSubspace.span(
+        orbitals, (product(dual_left[lam], idems[mu]) for lam in shapes for mu in shapes)
     )
     report = {
         "dimension_is_class_count_squared": dim_ok,
@@ -676,6 +696,10 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     together with the starred twin; the piece is the non-unital closure of
     that set. Cross products between distinct degrees must vanish and the
     dimensions must add up to the full closure dimension.
+
+    Commutativity and annihilation are decided on each closure's spin set
+    S, which generates it, in orbital coordinates: about |S|^2 products
+    instead of one per pair of basis elements.
     """
     params = inst.params
     m = params.m
@@ -686,7 +710,7 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     families = ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
 
     infos = []
-    spaces: list[MatrixSubspace | None] = []
+    pieces: list[MatrixSubspace] = []
     for d in range(n + 1):
         # compositions(0, k) is the all-zero tuple, and lifted_sum drops
         # zero multiplicities, so d = 0 and d = n need no special case
@@ -699,27 +723,16 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
-            spaces.append(None)
             continue
         comp = algebra_closure(gens, unital=False, orbitals=inst.orbitals)
-        basis = comp.basis_matrices()
-        commutative = all(
-            basis[i].commutes_with(basis[j])
-            for i in range(len(basis))
-            for j in range(i + 1, len(basis))
+        infos.append(
+            ComponentInfo(d=d, dim=comp.dimension, commutative=_commutative(comp))
         )
-        infos.append(ComponentInfo(d=d, dim=comp.dimension, commutative=commutative))
-        spaces.append(comp)
+        pieces.append(comp)
 
-    annihilating = True
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            if spaces[a] is None or spaces[b] is None:
-                continue
-            for x in spaces[a].basis_matrices():
-                for y in spaces[b].basis_matrices():
-                    if not (x * y).is_zero() or not (y * x).is_zero():
-                        annihilating = False
+    annihilating = all(
+        _annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
+    )
 
     dim_total = inst.closure("bm").dimension
     sums_match = sum(info.dim for info in infos) == dim_total
@@ -728,6 +741,27 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
         pairwise_annihilating=annihilating,
         sums_match_total=sums_match,
         dim_T=dim_total,
+    )
+
+
+def _commutative(piece: MatrixSubspace) -> bool:
+    """Whether a closure is commutative: exactly when its spin set commutes in pairs."""
+    product = piece.orbitals.product
+    spin = piece.spin
+    return all(
+        product(s, t) == product(t, s) for i, s in enumerate(spin) for t in spin[i + 1 :]
+    )
+
+
+def _annihilate(x: MatrixSubspace, y: MatrixSubspace) -> bool:
+    """Whether xy = yx = 0 for two non-unital closures.
+
+    Every word of one closure times a word of the other contains a product
+    s t or t s of their spin sets, so those products decide it.
+    """
+    product = x.orbitals.product
+    return all(
+        not any(product(s, t)) and not any(product(t, s)) for s in x.spin for t in y.spin
     )
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 import ordered_hamming.scheme as scheme_module
-from ordered_hamming import cli
+import ordered_hamming.terwilliger as terwilliger_module
+from ordered_hamming import DEFAULT_MAX_POINTS, SchemeParams, cli
 from ordered_hamming.cli import main
 from ordered_hamming.exact_linalg import NotAnAlgebra
 from ordered_hamming.spectral import InternalMismatch
@@ -61,11 +63,14 @@ def test_scheme_verify_golden_output(capsys, q, n, digest):
 
 # SHA-256 of stdout. The suite runs no instance with both F and G factors at
 # n >= 2; X(1,3;3) is the only pinned output with the two-and-one splits.
+# X(2,2;2,3) (36 points) and X(1,3;4) (64 points) pin the larger instances.
 @pytest.mark.parametrize(
     "q,n,digest",
     [
         ("3", "2", "3e15b919733bf69629287ced2436e92734da9b74431ceb6c586c848acb330e53"),
         ("3", "3", "07d428e75e00984abc77e69399e2bd324c5d0ad2c59bcc8338abb0b1e9748e3f"),
+        ("2,3", "2", "cef34fc81f348278d51426b4a5df3d90e22e1c895c80997d777db3d84ec43868"),
+        ("4", "3", "4142a6af8e5d8182ec32be6874d627e1795ae61372dd7e9feb6e5d566037524b"),
     ],
 )
 def test_report_golden_output(capsys, q, n, digest):
@@ -209,3 +214,26 @@ def test_orbital_bound_goes_to_stderr_only(capsys, command):
         "X(2,2;2,2): N = 16 points, r = 55 orbitals (an upper bound on dim T), "
         "measured dim T = 55\n"
     ) in logged.err
+
+
+def test_pair_shape_sweep_runs_once_per_suite_instance(monkeypatch):
+    """Relations and orbitals share one shape_of(x - y) sweep over the N^2 pairs.
+
+    Counted per scheme, so the depth-one scheme the report closes for n > 1
+    has its own count.
+    """
+    calls = Counter()
+    plain = scheme_module.pair_shapes
+
+    def counting(params):
+        calls[params] += 1
+        return plain(params)
+
+    monkeypatch.setattr(scheme_module, "pair_shapes", counting)
+    monkeypatch.setattr(terwilliger_module, "pair_shapes", counting)
+    for q, n in cli.SUITE_INSTANCES:
+        calls.clear()
+        params = SchemeParams(q, n)
+        cli._run_instance(params, DEFAULT_MAX_POINTS, strict=False)
+        assert calls[params] == 1
+        assert max(calls.values()) == 1, calls

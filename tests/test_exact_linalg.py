@@ -466,6 +466,30 @@ def test_orbital_product_matches_dense_product(q, n):
             assert orbitals.matrix(got) == a * b
 
 
+@pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 3), 1)])
+def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
+    """E*_lam A_mu is not symmetric; products with a sparse right factor go through transposes."""
+    inst = Instance(SchemeParams(q, n))
+    orbitals = inst.orbitals
+    mats = [e * a for e in inst.duals.values() for a in inst.adjacency.values()]
+    mats.append(RatMatrix.ones(inst.params.num_points))
+    for a in mats:
+        assert orbitals.matrix(orbitals.transpose(orbitals.vector(a))) == a.transpose()
+        for b in mats:
+            got = orbitals.product(orbitals.vector(a), orbitals.vector(b))
+            assert orbitals.matrix(got) == a * b
+
+
+def test_closure_keeps_its_spin_generators_and_a_span_its_basis():
+    a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    orbitals = Orbitals(3)
+    sub = algebra_closure([a, a.scale(3), RatMatrix.zeros(3)], unital=False, orbitals=orbitals)
+    assert sub.closed and sub.spin == [orbitals.vector(a)]
+    span = span_basis([a, a * a])
+    assert not span.closed and span.spin == [orbitals.vector(m) for m in span.basis_matrices()]
+    assert span == sub and hash(span) == hash(sub)
+
+
 def test_vector_rejects_a_matrix_not_constant_on_an_orbital():
     orbitals = Instance(SchemeParams((2,), 2)).orbitals
     # 01 and 10 share the orbital of (01, 01), so a point mass at 01 is not constant

@@ -1,0 +1,235 @@
+"""The center, the primary sandwiches and the component checks against dense oracles.
+
+`center_dimension`, `primary_subalgebra` and `component_dims` measure in
+orbital coordinates, from the spin generators of each closure. The oracles
+here are the dense computations they replaced: the commutant loop over
+basis pairs, the sandwiches as dense `RatMatrix` products, and the
+commutativity and annihilation checks over every pair of basis elements.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+import ordered_hamming.terwilliger as terwilliger_module
+from ordered_hamming import (
+    Instance,
+    NotAnAlgebra,
+    Orbitals,
+    RatMatrix,
+    SchemeParams,
+    algebra_closure,
+    center_dimension,
+    component_dims,
+    primary_subalgebra,
+    span_basis,
+    valency_n,
+)
+from ordered_hamming.cli import SUITE_INSTANCES
+from ordered_hamming.exact_linalg import _flat, _IntRowReducer, mat_sum
+
+ORACLE_INSTANCES = list(SUITE_INSTANCES) + [((3,), 2), ((2,), 4), ((3,), 3)]
+
+
+def _label(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _nullspace(mats):
+    """Integer basis of {c : sum_k c[k] * mats[k] = 0}, free coordinates ascending."""
+    width = len(mats)
+    # Scaling every entry row by one factor keeps the nullspace.
+    den = math.lcm(*(m.denominator for m in mats))
+    cols = [[a * (den // m.denominator) for a in _flat(m)] for m in mats]
+    red = _IntRowReducer(width)
+    for row in zip(*cols):
+        red.insert(row)
+    pivots = set(red.pivots)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        used = [(row, p) for row, p in zip(red.rows, red.pivots) if row[free]]
+        lead = math.lcm(*(row[p] for row, p in used))
+        vec = [0] * width
+        vec[free] = lead
+        for row, p in used:
+            vec[p] = -row[free] * (lead // row[p])
+        basis.append(vec)
+    return basis
+
+
+def dense_center_dimension(alg):
+    """Reference center: the commutant of the dense basis, one basis element at a time."""
+    basis = alg.basis_matrices()
+    current = list(basis)
+    for b in basis:
+        if not current:
+            break
+        comms = [z * b - b * z for z in current]
+        if all(c.is_zero() for c in comms):
+            continue
+        current = [
+            mat_sum(z.scale(c) for z, c in zip(current, coeffs) if c)
+            for coeffs in _nullspace(comms)
+        ]
+    return len(current)
+
+
+def dense_primary_subalgebra(inst):
+    """Reference primary subalgebra: the sandwiches as dense products, in dense coordinates."""
+    params = inst.params
+    shapes = inst.shapes
+    idems = inst.idempotents
+    duals = inst.duals
+    e0n = idems[shapes[0]]
+    sandwich = {(lam, mu): duals[lam] * e0n * duals[mu] for lam in shapes for mu in shapes}
+    sub = span_basis(list(sandwich.values()))
+    law_ok = all(
+        (duals[mu] * duals[nu]).is_zero() for mu in shapes for nu in shapes if mu != nu
+    ) and all(
+        sandwich[(lam, mu)] * sandwich[(mu, rho)]
+        == sandwich[(lam, rho)].scale(Fraction(valency_n(mu, params), params.num_points))
+        for lam in shapes
+        for mu in shapes
+        for rho in shapes
+    )
+    dual0n = duals[shapes[0]]
+    dual_span = span_basis([idems[lam] * dual0n * idems[mu] for lam in shapes for mu in shapes])
+    report = {
+        "dimension_is_class_count_squared": sub.dimension == params.class_count**2,
+        "multiplication_law": law_ok,
+        "dual_span_matches": dual_span == sub,
+    }
+    return sub, report
+
+
+def dense_commutative(piece):
+    basis = piece.basis_matrices()
+    return all(x * y == y * x for i, x in enumerate(basis) for y in basis[i + 1 :])
+
+
+def dense_annihilate(x, y):
+    return all(
+        (a * b).is_zero() and (b * a).is_zero()
+        for a in x.basis_matrices()
+        for b in y.basis_matrices()
+    )
+
+
+def _unit(n, i, j):
+    rows = [[0] * n for _ in range(n)]
+    rows[i][j] = 1
+    return RatMatrix(rows)
+
+
+@pytest.mark.parametrize("q,n", ORACLE_INSTANCES, ids=_label)
+def test_center_matches_dense_oracle(q, n):
+    alg = Instance(SchemeParams(q, n)).closure("bm")
+    assert alg.closed
+    assert center_dimension(alg) == dense_center_dimension(alg)
+
+
+@pytest.mark.parametrize("q,n", ORACLE_INSTANCES, ids=_label)
+def test_primary_matches_dense_oracle(q, n):
+    inst = Instance(SchemeParams(q, n))
+    sub, report = primary_subalgebra(inst)
+    dense_sub, dense_report = dense_primary_subalgebra(inst)
+    assert sub.orbitals is inst.orbitals
+    assert sub.dimension == dense_sub.dimension and sub == dense_sub
+    assert report == dense_report
+
+
+@pytest.mark.parametrize(
+    "q,n", [(q, n) for q, n in ORACLE_INSTANCES if q != (2,)], ids=_label
+)
+def test_component_checks_match_dense_oracle(monkeypatch, q, n):
+    pieces = []
+    plain_closure = terwilliger_module.algebra_closure
+
+    def recording_closure(gens, unital, orbitals):
+        sub = plain_closure(gens, unital, orbitals)
+        if not unital:
+            pieces.append(sub)
+        return sub
+
+    monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
+    decomp = component_dims(Instance(SchemeParams(q, n)))
+    # a degree with no nonzero spanning matrix runs no closure and has dim 0
+    measured = [info.commutative for info in decomp.components if info.dim]
+    assert measured == [dense_commutative(piece) for piece in pieces]
+    assert decomp.pairwise_annihilating == all(
+        dense_annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
+    )
+
+
+def test_center_uses_every_spin_generator():
+    """Upper triangular 2x2: scalars only, but each generator alone leaves a 2-dim commutant."""
+    e11, e12 = _unit(2, 0, 0), _unit(2, 0, 1)
+    alg = algebra_closure([e11, e12], unital=True, orbitals=Orbitals(2))
+    assert alg.dimension == 3 and len(alg.spin) == 2
+    assert center_dimension(alg) == dense_center_dimension(alg) == 1
+    for gen in (e11, e12):
+        assert center_dimension(algebra_closure([gen], unital=True, orbitals=Orbitals(2))) == 2
+
+
+def test_center_checks_every_basis_pair_of_a_span():
+    """Every pair (i, i) and (i, i + 1 mod d) stays inside; (3, 1) and (3, 2) leave.
+
+    The canonical basis is E_00, E_01, E_02, E_10, and E_10 E_01 = E_11,
+    E_10 E_02 = E_12 are not in the span. A spot check of those sampled
+    pairs alone accepts it.
+    """
+    units = [_unit(3, 0, 0), _unit(3, 0, 1), _unit(3, 0, 2), _unit(3, 1, 0)]
+    sub = span_basis(units)
+    assert not sub.closed and sub.basis_matrices() == units
+    for i in range(4):
+        for j in (i, (i + 1) % 4):
+            assert units[i] * units[j] in sub
+    assert units[3] * units[1] not in sub
+    with pytest.raises(NotAnAlgebra, match="basis elements 3 and 1"):
+        center_dimension(sub)
+
+
+def test_spin_generators_decide_commutativity_and_annihilation():
+    orbitals = Orbitals(3)
+
+    def piece(*gens):
+        return algebra_closure(list(gens), unital=False, orbitals=orbitals)
+
+    e01, e12, e11, e22 = _unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 1, 1), _unit(3, 2, 2)
+    # E_01 E_12 = E_02 but E_12 E_01 = 0: one order vanishes, the other does not
+    assert not terwilliger_module._annihilate(piece(e01), piece(e12))
+    assert not terwilliger_module._annihilate(piece(e12), piece(e01))
+    assert terwilliger_module._annihilate(piece(e01), piece(e22))
+    assert terwilliger_module._annihilate(piece(e22), piece(_unit(3, 0, 0)))
+    assert terwilliger_module._commutative(piece(e11, e22))
+    assert not terwilliger_module._commutative(piece(e11, e12))
+    # neighbours in the spin set commute; the first and the last do not
+    assert not terwilliger_module._commutative(piece(e01, e22, _unit(3, 0, 0)))
+    for x, y in ((piece(e01), piece(e12)), (piece(e01), piece(e22))):
+        assert terwilliger_module._annihilate(x, y) == dense_annihilate(x, y)
+    for p in (piece(e11, e22), piece(e11, e12)):
+        assert terwilliger_module._commutative(p) == dense_commutative(p)
+
+
+@pytest.mark.parametrize("q,n", [((3,), 2), ((2, 2), 2)], ids=_label)
+def test_measurements_make_no_dense_products(monkeypatch, q, n):
+    """Once the families and the closure exist, the three stages multiply in orbital coordinates only."""
+    inst = Instance(SchemeParams(q, n))
+    inst.basis, inst.idempotents, inst.duals, inst.closure("bm")
+    products = 0
+    plain_mul = RatMatrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        if isinstance(other, RatMatrix):
+            products += 1
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    primary_subalgebra(inst)
+    center_dimension(inst.closure("bm"))
+    component_dims(inst)
+    assert products == 0
