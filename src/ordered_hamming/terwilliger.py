@@ -192,7 +192,6 @@ class Instance:
         self.params = params
         self.max_points = max_points
         self.shapes = enumerate_shapes(params)
-        self._closures: dict[str, MatrixSubspace] = {}
 
     @cached_property
     def pair_shapes(self) -> tuple[Shape, ...]:
@@ -231,12 +230,6 @@ class Instance:
     @cached_property
     def basis(self) -> TerwBasisSet:
         return terw_basis(self.spectral)
-
-    def closure(self, generators: str = "bm") -> MatrixSubspace:
-        """`terwilliger_closure` of this instance, built once per generator set."""
-        if generators not in self._closures:
-            self._closures[generators] = terwilliger_closure(self, generators)
-        return self._closures[generators]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +368,6 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     G = (None,) + tw.G  # 1-based access
     Gstar = (None,) + tw.Gstar
     degenerate = m == 1 and q[0] == 2
-    zero = RatMatrix.zeros(size)
     checks: dict[str, bool | None] = {}
 
     checks["idempotent_sandwich_scalars"] = all(
@@ -400,48 +392,16 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
         for i in range(m + 1)
         for j in range(m + 1)
     )
-    checks["f_orthogonal_idempotents"] = all(
-        F[i] * F[j] == (F[i] if i == j else zero)
-        for i in range(m + 1)
-        for j in range(m + 1)
-    )
-    checks["fstar_orthogonal_idempotents"] = all(
-        Fstar[i] * Fstar[j] == (Fstar[i] if i == j else zero)
-        for i in range(m + 1)
-        for j in range(m + 1)
-    )
+    checks["f_orthogonal_idempotents"] = _orthogonal_idempotents(F)
+    checks["fstar_orthogonal_idempotents"] = _orthogonal_idempotents(Fstar)
     checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == tw.Fnat
 
-    checks["g_orthogonal_idempotents"] = all(
-        G[i] * G[j] == (G[i] if i == j else zero)
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-    )
-    checks["gstar_orthogonal_idempotents"] = all(
-        Gstar[i] * Gstar[j] == (Gstar[i] if i == j else zero)
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-    )
-    checks["g_annihilates_f"] = all(
-        (G[i] * F[h]).is_zero() and (F[h] * G[i]).is_zero()
-        for i in range(1, m + 1)
-        for h in range(m + 1)
-    )
-    checks["g_annihilates_fstar"] = all(
-        (G[i] * Fstar[h]).is_zero() and (Fstar[h] * G[i]).is_zero()
-        for i in range(1, m + 1)
-        for h in range(m + 1)
-    )
-    checks["gstar_annihilates_f"] = all(
-        (Gstar[i] * F[h]).is_zero() and (F[h] * Gstar[i]).is_zero()
-        for i in range(1, m + 1)
-        for h in range(m + 1)
-    )
-    checks["gstar_annihilates_fstar"] = all(
-        (Gstar[i] * Fstar[h]).is_zero() and (Fstar[h] * Gstar[i]).is_zero()
-        for i in range(1, m + 1)
-        for h in range(m + 1)
-    )
+    checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(tw.G)
+    checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(tw.Gstar)
+    checks["g_annihilates_f"] = _mutually_annihilating(tw.G, F)
+    checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
+    checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
+    checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
     checks["g_product_difference"] = all(
         G[i] * Gstar[j] == E[i] * estar[j] - F[i] * Fstar[j]
         for i in range(1, m + 1)
@@ -495,6 +455,20 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     )
     checks["f_equals_e_only_in_binary_single_case"] = f_matches == degenerate
     return checks
+
+
+def _orthogonal_idempotents(fam: tuple[RatMatrix, ...]) -> bool:
+    """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
+    return all(
+        (x * y == x) if i == j else (x * y).is_zero()
+        for i, x in enumerate(fam)
+        for j, y in enumerate(fam)
+    )
+
+
+def _mutually_annihilating(xs: tuple[RatMatrix, ...], ys: tuple[RatMatrix, ...]) -> bool:
+    """Whether x y = y x = 0 for every x in `xs` and y in `ys`."""
+    return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
 
 
 def _factor_identities_hold(q: tuple[int, ...], tw: TerwBasisSet) -> bool:
@@ -654,20 +628,20 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     return sub, report
 
 
-def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspace:
-    """Unital closure of the adjacency (or idempotent) family plus the dual idempotents.
-
-    Builds a new closure on every call; `Instance.closure` keeps one per
-    generator set.
-    """
-    if generators == "bm":
+def _generators(inst: Instance, which: str) -> list[RatMatrix]:
+    """The adjacency (`bm`) or idempotent (`idem`) family, then the dual idempotents."""
+    if which == "bm":
         first = inst.adjacency
-    elif generators == "idem":
+    elif which == "idem":
         first = inst.idempotents
     else:
         raise ValueError("generators must be 'bm' or 'idem'")
-    gens = list(first.values()) + list(inst.duals.values())
-    return algebra_closure(gens, unital=True, orbitals=inst.orbitals)
+    return list(first.values()) + list(inst.duals.values())
+
+
+def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspace:
+    """Unital closure of the adjacency (or idempotent) family plus the dual idempotents."""
+    return algebra_closure(_generators(inst, generators), unital=True, orbitals=inst.orbitals)
 
 
 @dataclass(frozen=True)
@@ -684,8 +658,6 @@ class ComponentInfo:
 class ComponentDecomposition:
     components: tuple[ComponentInfo, ...]
     pairwise_annihilating: bool
-    sums_match_total: bool
-    dim_T: int
 
 
 def component_dims(inst: Instance) -> ComponentDecomposition:
@@ -694,8 +666,8 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     For each d every spanning matrix is one `lifted_sum` over the combined
     F/G multiset: n - d factors from the F family and d from the G family,
     together with the starred twin; the piece is the non-unital closure of
-    that set. Cross products between distinct degrees must vanish and the
-    dimensions must add up to the full closure dimension.
+    that set. Cross products between distinct degrees must vanish;
+    `structure_report` checks that the dimensions add up to dim T.
 
     Commutativity and annihilation are decided on each closure's spin set
     S, which generates it, in orbital coordinates: about |S|^2 products
@@ -733,15 +705,7 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     annihilating = all(
         _annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
     )
-
-    dim_total = inst.closure("bm").dimension
-    sums_match = sum(info.dim for info in infos) == dim_total
-    return ComponentDecomposition(
-        components=tuple(infos),
-        pairwise_annihilating=annihilating,
-        sums_match_total=sums_match,
-        dim_T=dim_total,
-    )
+    return ComponentDecomposition(components=tuple(infos), pairwise_annihilating=annihilating)
 
 
 def _commutative(piece: MatrixSubspace) -> bool:
@@ -824,15 +788,21 @@ def structure_report(inst: Instance) -> StructureReport:
     q = params.q
     degenerate = m == 1 and q[0] == 2
 
-    closure_bm = inst.closure("bm")
-    closure_idem = inst.closure("idem")
-    dim_t = closure_bm.dimension
+    closure = terwilliger_closure(inst)
+    dim_t = closure.dimension
     primary_sub, primary_report = primary_subalgebra(inst)
     identity_suite = verify_terw_identities(inst)
-    center = center_dimension(closure_bm)
+    center = center_dimension(closure)
+    # alg(S) depends only on span(S), so equal seed spans prove the bm and
+    # idem closures equal without closing the idem set a second time
+    orbitals = inst.orbitals
+    bm_seeds, idem_seeds = (
+        MatrixSubspace.span(orbitals, map(orbitals.vector, _generators(inst, which)))
+        for which in ("bm", "idem")
+    )
 
     checks: dict[str, bool] = {
-        "generator_sets_agree": closure_bm == closure_idem,
+        "generator_sets_agree": bm_seeds == idem_seeds,
         "primary_dimension_is_class_count_squared": primary_report[
             "dimension_is_class_count_squared"
         ],
@@ -842,12 +812,13 @@ def structure_report(inst: Instance) -> StructureReport:
     }
 
     components: tuple[ComponentInfo, ...] = ()
-    omega_n = len(_omega_pairs(q, n))
+    omega_counts = [len(_omega_pairs(q, d)) for d in range(n + 1)]
+    omega_n = omega_counts[-1]
     if not degenerate:
         decomp = component_dims(inst)
         components = decomp.components
         checks["components_pairwise_annihilating"] = decomp.pairwise_annihilating
-        checks["components_sum_to_total"] = decomp.sums_match_total
+        checks["components_sum_to_total"] = sum(c.dim for c in components) == dim_t
         top = components[-1]
         checks["top_component_commutative"] = top.commutative
         checks["top_component_dim_is_feasible_pair_count"] = top.dim == omega_n
@@ -883,7 +854,7 @@ def structure_report(inst: Instance) -> StructureReport:
         )
         add(
             "dim_T: block total with per-degree feasible-pair exponent",
-            sum(block(d) * len(_omega_pairs(q, d)) for d in range(n + 1)),
+            sum(block(d) * omega_counts[d] for d in range(n + 1)),
             dim_t,
         )
         if m == 1 or m == 2 or (m == 3 and q[1] == 2) or n == 1:

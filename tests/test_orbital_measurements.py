@@ -24,6 +24,7 @@ from ordered_hamming import (
     component_dims,
     primary_subalgebra,
     span_basis,
+    terwilliger_closure,
     valency_n,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
@@ -126,7 +127,7 @@ def _unit(n, i, j):
 
 @pytest.mark.parametrize("q,n", ORACLE_INSTANCES, ids=_label)
 def test_center_matches_dense_oracle(q, n):
-    alg = Instance(SchemeParams(q, n)).closure("bm")
+    alg = terwilliger_closure(Instance(SchemeParams(q, n)))
     assert alg.closed
     assert center_dimension(alg) == dense_center_dimension(alg)
 
@@ -218,7 +219,8 @@ def test_spin_generators_decide_commutativity_and_annihilation():
 def test_measurements_make_no_dense_products(monkeypatch, q, n):
     """Once the families and the closure exist, the three stages multiply in orbital coordinates only."""
     inst = Instance(SchemeParams(q, n))
-    inst.basis, inst.idempotents, inst.duals, inst.closure("bm")
+    inst.basis, inst.idempotents, inst.duals
+    closure = terwilliger_closure(inst)
     products = 0
     plain_mul = RatMatrix.__mul__
 
@@ -230,6 +232,6 @@ def test_measurements_make_no_dense_products(monkeypatch, q, n):
 
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
     primary_subalgebra(inst)
-    center_dimension(inst.closure("bm"))
+    center_dimension(closure)
     component_dims(inst)
     assert products == 0

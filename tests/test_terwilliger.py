@@ -30,6 +30,7 @@ from ordered_hamming import (
     verify_spectral_n,
     verify_terw_identities,
 )
+from ordered_hamming.cli import SUITE_INSTANCES
 
 
 def test_basis_families_in_binary_single_case():
@@ -253,13 +254,52 @@ def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
         terwilliger_closure(Instance(params), "bm")
 
 
-def test_component_dims_wreath_case():
+@pytest.mark.parametrize(
+    "q,n", list(SUITE_INSTANCES) + [((3,), 2), ((2, 3), 2)], ids=str
+)
+def test_generator_agreement_from_spans_matches_the_two_closures(report_for, q, n):
+    inst = Instance(SchemeParams(q, n))
+    closures_agree = terwilliger_closure(inst, "bm") == terwilliger_closure(inst, "idem")
+    assert report_for(q, n).checks["generator_sets_agree"] == closures_agree
+
+
+def test_generator_agreement_fails_for_an_idempotent_outside_the_seed_span(monkeypatch):
+    inst = Instance(SchemeParams((2,), 2))
+    lam = inst.shapes[1]
+    # in T, so both closures are still T; only the seed spans differ
+    stray = inst.adjacency[lam] * inst.duals[lam]
+    assert not span_basis(list(inst.adjacency.values()) + list(inst.duals.values())).contains(stray)
+    monkeypatch.setattr(inst, "idempotents", {**inst.idempotents, lam: stray})
+    assert structure_report(inst).checks["generator_sets_agree"] is False
+
+
+@pytest.mark.parametrize("q,n,closures", [((2, 3), 1, 1), ((3,), 2, 2)])
+def test_structure_report_closes_t_once(monkeypatch, q, n, closures):
+    """One unital closure of T, plus the depth-one closure when n > 1."""
+    count = 0
+    plain_closure = terwilliger_module.algebra_closure
+
+    def counting_closure(gens, unital, orbitals):
+        nonlocal count
+        count += unital
+        return plain_closure(gens, unital, orbitals)
+
+    monkeypatch.setattr(terwilliger_module, "algebra_closure", counting_closure)
+    structure_report(Instance(SchemeParams(q, n)))
+    assert count == closures
+    count = 0
+    component_dims(Instance(SchemeParams(q, n)))
+    assert count == 0
+
+
+def test_component_dims_wreath_case(report_for):
     decomp = component_dims(Instance(SchemeParams((2, 2), 1)))
     assert [c.dim for c in decomp.components] == [9, 1]
     assert decomp.components[1].commutative
     assert decomp.pairwise_annihilating
-    assert decomp.sums_match_total
-    assert decomp.dim_T == 10
+    report = report_for((2, 2), 1)
+    assert report.checks["components_sum_to_total"]
+    assert report.dim_T == 10
 
 
 def test_component_dims_refuses_degenerate_case():
