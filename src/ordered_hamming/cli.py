@@ -25,18 +25,19 @@ from .scheme import (
     enumerate_shapes,
     intersection_numbers,
     intersection_table_json,
+    pair_shapes,
     relation_matrix,
     verify_axioms,
 )
 from .spectral import (
     InternalMismatch,
-    adjacency_n,
     eigen_n,
     krawchouk_table,
     valency_n,
     verify_base_duality,
     verify_spectral_n,
 )
+from .symtensor import lifted_sum
 from .terwilliger import (
     Instance,
     lambda_set,
@@ -186,9 +187,10 @@ def _cmd_scheme_verify(args, parser) -> dict:
 def _cmd_adjacency(args, parser) -> dict:
     params = _params_from_args(args, parser)
     shape = _parse_shape(args.shape, params.m + 1, params.n, parser, "--shape")
-    lifted = adjacency_n(shape, params, args.max_points)
-    brute = relation_matrix(shape, params, args.max_points)
-    checks = {"matches_relation_matrix": lifted == brute}
+    inst = Instance(params, args.max_points)
+    # one lift and one relation, not the whole families, and no sweep kept
+    lifted = lifted_sum(list(zip(inst.spectral.A, shape)))
+    checks = {"matches_relation_matrix": lifted == relation_matrix(shape, pair_shapes(params))}
     data = {
         "shape": list(shape),
         "valency": valency_n(shape, params),

@@ -59,12 +59,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value) -> Fraction | int:
+    """An exact rational; an int stays an int, since it has a numerator and a denominator."""
+    if isinstance(value, (Fraction, int)):
         return value
     if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
 
@@ -255,10 +254,13 @@ class RatMatrix:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
+        # one string per distinct entry, shared by every cell that holds it
+        den = self._den
+        text = {a: format_rational(Fraction(a, den)) for a in set(chain.from_iterable(self._grid))}
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [[format_rational(a) for a in row] for row in self.rows],
+            "entries": [[text[a] for a in row] for row in self._grid],
         }
 
 

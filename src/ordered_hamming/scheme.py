@@ -108,16 +108,6 @@ def iter_points(params: SchemeParams) -> list[Point]:
     return [tuple(p) for p in product(blocks, repeat=params.n)]
 
 
-def point_index(x: Point, params: SchemeParams) -> int:
-    idx = 0
-    for block in x:
-        b = 0
-        for coord, qj in zip(block, params.q):
-            b = b * qj + coord
-        idx = idx * params.base_size + b
-    return idx
-
-
 def point_sub(x: Point, y: Point, params: SchemeParams) -> Point:
     return tuple(
         tuple((a - b) % qj for a, b, qj in zip(bx, by, params.q))
@@ -139,43 +129,21 @@ def shape_of(x: Point, params: SchemeParams) -> Shape:
     return tuple(lam)
 
 
-def relation_matrix(
-    lam: Shape, params: SchemeParams, max_points: int | None = None
-) -> RatMatrix:
-    """0/1 matrix of the relation indexed by shape `lam`, by brute force."""
-    if lam not in set(compositions(params.n, params.m + 1)):
-        raise ValueError(f"{lam} is not a shape for {params.label()}")
-    require_within_bound(params, max_points)
-    pts = iter_points(params)
-    rows = []
-    for x in pts:
-        rows.append([int(shape_of(point_sub(x, y, params), params) == lam) for y in pts])
-    return RatMatrix(rows)
-
-
-def relation_matrices(
-    params: SchemeParams,
-    max_points: int | None = None,
-    sweep: Sequence[Shape] | None = None,
-) -> dict[Shape, RatMatrix]:
-    """All relation matrices keyed by shape, built in one sweep over pairs.
-
-    `sweep`, when given, is `pair_shapes(params)`, already computed.
-    """
-    require_within_bound(params, max_points)
-    npts = params.num_points
-    shapes = enumerate_shapes(params)
-    grids = {lam: [[0] * npts for _ in range(npts)] for lam in shapes}
-    for pair, lam in enumerate(pair_shapes(params) if sweep is None else sweep):
-        i, j = divmod(pair, npts)
-        grids[lam][i][j] = 1
-    return {lam: RatMatrix(grids[lam]) for lam in shapes}
-
-
 def pair_shapes(params: SchemeParams) -> list[Shape]:
-    """shape_of(x - y) for every pair of points, row-major."""
+    """shape_of(x - y) for every pair of points, row-major.
+
+    Equal shapes are one tuple object, so the N^2 entries hold only pointers.
+    """
     pts = iter_points(params)
-    return [shape_of(point_sub(x, y, params), params) for x in pts for y in pts]
+    shared = {lam: lam for lam in enumerate_shapes(params)}
+    return [shared[shape_of(point_sub(x, y, params), params)] for x in pts for y in pts]
+
+
+def relation_matrix(lam: Shape, sweep: Sequence[Shape]) -> RatMatrix:
+    """0/1 matrix of the relation `lam`, read from the `pair_shapes` sweep."""
+    npts = math.isqrt(len(sweep))
+    flags = [int(s == lam) for s in sweep]
+    return RatMatrix(flags[i : i + npts] for i in range(0, len(flags), npts))
 
 
 def _swap_values(block: tuple[int, ...], j: int, above: tuple[int, ...], a: int):
@@ -221,18 +189,15 @@ def stabilizer_maps(params: SchemeParams) -> list[tuple[int, ...]]:
     return maps
 
 
-def stabilizer_orbitals(
-    params: SchemeParams, sweep: Sequence[Shape] | None = None
-) -> Orbitals:
+def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbitals:
     """The orbitals on pairs of points of the group `stabilizer_maps` generates.
 
     Every map is checked on every point and pair before use: it must be a
     permutation of the points, fix the zero point, and keep shape_of(x - y)
-    for all N^2 pairs. A map that fails raises InternalMismatch. `sweep`,
-    when given, is `pair_shapes(params)`, already computed.
+    for all N^2 pairs, read from the `pair_shapes` sweep. A map that fails
+    raises InternalMismatch.
     """
     npts = params.num_points
-    shapes = pair_shapes(params) if sweep is None else sweep
     maps = stabilizer_maps(params)
     for k, perm in enumerate(maps):
         if sorted(perm) != list(range(npts)):
@@ -240,8 +205,8 @@ def stabilizer_orbitals(
         if perm[0] != 0:
             raise InternalMismatch(f"stabilizer map {k} moves the zero point")
         for x, px in enumerate(perm):
-            image = shapes[px * npts : (px + 1) * npts]
-            if [image[py] for py in perm] != list(shapes[x * npts : (x + 1) * npts]):
+            image = sweep[px * npts : (px + 1) * npts]
+            if [image[py] for py in perm] != list(sweep[x * npts : (x + 1) * npts]):
                 raise InternalMismatch(
                     f"stabilizer map {k} changes the shape of a difference from point {x}"
                 )

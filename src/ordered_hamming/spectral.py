@@ -1,9 +1,10 @@
 """Closed-form spectral data for the ordered Hamming scheme.
 
 The depth-one scheme (n = 1) has explicit Kronecker-product adjacency
-matrices and primitive idempotents; everything at depth n is obtained by
-symmetrized lifting. Eigenmatrices at depth n are coefficient tables of a
-product generating function (multivariate Krawtchouk polynomials).
+matrices, primitive idempotents and dual idempotents; `Instance` lifts each
+family to depth n with one `lifted_sum` per shape. Eigenmatrices at depth n
+are coefficient tables of a product generating function (multivariate
+Krawtchouk polynomials).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact_linalg import InternalMismatch, RatMatrix, kron_all, mat_sum
-from .scheme import SchemeParams, Shape, enumerate_shapes, require_within_bound
-from .symtensor import lifted_sum, multinomial
+from .scheme import SchemeParams, Shape, enumerate_shapes
+from .symtensor import multinomial
 
 if TYPE_CHECKING:
     from .terwilliger import Instance
@@ -37,15 +38,14 @@ def factor_zero_unit(qj: int) -> RatMatrix:
 
 @dataclass(frozen=True)
 class BaseSpectralData:
-    """Adjacency matrices, idempotents, valencies, multiplicities, eigenmatrices at n = 1."""
+    """Adjacency matrices, idempotents, dual idempotents, valencies, multiplicities at n = 1."""
 
     params: SchemeParams
     A: tuple[RatMatrix, ...]
     E: tuple[RatMatrix, ...]
+    Estar: tuple[RatMatrix, ...]
     k: tuple[int, ...]
     mult: tuple[int, ...]
-    P: RatMatrix
-    Q: RatMatrix
 
 
 def base_valencies(params: SchemeParams) -> tuple[int, ...]:
@@ -92,6 +92,19 @@ def base_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
     return tuple(mats)
 
 
+def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
+    """Diagonal indicators of the depth-one relation classes seen from 0."""
+    q = params.q
+    m = params.m
+    I = [factor_identity(qj) for qj in q]
+    D = [factor_zero_unit(qj) for qj in q]
+    mats = [kron_all(D)]
+    for j in range(1, m + 1):
+        factors = I[: j - 1] + [I[j - 1] - D[j - 1]] + D[j:]
+        mats.append(kron_all(factors))
+    return tuple(mats)
+
+
 def base_eigenmatrix_P(params: SchemeParams) -> RatMatrix:
     q = params.q
     m = params.m
@@ -133,7 +146,7 @@ def base_spectral(params: SchemeParams) -> BaseSpectralData:
 
     Valencies must match adjacency row sums and multiplicities must match
     idempotent traces, both exactly; any disagreement raises
-    InternalMismatch.
+    InternalMismatch. `terw_basis` checks the dual idempotents.
     """
     A = base_adjacency(params)
     E = base_idempotents(params)
@@ -147,13 +160,7 @@ def base_spectral(params: SchemeParams) -> BaseSpectralData:
         if ej.trace() != mj:
             raise InternalMismatch(f"trace of idempotent {j} disagrees with multiplicity {mj}")
     return BaseSpectralData(
-        params=params,
-        A=A,
-        E=E,
-        k=k,
-        mult=mult,
-        P=base_eigenmatrix_P(params),
-        Q=base_eigenmatrix_Q(params),
+        params=params, A=A, E=E, Estar=base_dual_idempotents(params), k=k, mult=mult
     )
 
 
@@ -239,20 +246,6 @@ def valency_n(lam: Shape, params: SchemeParams) -> int:
 def multiplicity_n(lam: Shape, params: SchemeParams) -> int:
     mult = base_multiplicities(params)
     return multinomial(lam) * math.prod(mj**c for mj, c in zip(mult, lam))
-
-
-def adjacency_n(lam: Shape, params: SchemeParams, max_points: int | None = None) -> RatMatrix:
-    """Adjacency matrix of the depth-n relation `lam`, by symmetrized lifting."""
-    require_within_bound(params, max_points)
-    A = base_adjacency(params)
-    return lifted_sum(list(zip(A, lam)))
-
-
-def idempotent_n(lam: Shape, params: SchemeParams, max_points: int | None = None) -> RatMatrix:
-    """Primitive idempotent of the depth-n scheme indexed by `lam`."""
-    require_within_bound(params, max_points)
-    E = base_idempotents(params)
-    return lifted_sum(list(zip(E, lam)))
 
 
 def eigen_n(params: SchemeParams) -> tuple[RatMatrix, RatMatrix]:

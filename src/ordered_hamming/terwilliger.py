@@ -1,11 +1,11 @@
 """Terwilliger algebra of the ordered Hamming scheme at the all-zeros base point.
 
-Builds the dual idempotents and the two split families living inside the
-algebra (the F family spanning the primary part and the G family carrying
-the commutative remainder), verifies the full identity suite relating
-them, and measures algebra dimensions with the exact closure engine. The
-closure oracle is the ground truth here: printed dimension formulas are
-treated as predictions to compare against, never as answers to hard-code.
+Builds the two split families living inside the algebra (the F family
+spanning the primary part and the G family carrying the commutative
+remainder), verifies the full identity suite relating them, and measures
+algebra dimensions with the exact closure engine. The closure oracle is
+the ground truth here: printed dimension formulas are treated as
+predictions to compare against, never as answers to hard-code.
 """
 
 from __future__ import annotations
@@ -32,20 +32,20 @@ from .scheme import (
     compositions,
     decompose_products,
     enumerate_shapes,
+    iter_points,
     pair_shapes,
-    relation_matrices,
+    point_sub,
     relation_matrix,
     require_within_bound,
+    shape_of,
     stabilizer_orbitals,
 )
 from .spectral import (
     BaseSpectralData,
-    adjacency_n,
     base_spectral,
     factor_identity,
     factor_ones_normalized,
     factor_zero_unit,
-    idempotent_n,
     valency_n,
 )
 from .symtensor import lifted_sum
@@ -81,10 +81,9 @@ def factor_z(qj: int) -> RatMatrix:
 
 @dataclass(frozen=True)
 class TerwBasisSet:
-    """Dual idempotents and the split F/G families of the depth-one scheme."""
+    """The split F/G families of the depth-one scheme."""
 
     params: SchemeParams
-    Estar: tuple[RatMatrix, ...]
     F: tuple[RatMatrix, ...]
     Fstar: tuple[RatMatrix, ...]
     G: tuple[RatMatrix, ...]  # indices 1..m stored at 0..m-1
@@ -95,24 +94,11 @@ class TerwBasisSet:
     Hstar: tuple[RatMatrix, ...]
 
 
-def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
-    """Diagonal indicators of the depth-one relation classes seen from 0."""
-    q = params.q
-    m = params.m
-    I = [factor_identity(qj) for qj in q]
-    D = [factor_zero_unit(qj) for qj in q]
-    mats = [kron_all(D)]
-    for j in range(1, m + 1):
-        factors = I[: j - 1] + [I[j - 1] - D[j - 1]] + D[j:]
-        mats.append(kron_all(factors))
-    return tuple(mats)
-
-
 def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
-    """Construct every depth-one ingredient, cross-checking each closed form.
+    """Construct the F/G families, cross-checking each closed form.
 
-    Dual idempotents are built twice (Kronecker formula vs. diagonal of the
-    brute-force relation matrix at the base point) and the F families are
+    The dual idempotents are checked against row 0 of the depth-one
+    relations, shape_of(0 - y) for each point y, and the F families are
     built twice (normalized sandwich products vs. Kronecker closed forms);
     a mismatch raises InternalMismatch.
     """
@@ -120,16 +106,13 @@ def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
     q = params.q
     m = params.m
     size = params.base_size
-    base_params = SchemeParams(q, 1)
-    E, k, mult = data.E, data.k, data.mult
+    E, estar, k, mult = data.E, data.Estar, data.k, data.mult
 
-    estar = base_dual_idempotents(params)
-    # diagonal-of-relation cross-check
-    shapes1 = compositions(1, m + 1)
-    for j, lam in enumerate(shapes1):
-        rel = relation_matrix(lam, base_params, max_points=size)
-        diag = RatMatrix.diagonal([rel[0, y] for y in range(size)])
-        if diag != estar[j]:
+    base_params = SchemeParams(q, 1)
+    pts = iter_points(base_params)
+    row0 = [shape_of(point_sub(pts[0], y, base_params), base_params) for y in pts]
+    for j, lam in enumerate(compositions(1, m + 1)):
+        if RatMatrix.diagonal([int(s == lam) for s in row0]) != estar[j]:
             raise InternalMismatch(f"dual idempotent {j} disagrees with relation diagonal")
 
     jt = [factor_ones_normalized(qj) for qj in q]
@@ -159,7 +142,6 @@ def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
     gnat = RatMatrix.identity(size) - fnat
     return TerwBasisSet(
         params=params,
-        Estar=tuple(estar),
         F=tuple(F),
         Fstar=tuple(Fstar),
         G=G,
@@ -171,20 +153,15 @@ def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
     )
 
 
-def dual_idempotent_n(lam: Shape, params: SchemeParams, max_points: int | None = None) -> RatMatrix:
-    """Depth-n dual idempotent: diagonal indicator of points of shape `lam`."""
-    require_within_bound(params, max_points)
-    estar = base_dual_idempotents(params)
-    return lifted_sum(list(zip(estar, lam)))
-
-
 class Instance:
     """One scheme X(m, n; q) whose matrix families are each built once, on first use.
 
-    The size bound is checked here, once. An instance keeps what it built
-    for its own lifetime: create one per command or per suite instance.
-    `relations` always comes from the brute-force definition, never from
-    the lifted families it is compared against.
+    The size bound is checked here and nowhere else. Every depth-n family
+    (A, E, E*) is one `lifted_sum` per shape of the depth-one family in
+    `spectral`. An instance keeps what it built for its own lifetime:
+    create one per command or per suite instance. `relations` always comes
+    from the brute-force definition, never from the lifted families it is
+    compared against.
     """
 
     def __init__(self, params: SchemeParams, max_points: int | None = None):
@@ -200,23 +177,26 @@ class Instance:
 
     @cached_property
     def relations(self) -> dict[Shape, RatMatrix]:
-        return relation_matrices(self.params, self.max_points, self.pair_shapes)
+        return {lam: relation_matrix(lam, self.pair_shapes) for lam in self.shapes}
 
     @cached_property
     def products(self) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
         return decompose_products(self.relations)
 
+    def _lift(self, base: tuple[RatMatrix, ...]) -> dict[Shape, RatMatrix]:
+        return {lam: lifted_sum(list(zip(base, lam))) for lam in self.shapes}
+
     @cached_property
     def adjacency(self) -> dict[Shape, RatMatrix]:
-        return {lam: adjacency_n(lam, self.params, self.max_points) for lam in self.shapes}
+        return self._lift(self.spectral.A)
 
     @cached_property
     def idempotents(self) -> dict[Shape, RatMatrix]:
-        return {lam: idempotent_n(lam, self.params, self.max_points) for lam in self.shapes}
+        return self._lift(self.spectral.E)
 
     @cached_property
     def duals(self) -> dict[Shape, RatMatrix]:
-        return {lam: dual_idempotent_n(lam, self.params, self.max_points) for lam in self.shapes}
+        return self._lift(self.spectral.Estar)
 
     @cached_property
     def orbitals(self) -> Orbitals:
@@ -363,8 +343,8 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     size = params.base_size
     data = inst.spectral
     tw = inst.basis
-    E, A, k, mult = data.E, data.A, data.k, data.mult
-    estar, F, Fstar = tw.Estar, tw.F, tw.Fstar
+    E, A, estar, k, mult = data.E, data.A, data.Estar, data.k, data.mult
+    F, Fstar = tw.F, tw.Fstar
     G = (None,) + tw.G  # 1-based access
     Gstar = (None,) + tw.Gstar
     degenerate = m == 1 and q[0] == 2
@@ -754,10 +734,6 @@ class StructureReport:
     predictions: tuple[Prediction, ...]
     identity_suite: dict[str, bool | None]
     checks: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(self.checks.values())
 
     @property
     def all_predictions_agree(self) -> bool:

@@ -15,12 +15,9 @@ import sys
 from ordered_hamming import (
     Instance,
     SchemeParams,
-    adjacency_n,
     eigen_n,
-    enumerate_shapes,
     lambda_set,
     omega_set,
-    relation_matrices,
     terwilliger_closure,
     theta_enumerate,
     theta_feasible,
@@ -50,9 +47,9 @@ def test_criterion_1_axiom_suite(suite_params):
 def test_criterion_2_construction_cross_oracle(suite_params):
     failures = []
     for params in suite_params:
-        brute = relation_matrices(params)
-        for lam in enumerate_shapes(params):
-            if adjacency_n(lam, params) != brute[lam]:
+        inst = Instance(params)
+        for lam in inst.shapes:
+            if inst.adjacency[lam] != inst.relations[lam]:
                 failures.append((params.label(), lam))
     _conclude(2, "lifted adjacency equals brute-force relations", failures)
 

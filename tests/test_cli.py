@@ -90,6 +90,21 @@ def test_adjacency_command_cross_checks(capsys):
     assert payload["data"]["matrix"]["rows"] == 16
 
 
+# SHA-256 of stdout: the lifted matrix, its valency and the relation cross-check.
+@pytest.mark.parametrize(
+    "q,n,shape,digest",
+    [
+        ("2,2", "2", "1,1,0", "1a2cf2e2f59b8b8a8e7743131f7bbd598eee5f47bfcd8e82e8fc5c4fc3972f8c"),
+        ("3", "2", "0,2", "3fb664e05fb2b44ee39e4849bd44dde03235767a369040751667cfbe5ade8acb"),
+    ],
+)
+def test_adjacency_golden_output(capsys, q, n, shape, digest):
+    code = main(["adjacency", "--q", q, "--n", n, "--shape", shape, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_adjacency_size_bound_exit(capsys):
     code = main(
         ["adjacency", "--q", "2,2", "--n", "2", "--shape", "1,1,0", "--max-points", "4", "--json"]

@@ -16,11 +16,8 @@ from ordered_hamming import (
     SchemeParams,
     algebra_closure,
     center_dimension,
-    dual_idempotent_n,
-    enumerate_shapes,
     format_rational,
     kron,
-    relation_matrices,
     span_basis,
     terwilliger_closure,
 )
@@ -116,8 +113,7 @@ def test_span_of_independent_supports():
 
 
 def test_span_of_adjacency_matrices_has_class_count_dimension():
-    params = SchemeParams((2, 2), 1)
-    mats = list(relation_matrices(params).values())
+    mats = list(Instance(SchemeParams((2, 2), 1)).relations.values())
     assert span_basis(mats).dimension == 3
 
 
@@ -150,11 +146,9 @@ def test_closure_of_triangle_adjacency():
 
 
 def test_closure_is_multiplication_closed_and_order_invariant():
-    params = SchemeParams((3,), 1)
-    gens = list(relation_matrices(params).values()) + [
-        dual_idempotent_n(lam, params) for lam in enumerate_shapes(params)
-    ]
-    orbitals = Instance(params).orbitals
+    inst = Instance(SchemeParams((3,), 1))
+    gens = list(inst.relations.values()) + list(inst.duals.values())
+    orbitals = inst.orbitals
     sub = algebra_closure(gens, unital=True, orbitals=orbitals)
     assert sub.dimension == 5
     basis = sub.basis_matrices()
@@ -184,9 +178,9 @@ def test_center_of_diagonal_algebra_is_its_dimension():
 
 
 def test_center_of_commutative_closure_equals_dimension():
-    params = SchemeParams((2, 2), 1)
-    gens = list(relation_matrices(params).values())
-    sub = algebra_closure(gens, unital=True, orbitals=Instance(params).orbitals)
+    inst = Instance(SchemeParams((2, 2), 1))
+    gens = list(inst.relations.values())
+    sub = algebra_closure(gens, unital=True, orbitals=inst.orbitals)
     assert center_dimension(sub) == sub.dimension == 3
 
 
@@ -268,6 +262,30 @@ def test_lowest_terms_make_equality_structural(m):
 def test_entries_must_be_exact():
     with pytest.raises(TypeError):
         RatMatrix([[0.5]])
+    with pytest.raises(TypeError):
+        RatMatrix([[1, 0.0]])
+    with pytest.raises(TypeError):
+        RatMatrix.diagonal([1, 0.5])
+    with pytest.raises(TypeError):
+        RatMatrix.identity(2).scale(0.5)
+
+
+def test_integer_rows_make_no_fraction(monkeypatch):
+    """A relation matrix is integer rows throughout: no Fraction is made."""
+    made = 0
+    plain_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return plain_new(cls, *args, **kwargs)
+
+    inst = Instance(SchemeParams((5, 6), 1))
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    relations = inst.relations
+    monkeypatch.undo()
+    assert len(relations) == 3 and all(r.is_zero_one() for r in relations.values())
+    assert made == 0
 
 
 int3x3 = st.lists(

@@ -30,3 +30,21 @@ def test_symtensor_public_functions():
         and value.__module__ == symtensor.__name__
     }
     assert public == {"multinomial", "multiset_arrangements", "lifted_sum"}
+
+
+def test_only_instance_takes_the_size_bound_or_an_optional_sweep():
+    """The size bound and the pair-shape sweep belong to `Instance`, not to a builder's knobs."""
+    knobs = []
+    for name in ordered_hamming.__all__:
+        value = getattr(ordered_hamming, name)
+        if name == "Instance" or not callable(value):
+            continue
+        try:
+            params = inspect.signature(value).parameters
+        except (TypeError, ValueError):
+            continue
+        if "max_points" in params:
+            knobs.append((name, "max_points"))
+        if "sweep" in params and params["sweep"].default is None:
+            knobs.append((name, "sweep"))
+    assert not knobs, knobs

@@ -1,6 +1,7 @@
 import pytest
 
 import ordered_hamming.scheme as scheme_module
+from ordered_hamming.scheme import pair_shapes
 from ordered_hamming import (
     Instance,
     InternalMismatch,
@@ -10,9 +11,6 @@ from ordered_hamming import (
     enumerate_shapes,
     intersection_numbers,
     iter_points,
-    point_index,
-    relation_matrices,
-    relation_matrix,
     point_sub,
     shape_of,
     stabilizer_maps,
@@ -44,13 +42,6 @@ def test_shape_enumeration_order_and_counts():
     assert len(enumerate_shapes(SchemeParams((2, 2, 2), 1))) == 4
 
 
-def test_point_enumeration_matches_flat_index():
-    params = SchemeParams((2, 3), 2)
-    pts = iter_points(params)
-    assert len(pts) == 36
-    assert all(point_index(x, params) == i for i, x in enumerate(pts))
-
-
 def test_shape_of_examples():
     params = SchemeParams((2, 2), 2)
     assert shape_of(((0, 0), (0, 0)), params) == (2, 0, 0)
@@ -59,22 +50,20 @@ def test_shape_of_examples():
 
 
 def test_diagonal_relation_is_identity():
-    params = SchemeParams((2, 3), 1)
-    assert relation_matrix((1, 0, 0), params) == RatMatrix.identity(6)
+    assert Instance(SchemeParams((2, 3), 1)).relations[(1, 0, 0)] == RatMatrix.identity(6)
 
 
 def test_single_block_relation_of_triangle():
-    params = SchemeParams((3,), 1)
-    assert relation_matrix((0, 1), params) == RatMatrix.ones(3) - RatMatrix.identity(3)
+    triangle = Instance(SchemeParams((3,), 1)).relations[(0, 1)]
+    assert triangle == RatMatrix.ones(3) - RatMatrix.identity(3)
 
 
 def test_binary_pair_swap_relation():
-    params = SchemeParams((2,), 2)
     # points in order: 00, 01, 10, 11; the all-flips relation swaps 00<->11, 01<->10
     expected = RatMatrix(
         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     )
-    assert relation_matrix((0, 2), params) == expected
+    assert Instance(SchemeParams((2,), 2)).relations[(0, 2)] == expected
 
 
 @pytest.mark.parametrize("q,n", [((3,), 1), ((2, 2), 2), ((2, 2, 2), 1), ((2, 3), 1)])
@@ -85,7 +74,7 @@ def test_axioms_hold(q, n):
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2), ((2, 2), 2)])
 def test_relations_partition_all_pairs(q, n):
     params = SchemeParams(q, n)
-    mats = relation_matrices(params)
+    mats = Instance(params).relations
     total = None
     for mat in mats.values():
         assert mat.is_symmetric()
@@ -97,7 +86,7 @@ def test_relations_partition_all_pairs(q, n):
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2), ((2, 2), 2)])
 def test_relation_row_sums_match_valency_formula(q, n):
     params = SchemeParams(q, n)
-    for lam, mat in relation_matrices(params).items():
+    for lam, mat in Instance(params).relations.items():
         assert set(mat.row_sums()) == {valency_n(lam, params)}
 
 
@@ -127,8 +116,9 @@ def test_valency_diagonal_identity(q, n):
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2)])
 def test_products_decompose_exactly(q, n):
     params = SchemeParams(q, n)
-    mats = relation_matrices(params)
-    table = intersection_numbers(Instance(params))
+    inst = Instance(params)
+    mats = inst.relations
+    table = intersection_numbers(inst)
     shapes = enumerate_shapes(params)
     for i in shapes:
         for j in shapes:
@@ -141,8 +131,6 @@ def test_products_decompose_exactly(q, n):
 
 def test_size_bound_enforced():
     params = SchemeParams((2, 2), 2)
-    with pytest.raises(SizeBound):
-        relation_matrix((2, 0, 0), params, max_points=4)
     with pytest.raises(SizeBound):
         Instance(params, max_points=15)
     assert all(verify_axioms(Instance(params, max_points=16)).values())
@@ -193,7 +181,8 @@ def test_stabilizer_maps_of_one_block():
 )
 def test_orbital_counts(q, n, orbitals):
     # these equal dim T, measured by the closure tests
-    assert stabilizer_orbitals(SchemeParams(q, n)).count == orbitals
+    params = SchemeParams(q, n)
+    assert stabilizer_orbitals(params, pair_shapes(params)).count == orbitals
 
 
 # X(1,2;2) has the points 00, 01, 10, 11 in flat-index order
@@ -211,6 +200,6 @@ def test_stabilizer_orbitals_reject_a_bad_map(monkeypatch, bad, reason):
     good = stabilizer_maps(params)
     monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda p: good + [bad])
     with pytest.raises(InternalMismatch, match=reason):
-        stabilizer_orbitals(params)
+        stabilizer_orbitals(params, pair_shapes(params))
     with pytest.raises(InternalMismatch, match=reason):
         Instance(params).orbitals

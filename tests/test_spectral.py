@@ -7,14 +7,11 @@ from ordered_hamming import (
     Instance,
     RatMatrix,
     SchemeParams,
-    adjacency_n,
     base_spectral,
     eigen_n,
     enumerate_shapes,
-    idempotent_n,
     krawchouk_table,
     multiplicity_n,
-    relation_matrix,
     valency_n,
     verify_base_duality,
     verify_spectral_n,
@@ -23,11 +20,12 @@ from ordered_hamming.spectral import base_eigenmatrix_P, base_eigenmatrix_Q
 
 
 def test_base_data_for_mixed_alphabets():
-    data = base_spectral(SchemeParams((2, 3), 1))
+    params = SchemeParams((2, 3), 1)
+    data = base_spectral(params)
     assert data.k == (1, 1, 4)
     assert data.mult == (1, 2, 3)
-    assert data.P == RatMatrix([[1, 1, 4], [1, 1, -2], [1, -1, 0]])
-    assert data.Q == RatMatrix([[1, 2, 3], [1, 2, -3], [1, -1, 0]])
+    assert base_eigenmatrix_P(params) == RatMatrix([[1, 1, 4], [1, 1, -2], [1, -1, 0]])
+    assert base_eigenmatrix_Q(params) == RatMatrix([[1, 2, 3], [1, 2, -3], [1, -1, 0]])
 
 
 def test_binary_base_idempotent():
@@ -137,25 +135,22 @@ def test_eigen_duality_at_depth(q, n):
 
 
 def test_lifted_adjacency_identity_case():
-    params = SchemeParams((2, 3), 2)
-    assert adjacency_n((2, 0, 0), params) == RatMatrix.identity(36)
+    assert Instance(SchemeParams((2, 3), 2)).adjacency[(2, 0, 0)] == RatMatrix.identity(36)
 
 
 def test_lifted_adjacency_two_letter_case():
-    params = SchemeParams((2,), 2)
-    data = base_spectral(params)
+    inst = Instance(SchemeParams((2,), 2))
+    A = inst.spectral.A
     from ordered_hamming import kron
 
-    expected = kron(data.A[1], data.A[0]) + kron(data.A[0], data.A[1])
-    assert adjacency_n((1, 1), params) == expected
-    assert adjacency_n((1, 1), params) == relation_matrix((1, 1), params)
+    expected = kron(A[1], A[0]) + kron(A[0], A[1])
+    assert inst.adjacency[(1, 1)] == expected
+    assert inst.adjacency[(1, 1)] == inst.relations[(1, 1)]
 
 
 def test_lifted_idempotents_resolve_identity():
-    params = SchemeParams((2, 2), 2)
     total = None
-    for lam in enumerate_shapes(params):
-        e = idempotent_n(lam, params)
+    for e in Instance(SchemeParams((2, 2), 2)).idempotents.values():
         total = e if total is None else total + e
     assert total == RatMatrix.identity(16)
 
@@ -170,18 +165,17 @@ def test_spectral_verification_passes(q, n):
 
 
 def test_zero_eigenvalue_example():
-    params = SchemeParams((2,), 2)
-    P, _ = eigen_n(params)
-    shapes = enumerate_shapes(params)
-    i = shapes.index((1, 1))
+    inst = Instance(SchemeParams((2,), 2))
+    P, _ = eigen_n(inst.params)
+    i = inst.shapes.index((1, 1))
     assert P[i, i] == 0
-    assert (adjacency_n((1, 1), params) * idempotent_n((1, 1), params)).is_zero()
+    assert (inst.adjacency[(1, 1)] * inst.idempotents[(1, 1)]).is_zero()
 
 
 def test_multiplicity_formula_matches_traces():
-    params = SchemeParams((2, 3), 2)
-    for lam in enumerate_shapes(params):
-        assert idempotent_n(lam, params).trace() == multiplicity_n(lam, params)
+    inst = Instance(SchemeParams((2, 3), 2))
+    for lam, e in inst.idempotents.items():
+        assert e.trace() == multiplicity_n(lam, inst.params)
 
 
 @pytest.mark.parametrize("q,n", [((2,), 2), ((2, 3), 1), ((2, 2), 2)])
@@ -189,8 +183,9 @@ def test_adjacency_span_is_already_closed(q, n):
     from ordered_hamming import algebra_closure, span_basis
 
     params = SchemeParams(q, n)
-    mats = [adjacency_n(lam, params) for lam in enumerate_shapes(params)]
+    inst = Instance(params)
+    mats = list(inst.adjacency.values())
     span = span_basis(mats)
-    closed = algebra_closure(mats, unital=True, orbitals=Instance(params).orbitals)
+    closed = algebra_closure(mats, unital=True, orbitals=inst.orbitals)
     assert span == closed
     assert closed.dimension == params.class_count

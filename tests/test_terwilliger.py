@@ -13,8 +13,6 @@ from ordered_hamming import (
     RatMatrix,
     SchemeParams,
     component_dims,
-    dual_idempotent_n,
-    enumerate_shapes,
     iter_points,
     lambda_set,
     omega_set,
@@ -49,33 +47,39 @@ def test_residual_family_survives_for_three_letters():
 
 
 def test_base_dual_idempotent_is_point_mass():
-    tw = Instance(SchemeParams((2, 2), 1)).basis
-    assert tw.Estar[0] == RatMatrix.diagonal([1, 0, 0, 0])
+    estar = Instance(SchemeParams((2, 2), 1)).spectral.Estar
+    assert estar[0] == RatMatrix.diagonal([1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("q", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_dual_idempotents_partition_identity(q):
-    tw = Instance(SchemeParams(q, 1)).basis
-    size = tw.Estar[0].nrows
+    estar = Instance(SchemeParams(q, 1)).spectral.Estar
+    size = estar[0].nrows
     total = None
-    for e in tw.Estar:
+    for e in estar:
         total = e if total is None else total + e
-        for f in tw.Estar:
+        for f in estar:
             prod = e * f
             assert prod == (e if e == f else prod.scale(0))
     assert total == RatMatrix.identity(size)
 
 
+def test_basis_rejects_dual_idempotents_off_the_relation_row(monkeypatch):
+    # X(1,1;3): E*_0 and E*_1 swapped disagree with row 0 of the relations
+    plain = spectral_module.base_dual_idempotents
+    monkeypatch.setattr(spectral_module, "base_dual_idempotents", lambda p: plain(p)[::-1])
+    with pytest.raises(InternalMismatch, match="dual idempotent 0 disagrees"):
+        Instance(SchemeParams((3,), 1)).basis
+
+
 def test_lifted_dual_idempotent_examples():
-    params = SchemeParams((2, 2), 2)
-    shapes = enumerate_shapes(params)
-    point_mass = dual_idempotent_n(shapes[0], params)
+    inst = Instance(SchemeParams((2, 2), 2))
+    point_mass = inst.duals[inst.shapes[0]]
     expected = [[0] * 16 for _ in range(16)]
     expected[0][0] = 1
     assert point_mass == RatMatrix(expected)
     total = None
-    for lam in shapes:
-        d = dual_idempotent_n(lam, params)
+    for d in inst.duals.values():
         total = d if total is None else total + d
     assert total == RatMatrix.identity(16)
 
@@ -83,8 +87,7 @@ def test_lifted_dual_idempotent_examples():
 def test_lifted_dual_idempotent_matches_point_shapes():
     params = SchemeParams((2, 3), 2)
     pts = iter_points(params)
-    for lam in enumerate_shapes(params):
-        mat = dual_idempotent_n(lam, params)
+    for lam, mat in Instance(params).duals.items():
         for i, x in enumerate(pts):
             assert mat[i, i] == (1 if shape_of(x, params) == lam else 0)
             assert all(mat[i, j] == 0 for j in range(len(pts)) if j != i)
@@ -240,18 +243,11 @@ def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
 
 
 def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
-    params = SchemeParams((2,), 2)
-    plain_dual = terwilliger_module.dual_idempotent_n
-
-    def broken_dual(lam, params, max_points=None):
-        if lam == (1, 1):
-            # points 01 and 10 share one orbital; this E* tells them apart
-            return RatMatrix.diagonal([0, 1, 0, 0])
-        return plain_dual(lam, params, max_points)
-
-    monkeypatch.setattr(terwilliger_module, "dual_idempotent_n", broken_dual)
+    inst = Instance(SchemeParams((2,), 2))
+    # points 01 and 10 share one orbital; this E* tells them apart
+    monkeypatch.setitem(inst.duals, (1, 1), RatMatrix.diagonal([0, 1, 0, 0]))
     with pytest.raises(InternalMismatch, match="not constant on orbital"):
-        terwilliger_closure(Instance(params), "bm")
+        terwilliger_closure(inst, "bm")
 
 
 @pytest.mark.parametrize(
@@ -368,28 +364,30 @@ def test_structure_report_json_schema(report_for):
 
 
 FAMILY_BUILDERS = (
-    "relation_matrices",
+    "pair_shapes",
+    "relation_matrix",
+    "base_adjacency",
+    "base_idempotents",
+    "base_dual_idempotents",
     "terw_basis",
-    "adjacency_n",
-    "idempotent_n",
-    "dual_idempotent_n",
     "stabilizer_orbitals",
 )
 
 
 def test_each_family_is_built_once_per_instance(monkeypatch):
-    """The suite's per-instance checks share one build of every matrix family.
+    """The suite's per-instance checks, or a closure alone, build every family once.
 
-    Builds are counted per argument tuple, so a per-shape builder may run
+    Builds are counted per argument tuple, so `relation_matrix` may run
     once for each shape, and the depth-one instance the report measures for
-    n > 1 has its own keys.
+    n > 1 has its own keys. The depth-one families are built once per
+    scheme; every depth-n family is lifted from them.
     """
     builds = Counter()
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             builds[(name, *args)] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -398,13 +396,18 @@ def test_each_family_is_built_once_per_instance(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
-    inst = Instance(SchemeParams((3,), 2))
-    verify_axioms(inst)
-    intersection_numbers(inst)
-    verify_spectral_n(inst)
-    structure_report(inst)
-    assert {key[0] for key in builds} == set(FAMILY_BUILDERS)
-    assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
+    def suite(inst):
+        verify_axioms(inst)
+        intersection_numbers(inst)
+        verify_spectral_n(inst)
+        structure_report(inst)
+
+    closure_builders = set(FAMILY_BUILDERS) - {"relation_matrix", "terw_basis"}
+    for work, built in [(suite, set(FAMILY_BUILDERS)), (terwilliger_closure, closure_builders)]:
+        builds.clear()
+        work(Instance(SchemeParams((3,), 2)))
+        assert {key[0] for key in builds} == built, work.__name__
+        assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
