@@ -343,6 +343,8 @@ def _cmd_suite(args, parser) -> dict:
             disagreements.append({"instance": params.label(), **entry})
         overall = overall and result["overall_pass"]
         instances.append(result)
+    if not instances:
+        raise SizeBound(f"every suite instance is over --max-points {args.max_points}")
     payload = {
         "command": "suite",
         "strict": bool(args.strict),

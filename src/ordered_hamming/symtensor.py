@@ -1,10 +1,10 @@
 """Symmetrized Kronecker sums.
 
 The workhorse is `lifted_sum` (written L_op elsewhere in the docs): given
-matrices v_1..v_k with multiplicities i_1..i_k summing to n, it returns the
-sum over all distinct arrangements of the n-fold Kronecker product, one
-term per arrangement. Enumerating arrangements directly avoids both the
-n!-term symmetrizer average and any rational division.
+matrices v_1..v_k with multiplicities c_1..c_k summing to n, it returns the
+sum over all distinct arrangements of the n-fold Kronecker product. Grouping
+the arrangements by their first factor, L(c) = sum_{i: c_i > 0} v_i (x)
+L(c - e_i), avoids the n!-term symmetrizer average and any rational division.
 
 `lifted_sum` is the only symmetric-tensor builder: the symmetric product of
 two lifted sums is one `lifted_sum` over the combined multiset of factors,
@@ -14,9 +14,10 @@ so no coordinate permutation is ever applied to a built matrix.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Sequence
 
-from .exact_linalg import DimensionMismatch, EmptyInput, RatMatrix, kron_all, mat_sum
+from .exact_linalg import DimensionMismatch, EmptyInput, RatMatrix, kron, mat_sum
 
 
 def multinomial(multiplicities: Sequence[int]) -> int:
@@ -27,37 +28,13 @@ def multinomial(multiplicities: Sequence[int]) -> int:
     return out
 
 
-def multiset_arrangements(multiplicities: Sequence[int]) -> list[tuple[int, ...]]:
-    """All distinct index sequences with the given multiplicities, in lex order."""
-    counts = list(multiplicities)
-    if any(c < 0 for c in counts):
-        raise ValueError("multiplicities must be non-negative")
-    n = sum(counts)
-    if n < 1:
-        raise EmptyInput("arrangements need total multiplicity at least 1")
-    out: list[tuple[int, ...]] = []
-    seq: list[int] = []
-
-    def extend():
-        if len(seq) == n:
-            out.append(tuple(seq))
-            return
-        for idx, c in enumerate(counts):
-            if c:
-                counts[idx] -= 1
-                seq.append(idx)
-                extend()
-                seq.pop()
-                counts[idx] += 1
-
-    extend()
-    return out
-
-
 def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
     """Sum of Kronecker products over all arrangements of the given parts.
 
-    Parts with multiplicity zero are dropped before enumeration.
+    Parts with multiplicity zero are dropped first. The first-factor recursion
+    is memoized on the remaining counts, so the work is one Kronecker product
+    per nonzero count in each of at most prod(c_i + 1) count states; without
+    the memo the calls would walk the whole prefix tree of arrangements.
     """
     kept = [(m, c) for m, c in parts if c]
     if not kept:
@@ -66,9 +43,16 @@ def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
     for m, _ in kept:
         if m.nrows != m.ncols or m.nrows != side:
             raise DimensionMismatch("all factors must be square with one common side")
-    mats = [m for m, _ in kept]
-    counts = [c for _, c in kept]
-    return mat_sum(
-        kron_all([mats[i] for i in arrangement])
-        for arrangement in multiset_arrangements(counts)
-    )
+    mats, counts = zip(*kept)
+
+    @cache
+    def lift(rest: tuple[int, ...]) -> RatMatrix:
+        if not any(rest):
+            return RatMatrix.identity(1)
+        return mat_sum(
+            kron(mats[i], lift(rest[:i] + (c - 1,) + rest[i + 1 :]))
+            for i, c in enumerate(rest)
+            if c
+        )
+
+    return lift(counts)

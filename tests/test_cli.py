@@ -96,6 +96,7 @@ def test_adjacency_command_cross_checks(capsys):
     [
         ("2,2", "2", "1,1,0", "1a2cf2e2f59b8b8a8e7743131f7bbd598eee5f47bfcd8e82e8fc5c4fc3972f8c"),
         ("3", "2", "0,2", "3fb664e05fb2b44ee39e4849bd44dde03235767a369040751667cfbe5ade8acb"),
+        ("2", "8", "4,4", "29cd1744629af7d055abc0043af19ddebc75abe7e2229f0a9be3d5ea01469f70"),
     ],
 )
 def test_adjacency_golden_output(capsys, q, n, shape, digest):
@@ -110,6 +111,16 @@ def test_adjacency_size_bound_exit(capsys):
         ["adjacency", "--q", "2,2", "--n", "2", "--shape", "1,1,0", "--max-points", "4", "--json"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "1", "-5"])
+def test_suite_that_runs_no_instance_exits_on_the_size_bound(capsys, bound):
+    # every suite instance has at least 2 points, so nothing is checked
+    code = main(["suite", "--max-points", bound, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("size bound exceeded: ")
 
 
 def test_eigenmatrix_command(capsys):

@@ -17,15 +17,46 @@ from ordered_hamming import (
     kron_all,
     lifted_sum,
     multinomial,
-    multiset_arrangements,
     span_basis,
     terw_basis,
 )
-from ordered_hamming.exact_linalg import mat_sum
+from ordered_hamming import exact_linalg, symtensor
+from ordered_hamming.exact_linalg import EmptyInput, mat_sum
 
 A = RatMatrix([[1, 2], [3, 4]])
 B = RatMatrix([[0, 1], [1, 1]])
 C = RatMatrix([[2, 0], [5, "1/2"]])
+
+
+def multiset_arrangements(multiplicities: Sequence[int]) -> list[tuple[int, ...]]:
+    """All distinct index sequences with the given multiplicities, in lex order.
+
+    The reference that `lifted_sum` is checked against: one Kronecker chain
+    per arrangement.
+    """
+    counts = list(multiplicities)
+    if any(c < 0 for c in counts):
+        raise ValueError("multiplicities must be non-negative")
+    n = sum(counts)
+    if n < 1:
+        raise EmptyInput("arrangements need total multiplicity at least 1")
+    out: list[tuple[int, ...]] = []
+    seq: list[int] = []
+
+    def extend():
+        if len(seq) == n:
+            out.append(tuple(seq))
+            return
+        for idx, c in enumerate(counts):
+            if c:
+                counts[idx] -= 1
+                seq.append(idx)
+                extend()
+                seq.pop()
+                counts[idx] += 1
+
+    extend()
+    return out
 
 
 def test_arrangements_small_cases():
@@ -45,6 +76,21 @@ def test_arrangements_small_cases():
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3).filter(lambda c: 1 <= sum(c) <= 5))
 def test_arrangement_count_is_multinomial(counts):
     assert len(multiset_arrangements(counts)) == multinomial(counts)
+
+
+def test_lifted_sum_makes_one_kron_per_nonzero_count_per_state(monkeypatch):
+    # counts (4, 4): 16 states with both counts nonzero make 2 products each,
+    # 8 with one nonzero make 1; one chain per arrangement would make 70 * 7
+    calls = []
+
+    def counting_kron(a, b):
+        calls.append(1)
+        return kron(a, b)
+
+    monkeypatch.setattr(symtensor, "kron", counting_kron, raising=False)
+    monkeypatch.setattr(exact_linalg, "kron", counting_kron)
+    lifted_sum([(A, 4), (B, 4)])
+    assert len(calls) == 16 * 2 + 8 * 1
 
 
 def test_lifted_sum_two_singletons():
@@ -125,6 +171,21 @@ _factors = st.lists(_entries, min_size=4, max_size=4).map(
 _parts = st.lists(
     st.tuples(_factors, st.integers(min_value=0, max_value=3)), min_size=1, max_size=2
 ).filter(lambda ps: 1 <= sum(c for _, c in ps) <= 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_factors, st.integers(min_value=0, max_value=5)), min_size=1, max_size=3
+    ).filter(lambda ps: 1 <= sum(c for _, c in ps) <= 5)
+)
+def test_lifted_sum_is_the_sum_over_arrangements(parts):
+    mats = [m for m, _ in parts]
+    counts = [c for _, c in parts]
+    expected = mat_sum(
+        kron_all([mats[i] for i in arr]) for arr in multiset_arrangements(counts)
+    )
+    assert lifted_sum(parts) == expected
 
 
 @settings(max_examples=20, deadline=None)
