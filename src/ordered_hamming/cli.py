@@ -5,8 +5,7 @@ lines to stderr (silenced by --json). Exit code 0 means every check
 passed, 1 means a check failed (or, under --strict, a printed-formula
 prediction disagreed with measurement), 2 means a usage error or a size
 bound violation, 3 means an internal inconsistency (two constructions
-disagree, or a closure is not an algebra); stdout then holds an "error"
-document instead of results.
+disagree); stdout then holds an "error" document instead of results.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 import sys
 import time
 
-from .exact_linalg import NotAnAlgebra, RatMatrix, format_rational
+from .exact_linalg import RatMatrix, format_rational
 from .scheme import (
     DEFAULT_MAX_POINTS,
     SchemeParams,
@@ -380,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeBound as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return 2
-    except (InternalMismatch, NotAnAlgebra) as exc:
+    except InternalMismatch as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         _emit({"command": args.command, "error": error, "overall_pass": False})
         return 3

@@ -16,7 +16,8 @@ and the spinning proves it closed under multiplication; `center_dimension`
 works from those generators in the same coordinates. Subspace bookkeeping
 happens in fully reduced integer row-echelon form, so the resulting basis
 is canonical: two subspaces in the same coordinates are equal exactly when
-their stored rows are identical.
+their stored rows are identical. Subspaces in different coordinates never
+compare equal.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class DimensionMismatch(ValueError):
 
 class EmptyInput(ValueError):
     """An operation that needs at least one matrix received none."""
-
-
-class NotAnAlgebra(ValueError):
-    """A subspace presented as multiplication-closed failed a product check."""
 
 
 class InternalMismatch(AssertionError):
@@ -142,12 +139,6 @@ class RatMatrix:
         """The common denominator of the integer grid, in lowest terms."""
         return self._den
 
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        den = self._den
-        value = {a: Fraction(a, den) for a in set(chain.from_iterable(self._grid))}
-        return tuple(tuple(map(value.__getitem__, row)) for row in self._grid)
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return Fraction(self._grid[i][j], self._den)
@@ -207,9 +198,6 @@ class RatMatrix:
         return _lowest_terms(
             (map(mul, ra, rb) for ra, rb in zip(self._grid, other._grid)), self._den * other._den
         )
-
-    def transpose(self) -> RatMatrix:
-        return _lowest_terms(zip(*self._grid), self._den)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -345,9 +333,6 @@ class _IntRowReducer:
                 out = [a * rp - b * c for a, b in zip(out, row)]
                 out = _primitive(out)
         return out
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return _first_nonzero(self.residual(vec)) is None
 
     def insert(self, vec: Sequence[int]) -> bool:
         new = self.residual(vec)
@@ -511,31 +496,27 @@ class Orbitals:
 class MatrixSubspace:
     """A subspace of N-by-N matrices constant on the given orbitals.
 
-    Held as a canonical reduced basis of orbital vectors. Membership tests
-    and equality are exact. `spin` is a set S of orbital vectors that
-    generates the subspace as an algebra when it is one: a closure keeps
-    the generators it spun under, and any other subspace its own basis.
-    `closed` is True for a closure only, whose spinning proved the span
-    closed under multiplication; equality and hashing ignore both.
+    Held as a canonical reduced basis of orbital vectors, so equality in
+    one coordinate system is exact. `spin` is a set S of orbital vectors:
+    a closure keeps the generators it spun under, which generate it as an
+    algebra, and a plain span its own basis. Equality and hashing ignore S.
     """
 
-    __slots__ = ("orbitals", "_reducer", "spin", "closed")
+    __slots__ = ("orbitals", "_reducer", "spin")
 
     def __init__(
         self,
         orbitals: Orbitals,
         reducer: _IntRowReducer,
         spin: Sequence[Sequence[int]] | None = None,
-        closed: bool = False,
     ):
         self.orbitals = orbitals
         self._reducer = reducer
         self.spin = reducer.rows if spin is None else spin
-        self.closed = closed
 
     @classmethod
     def span(cls, orbitals: Orbitals, vectors: Iterable[Sequence[int]]) -> MatrixSubspace:
-        """Linear span of orbital vectors, with no closure certificate."""
+        """Linear span of orbital vectors."""
         red = _IntRowReducer(orbitals.count)
         for vec in vectors:
             red.insert(vec)
@@ -549,29 +530,11 @@ class MatrixSubspace:
     def dimension(self) -> int:
         return self._reducer.dimension
 
-    def contains(self, mat: RatMatrix) -> bool:
-        """Whether `mat` lies in the subspace; one not constant on every orbital does not."""
-        vec = self.orbitals._entries(mat)
-        return vec is not None and self._reducer.contains(vec)
-
-    def __contains__(self, mat: RatMatrix) -> bool:
-        return self.contains(mat)
-
-    def basis_matrices(self) -> list[RatMatrix]:
-        """The reduced basis, each element scaled to pivot entry 1."""
-        return [
-            self.orbitals.matrix(row, row[p])
-            for row, p in zip(self._reducer.rows, self._reducer.pivots)
-        ]
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixSubspace) or self.ambient_side != other.ambient_side:
-            return False
-        if self.orbitals.labels == other.orbitals.labels:
-            return self._reducer.rows == other._reducer.rows
-        # in any coordinates the canonical basis expands to the dense one
-        return self.dimension == other.dimension and (
-            self.basis_matrices() == other.basis_matrices()
+        return (
+            isinstance(other, MatrixSubspace)
+            and self.orbitals.labels == other.orbitals.labels
+            and self._reducer.rows == other._reducer.rows
         )
 
     def __hash__(self) -> int:
@@ -582,15 +545,6 @@ class MatrixSubspace:
             f"MatrixSubspace(side={self.ambient_side}, orbitals={self.orbitals.count}, "
             f"dim={self.dimension})"
         )
-
-
-def span_basis(mats: Sequence[RatMatrix]) -> MatrixSubspace:
-    """Linear span of the given square matrices, in the discrete (dense) coordinates."""
-    mats = list(mats)
-    if not mats:
-        raise EmptyInput("span of an empty list")
-    orbitals = Orbitals(mats[0].nrows)
-    return MatrixSubspace.span(orbitals, [orbitals.vector(m) for m in mats])
 
 
 def algebra_closure(
@@ -617,12 +571,13 @@ def algebra_closure(
     accepted ones, so it is not needed for spinning. The span is kept in
     canonical reduced echelon form, so the result does not depend on
     generator order or on the order of the walk; and because orbitals are
-    labelled in row-major order of their first pair, `basis_matrices()`
-    equals, row for row, the basis the same span has in dense coordinates.
+    labelled in row-major order of their first pair, its rows expand, each
+    scaled to pivot entry 1, to the basis the same span has in dense
+    coordinates.
 
-    The result keeps the accepted generators as its `spin` set S, and is
-    `closed`: every pool element is a word in S, so the walk is itself the
-    proof that the span is an algebra, and S generates it.
+    The result keeps the accepted generators as its `spin` set S. Every
+    pool element is a word in S, so the walk is itself the proof that the
+    span is an algebra, and S generates it.
     """
     gens = [orbitals.vector(g) for g in generators]
     if not gens:
@@ -643,7 +598,7 @@ def algebra_closure(
     for b in pool:  # also visits the products appended during the walk
         for g in spin:
             try_add(_primitive(orbitals.product(g, b)))
-    return MatrixSubspace(orbitals, red, spin, closed=True)
+    return MatrixSubspace(orbitals, red, spin)
 
 
 def center_dimension(alg: MatrixSubspace) -> int:
@@ -655,20 +610,11 @@ def center_dimension(alg: MatrixSubspace) -> int:
     the rank of the d vectors that concatenate [b, s] = bs - sb over S, one
     per basis element b. Every product runs in orbital coordinates.
 
-    A closure needs no further check that it is an algebra (see
-    `algebra_closure`). Any other subspace has S = its basis, and every
-    basis pair product b_i b_j is checked to stay inside; one that leaves
-    raises NotAnAlgebra.
+    `alg` must be an algebra, such as the result of `algebra_closure`,
+    whose spinning proves it closed under multiplication.
     """
     basis = alg._reducer.rows
     product = alg.orbitals.product
-    if not alg.closed:
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                if not alg._reducer.contains(product(a, b)):
-                    raise NotAnAlgebra(
-                        f"product of basis elements {i} and {j} leaves the subspace"
-                    )
     commutators = _IntRowReducer(len(alg.spin) * alg.orbitals.count)
     for b in basis:
         commutators.insert(

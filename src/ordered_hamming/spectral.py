@@ -22,12 +22,6 @@ if TYPE_CHECKING:
     from .terwilliger import Instance
 
 
-def factor_identity(qj: int) -> RatMatrix:
-    return RatMatrix.identity(qj)
-
-def factor_ones(qj: int) -> RatMatrix:
-    return RatMatrix.ones(qj)
-
 def factor_ones_normalized(qj: int) -> RatMatrix:
     return RatMatrix.ones(qj).scale(Fraction(1, qj))
 
@@ -69,8 +63,8 @@ def base_adjacency(params: SchemeParams) -> tuple[RatMatrix, ...]:
     """A_0 = identity; A_j flips coordinate j and frees everything before it."""
     q = params.q
     m = params.m
-    I = [factor_identity(qj) for qj in q]
-    J = [factor_ones(qj) for qj in q]
+    I = [RatMatrix.identity(qj) for qj in q]
+    J = [RatMatrix.ones(qj) for qj in q]
     mats = [kron_all(I)]
     for j in range(1, m + 1):
         factors = J[: j - 1] + [J[j - 1] - I[j - 1]] + I[j:]
@@ -82,7 +76,7 @@ def base_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
     """E_0 is the normalized all-ones product; E_j peels factors from the right."""
     q = params.q
     m = params.m
-    I = [factor_identity(qj) for qj in q]
+    I = [RatMatrix.identity(qj) for qj in q]
     Jt = [factor_ones_normalized(qj) for qj in q]
     mats = [kron_all(Jt)]
     for j in range(1, m + 1):
@@ -96,7 +90,7 @@ def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
     """Diagonal indicators of the depth-one relation classes seen from 0."""
     q = params.q
     m = params.m
-    I = [factor_identity(qj) for qj in q]
+    I = [RatMatrix.identity(qj) for qj in q]
     D = [factor_zero_unit(qj) for qj in q]
     mats = [kron_all(D)]
     for j in range(1, m + 1):

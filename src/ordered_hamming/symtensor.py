@@ -33,8 +33,9 @@ def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
 
     Parts with multiplicity zero are dropped first. The first-factor recursion
     is memoized on the remaining counts, so the work is one Kronecker product
-    per nonzero count in each of at most prod(c_i + 1) count states; without
-    the memo the calls would walk the whole prefix tree of arrangements.
+    per nonzero count in each of at most prod(c_i + 1) count states; a state
+    with one factor left is that factor. Without the memo the calls would
+    walk the whole prefix tree of arrangements.
     """
     kept = [(m, c) for m, c in parts if c]
     if not kept:
@@ -47,8 +48,8 @@ def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
 
     @cache
     def lift(rest: tuple[int, ...]) -> RatMatrix:
-        if not any(rest):
-            return RatMatrix.identity(1)
+        if sum(rest) == 1:
+            return mats[rest.index(1)]
         return mat_sum(
             kron(mats[i], lift(rest[:i] + (c - 1,) + rest[i + 1 :]))
             for i, c in enumerate(rest)

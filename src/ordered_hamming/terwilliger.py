@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate
 
 from .exact_linalg import (
     InternalMismatch,
@@ -43,7 +43,6 @@ from .scheme import (
 from .spectral import (
     BaseSpectralData,
     base_spectral,
-    factor_identity,
     factor_ones_normalized,
     factor_zero_unit,
     valency_n,
@@ -58,7 +57,7 @@ from .symtensor import lifted_sum
 
 def factor_h(qj: int) -> RatMatrix:
     """Rank-one idempotent supported away from the uniform vector."""
-    I = factor_identity(qj)
+    I = RatMatrix.identity(qj)
     jt = factor_ones_normalized(qj)
     d = factor_zero_unit(qj)
     core = (I - jt) * d * (I - jt)
@@ -67,7 +66,7 @@ def factor_h(qj: int) -> RatMatrix:
 
 def factor_h_star(qj: int) -> RatMatrix:
     """Rank-one idempotent supported away from the base letter."""
-    I = factor_identity(qj)
+    I = RatMatrix.identity(qj)
     jt = factor_ones_normalized(qj)
     d = factor_zero_unit(qj)
     core = (I - d) * jt * (I - d)
@@ -76,7 +75,7 @@ def factor_h_star(qj: int) -> RatMatrix:
 
 def factor_z(qj: int) -> RatMatrix:
     """Residual idempotent I - Jt - H; zero exactly when qj = 2."""
-    return factor_identity(qj) - factor_ones_normalized(qj) - factor_h(qj)
+    return RatMatrix.identity(qj) - factor_ones_normalized(qj) - factor_h(qj)
 
 
 @dataclass(frozen=True)
@@ -291,23 +290,24 @@ def _validate_inner_shape(lam: Shape, params: SchemeParams) -> None:
 
 
 def _theta_feasible(lam: Shape, mu: Shape, q: tuple[int, ...]) -> bool:
+    """Margin test by nested supports, for margins with one total.
+
+    Row k may use the columns A_k = {j : (k, j) survives}, and each A_k
+    lies inside A_{k+1} (checked). So rows 1..k together reach only A_k,
+    and by Hall's condition a grid exists exactly when
+    lam_1 + ... + lam_k <= sum of mu_j over A_k, for every k.
+    """
     m = len(q)
     allowed = _lambda_pairs(q)
-    total = sum(lam)
-    for imask in product((False, True), repeat=m):
-        rows = {i + 1 for i in range(m) if imask[i]}
-        for jmask in product((False, True), repeat=m):
-            cols = {j + 1 for j in range(m) if jmask[j]}
-            if any((i, j) in allowed for i in rows for j in cols):
-                continue
-            # rows and cols share no allowed cell, so their margins add up to at most n
-            if sum(lam[i - 1] for i in rows) + sum(mu[j - 1] for j in cols) > total:
-                return False
-    return True
+    supports = [{j for j in range(1, m + 1) if (i, j) in allowed} for i in range(1, m + 1)]
+    if any(not inner <= outer for inner, outer in zip(supports, supports[1:])):
+        raise InternalMismatch(f"surviving columns are not nested by row for q = {q}")
+    reach = [sum(mu[j - 1] for j in support) for support in supports]
+    return all(rows <= cols for rows, cols in zip(accumulate(lam), reach))
 
 
 def theta_feasible(lam: Shape, mu: Shape, params: SchemeParams) -> bool:
-    """Margin test for non-emptiness of the grid family, over all 4^m set pairs."""
+    """Margin test for non-emptiness of the grid family, m inequalities on nested supports."""
     _validate_inner_shape(lam, params)
     _validate_inner_shape(mu, params)
     return _theta_feasible(lam, mu, params.q)
@@ -453,7 +453,7 @@ def _mutually_annihilating(xs: tuple[RatMatrix, ...], ys: tuple[RatMatrix, ...])
 
 def _factor_identities_hold(q: tuple[int, ...], tw: TerwBasisSet) -> bool:
     for qj, h, hstar in zip(q, tw.H, tw.Hstar):
-        I = factor_identity(qj)
+        I = RatMatrix.identity(qj)
         jt = factor_ones_normalized(qj)
         d = factor_zero_unit(qj)
         z = I - jt - h
@@ -480,7 +480,7 @@ def _factor_identities_hold(q: tuple[int, ...], tw: TerwBasisSet) -> bool:
 def _g_product_regimes_hold(params: SchemeParams, tw: TerwBasisSet) -> bool:
     q = params.q
     m = params.m
-    I = [factor_identity(qj) for qj in q]
+    I = [RatMatrix.identity(qj) for qj in q]
     jt = [factor_ones_normalized(qj) for qj in q]
     dd = [factor_zero_unit(qj) for qj in q]
     G = (None,) + tw.G

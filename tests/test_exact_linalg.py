@@ -10,7 +10,6 @@ from ordered_hamming import (
     DimensionMismatch,
     EmptyInput,
     Instance,
-    NotAnAlgebra,
     Orbitals,
     RatMatrix,
     SchemeParams,
@@ -18,11 +17,12 @@ from ordered_hamming import (
     center_dimension,
     format_rational,
     kron,
-    span_basis,
     terwilliger_closure,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
 from ordered_hamming.exact_linalg import MatrixSubspace, _flat, _IntRowReducer
+
+from dense_oracle import basis_matrices, contains, span_basis
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -62,7 +62,7 @@ def test_trace_of_normalized_ones():
 
 def test_transpose_and_row_sums():
     m = RatMatrix([[1, 2], [3, 4]])
-    assert m.transpose() == RatMatrix([[1, 3], [2, 4]])
+    assert Orbitals(2).transpose(_flat(m)) == [1, 3, 2, 4]
     assert m.row_sums() == (Fraction(3), Fraction(7))
 
 
@@ -130,7 +130,7 @@ def test_span_basis_is_idempotent(mats):
     sub = span_basis(mats)
     if sub.dimension == 0:
         return
-    assert span_basis(sub.basis_matrices()) == sub
+    assert span_basis(basis_matrices(sub)) == sub
 
 
 @settings(max_examples=20, deadline=None)
@@ -151,8 +151,8 @@ def test_closure_is_multiplication_closed_and_order_invariant():
     orbitals = inst.orbitals
     sub = algebra_closure(gens, unital=True, orbitals=orbitals)
     assert sub.dimension == 5
-    basis = sub.basis_matrices()
-    assert all(x * y in sub for x in basis for y in basis)
+    basis = basis_matrices(sub)
+    assert all(contains(sub, x * y) for x in basis for y in basis)
     assert algebra_closure(list(reversed(gens)), unital=True, orbitals=orbitals) == sub
 
 
@@ -184,12 +184,6 @@ def test_center_of_commutative_closure_equals_dimension():
     assert center_dimension(sub) == sub.dimension == 3
 
 
-def test_center_rejects_non_algebra():
-    sub = span_basis([_matrix_unit(2, 0, 0), RatMatrix([[0, 1], [1, 0]])])
-    with pytest.raises(NotAnAlgebra):
-        center_dimension(sub)
-
-
 def test_matrix_json_round_trip():
     m = RatMatrix([[Fraction(-3, 2), 5], [0, Fraction(7, 3)]])
     blob = m.to_json()
@@ -203,8 +197,8 @@ def test_format_rational():
     assert format_rational(Fraction(10, 5)) == "2"
 
 
-def _frozen(grid):
-    return tuple(tuple(row) for row in grid)
+def _entries(m):
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def _ref_matmul(a, b):
@@ -233,11 +227,10 @@ def test_operations_match_fraction_reference(data):
         (A * W, _ref_matmul(a, w)),
         (A.scale(s), [[s * x for x in row] for row in a]),
         (A.hadamard(B), [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
-        (A.transpose(), [list(col) for col in zip(*a)]),
         (kron(A, W), _ref_kron(a, w)),
     ]
     for got, want in cases:
-        assert got.rows == _frozen(want)
+        assert _entries(got) == want
         assert got == RatMatrix(want) and hash(got) == hash(RatMatrix(want))
     assert SQ.trace() == sum((sq[i][i] for i in range(k)), Fraction(0))
     assert A.row_sums() == tuple(sum(row, Fraction(0)) for row in a)
@@ -311,7 +304,7 @@ def test_span_dimension_matches_sympy_rank(mats):
 def test_center_dimension_matches_sympy_commutant_rank(mats):
     sympy = pytest.importorskip("sympy")
     alg = algebra_closure(mats, unital=True, orbitals=Orbitals(3))
-    basis = [sympy.Matrix(3, 3, _vec(b)) for b in alg.basis_matrices()]
+    basis = [sympy.Matrix(3, 3, _vec(b)) for b in basis_matrices(alg)]
     d = len(basis)
     # column k stacks vec(B_k B_j - B_j B_k) over every basis element B_j
     columns = [
@@ -431,7 +424,7 @@ def test_terwilliger_closure_matches_pool_reference(q, n):
     duals = list(inst.duals.values())
     for generators, first in (("bm", inst.adjacency), ("idem", inst.idempotents)):
         reference = pool_closure(list(first.values()) + duals, unital=True)
-        assert terwilliger_closure(inst, generators) == reference
+        assert basis_matrices(terwilliger_closure(inst, generators)) == basis_matrices(reference)
 
 
 def test_component_closures_match_pool_reference(monkeypatch):
@@ -448,7 +441,7 @@ def test_component_closures_match_pool_reference(monkeypatch):
     pieces = [call for call in calls if not call[1]]
     assert pieces
     for gens, unital, sub in pieces:
-        assert sub == pool_closure(gens, unital)
+        assert basis_matrices(sub) == basis_matrices(pool_closure(gens, unital))
 
 
 def test_discrete_orbitals_are_the_row_major_vectorization():
@@ -492,7 +485,8 @@ def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
     mats = [e * a for e in inst.duals.values() for a in inst.adjacency.values()]
     mats.append(RatMatrix.ones(inst.params.num_points))
     for a in mats:
-        assert orbitals.matrix(orbitals.transpose(orbitals.vector(a))) == a.transpose()
+        transposed = RatMatrix([list(col) for col in zip(*_entries(a))])
+        assert orbitals.matrix(orbitals.transpose(orbitals.vector(a))) == transposed
         for b in mats:
             got = orbitals.product(orbitals.vector(a), orbitals.vector(b))
             assert orbitals.matrix(got) == a * b
@@ -502,9 +496,9 @@ def test_closure_keeps_its_spin_generators_and_a_span_its_basis():
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     orbitals = Orbitals(3)
     sub = algebra_closure([a, a.scale(3), RatMatrix.zeros(3)], unital=False, orbitals=orbitals)
-    assert sub.closed and sub.spin == [orbitals.vector(a)]
+    assert sub.spin == [orbitals.vector(a)]
     span = span_basis([a, a * a])
-    assert not span.closed and span.spin == [orbitals.vector(m) for m in span.basis_matrices()]
+    assert span.spin == [orbitals.vector(m) for m in basis_matrices(span)]
     assert span == sub and hash(span) == hash(sub)
 
 
@@ -523,10 +517,10 @@ def test_subspace_equality_across_coordinates():
     orbital = algebra_closure(gens, unital=True, orbitals=inst.orbitals)
     dense = dense_closure(gens, unital=True)
     assert orbital.orbitals.count == 15 < dense.orbitals.count == 81
-    assert orbital == dense and hash(orbital) == hash(dense)
-    assert orbital != span_basis(gens)
-    assert RatMatrix.identity(9) in orbital
-    assert RatMatrix.diagonal([0, 1] + [0] * 7) not in orbital
+    # spans compare only in one coordinate system; their dense bases agree
+    assert orbital != dense and basis_matrices(orbital) == basis_matrices(dense)
+    assert contains(orbital, RatMatrix.identity(9))
+    assert not contains(orbital, RatMatrix.diagonal([0, 1] + [0] * 7))
 
 
 def _label(value):
@@ -544,7 +538,7 @@ def test_terwilliger_closure_matches_dense_oracle(q, n):
         got = terwilliger_closure(inst, generators)
         assert got.orbitals is inst.orbitals
         want = dense_closure(list(first.values()) + duals, unital=True)
-        assert got.basis_matrices() == want.basis_matrices()
+        assert basis_matrices(got) == basis_matrices(want)
 
 
 @pytest.mark.parametrize("q,n", [((3,), 2), ((2, 2), 2), ((3,), 3)], ids=_label)
@@ -562,4 +556,4 @@ def test_component_closures_match_dense_oracle(monkeypatch, q, n):
     pieces = [call for call in calls if not call[1]]
     assert len(pieces) == n + 1
     for gens, unital, sub in pieces:
-        assert sub.basis_matrices() == dense_closure(gens, unital).basis_matrices()
+        assert basis_matrices(sub) == basis_matrices(dense_closure(gens, unital))

@@ -180,12 +180,12 @@ def test_multiplicity_formula_matches_traces():
 
 @pytest.mark.parametrize("q,n", [((2,), 2), ((2, 3), 1), ((2, 2), 2)])
 def test_adjacency_span_is_already_closed(q, n):
-    from ordered_hamming import algebra_closure, span_basis
+    from ordered_hamming import MatrixSubspace, algebra_closure
 
     params = SchemeParams(q, n)
     inst = Instance(params)
     mats = list(inst.adjacency.values())
-    span = span_basis(mats)
+    span = MatrixSubspace.span(inst.orbitals, map(inst.orbitals.vector, mats))
     closed = algebra_closure(mats, unital=True, orbitals=inst.orbitals)
     assert span == closed
     assert closed.dimension == params.class_count

@@ -17,11 +17,12 @@ from ordered_hamming import (
     kron_all,
     lifted_sum,
     multinomial,
-    span_basis,
     terw_basis,
 )
 from ordered_hamming import exact_linalg, symtensor
 from ordered_hamming.exact_linalg import EmptyInput, mat_sum
+
+from dense_oracle import basis_matrices, span_basis
 
 A = RatMatrix([[1, 2], [3, 4]])
 B = RatMatrix([[0, 1], [1, 1]])
@@ -80,7 +81,8 @@ def test_arrangement_count_is_multinomial(counts):
 
 def test_lifted_sum_makes_one_kron_per_nonzero_count_per_state(monkeypatch):
     # counts (4, 4): 16 states with both counts nonzero make 2 products each,
-    # 8 with one nonzero make 1; one chain per arrangement would make 70 * 7
+    # 8 with one nonzero make 1, except the leaves (1, 0) and (0, 1), which
+    # are the factors themselves; one chain per arrangement would make 70 * 7
     calls = []
 
     def counting_kron(a, b):
@@ -90,7 +92,7 @@ def test_lifted_sum_makes_one_kron_per_nonzero_count_per_state(monkeypatch):
     monkeypatch.setattr(symtensor, "kron", counting_kron, raising=False)
     monkeypatch.setattr(exact_linalg, "kron", counting_kron)
     lifted_sum([(A, 4), (B, 4)])
-    assert len(calls) == 16 * 2 + 8 * 1
+    assert len(calls) == 16 * 2 + 6 * 1
 
 
 def test_lifted_sum_two_singletons():
@@ -140,8 +142,7 @@ def permute_positions(mat: RatMatrix, perm: Sequence[int], base: int) -> RatMatr
         for r in range(n):
             s = s * base + dx[perm[r]]
         source.append(s)
-    rows = mat.rows
-    return RatMatrix([[rows[source[i]][source[j]] for j in range(size)] for i in range(size)])
+    return RatMatrix([[mat[source[i], source[j]] for j in range(size)] for i in range(size)])
 
 
 def symmetrizer_average(mat: RatMatrix, n: int, base: int) -> RatMatrix:
@@ -230,7 +231,8 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
     shapes = compositions(n, params1.m + 1)
     full_span = span_basis([lifted_sum(list(zip(data.E, lam))) for lam in shapes])
     orbitals = Instance(SchemeParams((2, 2), n)).orbitals
-    assert algebra_closure(gens, unital=True, orbitals=orbitals) == full_span
+    closure = algebra_closure(gens, unital=True, orbitals=orbitals)
+    assert basis_matrices(closure) == basis_matrices(full_span)
 
 
 @pytest.mark.parametrize("q,expected", [((2, 2), 3), ((2, 3), 6)])
@@ -241,7 +243,7 @@ def test_sym_product_span_dimension_multiplies(q, expected):
     g_span = span_basis([g for g in tw.G if not g.is_zero()])
     pairs = [
         lifted_sum([(f, 1), (g, 1)])
-        for f in f_span.basis_matrices()
-        for g in g_span.basis_matrices()
+        for f in basis_matrices(f_span)
+        for g in basis_matrices(g_span)
     ]
     assert span_basis(pairs).dimension == f_span.dimension * g_span.dimension == expected

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,6 @@ from ordered_hamming import (
     intersection_numbers,
     primary_subalgebra,
     shape_of,
-    span_basis,
     structure_report,
     terwilliger_closure,
     theta_enumerate,
@@ -29,6 +29,8 @@ from ordered_hamming import (
     verify_terw_identities,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
+
+from dense_oracle import contains, span_basis
 
 
 def test_basis_families_in_binary_single_case():
@@ -124,6 +126,44 @@ def test_theta_feasibility_examples():
     assert not theta_feasible((2, 0), (0, 2), params)
     assert not theta_feasible((2, 0), (2, 0), params)
     assert theta_feasible((0, 2), (1, 1), SchemeParams((2, 3), 2))
+
+
+def scan_feasible(lam, mu, q):
+    """Reference margin test over all 4^m pairs of a row set and a column set.
+
+    Rows and columns that share no surviving cell hold disjoint parts of a
+    grid, so their margins add up to at most n when a grid exists.
+    """
+    m = len(q)
+    allowed = lambda_set(SchemeParams(q, 1)).pairs
+    subsets = [[k for k in range(1, m + 1) if mask >> (k - 1) & 1] for mask in range(2**m)]
+    for rows in subsets:
+        for cols in subsets:
+            if any((i, j) in allowed for i in rows for j in cols):
+                continue
+            if sum(lam[i - 1] for i in rows) + sum(mu[j - 1] for j in cols) > sum(lam):
+                return False
+    return True
+
+
+def test_nested_margin_test_matches_the_set_pair_scan():
+    from ordered_hamming import compositions
+
+    for m in range(1, 5):
+        for q in product((2, 3), repeat=m):
+            for n in (1, 2):
+                params = SchemeParams(q, n)
+                inner = compositions(n, m)
+                for lam in inner:
+                    for mu in inner:
+                        assert theta_feasible(lam, mu, params) == scan_feasible(lam, mu, q)
+
+
+def test_margin_test_rejects_supports_that_are_not_nested(monkeypatch):
+    # row 1 may use column 1 only and row 2 column 2 only: neither contains the other
+    monkeypatch.setattr(terwilliger_module, "_lambda_pairs", lambda q: frozenset({(1, 1), (2, 2)}))
+    with pytest.raises(InternalMismatch, match="not nested"):
+        theta_feasible((1, 1), (1, 1), SchemeParams((2, 2), 2))
 
 
 @pytest.mark.parametrize(
@@ -264,7 +304,8 @@ def test_generator_agreement_fails_for_an_idempotent_outside_the_seed_span(monke
     lam = inst.shapes[1]
     # in T, so both closures are still T; only the seed spans differ
     stray = inst.adjacency[lam] * inst.duals[lam]
-    assert not span_basis(list(inst.adjacency.values()) + list(inst.duals.values())).contains(stray)
+    seeds = span_basis(list(inst.adjacency.values()) + list(inst.duals.values()))
+    assert not contains(seeds, stray)
     monkeypatch.setattr(inst, "idempotents", {**inst.idempotents, lam: stray})
     assert structure_report(inst).checks["generator_sets_agree"] is False
 
@@ -408,23 +449,3 @@ def test_each_family_is_built_once_per_instance(monkeypatch):
         work(Instance(SchemeParams((3,), 2)))
         assert {key[0] for key in builds} == built, work.__name__
         assert max(builds.values()) == 1, [key for key, count in builds.items() if count > 1]
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_structure_report_stays_on_the_integer_grid(monkeypatch, n):
-    """The report never reads `RatMatrix.rows`, which rebuilds a Fraction grid.
-
-    X(1,n;3) has both F and G factors at every split 0 < d < n, so the
-    spanning sets of `component_dims` are built from mixed lifted sums.
-    """
-    reads = 0
-    plain_rows = RatMatrix.rows
-
-    def counting_rows(self):
-        nonlocal reads
-        reads += 1
-        return plain_rows.fget(self)
-
-    monkeypatch.setattr(RatMatrix, "rows", property(counting_rows))
-    structure_report(Instance(SchemeParams((3,), n)))
-    assert reads == 0
