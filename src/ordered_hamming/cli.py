@@ -178,9 +178,8 @@ def _cmd_scheme_verify(args, parser) -> dict:
     inst = Instance(params, args.max_points)
     checks = verify_axioms(inst)
     table = intersection_numbers(inst)
-    return _run_report(
-        "scheme-verify", params, checks, {"intersection_numbers": intersection_table_json(table)}
-    )
+    data = {"intersection_numbers": None if table is None else intersection_table_json(table)}
+    return _run_report("scheme-verify", params, checks, data)
 
 
 def _cmd_adjacency(args, parser) -> dict:

@@ -106,11 +106,6 @@ class RatMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int | None = None) -> RatMatrix:
-        ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, n: int) -> RatMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -211,20 +206,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self._grid))
-
-    def first_nonzero(self) -> tuple[int, int] | None:
-        """(row, col) of the first nonzero entry in row-major order, None if zero."""
-        for r, row in enumerate(self._grid):
-            c = _first_nonzero(row)
-            if c is not None:
-                return r, c
-        return None
-
-    def is_symmetric(self) -> bool:
-        return self._grid == tuple(zip(*self._grid))
-
-    def is_zero_one(self) -> bool:
-        return self._den == 1 and set(chain.from_iterable(self._grid)) <= {0, 1}
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,12 +10,13 @@ constructions elsewhere.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_linalg import InternalMismatch, Orbitals, RatMatrix, mat_sum
+from .exact_linalg import InternalMismatch, Orbitals, RatMatrix
 
 if TYPE_CHECKING:
     from .terwilliger import Instance
@@ -28,10 +29,6 @@ Point = tuple[tuple[int, ...], ...]
 
 class SizeBound(ValueError):
     """|X^n| exceeds the configured bound for matrix-producing operations."""
-
-
-class AxiomViolation(ValueError):
-    """A quantity that must be relation-constant is not."""
 
 
 @dataclass(frozen=True)
@@ -132,11 +129,22 @@ def shape_of(x: Point, params: SchemeParams) -> Shape:
 def pair_shapes(params: SchemeParams) -> list[Shape]:
     """shape_of(x - y) for every pair of points, row-major.
 
-    Equal shapes are one tuple object, so the N^2 entries hold only pointers.
+    Entry j of the shape counts the blocks whose last differing coordinate
+    is j (0 where the blocks agree). One table over pairs of blocks holds
+    (n + 1)**j for that j, so the shape of a pair, read in base n + 1, is a
+    sum of n lookups. Equal shapes are one tuple object, so the N^2 entries
+    hold only pointers.
     """
-    pts = iter_points(params)
-    shared = {lam: lam for lam in enumerate_shapes(params)}
-    return [shared[shape_of(point_sub(x, y, params), params)] for x in pts for y in pts]
+    base = params.n + 1
+    blocks = list(product(*(range(qj) for qj in params.q)))
+
+    def last_differing(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        return max((j for j, (u, v) in enumerate(zip(a, b), 1) if u != v), default=0)
+
+    digit = [[base ** last_differing(a, b) for b in blocks] for a in blocks]
+    shared = {sum(c * base**j for j, c in enumerate(lam)): lam for lam in enumerate_shapes(params)}
+    pts = list(product(range(len(blocks)), repeat=params.n))
+    return [shared[sum(digit[a][b] for a, b in zip(x, y))] for x in pts for y in pts]
 
 
 def relation_matrix(lam: Shape, sweep: Sequence[Shape]) -> RatMatrix:
@@ -213,77 +221,59 @@ def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbital
     return Orbitals(npts, maps)
 
 
-def _decompose_product(
-    mats: dict[Shape, RatMatrix],
-    samples: dict[Shape, tuple[int, int]],
-    i: Shape,
-    j: Shape,
-) -> dict[Shape, int] | None:
-    """Write A_i A_j as a relation-constant combination, or None if impossible.
+def intersection_counts(sweep: Sequence[Shape]) -> dict[Shape, Counter] | None:
+    """p^k_ij as {k: Counter({(i, j): p})}, counted from the `pair_shapes` sweep.
 
-    `samples[k]` is one pair in relation k; relations without a pair are left out.
+    Entry (x, y) of A_i A_j is #{z : sweep[x, z] = i, sweep[z, y] = j}, so
+    Counter(zip(row x, column y)) is that entry for every (i, j) at once.
+    Relation k keeps the counts of its first pair in row-major order; None
+    if any other pair of k counts differently, since then p^k_ij is not
+    defined.
     """
-    prod = mats[i] * mats[j]
-    coeffs: dict[Shape, int] = {}
-    terms = []
-    for k, sample in samples.items():
-        p = prod[sample]
-        if p.denominator != 1:
-            return None
-        coeffs[k] = int(p)
-        if p:
-            terms.append(mats[k].scale(p))
-    recon = mat_sum(terms) if terms else RatMatrix.zeros(prod.nrows)
-    if recon != prod:
-        return None
-    return coeffs
+    npts = math.isqrt(len(sweep))
+    rows = [sweep[x * npts : (x + 1) * npts] for x in range(npts)]
+    cols = list(zip(*rows))
+    first: dict[Shape, Counter] = {}
+    for row in rows:
+        for k, col in zip(row, cols):
+            counts = Counter(zip(row, col))
+            if first.setdefault(k, counts) != counts:
+                return None
+    return first
 
 
-def decompose_products(
-    mats: dict[Shape, RatMatrix],
-) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
-    """Every ordered product A_i A_j as relation coefficients, None where impossible."""
-    # sample the first pair in each relation, once for all products
-    firsts = {k: ak.first_nonzero() for k, ak in mats.items()}
-    samples = {k: pos for k, pos in firsts.items() if pos is not None}
-    return {(i, j): _decompose_product(mats, samples, i, j) for i in mats for j in mats}
+def verify_axioms(inst: Instance) -> dict[str, bool | None]:
+    """Check the five association-scheme axioms on every pair of the sweep.
 
-
-def verify_axioms(inst: Instance) -> dict[str, bool]:
-    """Exhaustively check the five association-scheme axioms."""
-    mats = inst.relations
+    R5 is None (vacuous) when R4 fails, as the p^k_ij are then undefined.
+    """
+    sweep = inst.pair_shapes
     shapes = inst.shapes
     npts = inst.params.num_points
-    diag = mats[shapes[0]] == RatMatrix.identity(npts)
-    partition = mat_sum(mats.values()) == RatMatrix.ones(npts) and all(
-        mats[lam].is_zero_one() for lam in shapes
-    )
-    symmetric = all(mats[lam].is_symmetric() for lam in shapes)
-    tables = inst.products
-    well_defined = None not in tables.values()
-    commute = not well_defined or all(
-        tables[(i, j)] == tables[(j, i)] for i in shapes for j in shapes
-    )
+    counts = inst.intersection_counts
+    transposed = [s for y in range(npts) for s in sweep[y::npts]]
     return {
-        "R1_diagonal_relation": diag,
-        "R2_partition": partition,
-        "R3_symmetric": symmetric,
-        "R4_constants_well_defined": well_defined,
-        "R5_constants_commute": commute,
+        "R1_diagonal_relation": all(
+            (lam == shapes[0]) == (r % (npts + 1) == 0) for r, lam in enumerate(sweep)
+        ),
+        "R2_partition": set(sweep) <= set(shapes),
+        "R3_symmetric": transposed == list(sweep),
+        "R4_constants_well_defined": counts is not None,
+        "R5_constants_commute": None
+        if counts is None
+        else all(c[i, j] == c[j, i] for c in counts.values() for i in shapes for j in shapes),
     }
 
 
-def intersection_numbers(inst: Instance) -> dict[tuple[Shape, Shape, Shape], int]:
-    """Table of p^k_{ij}, sampled per relation and verified against A_i A_j."""
-    table: dict[tuple[Shape, Shape, Shape], int] = {}
-    for (i, j), coeffs in inst.products.items():
-        if coeffs is None:
-            raise AxiomViolation(
-                f"A_{i} A_{j} is not relation-constant on {inst.params.label()}"
-            )
-        for k, p in coeffs.items():
-            table[(i, j, k)] = p
-    return table
+def intersection_numbers(inst: Instance) -> dict[tuple[Shape, Shape, Shape], int] | None:
+    """Table of p^k_{ij} over the relations that have a pair, or None if R4 fails."""
+    counts = inst.intersection_counts
+    if counts is None:
+        return None
+    shapes = inst.shapes
+    return {
+        (i, j, k): counts[k][i, j] for i in shapes for j in shapes for k in shapes if k in counts
+    }
 
 
 def intersection_table_json(table: dict[tuple[Shape, Shape, Shape], int]) -> list[dict]:

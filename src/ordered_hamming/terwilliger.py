@@ -11,6 +11,7 @@ predictions to compare against, never as answers to hard-code.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,8 +31,8 @@ from .scheme import (
     SchemeParams,
     Shape,
     compositions,
-    decompose_products,
     enumerate_shapes,
+    intersection_counts,
     iter_points,
     pair_shapes,
     point_sub,
@@ -171,7 +172,7 @@ class Instance:
 
     @cached_property
     def pair_shapes(self) -> tuple[Shape, ...]:
-        """shape_of(x - y) for every pair, one sweep shared by `relations` and `orbitals`."""
+        """The `pair_shapes` sweep, shared by `relations`, `intersection_counts` and `orbitals`."""
         return tuple(pair_shapes(self.params))
 
     @cached_property
@@ -179,8 +180,9 @@ class Instance:
         return {lam: relation_matrix(lam, self.pair_shapes) for lam in self.shapes}
 
     @cached_property
-    def products(self) -> dict[tuple[Shape, Shape], dict[Shape, int] | None]:
-        return decompose_products(self.relations)
+    def intersection_counts(self) -> dict[Shape, Counter] | None:
+        """p^k_ij counted from the sweep; None if some p^k_ij is not relation-constant."""
+        return intersection_counts(self.pair_shapes)
 
     def _lift(self, base: tuple[RatMatrix, ...]) -> dict[Shape, RatMatrix]:
         return {lam: lifted_sum(list(zip(base, lam))) for lam in self.shapes}

@@ -45,12 +45,13 @@ def test_scheme_verify_command(capsys):
 
 
 # SHA-256 of stdout. `suite` never calls intersection_numbers, so the suite
-# digest does not cover this path.
+# digest does not cover this path. X(2,3;2,2) has 64 points and 10 relations.
 @pytest.mark.parametrize(
     "q,n,digest",
     [
         ("2,3", "1", "3f9bfb46f2ec9f659db844d387be09d1c66a882703bda20ba561741efb6da119"),
         ("2", "2", "c0f41a256a3e1deebb60372fe67c961a206e69998e1ebb23f053f3978e3c91b8"),
+        ("2,2", "3", "ecf986c793b711b6a3a6e529094ac5b06b30082857798b70c0ee763fec1d8f33"),
     ],
 )
 def test_scheme_verify_golden_output(capsys, q, n, digest):
@@ -58,6 +59,31 @@ def test_scheme_verify_golden_output(capsys, q, n, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scheme_verify_reports_a_failed_r4_and_exits_1(capsys, monkeypatch):
+    """Moving the pair {1, 2} of X(1,2;3) into another relation keeps the sweep symmetric."""
+    plain = terwilliger_module.pair_shapes
+
+    def doctored(params):
+        sweep = plain(params)
+        npts = params.num_points
+        assert sweep[1 * npts + 2] == (1, 1)
+        sweep[1 * npts + 2] = sweep[2 * npts + 1] = (0, 2)
+        return sweep
+
+    monkeypatch.setattr(terwilliger_module, "pair_shapes", doctored)
+    code, payload = run_cli(capsys, "scheme-verify", "--q", "3", "--n", "2", "--json")
+    assert code == 1
+    assert payload["checks"] == {
+        "R1_diagonal_relation": True,
+        "R2_partition": True,
+        "R3_symmetric": True,
+        "R4_constants_well_defined": False,
+        "R5_constants_commute": None,
+    }
+    assert payload["overall_pass"] is False
+    assert payload["data"] == {"intersection_numbers": None}
 
 
 # SHA-256 of stdout. The suite runs no instance with both F and G factors at

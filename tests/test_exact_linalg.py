@@ -22,7 +22,7 @@ from ordered_hamming import (
 from ordered_hamming.cli import SUITE_INSTANCES
 from ordered_hamming.exact_linalg import MatrixSubspace, _flat, _IntRowReducer
 
-from dense_oracle import basis_matrices, contains, span_basis
+from dense_oracle import basis_matrices, contains, is_zero_one, span_basis
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -235,8 +235,6 @@ def test_operations_match_fraction_reference(data):
     assert SQ.trace() == sum((sq[i][i] for i in range(k)), Fraction(0))
     assert A.row_sums() == tuple(sum(row, Fraction(0)) for row in a)
     assert all(A[i, j] == a[i][j] for i in range(r) for j in range(k))
-    nonzeros = ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
-    assert A.first_nonzero() == next(nonzeros, None)
     assert A.to_json() == {"rows": r, "cols": k, "entries": [[str(x) for x in row] for row in a]}
 
 
@@ -244,7 +242,7 @@ def test_operations_match_fraction_reference(data):
 @given(matrices)
 def test_lowest_terms_make_equality_structural(m):
     for got, want in [
-        (m - m, RatMatrix.zeros(m.nrows, m.ncols)),
+        (m - m, RatMatrix([[0] * m.ncols] * m.nrows)),
         (m.scale(6).scale(Fraction(1, 6)), m),
         ((m + m) - m, m),
     ]:
@@ -277,7 +275,7 @@ def test_integer_rows_make_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     relations = inst.relations
     monkeypatch.undo()
-    assert len(relations) == 3 and all(r.is_zero_one() for r in relations.values())
+    assert len(relations) == 3 and all(map(is_zero_one, relations.values()))
     assert made == 0
 
 
@@ -389,7 +387,7 @@ def test_closure_of_nilpotent_matrix_unit():
 
 
 def test_closure_skips_zero_generator():
-    zero = RatMatrix.zeros(3)
+    zero = RatMatrix([[0] * 3] * 3)
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for unital in (False, True):
         got = closure3([zero, a], unital)
@@ -410,7 +408,7 @@ def test_closure_of_multiple_of_identity():
 
 def test_closure_with_all_later_generators_dependent():
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    gens = [a, a.scale(3), -a, RatMatrix.zeros(3)]
+    gens = [a, a.scale(3), -a, RatMatrix([[0] * 3] * 3)]
     for unital in (False, True):
         got = closure3(gens, unital)
         assert got == closure3([a], unital) == pool_closure(gens, unital)
@@ -495,7 +493,7 @@ def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
 def test_closure_keeps_its_spin_generators_and_a_span_its_basis():
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     orbitals = Orbitals(3)
-    sub = algebra_closure([a, a.scale(3), RatMatrix.zeros(3)], unital=False, orbitals=orbitals)
+    sub = algebra_closure([a, a.scale(3), RatMatrix([[0] * 3] * 3)], unital=False, orbitals=orbitals)
     assert sub.spin == [orbitals.vector(a)]
     span = span_basis([a, a * a])
     assert span.spin == [orbitals.vector(m) for m in basis_matrices(span)]

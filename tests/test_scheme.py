@@ -1,6 +1,12 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordered_hamming.scheme as scheme_module
+import ordered_hamming.terwilliger as terwilliger_module
+from ordered_hamming.cli import main
 from ordered_hamming.scheme import pair_shapes
 from ordered_hamming import (
     Instance,
@@ -12,12 +18,21 @@ from ordered_hamming import (
     intersection_numbers,
     iter_points,
     point_sub,
+    relation_matrix,
     shape_of,
     stabilizer_maps,
     stabilizer_orbitals,
     valency_n,
     verify_axioms,
 )
+
+from dense_oracle import dense_scheme_checks, is_symmetric, is_zero_one
+
+
+def reference_pair_shapes(params):
+    """The definition, pair by pair: shape_of(x - y) for all N^2 pairs, row-major."""
+    pts = iter_points(params)
+    return [shape_of(point_sub(x, y, params), params) for x in pts for y in pts]
 
 
 def test_params_validation():
@@ -77,8 +92,8 @@ def test_relations_partition_all_pairs(q, n):
     mats = Instance(params).relations
     total = None
     for mat in mats.values():
-        assert mat.is_symmetric()
-        assert mat.is_zero_one()
+        assert is_symmetric(mat)
+        assert is_zero_one(mat)
         total = mat if total is None else total + mat
     assert total == RatMatrix.ones(params.num_points)
 
@@ -136,8 +151,26 @@ def test_size_bound_enforced():
     assert all(verify_axioms(Instance(params, max_points=16)).values())
 
 
-def test_axioms_and_intersection_numbers_share_one_product_pass(monkeypatch):
+def test_axioms_and_intersection_numbers_count_the_sweep_once_per_instance(monkeypatch):
+    passes = []
+    plain = terwilliger_module.intersection_counts
+
+    def counting(sweep):
+        passes.append(len(sweep))
+        return plain(sweep)
+
+    monkeypatch.setattr(terwilliger_module, "intersection_counts", counting)
+    for params in (SchemeParams((2, 3), 1), SchemeParams((2,), 2)):
+        inst = Instance(params)
+        verify_axioms(inst)
+        intersection_numbers(inst)
+        verify_axioms(inst)
+    assert passes == [36, 16]
+
+
+def test_scheme_verify_builds_no_matrix(monkeypatch, capsys):
     products = []
+    relations = []
     plain_mul = RatMatrix.__mul__
 
     def counting_mul(self, other):
@@ -145,11 +178,93 @@ def test_axioms_and_intersection_numbers_share_one_product_pass(monkeypatch):
             products.append((self.nrows, other.ncols))
         return plain_mul(self, other)
 
+    def counted_relation(module):
+        plain = module.relation_matrix
+
+        def counting(lam, sweep):
+            relations.append(lam)
+            return plain(lam, sweep)
+
+        return counting
+
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    for module in (scheme_module, terwilliger_module):
+        monkeypatch.setattr(module, "relation_matrix", counted_relation(module))
+    assert main(["scheme-verify", "--q", "2,3", "--n", "1", "--json"]) == 0
+    assert '"R4_constants_well_defined":true' in capsys.readouterr().out
+    assert products == [] and relations == []
+    # the counters see the dense path when it is taken
     inst = Instance(SchemeParams((2, 3), 1))
-    verify_axioms(inst)
-    intersection_numbers(inst)
-    assert len(products) == len(inst.shapes) ** 2
+    identity = inst.relations[inst.shapes[0]]
+    assert identity * identity == identity
+    assert len(relations) == len(inst.shapes) and len(products) == 1
+
+
+@pytest.mark.parametrize("q,n", [((5, 6), 1), ((2, 3), 2), ((2, 2), 3)])
+def test_pair_shapes_matches_the_definition(q, n):
+    params = SchemeParams(q, n)
+    sweep = pair_shapes(params)
+    assert sweep == reference_pair_shapes(params)
+    # equal shapes are one object
+    assert len({id(lam) for lam in sweep}) == len(set(sweep))
+
+
+@pytest.mark.parametrize("q,n", [((2,), 2), ((3,), 2), ((2, 3), 1), ((2, 2), 2)])
+def test_sweep_counts_match_dense_decomposition_on_schemes(q, n):
+    inst = Instance(SchemeParams(q, n))
+    checks, table = dense_scheme_checks(inst.shapes, inst.relations)
+    assert all(checks.values())
+    assert verify_axioms(inst) == checks
+    assert list(intersection_numbers(inst).items()) == list(table.items())
+
+
+@st.composite
+def symmetric_labellings(draw):
+    """A symmetric labelling of 2-7 points by 2-4 labels.
+
+    Half of them keep the first label for the diagonal and only there.
+    """
+    npts = draw(st.integers(min_value=2, max_value=7))
+    labels = [(k,) for k in range(draw(st.integers(min_value=2, max_value=4)))]
+    diagonal_apart = draw(st.booleans())
+    upper = {}
+    for x in range(npts):
+        for y in range(x, npts):
+            if diagonal_apart:
+                upper[x, y] = labels[0] if x == y else draw(st.sampled_from(labels[1:]))
+            else:
+                upper[x, y] = draw(st.sampled_from(labels))
+    sweep = tuple(upper[min(x, y), max(x, y)] for x in range(npts) for y in range(npts))
+    return labels, sweep
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_labellings())
+def test_sweep_counts_match_dense_decomposition_on_any_labelling(labelling):
+    labels, sweep = labelling
+    npts = math.isqrt(len(sweep))
+    inst = Instance(SchemeParams((npts,), 1))
+    inst.shapes = labels
+    inst.__dict__["pair_shapes"] = sweep
+    mats = {lam: relation_matrix(lam, sweep) for lam in labels}
+    checks, table = dense_scheme_checks(labels, mats)
+    assert verify_axioms(inst) == checks
+    got = intersection_numbers(inst)
+    assert (got is None) == (table is None)
+    assert got is None or list(got.items()) == list(table.items())
+
+
+@pytest.mark.parametrize(
+    "pair,label,failed",
+    [(0, (1, 1), "R1_diagonal_relation"), (1, (1,), "R2_partition"), (1, (0, 2), "R3_symmetric")],
+)
+def test_doctored_sweep_fails_r1_to_r3(pair, label, failed):
+    params = SchemeParams((3,), 2)
+    sweep = pair_shapes(params)
+    sweep[pair] = label
+    inst = Instance(params)
+    inst.__dict__["pair_shapes"] = tuple(sweep)
+    assert verify_axioms(inst)[failed] is False
 
 
 @pytest.mark.parametrize(
