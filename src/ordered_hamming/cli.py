@@ -24,7 +24,6 @@ from .scheme import (
     enumerate_shapes,
     intersection_numbers,
     intersection_table_json,
-    pair_shapes,
     relation_matrix,
     verify_axioms,
 )
@@ -186,9 +185,9 @@ def _cmd_adjacency(args, parser) -> dict:
     params = _params_from_args(args, parser)
     shape = _parse_shape(args.shape, params.m + 1, params.n, parser, "--shape")
     inst = Instance(params, args.max_points)
-    # one lift and one relation, not the whole families, and no sweep kept
+    # one lift and one relation, not the whole families
     lifted = lifted_sum(list(zip(inst.spectral.A, shape)))
-    checks = {"matches_relation_matrix": lifted == relation_matrix(shape, pair_shapes(params))}
+    checks = {"matches_relation_matrix": lifted == relation_matrix(shape, inst.pair_shapes)}
     data = {
         "shape": list(shape),
         "valency": valency_n(shape, params),

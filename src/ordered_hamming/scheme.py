@@ -105,29 +105,8 @@ def iter_points(params: SchemeParams) -> list[Point]:
     return [tuple(p) for p in product(blocks, repeat=params.n)]
 
 
-def point_sub(x: Point, y: Point, params: SchemeParams) -> Point:
-    return tuple(
-        tuple((a - b) % qj for a, b, qj in zip(bx, by, params.q))
-        for bx, by in zip(x, y)
-    )
-
-
-def shape_of(x: Point, params: SchemeParams) -> Shape:
-    """Shape of a point: entry j counts blocks whose last nonzero coordinate sits at j."""
-    m = params.m
-    lam = [0] * (m + 1)
-    for block in x:
-        last = 0
-        for j in range(m, 0, -1):
-            if block[j - 1] != 0:
-                last = j
-                break
-        lam[last] += 1
-    return tuple(lam)
-
-
 def pair_shapes(params: SchemeParams) -> list[Shape]:
-    """shape_of(x - y) for every pair of points, row-major.
+    """The shape of x - y for every pair of points, row-major.
 
     Entry j of the shape counts the blocks whose last differing coordinate
     is j (0 where the blocks agree). One table over pairs of blocks holds
@@ -201,7 +180,7 @@ def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbital
     """The orbitals on pairs of points of the group `stabilizer_maps` generates.
 
     Every map is checked on every point and pair before use: it must be a
-    permutation of the points, fix the zero point, and keep shape_of(x - y)
+    permutation of the points, fix the zero point, and keep the shape of x - y
     for all N^2 pairs, read from the `pair_shapes` sweep. A map that fails
     raises InternalMismatch.
     """

@@ -1,7 +1,8 @@
 """Closed-form spectral data for the ordered Hamming scheme.
 
 The depth-one scheme (n = 1) has explicit Kronecker-product adjacency
-matrices, primitive idempotents and dual idempotents; `Instance` lifts each
+matrices, primitive idempotents and dual idempotents, each spliced from one
+cached table of per-letter factors; `Instance` lifts each
 family to depth n with one `lifted_sum` per shape. Eigenmatrices at depth n
 are coefficient tables of a product generating function (multivariate
 Krawtchouk polynomials).
@@ -10,9 +11,11 @@ Krawtchouk polynomials).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact_linalg import InternalMismatch, RatMatrix, kron_all, mat_sum
 from .scheme import SchemeParams, Shape, enumerate_shapes
@@ -22,12 +25,46 @@ if TYPE_CHECKING:
     from .terwilliger import Instance
 
 
-def factor_ones_normalized(qj: int) -> RatMatrix:
-    return RatMatrix.ones(qj).scale(Fraction(1, qj))
+class LetterFactors(NamedTuple):
+    """The q x q factors of one letter; every depth-one closed form is a Kronecker product of them.
 
-def factor_zero_unit(qj: int) -> RatMatrix:
-    """Matrix unit at (0, 0)."""
-    return RatMatrix.diagonal([1] + [0] * (qj - 1))
+    Jt is J / q and D the matrix unit at (0, 0). H and H* are the rank-one
+    idempotents q/(q-1) (I - Jt) D (I - Jt) and q/(q-1) (I - D) Jt (I - D),
+    supported away from the uniform vector and away from the base letter;
+    Z = I - Jt - H is zero exactly when q = 2.
+    """
+
+    I: RatMatrix
+    J: RatMatrix
+    Jt: RatMatrix
+    D: RatMatrix
+    H: RatMatrix
+    Hstar: RatMatrix
+    Z: RatMatrix
+
+
+@lru_cache(maxsize=None)
+def letter_factors(qj: int) -> LetterFactors:
+    """The per-letter table, built once per alphabet size."""
+    I = RatMatrix.identity(qj)
+    J = RatMatrix.ones(qj)
+    Jt = J.scale(Fraction(1, qj))
+    D = RatMatrix.diagonal([1] + [0] * (qj - 1))
+    H = ((I - Jt) * D * (I - Jt)).scale(Fraction(qj, qj - 1))
+    Hstar = ((I - D) * Jt * (I - D)).scale(Fraction(qj, qj - 1))
+    return LetterFactors(I, J, Jt, D, H, Hstar, I - Jt - H)
+
+
+def factor_columns(q: tuple[int, ...]) -> LetterFactors:
+    """The per-letter table read across q: each field holds that factor for every letter, in order."""
+    return LetterFactors._make(zip(*map(letter_factors, q)))
+
+
+def splice(
+    left: Sequence[RatMatrix], pivot: RatMatrix, right: Sequence[RatMatrix], p: int
+) -> list[RatMatrix]:
+    """left[:p] + [pivot] + right[p+1:]: the factor list of every depth-one closed form."""
+    return [*left[:p], pivot, *right[p + 1 :]]
 
 
 @dataclass(frozen=True)
@@ -61,42 +98,26 @@ def base_multiplicities(params: SchemeParams) -> tuple[int, ...]:
 
 def base_adjacency(params: SchemeParams) -> tuple[RatMatrix, ...]:
     """A_0 = identity; A_j flips coordinate j and frees everything before it."""
-    q = params.q
-    m = params.m
-    I = [RatMatrix.identity(qj) for qj in q]
-    J = [RatMatrix.ones(qj) for qj in q]
-    mats = [kron_all(I)]
-    for j in range(1, m + 1):
-        factors = J[: j - 1] + [J[j - 1] - I[j - 1]] + I[j:]
-        mats.append(kron_all(factors))
-    return tuple(mats)
+    c = factor_columns(params.q)
+    return (kron_all(c.I),) + tuple(
+        kron_all(splice(c.J, c.J[p] - c.I[p], c.I, p)) for p in range(params.m)
+    )
 
 
 def base_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
-    """E_0 is the normalized all-ones product; E_j peels factors from the right."""
-    q = params.q
-    m = params.m
-    I = [RatMatrix.identity(qj) for qj in q]
-    Jt = [factor_ones_normalized(qj) for qj in q]
-    mats = [kron_all(Jt)]
-    for j in range(1, m + 1):
-        pos = m - j  # 0-based index of the (I - Jt) factor
-        factors = Jt[:pos] + [I[pos] - Jt[pos]] + I[pos + 1 :]
-        mats.append(kron_all(factors))
-    return tuple(mats)
+    """E_0 is the normalized all-ones product; E_j has its (I - Jt) factor at slot m - j."""
+    c = factor_columns(params.q)
+    return (kron_all(c.Jt),) + tuple(
+        kron_all(splice(c.Jt, c.I[p] - c.Jt[p], c.I, p)) for p in reversed(range(params.m))
+    )
 
 
 def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
     """Diagonal indicators of the depth-one relation classes seen from 0."""
-    q = params.q
-    m = params.m
-    I = [RatMatrix.identity(qj) for qj in q]
-    D = [factor_zero_unit(qj) for qj in q]
-    mats = [kron_all(D)]
-    for j in range(1, m + 1):
-        factors = I[: j - 1] + [I[j - 1] - D[j - 1]] + D[j:]
-        mats.append(kron_all(factors))
-    return tuple(mats)
+    c = factor_columns(params.q)
+    return (kron_all(c.D),) + tuple(
+        kron_all(splice(c.I, c.I[p] - c.D[p], c.D, p)) for p in range(params.m)
+    )
 
 
 def base_eigenmatrix_P(params: SchemeParams) -> RatMatrix:
@@ -140,7 +161,7 @@ def base_spectral(params: SchemeParams) -> BaseSpectralData:
 
     Valencies must match adjacency row sums and multiplicities must match
     idempotent traces, both exactly; any disagreement raises
-    InternalMismatch. `terw_basis` checks the dual idempotents.
+    InternalMismatch. `Instance.spectral` checks the dual idempotents.
     """
     A = base_adjacency(params)
     E = base_idempotents(params)

@@ -33,92 +33,45 @@ from .scheme import (
     compositions,
     enumerate_shapes,
     intersection_counts,
-    iter_points,
     pair_shapes,
-    point_sub,
     relation_matrix,
     require_within_bound,
-    shape_of,
     stabilizer_orbitals,
 )
 from .spectral import (
     BaseSpectralData,
     base_spectral,
-    factor_ones_normalized,
-    factor_zero_unit,
+    factor_columns,
+    letter_factors,
+    splice,
     valency_n,
 )
 from .symtensor import lifted_sum
-
-
-# ---------------------------------------------------------------------------
-# Factor-level building blocks (one alphabet position at a time).
-# ---------------------------------------------------------------------------
-
-
-def factor_h(qj: int) -> RatMatrix:
-    """Rank-one idempotent supported away from the uniform vector."""
-    I = RatMatrix.identity(qj)
-    jt = factor_ones_normalized(qj)
-    d = factor_zero_unit(qj)
-    core = (I - jt) * d * (I - jt)
-    return core.scale(Fraction(qj, qj - 1))
-
-
-def factor_h_star(qj: int) -> RatMatrix:
-    """Rank-one idempotent supported away from the base letter."""
-    I = RatMatrix.identity(qj)
-    jt = factor_ones_normalized(qj)
-    d = factor_zero_unit(qj)
-    core = (I - d) * jt * (I - d)
-    return core.scale(Fraction(qj, qj - 1))
-
-
-def factor_z(qj: int) -> RatMatrix:
-    """Residual idempotent I - Jt - H; zero exactly when qj = 2."""
-    return RatMatrix.identity(qj) - factor_ones_normalized(qj) - factor_h(qj)
 
 
 @dataclass(frozen=True)
 class TerwBasisSet:
     """The split F/G families of the depth-one scheme."""
 
-    params: SchemeParams
     F: tuple[RatMatrix, ...]
     Fstar: tuple[RatMatrix, ...]
     G: tuple[RatMatrix, ...]  # indices 1..m stored at 0..m-1
     Gstar: tuple[RatMatrix, ...]
     Fnat: RatMatrix
     Gnat: RatMatrix
-    H: tuple[RatMatrix, ...]
-    Hstar: tuple[RatMatrix, ...]
 
 
 def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
     """Construct the F/G families, cross-checking each closed form.
 
-    The dual idempotents are checked against row 0 of the depth-one
-    relations, shape_of(0 - y) for each point y, and the F families are
-    built twice (normalized sandwich products vs. Kronecker closed forms);
-    a mismatch raises InternalMismatch.
+    The F families are built twice (normalized sandwich products vs.
+    Kronecker closed forms); a mismatch raises InternalMismatch.
     """
     params = data.params
-    q = params.q
     m = params.m
     size = params.base_size
     E, estar, k, mult = data.E, data.Estar, data.k, data.mult
-
-    base_params = SchemeParams(q, 1)
-    pts = iter_points(base_params)
-    row0 = [shape_of(point_sub(pts[0], y, base_params), base_params) for y in pts]
-    for j, lam in enumerate(compositions(1, m + 1)):
-        if RatMatrix.diagonal([int(s == lam) for s in row0]) != estar[j]:
-            raise InternalMismatch(f"dual idempotent {j} disagrees with relation diagonal")
-
-    jt = [factor_ones_normalized(qj) for qj in q]
-    dd = [factor_zero_unit(qj) for qj in q]
-    hh = tuple(factor_h(qj) for qj in q)
-    hs = tuple(factor_h_star(qj) for qj in q)
+    c = factor_columns(params.q)
 
     F = [E[0]]
     Fstar = [estar[0]]
@@ -128,12 +81,9 @@ def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
 
     # closed forms: F_j mirrors the idempotent index pattern, F*_j the dual one
     for j in range(1, m + 1):
-        pos = m - j  # 0-based slot of the interesting factor in F_j
-        closed = kron_all(jt[:pos] + [hh[pos]] + dd[pos + 1 :])
-        if closed != F[j]:
+        if kron_all(splice(c.Jt, c.H[m - j], c.D, m - j)) != F[j]:
             raise InternalMismatch(f"closed form for F_{j} disagrees with its sandwich")
-        closed_star = kron_all(jt[: j - 1] + [hs[j - 1]] + dd[j:])
-        if closed_star != Fstar[j]:
+        if kron_all(splice(c.Jt, c.Hstar[j - 1], c.D, j - 1)) != Fstar[j]:
             raise InternalMismatch(f"closed form for F*_{j} disagrees with its sandwich")
 
     G = tuple(E[j] - F[j] for j in range(1, m + 1))
@@ -141,34 +91,40 @@ def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
     fnat = mat_sum(F)
     gnat = RatMatrix.identity(size) - fnat
     return TerwBasisSet(
-        params=params,
-        F=tuple(F),
-        Fstar=tuple(Fstar),
-        G=G,
-        Gstar=Gstar,
-        Fnat=fnat,
-        Gnat=gnat,
-        H=hh,
-        Hstar=hs,
+        F=tuple(F), Fstar=tuple(Fstar), G=G, Gstar=Gstar, Fnat=fnat, Gnat=gnat
     )
 
 
 class Instance:
     """One scheme X(m, n; q) whose matrix families are each built once, on first use.
 
-    The size bound is checked here and nowhere else. Every depth-n family
-    (A, E, E*) is one `lifted_sum` per shape of the depth-one family in
-    `spectral`. An instance keeps what it built for its own lifetime:
-    create one per command or per suite instance. `relations` always comes
-    from the brute-force definition, never from the lifted families it is
+    The size bound is checked here and nowhere else. The depth-one data
+    (`spectral`, `basis`) lives on `base`, the depth-one instance, and every
+    depth-n family (A, E, E*) is one `lifted_sum` per shape of its depth-one
+    family. An instance keeps what it built for its own lifetime: create
+    one per command or per suite instance. `relations` always comes from
+    the brute-force definition, never from the lifted families it is
     compared against.
     """
 
     def __init__(self, params: SchemeParams, max_points: int | None = None):
         require_within_bound(params, max_points)
         self.params = params
-        self.max_points = max_points
         self.shapes = enumerate_shapes(params)
+        # the depth-one scheme is never larger than this one, so N bounds it
+        self._depth_one = (
+            Instance(SchemeParams(params.q, 1), params.num_points) if params.n > 1 else None
+        )
+
+    @property
+    def base(self) -> Instance:
+        """The depth-one instance; this one when n = 1, without storing a reference to itself."""
+        return self if self._depth_one is None else self._depth_one
+
+    @property
+    def degenerate(self) -> bool:
+        """X(1, n; 2): the G families vanish, so there is no component split."""
+        return self.params.q == (2,)
 
     @cached_property
     def pair_shapes(self) -> tuple[Shape, ...]:
@@ -206,11 +162,19 @@ class Instance:
 
     @cached_property
     def spectral(self) -> BaseSpectralData:
-        return base_spectral(self.params)
+        """Depth-one A, E and E*; each E*_j is checked against row 0 of the depth-one sweep."""
+        if self.base is not self:
+            return self.base.spectral
+        data = base_spectral(self.params)
+        row0 = self.pair_shapes[: self.params.num_points]
+        for j, lam in enumerate(self.shapes):
+            if RatMatrix.diagonal([int(s == lam) for s in row0]) != data.Estar[j]:
+                raise InternalMismatch(f"dual idempotent {j} disagrees with relation diagonal")
+        return data
 
     @cached_property
     def basis(self) -> TerwBasisSet:
-        return terw_basis(self.spectral)
+        return self.base.basis if self.base is not self else terw_basis(self.spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +194,23 @@ class LambdaSet:
         return len(self.pairs)
 
 
+def _survives(i: int, j: int, q: tuple[int, ...]) -> bool:
+    """Whether G_j G*_i survives: i + j > m + 1, or i + j = m + 1 with q_i >= 3."""
+    m = len(q)
+    return i + j > m + 1 or (i + j == m + 1 and q[i - 1] >= 3)
+
+
 def lambda_set(params: SchemeParams) -> LambdaSet:
-    m = params.m
     q = params.q
-    pairs = set()
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i + j > m + 1 or (i + j == m + 1 and q[i - 1] >= 3):
-                pairs.add((i, j))
-    eps = sum(1 for qi in q if qi >= 3)
-    return LambdaSet(pairs=frozenset(pairs), epsilon=eps)
-
-
-def _lambda_pairs(q: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    return lambda_set(SchemeParams(q, 1)).pairs
+    indices = range(1, params.m + 1)
+    pairs = frozenset((i, j) for i in indices for j in indices if _survives(i, j, q))
+    return LambdaSet(pairs=pairs, epsilon=sum(1 for qi in q if qi >= 3))
 
 
 def _theta_enumerate(
     lam: Shape, mu: Shape, q: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], ...]]:
     m = len(q)
-    allowed = _lambda_pairs(q)
     out: list[tuple[tuple[int, ...], ...]] = []
     grid = [[0] * m for _ in range(m)]
     col_left = list(mu)
@@ -264,7 +224,7 @@ def _theta_enumerate(
                 else:
                     fill(i + 1, 0, lam[i + 1])
             return
-        hi = min(row_left, col_left[j]) if (i + 1, j + 1) in allowed else 0
+        hi = min(row_left, col_left[j]) if _survives(i + 1, j + 1, q) else 0
         for v in range(hi + 1):
             grid[i][j] = v
             col_left[j] -= v
@@ -299,9 +259,8 @@ def _theta_feasible(lam: Shape, mu: Shape, q: tuple[int, ...]) -> bool:
     and by Hall's condition a grid exists exactly when
     lam_1 + ... + lam_k <= sum of mu_j over A_k, for every k.
     """
-    m = len(q)
-    allowed = _lambda_pairs(q)
-    supports = [{j for j in range(1, m + 1) if (i, j) in allowed} for i in range(1, m + 1)]
+    indices = range(1, len(q) + 1)
+    supports = [{j for j in indices if _survives(i, j, q)} for i in indices]
     if any(not inner <= outer for inner, outer in zip(supports, supports[1:])):
         raise InternalMismatch(f"surviving columns are not nested by row for q = {q}")
     reach = [sum(mu[j - 1] for j in support) for support in supports]
@@ -349,7 +308,6 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     F, Fstar = tw.F, tw.Fstar
     G = (None,) + tw.G  # 1-based access
     Gstar = (None,) + tw.Gstar
-    degenerate = m == 1 and q[0] == 2
     checks: dict[str, bool | None] = {}
 
     checks["idempotent_sandwich_scalars"] = all(
@@ -396,13 +354,13 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     )
     checks["g_natural_sum"] = mat_sum(tw.G) == mat_sum(tw.Gstar) == tw.Gnat
 
-    checks["factor_identities"] = _factor_identities_hold(q, tw)
+    checks["factor_identities"] = _factor_identities_hold(q)
 
     mixed_low = True
     mixed_high = True
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            if i + j < m + 1 or (i + j == m + 1 and q[i - 1] == 2):
+            if not _survives(i, j, q):
                 if E[j] * estar[i] != F[j] * Fstar[i]:
                     mixed_low = False
                 if estar[i] * E[j] != Fstar[i] * F[j]:
@@ -413,7 +371,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     checks["mixed_products_low"] = mixed_low
     checks["mixed_products_high"] = mixed_high
 
-    if degenerate:
+    if inst.degenerate:
         checks["g_products_by_regime"] = None
         checks["g_natural_lifted"] = None
         checks["lifted_g_products"] = None
@@ -435,7 +393,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     f_matches = all(F[j] == E[j] for j in range(1, m + 1)) and all(
         Fstar[j] == estar[j] for j in range(1, m + 1)
     )
-    checks["f_equals_e_only_in_binary_single_case"] = f_matches == degenerate
+    checks["f_equals_e_only_in_binary_single_case"] = f_matches == inst.degenerate
     return checks
 
 
@@ -453,12 +411,9 @@ def _mutually_annihilating(xs: tuple[RatMatrix, ...], ys: tuple[RatMatrix, ...])
     return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
 
 
-def _factor_identities_hold(q: tuple[int, ...], tw: TerwBasisSet) -> bool:
-    for qj, h, hstar in zip(q, tw.H, tw.Hstar):
-        I = RatMatrix.identity(qj)
-        jt = factor_ones_normalized(qj)
-        d = factor_zero_unit(qj)
-        z = I - jt - h
+def _factor_identities_hold(q: tuple[int, ...]) -> bool:
+    for qj in q:
+        I, _, jt, d, h, hstar, z = letter_factors(qj)
         ok = (
             (jt * h).is_zero()
             and (h * jt).is_zero()
@@ -482,9 +437,7 @@ def _factor_identities_hold(q: tuple[int, ...], tw: TerwBasisSet) -> bool:
 def _g_product_regimes_hold(params: SchemeParams, tw: TerwBasisSet) -> bool:
     q = params.q
     m = params.m
-    I = [RatMatrix.identity(qj) for qj in q]
-    jt = [factor_ones_normalized(qj) for qj in q]
-    dd = [factor_zero_unit(qj) for qj in q]
+    c = factor_columns(q)
     G = (None,) + tw.G
     Gstar = (None,) + tw.Gstar
     for i in range(1, m + 1):
@@ -492,23 +445,17 @@ def _g_product_regimes_hold(params: SchemeParams, tw: TerwBasisSet) -> bool:
             lhs = G[j] * Gstar[i]
             if lhs != Gstar[i] * G[j]:
                 return False
-            if i + j < m + 1 or (i + j == m + 1 and q[i - 1] == 2):
+            if not _survives(i, j, q):
                 if not lhs.is_zero():
                     return False
             elif i + j == m + 1:
-                expected = kron_all(jt[: i - 1] + [factor_z(q[i - 1])] + dd[i:])
-                if lhs != expected:
+                if lhs != kron_all(splice(c.Jt, c.Z[i - 1], c.D, i - 1)):
                     return False
             else:
-                pos = m - j  # 0-based slot of the (I - Jt) factor
-                factors = (
-                    jt[:pos]
-                    + [I[pos] - jt[pos]]
-                    + I[pos + 1 : i - 1]
-                    + [I[i - 1] - dd[i - 1]]
-                    + dd[i:]
-                )
-                if lhs != kron_all(factors):
+                # E_j's (I - Jt) at slot m - j, then E*_i's factors from there on
+                p = m - j
+                dual = splice(c.I, c.I[i - 1] - c.D[i - 1], c.D, i - 1)
+                if lhs != kron_all(splice(c.Jt, c.I[p] - c.Jt[p], dual, p)):
                     return False
     return True
 
@@ -658,7 +605,7 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     params = inst.params
     m = params.m
     n = params.n
-    if m == 1 and params.q[0] == 2:
+    if inst.degenerate:
         raise ValueError("component split is vacuous when the G families vanish")
     tw = inst.basis
     families = ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
@@ -764,7 +711,6 @@ def structure_report(inst: Instance) -> StructureReport:
     m = params.m
     n = params.n
     q = params.q
-    degenerate = m == 1 and q[0] == 2
 
     closure = terwilliger_closure(inst)
     dim_t = closure.dimension
@@ -792,7 +738,7 @@ def structure_report(inst: Instance) -> StructureReport:
     components: tuple[ComponentInfo, ...] = ()
     omega_counts = [len(_omega_pairs(q, d)) for d in range(n + 1)]
     omega_n = omega_counts[-1]
-    if not degenerate:
+    if not inst.degenerate:
         decomp = component_dims(inst)
         components = decomp.components
         checks["components_pairwise_annihilating"] = decomp.pairwise_annihilating
@@ -817,7 +763,7 @@ def structure_report(inst: Instance) -> StructureReport:
     def block(d: int) -> int:
         return math.comb(m + n - d, n - d) ** 2
 
-    if degenerate:
+    if inst.degenerate:
         add(
             "dim_T: chain of full blocks of shrinking size",
             sum((n - d + 1) ** 2 for d in range(n + 1)),
@@ -842,11 +788,7 @@ def structure_report(inst: Instance) -> StructureReport:
                 dim_t,
             )
 
-    depth_one_dim = (
-        dim_t
-        if n == 1
-        else terwilliger_closure(Instance(SchemeParams(q, 1), inst.max_points)).dimension
-    )
+    depth_one_dim = dim_t if n == 1 else terwilliger_closure(inst.base).dimension
     add(
         "dim_T: symmetric power of the measured depth-one dimension",
         math.comb(depth_one_dim + n - 1, n),

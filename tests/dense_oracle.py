@@ -6,7 +6,9 @@ orbital, the row-major vectorization) or expand a span from any
 coordinates to dense matrices, so a measurement can be checked against a
 computation that never uses the group. The scheme axioms and intersection
 numbers are also read here from dense relation matrices and their
-products, against the counts the package takes from the pair-shape sweep.
+products, against the counts the package takes from the pair-shape sweep,
+and `point_sub`/`shape_of` give the relation of a pair by its definition,
+against the `pair_shapes` sweep.
 """
 
 from ordered_hamming import EmptyInput, MatrixSubspace, Orbitals, RatMatrix
@@ -36,6 +38,21 @@ def contains(sub: MatrixSubspace, mat: RatMatrix) -> bool:
     """Whether `mat` lies in `sub`; a matrix not constant on every orbital does not."""
     vec = sub.orbitals._entries(mat)
     return vec is not None and not any(sub._reducer.residual(vec))
+
+
+def point_sub(x, y, params):
+    """x - y, blockwise and coordinatewise mod q_j."""
+    return tuple(
+        tuple((a - b) % qj for a, b, qj in zip(bx, by, params.q)) for bx, by in zip(x, y)
+    )
+
+
+def shape_of(x, params):
+    """Shape of a point: entry j counts blocks whose last nonzero coordinate sits at j."""
+    lam = [0] * (params.m + 1)
+    for block in x:
+        lam[max((j for j, c in enumerate(block, 1) if c), default=0)] += 1
+    return tuple(lam)
 
 
 def is_symmetric(mat: RatMatrix) -> bool:

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import ordered_hamming.scheme as scheme_module
+import ordered_hamming.spectral as spectral_module
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming import DEFAULT_MAX_POINTS, SchemeParams, cli
 from ordered_hamming.cli import main
@@ -100,6 +101,23 @@ def test_scheme_verify_reports_a_failed_r4_and_exits_1(capsys, monkeypatch):
 )
 def test_report_golden_output(capsys, q, n, digest):
     code = main(["report", "--q", q, "--n", n, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout: every structural identity, through the depth-one data of
+# X(1,2;3), X(2,2;2,3) and X(1,3;4).
+@pytest.mark.parametrize(
+    "q,n,digest",
+    [
+        ("3", "2", "aec61e05c1128c5001fcf685324f0ad701fb1ba60725506d974b37c4dcf78d91"),
+        ("2,3", "2", "a188ef803a1ac82a59389bdd46cd8bec45891b5821bed32b2a250ac58cc57fd2"),
+        ("4", "3", "d7791f370a6904c65768553176dc454e31c1be53388be19df49efa03c4385c35"),
+    ],
+)
+def test_identities_golden_output(capsys, q, n, digest):
+    code = main(["identities", "--q", q, "--n", n, "--json"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -292,6 +310,16 @@ def test_orbital_bound_goes_to_stderr_only(capsys, command):
         "X(2,2;2,2): N = 16 points, r = 55 orbitals (an upper bound on dim T), "
         "measured dim T = 55\n"
     ) in logged.err
+
+
+def test_letter_factors_are_built_once_per_alphabet_size(capsys):
+    """One suite pass builds the per-letter table for q = 2 and q = 3 only, once each."""
+    table = spectral_module.letter_factors
+    table.cache_clear()
+    assert main(["suite", "--max-points", "8", "--json"]) == 0
+    assert table.cache_info().misses == 2
+    table(2), table(3)
+    assert table.cache_info().misses == 2
 
 
 def test_pair_shape_sweep_runs_once_per_suite_instance(monkeypatch):

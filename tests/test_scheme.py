@@ -17,16 +17,14 @@ from ordered_hamming import (
     enumerate_shapes,
     intersection_numbers,
     iter_points,
-    point_sub,
     relation_matrix,
-    shape_of,
     stabilizer_maps,
     stabilizer_orbitals,
     valency_n,
     verify_axioms,
 )
 
-from dense_oracle import dense_scheme_checks, is_symmetric, is_zero_one
+from dense_oracle import dense_scheme_checks, is_symmetric, is_zero_one, point_sub, shape_of
 
 
 def reference_pair_shapes(params):

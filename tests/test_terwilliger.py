@@ -19,7 +19,6 @@ from ordered_hamming import (
     omega_set,
     intersection_numbers,
     primary_subalgebra,
-    shape_of,
     structure_report,
     terwilliger_closure,
     theta_enumerate,
@@ -30,7 +29,7 @@ from ordered_hamming import (
 )
 from ordered_hamming.cli import SUITE_INSTANCES
 
-from dense_oracle import contains, span_basis
+from dense_oracle import contains, shape_of, span_basis
 
 
 def test_basis_families_in_binary_single_case():
@@ -66,12 +65,61 @@ def test_dual_idempotents_partition_identity(q):
     assert total == RatMatrix.identity(size)
 
 
-def test_basis_rejects_dual_idempotents_off_the_relation_row(monkeypatch):
-    # X(1,1;3): E*_0 and E*_1 swapped disagree with row 0 of the relations
+@pytest.mark.parametrize("n", [1, 2])
+def test_basis_rejects_dual_idempotents_off_the_relation_row(monkeypatch, n):
+    # X(1,1;3): E*_0 and E*_1 swapped disagree with row 0 of the relations;
+    # at n = 2 the check is reached through the depth-one `base`
     plain = spectral_module.base_dual_idempotents
     monkeypatch.setattr(spectral_module, "base_dual_idempotents", lambda p: plain(p)[::-1])
     with pytest.raises(InternalMismatch, match="dual idempotent 0 disagrees"):
+        Instance(SchemeParams((3,), n)).basis
+
+
+@pytest.mark.parametrize(
+    "swap,match",
+    [
+        (lambda c: c._replace(H=c.Hstar), "closed form for F_1 disagrees"),
+        (lambda c: c._replace(Hstar=c.H), r"closed form for F\*_1 disagrees"),
+    ],
+    ids=["F", "Fstar"],
+)
+def test_basis_rejects_closed_forms_off_their_sandwiches(monkeypatch, swap, match):
+    plain = terwilliger_module.factor_columns
+    monkeypatch.setattr(terwilliger_module, "factor_columns", lambda q: swap(plain(q)))
+    with pytest.raises(InternalMismatch, match=match):
         Instance(SchemeParams((3,), 1)).basis
+
+
+@pytest.mark.parametrize(
+    "name,match",
+    [
+        ("base_valencies", "row sums of adjacency 1 disagree"),
+        ("base_multiplicities", "trace of idempotent 1 disagrees"),
+    ],
+)
+def test_base_spectral_rejects_valencies_and_multiplicities_off_the_closed_forms(
+    monkeypatch, name, match
+):
+    plain = getattr(spectral_module, name)
+    monkeypatch.setattr(spectral_module, name, lambda p: plain(p)[:1] + (0,) + plain(p)[2:])
+    with pytest.raises(InternalMismatch, match=match):
+        Instance(SchemeParams((3,), 2)).spectral
+
+
+def test_depth_one_data_lives_on_one_base_instance(monkeypatch):
+    """An n > 1 report builds the depth-one spectral data once, on `base`."""
+    calls = Counter()
+    plain = terwilliger_module.base_spectral
+
+    def counting(params):
+        calls[params] += 1
+        return plain(params)
+
+    monkeypatch.setattr(terwilliger_module, "base_spectral", counting)
+    inst = Instance(SchemeParams((3,), 2))
+    structure_report(inst)
+    assert calls == {SchemeParams((3,), 1): 1}
+    assert inst.base.base is inst.base and inst.spectral is inst.base.spectral
 
 
 def test_lifted_dual_idempotent_examples():
@@ -161,7 +209,7 @@ def test_nested_margin_test_matches_the_set_pair_scan():
 
 def test_margin_test_rejects_supports_that_are_not_nested(monkeypatch):
     # row 1 may use column 1 only and row 2 column 2 only: neither contains the other
-    monkeypatch.setattr(terwilliger_module, "_lambda_pairs", lambda q: frozenset({(1, 1), (2, 2)}))
+    monkeypatch.setattr(terwilliger_module, "_survives", lambda i, j, q: i == j)
     with pytest.raises(InternalMismatch, match="not nested"):
         theta_feasible((1, 1), (1, 1), SchemeParams((2, 2), 2))
 
