@@ -38,6 +38,8 @@ from .spectral import (
 from .symtensor import lifted_sum
 from .terwilliger import (
     Instance,
+    StructureReport,
+    all_pass,
     lambda_set,
     omega_set,
     structure_report,
@@ -61,21 +63,18 @@ SUITE_INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
 
 def _parse_csv_ints(text: str, what: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         parser.error(f"{what} must be a comma-separated list of integers")
-    if not values:
-        parser.error(f"{what} must not be empty")
-    return values
 
 
 def _params_from_args(args, parser: argparse.ArgumentParser) -> SchemeParams:
+    """`SchemeParams` states the rules for q and n; breaking one is a usage error."""
     q = _parse_csv_ints(args.q, "--q", parser)
-    if any(x < 2 for x in q):
-        parser.error("--q entries must be integers at least 2")
-    if args.n < 1:
-        parser.error("--n must be at least 1")
-    return SchemeParams(q, args.n)
+    try:
+        return SchemeParams(q, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _parse_shape(text: str, length: int, total: int, parser: argparse.ArgumentParser, what: str):
@@ -152,37 +151,30 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _overall(checks: dict) -> bool:
-    return all(v for v in checks.values() if v is not None)
+def _run_report(command: str, params: SchemeParams, checks: dict, data: dict) -> dict:
+    return {
+        "command": command,
+        "params": {"q": list(params.q), "n": params.n},
+        "checks": checks,
+        "overall_pass": all_pass(checks),
+        "data": data,
+    }
 
 
-def _run_report(command: str, params: SchemeParams | None, checks: dict, data: dict) -> dict:
-    payload = {"command": command}
-    if params is not None:
-        payload["params"] = {"q": list(params.q), "n": params.n}
-    payload["checks"] = checks
-    payload["overall_pass"] = _overall(checks)
-    payload["data"] = data
-    return payload
+def _cmd_shapes(args, parser, params) -> tuple[dict, dict]:
+    return {}, {"shapes": [list(s) for s in enumerate_shapes(params)]}
 
 
-def _cmd_shapes(args, parser) -> dict:
-    params = _params_from_args(args, parser)
-    shapes = enumerate_shapes(params)
-    return _run_report("shapes", params, {}, {"shapes": [list(s) for s in shapes]})
-
-
-def _cmd_scheme_verify(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _cmd_scheme_verify(args, parser, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     checks = verify_axioms(inst)
     table = intersection_numbers(inst)
-    data = {"intersection_numbers": None if table is None else intersection_table_json(table)}
-    return _run_report("scheme-verify", params, checks, data)
+    return checks, {
+        "intersection_numbers": None if table is None else intersection_table_json(table)
+    }
 
 
-def _cmd_adjacency(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _cmd_adjacency(args, parser, params) -> tuple[dict, dict]:
     shape = _parse_shape(args.shape, params.m + 1, params.n, parser, "--shape")
     inst = Instance(params, args.max_points)
     # one lift and one relation, not the whole families
@@ -193,25 +185,22 @@ def _cmd_adjacency(args, parser) -> dict:
         "valency": valency_n(shape, params),
         "matrix": lifted.to_json(),
     }
-    return _run_report("adjacency", params, checks, data)
+    return checks, data
 
 
-def _cmd_eigenmatrix(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _cmd_eigenmatrix(args, parser, params) -> tuple[dict, dict]:
     P, Q = eigen_n(params)
     size_identity = P * Q == RatMatrix.identity(params.class_count).scale(params.num_points)
-    mat = P if args.which == "P" else Q
     data = {
         "which": args.which,
         "shape_order": [list(s) for s in enumerate_shapes(params)],
-        "matrix": mat.to_json(),
+        "matrix": (P if args.which == "P" else Q).to_json(),
     }
-    return _run_report("eigenmatrix", params, {"pq_product_is_size_identity": size_identity}, data)
+    return {"pq_product_is_size_identity": size_identity}, data
 
 
-def _cmd_krawchouk(args, parser) -> dict:
-    params = _params_from_args(args, parser)
-    table = krawchouk_table(params, reversed_q=args.reversed)
+def _cmd_krawchouk(args, parser, params) -> tuple[dict, dict]:
+    table = krawchouk_table(params.reversed() if args.reversed else params)
     shapes = enumerate_shapes(params)
     rows = [[format_rational(table[(mu, lam)]) for mu in shapes] for lam in shapes]
     data = {
@@ -219,27 +208,24 @@ def _cmd_krawchouk(args, parser) -> dict:
         "shape_order": [list(s) for s in shapes],
         "table": rows,
     }
-    return _run_report("krawchouk", params, {}, data)
+    return {}, data
 
 
-def _cmd_theta(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _cmd_theta(args, parser, params) -> tuple[dict, dict]:
     lam = _parse_shape(args.lam, params.m, params.n, parser, "--lambda")
     mu = _parse_shape(args.mu, params.m, params.n, parser, "--mu")
     grids = theta_enumerate(lam, mu, params)
     feasible = theta_feasible(lam, mu, params)
-    checks = {"feasible_iff_nonempty": feasible == bool(grids)}
     data = {
         "lambda": list(lam),
         "mu": list(mu),
         "feasible": feasible,
         "matrices": [[list(row) for row in grid] for grid in grids],
     }
-    return _run_report("theta", params, checks, data)
+    return {"feasible_iff_nonempty": feasible == bool(grids)}, data
 
 
-def _cmd_omega(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _cmd_omega(args, parser, params) -> tuple[dict, dict]:
     pairs = omega_set(params)
     lam_info = lambda_set(params)
     consistent = all(
@@ -253,13 +239,11 @@ def _cmd_omega(args, parser) -> dict:
         "epsilon": lam_info.epsilon,
         "multiset_binomial": math.comb(lam_info.size + params.n - 1, params.n),
     }
-    return _run_report("omega", params, {"feasible_iff_nonempty": consistent}, data)
+    return {"feasible_iff_nonempty": consistent}, data
 
 
-def _cmd_identities(args, parser) -> dict:
-    params = _params_from_args(args, parser)
-    checks = verify_terw_identities(Instance(params, args.max_points))
-    return _run_report("identities", params, checks, {})
+def _cmd_identities(args, parser, params) -> tuple[dict, dict]:
+    return verify_terw_identities(Instance(params, args.max_points)), {}
 
 
 def _log_dimension(args, inst: Instance, dim_t: int) -> None:
@@ -272,24 +256,25 @@ def _log_dimension(args, inst: Instance, dim_t: int) -> None:
     )
 
 
-def _cmd_closure(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _cmd_closure(args, parser, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     sub = terwilliger_closure(inst, args.generators)
     _log_dimension(args, inst, sub.dimension)
-    data = {"generators": args.generators, "dimension": sub.dimension}
-    return _run_report("closure", params, {}, data)
+    return {}, {"generators": args.generators, "dimension": sub.dimension}
 
 
-def _cmd_report(args, parser) -> dict:
-    params = _params_from_args(args, parser)
+def _report_checks(report: StructureReport, strict: bool) -> dict:
+    """The report's checks; with --strict also whether every printed formula agrees."""
+    if strict:
+        return {**report.checks, "predictions_agree": report.all_predictions_agree}
+    return dict(report.checks)
+
+
+def _cmd_report(args, parser, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     report = structure_report(inst)
     _log_dimension(args, inst, report.dim_T)
-    checks = dict(report.checks)
-    if args.strict:
-        checks["predictions_agree"] = report.all_predictions_agree
-    return _run_report("report", params, checks, report.to_json())
+    return _report_checks(report, args.strict), report.to_json()
 
 
 def _run_instance(params: SchemeParams, max_points: int, strict: bool) -> dict:
@@ -299,13 +284,11 @@ def _run_instance(params: SchemeParams, max_points: int, strict: bool) -> dict:
     duality = verify_base_duality(params)
     report = structure_report(inst)
     checks = {
-        "axioms_all_pass": _overall(axioms),
-        "spectral_all_pass": _overall(spectral),
-        "base_duality_all_pass": _overall(duality),
+        "axioms_all_pass": all_pass(axioms),
+        "spectral_all_pass": all_pass(spectral),
+        "base_duality_all_pass": all_pass(duality),
+        **_report_checks(report, strict),
     }
-    checks.update(report.checks)
-    if strict:
-        checks["predictions_agree"] = report.all_predictions_agree
     data = {
         "instance": params.label(),
         "axioms": {**axioms, "all_pass": checks["axioms_all_pass"]},
@@ -322,10 +305,8 @@ def _run_instance(params: SchemeParams, max_points: int, strict: bool) -> dict:
     return out
 
 
-def _cmd_suite(args, parser) -> dict:
+def _cmd_suite(args) -> dict:
     instances = []
-    disagreements = []
-    overall = True
     for q, n in SUITE_INSTANCES:
         params = SchemeParams(q, n)
         if params.num_points > args.max_points:
@@ -333,25 +314,25 @@ def _cmd_suite(args, parser) -> dict:
             continue
         start = time.monotonic()
         _log(args, f"running {params.label()} ...")
-        result = _run_instance(params, args.max_points, args.strict)
+        instances.append(_run_instance(params, args.max_points, args.strict))
         elapsed = int((time.monotonic() - start) * 1000)
         _log(args, f"finished {params.label()} in {elapsed} ms")
-        for entry in result["disagreements"]:
-            disagreements.append({"instance": params.label(), **entry})
-        overall = overall and result["overall_pass"]
-        instances.append(result)
     if not instances:
         raise SizeBound(f"every suite instance is over --max-points {args.max_points}")
-    payload = {
+    return {
         "command": "suite",
         "strict": bool(args.strict),
         "instances": instances,
-        "disagreements": disagreements,
-        "overall_pass": overall,
+        "disagreements": [
+            {"instance": result["data"]["instance"], **entry}
+            for result in instances
+            for entry in result["disagreements"]
+        ],
+        "overall_pass": all(result["overall_pass"] for result in instances),
     }
-    return payload
 
 
+# Every command but `suite` takes --q and --n and returns (checks, data).
 _HANDLERS = {
     "shapes": _cmd_shapes,
     "scheme-verify": _cmd_scheme_verify,
@@ -363,17 +344,20 @@ _HANDLERS = {
     "identities": _cmd_identities,
     "closure": _cmd_closure,
     "report": _cmd_report,
-    "suite": _cmd_suite,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     start = time.monotonic()
     try:
-        payload = handler(args, parser)
+        if args.command == "suite":
+            payload = _cmd_suite(args)
+        else:
+            params = _params_from_args(args, parser)
+            checks, data = _HANDLERS[args.command](args, parser, params)
+            payload = _run_report(args.command, params, checks, data)
     except SizeBound as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return 2

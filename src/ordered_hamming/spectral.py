@@ -120,40 +120,28 @@ def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
     )
 
 
+def _base_eigenmatrix(weights: Sequence[int], alphabet: Sequence[int]) -> RatMatrix:
+    """Entry (i, j) is w_j above the antidiagonal i + j = m + 1, -w_j / (a_j - 1) on it, else 0."""
+    m = len(alphabet)
+    return RatMatrix(
+        [
+            [
+                w if i + j <= m else Fraction(-w, alphabet[j - 1] - 1) if i + j == m + 1 else 0
+                for j, w in enumerate(weights)
+            ]
+            for i in range(m + 1)
+        ]
+    )
+
+
 def base_eigenmatrix_P(params: SchemeParams) -> RatMatrix:
-    q = params.q
-    m = params.m
-    k = base_valencies(params)
-    rows = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m + 1):
-            if i + j < m + 1:
-                row.append(Fraction(k[j]))
-            elif i + j == m + 1:
-                row.append(Fraction(-k[j], q[j - 1] - 1))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return RatMatrix(rows)
+    """First eigenmatrix at depth one: the valencies, with q in order."""
+    return _base_eigenmatrix(base_valencies(params), params.q)
 
 
 def base_eigenmatrix_Q(params: SchemeParams) -> RatMatrix:
-    q = params.q
-    m = params.m
-    mult = base_multiplicities(params)
-    rows = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m + 1):
-            if i + j < m + 1:
-                row.append(Fraction(mult[j]))
-            elif i + j == m + 1:
-                row.append(Fraction(-mult[j], q[m - j] - 1))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return RatMatrix(rows)
+    """Second eigenmatrix at depth one: the multiplicities, with q reversed."""
+    return _base_eigenmatrix(base_multiplicities(params), params.reversed().q)
 
 
 def base_spectral(params: SchemeParams) -> BaseSpectralData:
@@ -220,17 +208,15 @@ def _poly_mul(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]) -> dict[
     return out
 
 
-def krawchouk_table(
-    params: SchemeParams, reversed_q: bool = False
-) -> dict[tuple[Shape, Shape], Fraction]:
+def krawchouk_table(params: SchemeParams) -> dict[tuple[Shape, Shape], Fraction]:
     """Coefficient table K[(mu, lam)] of the product generating function.
 
     For each shape lam, expand prod_j (sum_i P[j][i] z_i)^lam_j and read the
-    z^mu coefficient; with reversed_q the base eigenmatrix of the reversed
-    alphabet sequence is used instead.
+    z^mu coefficient. The table of `params.reversed()` is the second
+    eigenmatrix of `params`.
     """
     m = params.m
-    P = base_eigenmatrix_P(params.reversed() if reversed_q else params)
+    P = base_eigenmatrix_P(params)
     shapes = enumerate_shapes(params)
     zero_exp = tuple([0] * (m + 1))
     linear = []
@@ -266,8 +252,8 @@ def multiplicity_n(lam: Shape, params: SchemeParams) -> int:
 def eigen_n(params: SchemeParams) -> tuple[RatMatrix, RatMatrix]:
     """First and second eigenmatrices at depth n, rows and columns in shape order."""
     shapes = enumerate_shapes(params)
-    kt = krawchouk_table(params, reversed_q=False)
-    kt_rev = krawchouk_table(params, reversed_q=True)
+    kt = krawchouk_table(params)
+    kt_rev = krawchouk_table(params.reversed())
     P = RatMatrix([[kt[(mu, lam)] for mu in shapes] for lam in shapes])
     Q = RatMatrix([[kt_rev[(mu, lam)] for mu in shapes] for lam in shapes])
     return P, Q

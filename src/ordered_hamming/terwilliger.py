@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -499,7 +500,8 @@ def _lifted_g_products_hold(
 def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]:
     """Span of the sandwiches E*_lam E_0^(n) E*_mu, with its structure checks.
 
-    The report verifies the rational multiplication law
+    The checks, under the names the report prints, verify the dimension,
+    the rational multiplication law
     B(lam,mu) B(nu,rho) = delta(mu,nu) |X^n|^-1 k_mu B(lam,rho) and that the
     dual sandwiches E_lam E*_0^(n) E_mu span the same subspace.
 
@@ -549,12 +551,11 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     dual_span = MatrixSubspace.span(
         orbitals, (product(dual_left[lam], idems[mu]) for lam in shapes for mu in shapes)
     )
-    report = {
-        "dimension_is_class_count_squared": dim_ok,
-        "multiplication_law": law_ok,
-        "dual_span_matches": dual_span == sub,
+    return sub, {
+        "primary_dimension_is_class_count_squared": dim_ok,
+        "primary_multiplication_law": law_ok,
+        "primary_dual_span_matches": dual_span == sub,
     }
-    return sub, report
 
 
 def _generators(inst: Instance, which: str) -> list[RatMatrix]:
@@ -579,23 +580,15 @@ class ComponentInfo:
     dim: int
     commutative: bool
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "dim": self.dim, "commutative": self.commutative}
 
-
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    components: tuple[ComponentInfo, ...]
-    pairwise_annihilating: bool
-
-
-def component_dims(inst: Instance) -> ComponentDecomposition:
+def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str, bool]]:
     """Dimensions of the closure-generated pieces graded by G-degree d.
 
     For each d every spanning matrix is one `lifted_sum` over the combined
     F/G multiset: n - d factors from the F family and d from the G family,
     together with the starred twin; the piece is the non-unital closure of
-    that set. Cross products between distinct degrees must vanish;
+    that set. Cross products between distinct degrees must vanish, which
+    the returned `components_pairwise_annihilating` check records;
     `structure_report` checks that the dimensions add up to dim T.
 
     Commutativity and annihilation are decided on each closure's spin set
@@ -634,7 +627,7 @@ def component_dims(inst: Instance) -> ComponentDecomposition:
     annihilating = all(
         _annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
     )
-    return ComponentDecomposition(components=tuple(infos), pairwise_annihilating=annihilating)
+    return tuple(infos), {"components_pairwise_annihilating": annihilating}
 
 
 def _commutative(piece: MatrixSubspace) -> bool:
@@ -663,14 +656,16 @@ def _annihilate(x: MatrixSubspace, y: MatrixSubspace) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def all_pass(checks: Mapping[str, bool | None]) -> bool:
+    """The one pass rule: every check holds, and a None check is vacuous."""
+    return all(v for v in checks.values() if v is not None)
+
+
 @dataclass(frozen=True)
 class Prediction:
     source: str
     value: int
     agrees: bool
-
-    def to_json(self) -> dict:
-        return {"source": self.source, "value": self.value, "agrees": self.agrees}
 
 
 @dataclass(frozen=True)
@@ -682,22 +677,17 @@ class StructureReport:
     center_dim: int
     predictions: tuple[Prediction, ...]
     identity_suite: dict[str, bool | None]
-    checks: dict[str, bool] = field(default_factory=dict)
+    checks: dict[str, bool]
 
     @property
     def all_predictions_agree(self) -> bool:
         return all(p.agrees for p in self.predictions)
 
     def to_json(self) -> dict:
-        return {
-            "params": {"q": list(self.params.q), "n": self.params.n},
-            "dim_T": self.dim_T,
-            "dim_primary": self.dim_primary,
-            "components": [c.to_json() for c in self.components],
-            "center_dim": self.center_dim,
-            "predictions": [p.to_json() for p in self.predictions],
-            "identity_suite": dict(self.identity_suite),
-        }
+        """Every field but `checks`, which the command reports beside the data."""
+        blob = asdict(self)
+        del blob["checks"]
+        return blob
 
 
 def structure_report(inst: Instance) -> StructureReport:
@@ -714,7 +704,7 @@ def structure_report(inst: Instance) -> StructureReport:
 
     closure = terwilliger_closure(inst)
     dim_t = closure.dimension
-    primary_sub, primary_report = primary_subalgebra(inst)
+    primary_sub, primary_checks = primary_subalgebra(inst)
     identity_suite = verify_terw_identities(inst)
     center = center_dimension(closure)
     # alg(S) depends only on span(S), so equal seed spans prove the bm and
@@ -727,21 +717,16 @@ def structure_report(inst: Instance) -> StructureReport:
 
     checks: dict[str, bool] = {
         "generator_sets_agree": bm_seeds == idem_seeds,
-        "primary_dimension_is_class_count_squared": primary_report[
-            "dimension_is_class_count_squared"
-        ],
-        "primary_multiplication_law": primary_report["multiplication_law"],
-        "primary_dual_span_matches": primary_report["dual_span_matches"],
-        "identities_all_pass": all(v for v in identity_suite.values() if v is not None),
+        **primary_checks,
+        "identities_all_pass": all_pass(identity_suite),
     }
 
     components: tuple[ComponentInfo, ...] = ()
     omega_counts = [len(_omega_pairs(q, d)) for d in range(n + 1)]
     omega_n = omega_counts[-1]
     if not inst.degenerate:
-        decomp = component_dims(inst)
-        components = decomp.components
-        checks["components_pairwise_annihilating"] = decomp.pairwise_annihilating
+        components, component_checks = component_dims(inst)
+        checks.update(component_checks)
         checks["components_sum_to_total"] = sum(c.dim for c in components) == dim_t
         top = components[-1]
         checks["top_component_commutative"] = top.commutative

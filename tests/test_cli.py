@@ -37,6 +37,18 @@ def test_shapes_rejects_small_alphabet():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("q,n", [("1,2", "2"), ("2", "0")])
+def test_bad_params_exit_2_with_the_scheme_params_message(capsys, q, n):
+    with pytest.raises(ValueError) as rule:
+        SchemeParams(tuple(map(int, q.split(","))), int(n))
+    with pytest.raises(SystemExit) as exc:
+        main(["shapes", "--q", q, "--n", n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {rule.value}\n")
+
+
 def test_scheme_verify_command(capsys):
     code, payload = run_cli(capsys, "scheme-verify", "--q", "3", "--n", "1", "--json")
     assert code == 0
@@ -208,6 +220,34 @@ def test_krawchouk_command(capsys):
     code, payload = run_cli(capsys, "krawchouk", "--q", "2", "--n", "2", "--json")
     assert code == 0
     assert payload["data"]["table"] == [["1", "2", "1"], ["1", "0", "-1"], ["1", "-2", "1"]]
+
+
+# SHA-256 of stdout: P and Q of X(3,2;3,2,5), whose alphabets are not
+# palindromic, and its Krawtchouk table in both alphabet orders.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["eigenmatrix", "--which", "P"],
+            "91177aab9bdab3a6660e153c3e1dd9154ff45591ebd9ad75b56ebaa6727675d8",
+        ),
+        (
+            ["eigenmatrix", "--which", "Q"],
+            "a05e3b6f844b0d7e23138face58fc14cb0f94401ca3a8b25e314349d16daf78c",
+        ),
+        (["krawchouk"], "afb6ef82083770dd2ae2aa537486f1b707aa88379db673cdb1f820cdd68a7b54"),
+        (
+            ["krawchouk", "--reversed"],
+            "950f1b356d6a83233703936364cb52ef5060ba1e15b29208f82adda70cc071c1",
+        ),
+    ],
+    ids=["eigenmatrix-P", "eigenmatrix-Q", "krawchouk", "krawchouk-reversed"],
+)
+def test_eigenmatrix_and_krawchouk_golden_output(capsys, argv, digest):
+    code = main(argv + ["--q", "3,2,5", "--n", "2", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_theta_command(capsys):

@@ -98,12 +98,12 @@ def dense_primary_subalgebra(inst):
     )
     dual0n = duals[shapes[0]]
     dual_span = span_basis([idems[lam] * dual0n * idems[mu] for lam in shapes for mu in shapes])
-    report = {
-        "dimension_is_class_count_squared": sub.dimension == params.class_count**2,
-        "multiplication_law": law_ok,
-        "dual_span_matches": dual_span == sub,
+    checks = {
+        "primary_dimension_is_class_count_squared": sub.dimension == params.class_count**2,
+        "primary_multiplication_law": law_ok,
+        "primary_dual_span_matches": dual_span == sub,
     }
-    return sub, report
+    return sub, checks
 
 
 def dense_commutative(piece):
@@ -134,11 +134,11 @@ def test_center_matches_dense_oracle(q, n):
 @pytest.mark.parametrize("q,n", ORACLE_INSTANCES, ids=_label)
 def test_primary_matches_dense_oracle(q, n):
     inst = Instance(SchemeParams(q, n))
-    sub, report = primary_subalgebra(inst)
-    dense_sub, dense_report = dense_primary_subalgebra(inst)
+    sub, checks = primary_subalgebra(inst)
+    dense_sub, dense_checks = dense_primary_subalgebra(inst)
     assert sub.orbitals is inst.orbitals
     assert basis_matrices(sub) == basis_matrices(dense_sub)
-    assert report == dense_report
+    assert checks == dense_checks
 
 
 @pytest.mark.parametrize(
@@ -155,13 +155,15 @@ def test_component_checks_match_dense_oracle(monkeypatch, q, n):
         return sub
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
-    decomp = component_dims(Instance(SchemeParams(q, n)))
+    components, checks = component_dims(Instance(SchemeParams(q, n)))
     # a degree with no nonzero spanning matrix runs no closure and has dim 0
-    measured = [info.commutative for info in decomp.components if info.dim]
+    measured = [info.commutative for info in components if info.dim]
     assert measured == [dense_commutative(piece) for piece in pieces]
-    assert decomp.pairwise_annihilating == all(
-        dense_annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
-    )
+    assert checks == {
+        "components_pairwise_annihilating": all(
+            dense_annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
+        )
+    }
 
 
 def test_center_uses_every_spin_generator():

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from itertools import product
@@ -275,12 +276,12 @@ def test_identity_suite_marks_vacuous_cases():
 )
 def test_primary_subalgebra_dimensions(q, n, expected_dim):
     params = SchemeParams(q, n)
-    sub, report = primary_subalgebra(Instance(params))
+    sub, checks = primary_subalgebra(Instance(params))
     assert sub.dimension == expected_dim == params.class_count**2
-    assert report == {
-        "dimension_is_class_count_squared": True,
-        "multiplication_law": True,
-        "dual_span_matches": True,
+    assert checks == {
+        "primary_dimension_is_class_count_squared": True,
+        "primary_multiplication_law": True,
+        "primary_dual_span_matches": True,
     }
 
 
@@ -358,6 +359,15 @@ def test_generator_agreement_fails_for_an_idempotent_outside_the_seed_span(monke
     assert structure_report(inst).checks["generator_sets_agree"] is False
 
 
+@pytest.mark.parametrize("q,n", [((3,), 2), ((2, 3), 1)], ids=str)
+def test_structure_report_keeps_the_checks_its_measurements_name(q, n):
+    """The report merges the checks of `primary_subalgebra` and `component_dims` as they come."""
+    inst = Instance(SchemeParams(q, n))
+    checks = structure_report(inst).checks
+    for _, named in (primary_subalgebra(inst), component_dims(inst)):
+        assert named and {key: checks.get(key) for key in named} == named
+
+
 @pytest.mark.parametrize("q,n,closures", [((2, 3), 1, 1), ((3,), 2, 2)])
 def test_structure_report_closes_t_once(monkeypatch, q, n, closures):
     """One unital closure of T, plus the depth-one closure when n > 1."""
@@ -378,10 +388,10 @@ def test_structure_report_closes_t_once(monkeypatch, q, n, closures):
 
 
 def test_component_dims_wreath_case(report_for):
-    decomp = component_dims(Instance(SchemeParams((2, 2), 1)))
-    assert [c.dim for c in decomp.components] == [9, 1]
-    assert decomp.components[1].commutative
-    assert decomp.pairwise_annihilating
+    components, checks = component_dims(Instance(SchemeParams((2, 2), 1)))
+    assert [c.dim for c in components] == [9, 1]
+    assert components[1].commutative
+    assert checks == {"components_pairwise_annihilating": True}
     report = report_for((2, 2), 1)
     assert report.checks["components_sum_to_total"]
     assert report.dim_T == 10
@@ -394,8 +404,8 @@ def test_component_dims_refuses_degenerate_case():
 
 def test_component_top_level_is_commutative_with_feasible_pair_count():
     params = SchemeParams((2, 3), 1)
-    decomp = component_dims(Instance(params))
-    top = decomp.components[-1]
+    components, _ = component_dims(Instance(params))
+    top = components[-1]
     assert top.commutative
     assert top.dim == len(omega_set(params)) == 2
 
@@ -431,7 +441,8 @@ def test_structure_report_wreath_of_mixed_alphabets(report_for):
 
 
 def test_structure_report_json_schema(report_for):
-    blob = report_for((3,), 1).to_json()
+    # read back through JSON text: the records keep tuples where the text has lists
+    blob = json.loads(json.dumps(report_for((3,), 1).to_json()))
     assert set(blob) == {
         "params",
         "dim_T",
