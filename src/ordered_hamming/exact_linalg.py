@@ -469,6 +469,60 @@ class Orbitals:
         return self._left_product(a, b)
 
 
+class OrbitalMatrix:
+    """A matrix constant on every orbital: its orbital vector over one positive denominator.
+
+    Kept in lowest terms like `RatMatrix`, so equal matrices on one set of
+    orbitals are equal pairs; products run through `Orbitals.product`.
+    """
+
+    __slots__ = ("orbitals", "vec", "den")
+
+    def __init__(self, orbitals: Orbitals, vec: list[int], den: int = 1):
+        g = math.gcd(den, *vec)
+        if g > 1:
+            vec, den = [a // g for a in vec], den // g
+        self.orbitals, self.vec, self.den = orbitals, vec, den
+
+    @classmethod
+    def of(cls, orbitals: Orbitals, mat: RatMatrix) -> OrbitalMatrix:
+        """`mat` in orbital coordinates, after `Orbitals.vector` checks every entry."""
+        return cls(orbitals, orbitals.vector(mat), mat.denominator)
+
+    def matches(self, mat: RatMatrix) -> bool:
+        """Whether the dense `mat` is this matrix; one not constant on every orbital is not."""
+        return mat.denominator == self.den and self.orbitals._entries(mat) == self.vec
+
+    def matrix(self) -> RatMatrix:
+        return self.orbitals.matrix(self.vec, self.den)
+
+    def __add__(self, other: OrbitalMatrix) -> OrbitalMatrix:
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        summed = [x * sa + y * sb for x, y in zip(self.vec, other.vec)]
+        return OrbitalMatrix(self.orbitals, summed, den)
+
+    def __sub__(self, other: OrbitalMatrix) -> OrbitalMatrix:
+        return self + other.scale(-1)
+
+    def __mul__(self, other: OrbitalMatrix) -> OrbitalMatrix:
+        product = self.orbitals.product(self.vec, other.vec)
+        return OrbitalMatrix(self.orbitals, product, self.den * other.den)
+
+    def scale(self, scalar) -> OrbitalMatrix:
+        c = _coerce(scalar)
+        num = c.numerator
+        return OrbitalMatrix(self.orbitals, [num * a for a in self.vec], self.den * c.denominator)
+
+    def is_zero(self) -> bool:
+        return not any(self.vec)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OrbitalMatrix) and (self.orbitals, self.den, self.vec) == (
+            other.orbitals, other.den, other.vec
+        )
+
+
 # ---------------------------------------------------------------------------
 # Subspaces of orbital-constant square matrices.
 # ---------------------------------------------------------------------------

@@ -203,22 +203,27 @@ def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbital
 def intersection_counts(sweep: Sequence[Shape]) -> dict[Shape, Counter] | None:
     """p^k_ij as {k: Counter({(i, j): p})}, counted from the `pair_shapes` sweep.
 
-    Entry (x, y) of A_i A_j is #{z : sweep[x, z] = i, sweep[z, y] = j}, so
-    Counter(zip(row x, column y)) is that entry for every (i, j) at once.
-    Relation k keeps the counts of its first pair in row-major order; None
-    if any other pair of k counts differently, since then p^k_ij is not
-    defined.
+    Entry (x, y) of A_i A_j is #{z : sweep[x, z] = i, sweep[z, y] = j}. With
+    the C relations labelled 0..C-1, counting C * row x + column y gives that
+    entry for every pair of labels at once. Relation k keeps the counts of
+    its first pair in row-major order; None if any other pair of k counts
+    differently, since then p^k_ij is not defined.
     """
     npts = math.isqrt(len(sweep))
-    rows = [sweep[x * npts : (x + 1) * npts] for x in range(npts)]
+    shapes = list(dict.fromkeys(sweep))
+    label = {lam: a for a, lam in enumerate(shapes)}
+    c = len(shapes)
+    rows = [[label[lam] for lam in sweep[x * npts : (x + 1) * npts]] for x in range(npts)]
     cols = list(zip(*rows))
-    first: dict[Shape, Counter] = {}
+    first: dict[int, Counter] = {}
     for row in rows:
+        scaled = [c * a for a in row]
         for k, col in zip(row, cols):
-            counts = Counter(zip(row, col))
+            counts = Counter([a + b for a, b in zip(scaled, col)])
             if first.setdefault(k, counts) != counts:
                 return None
-    return first
+    pairs = [(i, j) for i in shapes for j in shapes]
+    return {shapes[k]: Counter({pairs[ij]: p for ij, p in cnt.items()}) for k, cnt in first.items()}
 
 
 def verify_axioms(inst: Instance) -> dict[str, bool | None]:

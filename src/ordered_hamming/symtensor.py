@@ -34,8 +34,8 @@ def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
     Parts with multiplicity zero are dropped first. The first-factor recursion
     is memoized on the remaining counts, so the work is one Kronecker product
     per nonzero count in each of at most prod(c_i + 1) count states; a state
-    with one factor left is that factor. Without the memo the calls would
-    walk the whole prefix tree of arrangements.
+    with one factor left, or a lone factor, is that factor. Without the memo
+    the calls would walk the whole prefix tree of arrangements.
     """
     kept = [(m, c) for m, c in parts if c]
     if not kept:
@@ -45,6 +45,8 @@ def lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
         if m.nrows != m.ncols or m.nrows != side:
             raise DimensionMismatch("all factors must be square with one common side")
     mats, counts = zip(*kept)
+    if counts == (1,):
+        return mats[0]
 
     @cache
     def lift(rest: tuple[int, ...]) -> RatMatrix:

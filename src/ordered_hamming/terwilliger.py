@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +21,7 @@ from itertools import accumulate
 from .exact_linalg import (
     InternalMismatch,
     MatrixSubspace,
+    OrbitalMatrix,
     Orbitals,
     RatMatrix,
     algebra_closure,
@@ -41,6 +42,7 @@ from .scheme import (
 )
 from .spectral import (
     BaseSpectralData,
+    LetterFactors,
     base_spectral,
     factor_columns,
     letter_factors,
@@ -62,16 +64,19 @@ class TerwBasisSet:
     Gnat: RatMatrix
 
 
-def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
+def terw_basis(data: BaseSpectralData, orbitals: Orbitals) -> TerwBasisSet:
     """Construct the F/G families, cross-checking each closed form.
 
-    The F families are built twice (normalized sandwich products vs.
-    Kronecker closed forms); a mismatch raises InternalMismatch.
+    E and E* lie in T, so the normalized sandwiches run in the depth-one
+    `orbitals` and expand to dense matrices for `lifted_sum`. Each F family
+    is built twice (sandwiches vs. Kronecker closed forms); a mismatch
+    raises InternalMismatch.
     """
     params = data.params
     m = params.m
     size = params.base_size
-    E, estar, k, mult = data.E, data.Estar, data.k, data.mult
+    k, mult = data.k, data.mult
+    E, estar = ([OrbitalMatrix.of(orbitals, mat) for mat in fam] for fam in (data.E, data.Estar))
     c = factor_columns(params.q)
 
     F = [E[0]]
@@ -82,18 +87,17 @@ def terw_basis(data: BaseSpectralData) -> TerwBasisSet:
 
     # closed forms: F_j mirrors the idempotent index pattern, F*_j the dual one
     for j in range(1, m + 1):
-        if kron_all(splice(c.Jt, c.H[m - j], c.D, m - j)) != F[j]:
+        if not F[j].matches(kron_all(splice(c.Jt, c.H[m - j], c.D, m - j))):
             raise InternalMismatch(f"closed form for F_{j} disagrees with its sandwich")
-        if kron_all(splice(c.Jt, c.Hstar[j - 1], c.D, j - 1)) != Fstar[j]:
+        if not Fstar[j].matches(kron_all(splice(c.Jt, c.Hstar[j - 1], c.D, j - 1))):
             raise InternalMismatch(f"closed form for F*_{j} disagrees with its sandwich")
 
-    G = tuple(E[j] - F[j] for j in range(1, m + 1))
-    Gstar = tuple(estar[j] - Fstar[j] for j in range(1, m + 1))
+    G = [E[j] - F[j] for j in range(1, m + 1)]
+    Gstar = [estar[j] - Fstar[j] for j in range(1, m + 1)]
     fnat = mat_sum(F)
-    gnat = RatMatrix.identity(size) - fnat
-    return TerwBasisSet(
-        F=tuple(F), Fstar=tuple(Fstar), G=G, Gstar=Gstar, Fnat=fnat, Gnat=gnat
-    )
+    gnat = OrbitalMatrix.of(orbitals, RatMatrix.identity(size)) - fnat
+    F, Fstar, G, Gstar = (tuple(x.matrix() for x in fam) for fam in (F, Fstar, G, Gstar))
+    return TerwBasisSet(F=F, Fstar=Fstar, G=G, Gstar=Gstar, Fnat=fnat.matrix(), Gnat=gnat.matrix())
 
 
 class Instance:
@@ -175,7 +179,9 @@ class Instance:
 
     @cached_property
     def basis(self) -> TerwBasisSet:
-        return self.base.basis if self.base is not self else terw_basis(self.spectral)
+        if self.base is not self:
+            return self.base.basis
+        return terw_basis(self.spectral, self.orbitals)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,12 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
 
     Returns named booleans; identities about the G families are reported as
     None (vacuous) in the single binary case where those families vanish.
+
+    Every matrix multiplied here lies in T, so each enters once through
+    `Orbitals.vector`, which checks every entry, and every product runs in
+    orbital coordinates: the depth-one identities in the depth-one orbitals,
+    the lifted G families in this instance's. Only the per-letter factor
+    identities multiply dense q-by-q matrices, which are not in T.
     """
     params = inst.params
     q = params.q
@@ -305,10 +317,16 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     size = params.base_size
     data = inst.spectral
     tw = inst.basis
-    E, A, estar, k, mult = data.E, data.A, data.Estar, data.k, data.mult
-    F, Fstar = tw.F, tw.Fstar
-    G = (None,) + tw.G  # 1-based access
-    Gstar = (None,) + tw.Gstar
+    orbitals = inst.base.orbitals
+
+    def in_t(mats) -> tuple[OrbitalMatrix, ...]:
+        return tuple(OrbitalMatrix.of(orbitals, mat) for mat in mats)
+
+    E, A, estar, F, Fstar = map(in_t, (data.E, data.A, data.Estar, tw.F, tw.Fstar))
+    fnat, gnat = in_t((tw.Fnat, tw.Gnat))
+    k, mult = data.k, data.mult
+    G = (None,) + in_t(tw.G)  # 1-based access
+    Gstar = (None,) + in_t(tw.Gstar)
     checks: dict[str, bool | None] = {}
 
     checks["idempotent_sandwich_scalars"] = all(
@@ -335,14 +353,14 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     )
     checks["f_orthogonal_idempotents"] = _orthogonal_idempotents(F)
     checks["fstar_orthogonal_idempotents"] = _orthogonal_idempotents(Fstar)
-    checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == tw.Fnat
+    checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == fnat
 
-    checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(tw.G)
-    checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(tw.Gstar)
-    checks["g_annihilates_f"] = _mutually_annihilating(tw.G, F)
-    checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
-    checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
-    checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
+    checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(G[1:])
+    checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(Gstar[1:])
+    checks["g_annihilates_f"] = _mutually_annihilating(G[1:], F)
+    checks["g_annihilates_fstar"] = _mutually_annihilating(G[1:], Fstar)
+    checks["gstar_annihilates_f"] = _mutually_annihilating(Gstar[1:], F)
+    checks["gstar_annihilates_fstar"] = _mutually_annihilating(Gstar[1:], Fstar)
     checks["g_product_difference"] = all(
         G[i] * Gstar[j] == E[i] * estar[j] - F[i] * Fstar[j]
         for i in range(1, m + 1)
@@ -353,7 +371,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
-    checks["g_natural_sum"] = mat_sum(tw.G) == mat_sum(tw.Gstar) == tw.Gnat
+    checks["g_natural_sum"] = mat_sum(G[1:]) == mat_sum(Gstar[1:]) == gnat
 
     checks["factor_identities"] = _factor_identities_hold(q)
 
@@ -377,19 +395,17 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
         checks["g_natural_lifted"] = None
         checks["lifted_g_products"] = None
     else:
-        checks["g_products_by_regime"] = _g_product_regimes_hold(params, tw)
+        checks["g_products_by_regime"] = _g_product_regimes_hold(q, G, Gstar)
         inner = compositions(n, m)
-        glist = list(tw.G)
-        gslist = list(tw.Gstar)
-        lifted_g = {tau: lifted_sum(list(zip(glist, tau))) for tau in inner}
-        lifted_gs = {tau: lifted_sum(list(zip(gslist, tau))) for tau in inner}
-        gnat_power = kron_all([tw.Gnat] * n)
-        checks["g_natural_lifted"] = (
-            mat_sum(lifted_g.values()) == mat_sum(lifted_gs.values()) == gnat_power
+        lifted_g, lifted_gs = (
+            {tau: OrbitalMatrix.of(inst.orbitals, lifted_sum([*zip(fam, tau)])) for tau in inner}
+            for fam in (tw.G, tw.Gstar)
         )
-        checks["lifted_g_products"] = _lifted_g_products_hold(
-            params, tw, lifted_g, lifted_gs
+        g_sum = mat_sum(lifted_g.values())
+        checks["g_natural_lifted"] = g_sum == mat_sum(lifted_gs.values()) and g_sum.matches(
+            kron_all([tw.Gnat] * n)
         )
+        checks["lifted_g_products"] = _lifted_g_products_hold(params, G, Gstar, lifted_g, lifted_gs)
 
     f_matches = all(F[j] == E[j] for j in range(1, m + 1)) and all(
         Fstar[j] == estar[j] for j in range(1, m + 1)
@@ -398,7 +414,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     return checks
 
 
-def _orthogonal_idempotents(fam: tuple[RatMatrix, ...]) -> bool:
+def _orthogonal_idempotents(fam: Sequence[OrbitalMatrix]) -> bool:
     """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
     return all(
         (x * y == x) if i == j else (x * y).is_zero()
@@ -407,7 +423,7 @@ def _orthogonal_idempotents(fam: tuple[RatMatrix, ...]) -> bool:
     )
 
 
-def _mutually_annihilating(xs: tuple[RatMatrix, ...], ys: tuple[RatMatrix, ...]) -> bool:
+def _mutually_annihilating(xs: Sequence[OrbitalMatrix], ys: Sequence[OrbitalMatrix]) -> bool:
     """Whether x y = y x = 0 for every x in `xs` and y in `ys`."""
     return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
 
@@ -435,12 +451,23 @@ def _factor_identities_hold(q: tuple[int, ...]) -> bool:
     return True
 
 
-def _g_product_regimes_hold(params: SchemeParams, tw: TerwBasisSet) -> bool:
-    q = params.q
-    m = params.m
+def _g_product_factors(i: int, j: int, c: LetterFactors, m: int) -> list[RatMatrix]:
+    """Kronecker factors of the closed form of G_j G*_i, for a surviving pair (i, j)."""
+    if i + j == m + 1:
+        return splice(c.Jt, c.Z[i - 1], c.D, i - 1)
+    # E_j's (I - Jt) at slot m - j, then E*_i's factors from there on
+    p = m - j
+    dual = splice(c.I, c.I[i - 1] - c.D[i - 1], c.D, i - 1)
+    return splice(c.Jt, c.I[p] - c.Jt[p], dual, p)
+
+
+def _g_product_regimes_hold(q: tuple[int, ...], G: Sequence, Gstar: Sequence) -> bool:
+    """G_j G*_i = G*_i G_j: zero off the surviving pairs, else its closed form (G 1-based).
+
+    A closed form that is not constant on every orbital is not in T, so it differs.
+    """
+    m = len(q)
     c = factor_columns(q)
-    G = (None,) + tw.G
-    Gstar = (None,) + tw.Gstar
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             lhs = G[j] * Gstar[i]
@@ -449,26 +476,20 @@ def _g_product_regimes_hold(params: SchemeParams, tw: TerwBasisSet) -> bool:
             if not _survives(i, j, q):
                 if not lhs.is_zero():
                     return False
-            elif i + j == m + 1:
-                if lhs != kron_all(splice(c.Jt, c.Z[i - 1], c.D, i - 1)):
-                    return False
-            else:
-                # E_j's (I - Jt) at slot m - j, then E*_i's factors from there on
-                p = m - j
-                dual = splice(c.I, c.I[i - 1] - c.D[i - 1], c.D, i - 1)
-                if lhs != kron_all(splice(c.Jt, c.I[p] - c.Jt[p], dual, p)):
-                    return False
+            elif not lhs.matches(kron_all(_g_product_factors(i, j, c, m))):
+                return False
     return True
 
 
 def _lifted_g_products_hold(
-    params: SchemeParams,
-    tw: TerwBasisSet,
-    lifted_g: dict[Shape, RatMatrix],
-    lifted_gs: dict[Shape, RatMatrix],
+    params: SchemeParams, G: Sequence, Gstar: Sequence, lifted_g: dict, lifted_gs: dict
 ) -> bool:
+    """Each lifted G product is the sum over its support grids of lifted depth-one products.
+
+    The depth-one products (G 1-based) expand to dense factors for `lifted_sum`.
+    """
     m = params.m
-    grid = [[tw.G[j] * tw.Gstar[i] for j in range(m)] for i in range(m)]
+    grid = [[(G[j] * Gstar[i]).matrix() for j in range(1, m + 1)] for i in range(1, m + 1)]
     inner = compositions(params.n, m)
     for lam in inner:
         for mu in inner:
@@ -487,7 +508,7 @@ def _lifted_g_products_hold(
                 lifted_sum([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
                 for c in grids
             )
-            if left != expected or left.is_zero():
+            if not left.matches(expected) or left.is_zero():
                 return False
     return True
 
@@ -503,56 +524,41 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     The checks, under the names the report prints, verify the dimension,
     the rational multiplication law
     B(lam,mu) B(nu,rho) = delta(mu,nu) |X^n|^-1 k_mu B(lam,rho) and that the
-    dual sandwiches E_lam E*_0^(n) E_mu span the same subspace.
+    dual sandwiches E_lam E*_0^(n) E_mu span the same subspace. With
+    C(lam,mu) = |X^n| / k_mu B(lam,mu) the law for mu = nu reads
+    C(lam,mu) C(mu,rho) = C(lam,rho).
 
-    Every factor lies in T, so it enters as an orbital vector, checked on
-    every entry, and every product runs in orbital coordinates. A pair
-    (v, den) stands for the matrix v / den, so the law is compared exactly,
-    on integers with the denominators cleared.
+    Every factor lies in T, so it enters as an `OrbitalMatrix`, checked on
+    every entry, and every product runs in orbital coordinates.
     """
     params = inst.params
     shapes = inst.shapes
-    npts = params.num_points
     orbitals = inst.orbitals
-    product = orbitals.product
-    idems = {lam: orbitals.vector(mat) for lam, mat in inst.idempotents.items()}
-    duals = {lam: orbitals.vector(mat) for lam, mat in inst.duals.items()}
-    dual_den = {lam: mat.denominator for lam, mat in inst.duals.items()}
-    e0n = idems[shapes[0]]
-    e0n_den = inst.idempotents[shapes[0]].denominator
-    left = {lam: product(duals[lam], e0n) for lam in shapes}
-    sandwich = {
-        (lam, mu): (product(left[lam], duals[mu]), dual_den[lam] * e0n_den * dual_den[mu])
+    idems, duals = (
+        {lam: OrbitalMatrix.of(orbitals, mat) for lam, mat in fam.items()}
+        for fam in (inst.idempotents, inst.duals)
+    )
+    left = {lam: duals[lam] * idems[shapes[0]] for lam in shapes}
+    unit = {
+        (lam, mu): (left[lam] * duals[mu]).scale(Fraction(params.num_points, valency_n(mu, params)))
         for lam in shapes
         for mu in shapes
     }
-    sub = MatrixSubspace.span(orbitals, (vec for vec, _ in sandwich.values()))
-    dim_ok = sub.dimension == params.class_count**2
-
-    law_ok = True
-    for mu in shapes:
-        for nu in shapes:
-            if mu == nu:
-                continue
-            if any(product(duals[mu], duals[nu])):
-                law_ok = False
-    for lam in shapes:
-        for mu in shapes:
-            for rho in shapes:
-                (a, a_den), (b, b_den) = sandwich[(lam, mu)], sandwich[(mu, rho)]
-                c, c_den = sandwich[(lam, rho)]
-                # a b / (a_den b_den) == k_mu / N * c / c_den, cross-multiplied
-                lhs_scale = npts * c_den
-                rhs_scale = valency_n(mu, params) * a_den * b_den
-                if any(lhs_scale * x != rhs_scale * y for x, y in zip(product(a, b), c)):
-                    law_ok = False
-
-    dual_left = {lam: product(idems[lam], duals[shapes[0]]) for lam in shapes}
+    sub = MatrixSubspace.span(orbitals, (c.vec for c in unit.values()))
+    law_ok = all(
+        (duals[mu] * duals[nu]).is_zero() for mu in shapes for nu in shapes if mu != nu
+    ) and all(
+        unit[lam, mu] * unit[mu, rho] == unit[lam, rho]
+        for lam in shapes
+        for mu in shapes
+        for rho in shapes
+    )
+    dual_left = {lam: idems[lam] * duals[shapes[0]] for lam in shapes}
     dual_span = MatrixSubspace.span(
-        orbitals, (product(dual_left[lam], idems[mu]) for lam in shapes for mu in shapes)
+        orbitals, ((dual_left[lam] * idems[mu]).vec for lam in shapes for mu in shapes)
     )
     return sub, {
-        "primary_dimension_is_class_count_squared": dim_ok,
+        "primary_dimension_is_class_count_squared": sub.dimension == params.class_count**2,
         "primary_multiplication_law": law_ok,
         "primary_dual_span_matches": dual_span == sub,
     }

@@ -8,11 +8,24 @@ computation that never uses the group. The scheme axioms and intersection
 numbers are also read here from dense relation matrices and their
 products, against the counts the package takes from the pair-shape sweep,
 and `point_sub`/`shape_of` give the relation of a pair by its definition,
-against the `pair_shapes` sweep.
+against the `pair_shapes` sweep. The identity suite is run here with dense
+products, against the suite the package runs in orbital coordinates.
 """
 
-from ordered_hamming import EmptyInput, MatrixSubspace, Orbitals, RatMatrix
-from ordered_hamming.exact_linalg import mat_sum
+from fractions import Fraction
+
+from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
+from ordered_hamming.exact_linalg import kron_all, mat_sum
+from ordered_hamming.scheme import compositions
+from ordered_hamming.spectral import factor_columns, splice
+from ordered_hamming.symtensor import lifted_sum
+from ordered_hamming.terwilliger import (
+    TerwBasisSet,
+    _factor_identities_hold,
+    _survives,
+    _theta_enumerate,
+    _theta_feasible,
+)
 
 
 def span_basis(mats):
@@ -116,3 +129,208 @@ def dense_scheme_checks(shapes, mats):
         return checks, None
     table = {(i, j, k): p for (i, j), coeffs in tables.items() for k, p in coeffs.items()}
     return checks, table
+
+
+# ---------------------------------------------------------------------------
+# The identity suite in dense coordinates: the F/G families from dense
+# sandwiches, and every identity a dense product, against the package's
+# suite in orbital coordinates.
+# ---------------------------------------------------------------------------
+
+
+def dense_terw_basis(data):
+    """The F/G families from dense sandwich products, each F checked against its closed form."""
+    params = data.params
+    m = params.m
+    size = params.base_size
+    E, estar, k, mult = data.E, data.Estar, data.k, data.mult
+    c = factor_columns(params.q)
+
+    F = [E[0]]
+    Fstar = [estar[0]]
+    for j in range(1, m + 1):
+        F.append((E[j] * estar[0] * E[j]).scale(Fraction(size, mult[j])))
+        Fstar.append((estar[j] * E[0] * estar[j]).scale(Fraction(size, k[j])))
+
+    # closed forms: F_j mirrors the idempotent index pattern, F*_j the dual one
+    for j in range(1, m + 1):
+        if kron_all(splice(c.Jt, c.H[m - j], c.D, m - j)) != F[j]:
+            raise InternalMismatch(f"closed form for F_{j} disagrees with its sandwich")
+        if kron_all(splice(c.Jt, c.Hstar[j - 1], c.D, j - 1)) != Fstar[j]:
+            raise InternalMismatch(f"closed form for F*_{j} disagrees with its sandwich")
+
+    G = tuple(E[j] - F[j] for j in range(1, m + 1))
+    Gstar = tuple(estar[j] - Fstar[j] for j in range(1, m + 1))
+    fnat = mat_sum(F)
+    gnat = RatMatrix.identity(size) - fnat
+    return TerwBasisSet(
+        F=tuple(F), Fstar=tuple(Fstar), G=G, Gstar=Gstar, Fnat=fnat, Gnat=gnat
+    )
+
+
+def dense_terw_identities(inst):
+    """The identity suite with every product a dense `RatMatrix` product, on dense families."""
+    params = inst.params
+    q = params.q
+    m = params.m
+    n = params.n
+    size = params.base_size
+    data = inst.spectral
+    tw = dense_terw_basis(data)
+    E, A, estar, k, mult = data.E, data.A, data.Estar, data.k, data.mult
+    F, Fstar = tw.F, tw.Fstar
+    G = (None,) + tw.G  # 1-based access
+    Gstar = (None,) + tw.Gstar
+    checks: dict[str, bool | None] = {}
+
+    checks["idempotent_sandwich_scalars"] = all(
+        E[0] * estar[i] * E[0] == E[0].scale(Fraction(k[i], size)) for i in range(m + 1)
+    )
+    checks["dual_sandwich_scalars"] = all(
+        estar[0] * E[i] * estar[0] == estar[0].scale(Fraction(mult[i], size))
+        for i in range(m + 1)
+    )
+    checks["corner_shift"] = all(
+        E[0] * estar[i] == E[0] * estar[0] * A[i] for i in range(m + 1)
+    )
+
+    checks["f_zero_matches_e_zero"] = F[0] == E[0] and Fstar[0] == estar[0]
+    checks["f_sandwich_reduction"] = all(
+        Fstar[i] * F[0] * Fstar[j] == estar[i] * E[0] * estar[j]
+        for i in range(m + 1)
+        for j in range(m + 1)
+    )
+    checks["f_dual_sandwich_reduction"] = all(
+        F[i] * Fstar[0] * F[j] == E[i] * estar[0] * E[j]
+        for i in range(m + 1)
+        for j in range(m + 1)
+    )
+    checks["f_orthogonal_idempotents"] = _orthogonal_idempotents(F)
+    checks["fstar_orthogonal_idempotents"] = _orthogonal_idempotents(Fstar)
+    checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == tw.Fnat
+
+    checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(tw.G)
+    checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(tw.Gstar)
+    checks["g_annihilates_f"] = _mutually_annihilating(tw.G, F)
+    checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
+    checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
+    checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
+    checks["g_product_difference"] = all(
+        G[i] * Gstar[j] == E[i] * estar[j] - F[i] * Fstar[j]
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+    )
+    checks["gstar_product_difference"] = all(
+        Gstar[i] * G[j] == estar[i] * E[j] - Fstar[i] * F[j]
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+    )
+    checks["g_natural_sum"] = mat_sum(tw.G) == mat_sum(tw.Gstar) == tw.Gnat
+
+    checks["factor_identities"] = _factor_identities_hold(q)
+
+    mixed_low = True
+    mixed_high = True
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if not _survives(i, j, q):
+                if E[j] * estar[i] != F[j] * Fstar[i]:
+                    mixed_low = False
+                if estar[i] * E[j] != Fstar[i] * F[j]:
+                    mixed_low = False
+            elif i + j > m + 1:
+                if not (F[j] * Fstar[i]).is_zero() or not (Fstar[i] * F[j]).is_zero():
+                    mixed_high = False
+    checks["mixed_products_low"] = mixed_low
+    checks["mixed_products_high"] = mixed_high
+
+    if inst.degenerate:
+        checks["g_products_by_regime"] = None
+        checks["g_natural_lifted"] = None
+        checks["lifted_g_products"] = None
+    else:
+        checks["g_products_by_regime"] = _g_product_regimes_hold(params, tw)
+        inner = compositions(n, m)
+        glist = list(tw.G)
+        gslist = list(tw.Gstar)
+        lifted_g = {tau: lifted_sum(list(zip(glist, tau))) for tau in inner}
+        lifted_gs = {tau: lifted_sum(list(zip(gslist, tau))) for tau in inner}
+        gnat_power = kron_all([tw.Gnat] * n)
+        checks["g_natural_lifted"] = (
+            mat_sum(lifted_g.values()) == mat_sum(lifted_gs.values()) == gnat_power
+        )
+        checks["lifted_g_products"] = _lifted_g_products_hold(
+            params, tw, lifted_g, lifted_gs
+        )
+
+    f_matches = all(F[j] == E[j] for j in range(1, m + 1)) and all(
+        Fstar[j] == estar[j] for j in range(1, m + 1)
+    )
+    checks["f_equals_e_only_in_binary_single_case"] = f_matches == inst.degenerate
+    return checks
+
+
+def _orthogonal_idempotents(fam) -> bool:
+    """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
+    return all(
+        (x * y == x) if i == j else (x * y).is_zero()
+        for i, x in enumerate(fam)
+        for j, y in enumerate(fam)
+    )
+
+
+def _mutually_annihilating(xs, ys) -> bool:
+    """Whether x y = y x = 0 for every x in `xs` and y in `ys`."""
+    return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
+
+
+def _g_product_regimes_hold(params, tw) -> bool:
+    q = params.q
+    m = params.m
+    c = factor_columns(q)
+    G = (None,) + tw.G
+    Gstar = (None,) + tw.Gstar
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            lhs = G[j] * Gstar[i]
+            if lhs != Gstar[i] * G[j]:
+                return False
+            if not _survives(i, j, q):
+                if not lhs.is_zero():
+                    return False
+            elif i + j == m + 1:
+                if lhs != kron_all(splice(c.Jt, c.Z[i - 1], c.D, i - 1)):
+                    return False
+            else:
+                # E_j's (I - Jt) at slot m - j, then E*_i's factors from there on
+                p = m - j
+                dual = splice(c.I, c.I[i - 1] - c.D[i - 1], c.D, i - 1)
+                if lhs != kron_all(splice(c.Jt, c.I[p] - c.Jt[p], dual, p)):
+                    return False
+    return True
+
+
+def _lifted_g_products_hold(params, tw, lifted_g, lifted_gs) -> bool:
+    m = params.m
+    grid = [[tw.G[j] * tw.Gstar[i] for j in range(m)] for i in range(m)]
+    inner = compositions(params.n, m)
+    for lam in inner:
+        for mu in inner:
+            left = lifted_g[mu] * lifted_gs[lam]
+            if left != lifted_gs[lam] * lifted_g[mu]:
+                return False
+            grids = _theta_enumerate(lam, mu, params.q)
+            feasible = _theta_feasible(lam, mu, params.q)
+            if feasible != bool(grids):
+                return False
+            if not grids:
+                if not left.is_zero():
+                    return False
+                continue
+            expected = mat_sum(
+                lifted_sum([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
+                for c in grids
+            )
+            if left != expected or left.is_zero():
+                return False
+    return True

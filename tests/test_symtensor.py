@@ -17,7 +17,6 @@ from ordered_hamming import (
     kron_all,
     lifted_sum,
     multinomial,
-    terw_basis,
 )
 from ordered_hamming import exact_linalg, symtensor
 from ordered_hamming.exact_linalg import EmptyInput, mat_sum
@@ -238,7 +237,7 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
 @pytest.mark.parametrize("q,expected", [((2, 2), 3), ((2, 3), 6)])
 def test_sym_product_span_dimension_multiplies(q, expected):
     params = SchemeParams(q, 1)
-    tw = terw_basis(base_spectral(params))
+    tw = Instance(params).basis
     f_span = span_basis(list(tw.F))
     g_span = span_basis([g for g in tw.G if not g.is_zero()])
     pairs = [

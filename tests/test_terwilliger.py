@@ -28,9 +28,15 @@ from ordered_hamming import (
     verify_spectral_n,
     verify_terw_identities,
 )
-from ordered_hamming.cli import SUITE_INSTANCES
+from ordered_hamming.cli import SUITE_INSTANCES, main
 
-from dense_oracle import contains, shape_of, span_basis
+from dense_oracle import (
+    contains,
+    dense_terw_basis,
+    dense_terw_identities,
+    shape_of,
+    span_basis,
+)
 
 
 def test_basis_families_in_binary_single_case():
@@ -268,6 +274,75 @@ def test_identity_suite_marks_vacuous_cases():
     assert checks["lifted_g_products"] is None
     checks = verify_terw_identities(Instance(SchemeParams((2, 2), 1)))
     assert checks["g_products_by_regime"] is True
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [((2,), 1), ((3,), 2), ((2, 3), 1), ((2, 2, 2), 1), ((2, 2), 2), ((2, 3), 2)],
+    ids=str,
+)
+def test_identity_suite_matches_the_dense_oracle(q, n):
+    inst = Instance(SchemeParams(q, n))
+    assert inst.basis == dense_terw_basis(inst.spectral)
+    assert list(verify_terw_identities(inst).items()) == list(dense_terw_identities(inst).items())
+
+
+def _identities(capsys, q: str, n: str) -> tuple[int, dict]:
+    code = main(["identities", "--q", q, "--n", n, "--json"])
+    return code, json.loads(capsys.readouterr().out)["checks"]
+
+
+@pytest.mark.parametrize("command", ["identities", "report"])
+def test_identity_suite_makes_no_dense_product_beyond_the_letter_factors(
+    monkeypatch, capsys, command
+):
+    """Only the q-by-q letter factors, which are not in T, are multiplied densely."""
+    sides = []
+    plain_mul = RatMatrix.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, RatMatrix):
+            sides.append(max(self.nrows, self.ncols, other.ncols))
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    assert main([command, "--q", "2,3", "--n", "2", "--json"]) == 0
+    capsys.readouterr()
+    assert sides and max(sides) <= 3
+
+
+def test_a_dropped_support_grid_fails_the_lifted_products(monkeypatch, capsys):
+    # X(3,2;2,3,2): the margins (0,1,1), (0,1,1) have two grids; dropping one
+    # keeps every pair feasible, so only the expected sum can catch it
+    plain = terwilliger_module._theta_enumerate
+
+    def dropping(lam, mu, q):
+        grids = plain(lam, mu, q)
+        return grids[:-1] if len(grids) > 1 else grids
+
+    code, checks = _identities(capsys, "2,3,2", "2")
+    assert code == 0 and checks["lifted_g_products"] is True
+    monkeypatch.setattr(terwilliger_module, "_theta_enumerate", dropping)
+    code, checks = _identities(capsys, "2,3,2", "2")
+    assert code == 1
+    assert [name for name, ok in checks.items() if ok is False] == ["lifted_g_products"]
+
+
+def test_a_swapped_closed_form_factor_fails_the_g_products(monkeypatch, capsys):
+    # X(2,2;2,3): the swapped factors give matrices that are not constant on
+    # the orbitals, so the check reads False instead of raising (exit 3)
+    plain = terwilliger_module._g_product_factors
+    monkeypatch.setattr(terwilliger_module, "_g_product_factors", lambda *a: plain(*a)[::-1])
+    orbitals = Instance(SchemeParams((2, 3), 1)).orbitals
+    c = spectral_module.factor_columns((2, 3))
+    swapped = [
+        terwilliger_module.kron_all(terwilliger_module._g_product_factors(i, j, c, 2))
+        for i, j in lambda_set(SchemeParams((2, 3), 1)).pairs
+    ]
+    assert any(orbitals._entries(mat) is None for mat in swapped)
+    code, checks = _identities(capsys, "2,3", "2")
+    assert code == 1
+    assert [name for name, ok in checks.items() if ok is False] == ["g_products_by_regime"]
 
 
 @pytest.mark.parametrize(
