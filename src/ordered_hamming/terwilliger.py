@@ -54,23 +54,29 @@ from .symtensor import lifted_sum
 
 @dataclass(frozen=True)
 class TerwBasisSet:
-    """The split F/G families of the depth-one scheme."""
+    """E, E* and the split F/G families of the depth-one scheme, in its orbitals.
 
-    F: tuple[RatMatrix, ...]
-    Fstar: tuple[RatMatrix, ...]
-    G: tuple[RatMatrix, ...]  # indices 1..m stored at 0..m-1
-    Gstar: tuple[RatMatrix, ...]
-    Fnat: RatMatrix
-    Gnat: RatMatrix
+    Every member lies in T; `.matrix()` expands one where `lifted_sum` needs
+    dense factors.
+    """
+
+    E: tuple[OrbitalMatrix, ...]
+    Estar: tuple[OrbitalMatrix, ...]
+    F: tuple[OrbitalMatrix, ...]
+    Fstar: tuple[OrbitalMatrix, ...]
+    G: tuple[OrbitalMatrix, ...]  # indices 1..m stored at 0..m-1
+    Gstar: tuple[OrbitalMatrix, ...]
+    Fnat: OrbitalMatrix
+    Gnat: OrbitalMatrix
 
 
 def terw_basis(data: BaseSpectralData, orbitals: Orbitals) -> TerwBasisSet:
-    """Construct the F/G families, cross-checking each closed form.
+    """Construct the F/G families in the depth-one `orbitals`, cross-checking each closed form.
 
-    E and E* lie in T, so the normalized sandwiches run in the depth-one
-    `orbitals` and expand to dense matrices for `lifted_sum`. Each F family
-    is built twice (sandwiches vs. Kronecker closed forms); a mismatch
-    raises InternalMismatch.
+    E and E* lie in T, so each enters once through `Orbitals.vector` and
+    every sandwich runs in orbital coordinates. Each F family is built
+    twice (sandwiches vs. Kronecker closed forms); a mismatch raises
+    InternalMismatch.
     """
     params = data.params
     m = params.m
@@ -96,8 +102,7 @@ def terw_basis(data: BaseSpectralData, orbitals: Orbitals) -> TerwBasisSet:
     Gstar = [estar[j] - Fstar[j] for j in range(1, m + 1)]
     fnat = mat_sum(F)
     gnat = OrbitalMatrix.of(orbitals, RatMatrix.identity(size)) - fnat
-    F, Fstar, G, Gstar = (tuple(x.matrix() for x in fam) for fam in (F, Fstar, G, Gstar))
-    return TerwBasisSet(F=F, Fstar=Fstar, G=G, Gstar=Gstar, Fnat=fnat.matrix(), Gnat=gnat.matrix())
+    return TerwBasisSet(*map(tuple, (E, estar, F, Fstar, G, Gstar)), Fnat=fnat, Gnat=gnat)
 
 
 class Instance:
@@ -179,9 +184,8 @@ class Instance:
 
     @cached_property
     def basis(self) -> TerwBasisSet:
-        if self.base is not self:
-            return self.base.basis
-        return terw_basis(self.spectral, self.orbitals)
+        base = self.base
+        return base.basis if base is not self else terw_basis(self.spectral, self.orbitals)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +308,11 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     Returns named booleans; identities about the G families are reported as
     None (vacuous) in the single binary case where those families vanish.
 
-    Every matrix multiplied here lies in T, so each enters once through
-    `Orbitals.vector`, which checks every entry, and every product runs in
-    orbital coordinates: the depth-one identities in the depth-one orbitals,
-    the lifted G families in this instance's. Only the per-letter factor
-    identities multiply dense q-by-q matrices, which are not in T.
+    Every matrix multiplied here lies in T and every product runs in
+    orbital coordinates: the depth-one identities on `Instance.basis` and
+    A in the depth-one orbitals, the lifted G families in this instance's.
+    Only the per-letter factor identities multiply dense q-by-q matrices,
+    which are not in T.
     """
     params = inst.params
     q = params.q
@@ -317,16 +321,11 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     size = params.base_size
     data = inst.spectral
     tw = inst.basis
-    orbitals = inst.base.orbitals
-
-    def in_t(mats) -> tuple[OrbitalMatrix, ...]:
-        return tuple(OrbitalMatrix.of(orbitals, mat) for mat in mats)
-
-    E, A, estar, F, Fstar = map(in_t, (data.E, data.A, data.Estar, tw.F, tw.Fstar))
-    fnat, gnat = in_t((tw.Fnat, tw.Gnat))
+    E, estar, F, Fstar = tw.E, tw.Estar, tw.F, tw.Fstar
+    A = [OrbitalMatrix.of(inst.base.orbitals, mat) for mat in data.A]
     k, mult = data.k, data.mult
-    G = (None,) + in_t(tw.G)  # 1-based access
-    Gstar = (None,) + in_t(tw.Gstar)
+    G = (None,) + tw.G  # 1-based access
+    Gstar = (None,) + tw.Gstar
     checks: dict[str, bool | None] = {}
 
     checks["idempotent_sandwich_scalars"] = all(
@@ -353,14 +352,14 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     )
     checks["f_orthogonal_idempotents"] = _orthogonal_idempotents(F)
     checks["fstar_orthogonal_idempotents"] = _orthogonal_idempotents(Fstar)
-    checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == fnat
+    checks["f_natural_identity"] = mat_sum(F) == mat_sum(Fstar) == tw.Fnat
 
-    checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(G[1:])
-    checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(Gstar[1:])
-    checks["g_annihilates_f"] = _mutually_annihilating(G[1:], F)
-    checks["g_annihilates_fstar"] = _mutually_annihilating(G[1:], Fstar)
-    checks["gstar_annihilates_f"] = _mutually_annihilating(Gstar[1:], F)
-    checks["gstar_annihilates_fstar"] = _mutually_annihilating(Gstar[1:], Fstar)
+    checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(tw.G)
+    checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(tw.Gstar)
+    checks["g_annihilates_f"] = _mutually_annihilating(tw.G, F)
+    checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
+    checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
+    checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
     checks["g_product_difference"] = all(
         G[i] * Gstar[j] == E[i] * estar[j] - F[i] * Fstar[j]
         for i in range(1, m + 1)
@@ -371,7 +370,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
-    checks["g_natural_sum"] = mat_sum(G[1:]) == mat_sum(Gstar[1:]) == gnat
+    checks["g_natural_sum"] = mat_sum(tw.G) == mat_sum(tw.Gstar) == tw.Gnat
 
     checks["factor_identities"] = _factor_identities_hold(q)
 
@@ -397,13 +396,14 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     else:
         checks["g_products_by_regime"] = _g_product_regimes_hold(q, G, Gstar)
         inner = compositions(n, m)
+        dense = ([g.matrix() for g in fam] for fam in (tw.G, tw.Gstar))
         lifted_g, lifted_gs = (
             {tau: OrbitalMatrix.of(inst.orbitals, lifted_sum([*zip(fam, tau)])) for tau in inner}
-            for fam in (tw.G, tw.Gstar)
+            for fam in dense
         )
         g_sum = mat_sum(lifted_g.values())
         checks["g_natural_lifted"] = g_sum == mat_sum(lifted_gs.values()) and g_sum.matches(
-            kron_all([tw.Gnat] * n)
+            kron_all([tw.Gnat.matrix()] * n)
         )
         checks["lifted_g_products"] = _lifted_g_products_hold(params, G, Gstar, lifted_g, lifted_gs)
 
@@ -414,7 +414,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     return checks
 
 
-def _orthogonal_idempotents(fam: Sequence[OrbitalMatrix]) -> bool:
+def _orthogonal_idempotents(fam: Sequence) -> bool:
     """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
     return all(
         (x * y == x) if i == j else (x * y).is_zero()
@@ -423,7 +423,7 @@ def _orthogonal_idempotents(fam: Sequence[OrbitalMatrix]) -> bool:
     )
 
 
-def _mutually_annihilating(xs: Sequence[OrbitalMatrix], ys: Sequence[OrbitalMatrix]) -> bool:
+def _mutually_annihilating(xs: Sequence, ys: Sequence) -> bool:
     """Whether x y = y x = 0 for every x in `xs` and y in `ys`."""
     return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
 
@@ -607,7 +607,9 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
     if inst.degenerate:
         raise ValueError("component split is vacuous when the G families vanish")
     tw = inst.basis
-    families = ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
+    families = [
+        [[x.matrix() for x in fam] for fam in pair] for pair in ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
+    ]
 
     infos = []
     pieces: list[MatrixSubspace] = []

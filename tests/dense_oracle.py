@@ -22,6 +22,8 @@ from ordered_hamming.symtensor import lifted_sum
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
     _factor_identities_hold,
+    _mutually_annihilating,
+    _orthogonal_idempotents,
     _survives,
     _theta_enumerate,
     _theta_feasible,
@@ -164,7 +166,17 @@ def dense_terw_basis(data):
     fnat = mat_sum(F)
     gnat = RatMatrix.identity(size) - fnat
     return TerwBasisSet(
-        F=tuple(F), Fstar=tuple(Fstar), G=G, Gstar=Gstar, Fnat=fnat, Gnat=gnat
+        E=E, Estar=estar, F=tuple(F), Fstar=tuple(Fstar), G=G, Gstar=Gstar, Fnat=fnat, Gnat=gnat
+    )
+
+
+def expanded(tw):
+    """`tw` with every member expanded to a dense matrix."""
+    return TerwBasisSet(
+        **{
+            name: x.matrix() if name in ("Fnat", "Gnat") else tuple(y.matrix() for y in x)
+            for name, x in vars(tw).items()
+        }
     )
 
 
@@ -268,20 +280,6 @@ def dense_terw_identities(inst):
     )
     checks["f_equals_e_only_in_binary_single_case"] = f_matches == inst.degenerate
     return checks
-
-
-def _orthogonal_idempotents(fam) -> bool:
-    """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
-    return all(
-        (x * y == x) if i == j else (x * y).is_zero()
-        for i, x in enumerate(fam)
-        for j, y in enumerate(fam)
-    )
-
-
-def _mutually_annihilating(xs, ys) -> bool:
-    """Whether x y = y x = 0 for every x in `xs` and y in `ys`."""
-    return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
 
 
 def _g_product_regimes_hold(params, tw) -> bool:

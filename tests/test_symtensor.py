@@ -238,8 +238,8 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
 def test_sym_product_span_dimension_multiplies(q, expected):
     params = SchemeParams(q, 1)
     tw = Instance(params).basis
-    f_span = span_basis(list(tw.F))
-    g_span = span_basis([g for g in tw.G if not g.is_zero()])
+    f_span = span_basis([f.matrix() for f in tw.F])
+    g_span = span_basis([g.matrix() for g in tw.G if not g.is_zero()])
     pairs = [
         lifted_sum([(f, 1), (g, 1)])
         for f in basis_matrices(f_span)

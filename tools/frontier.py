@@ -1,10 +1,11 @@
 """Frontier runner: the full `report` on the instances of the ROADMAP measurement table.
 
-    python3 tools/frontier.py --timeout 300 [--src PATH] > frontier.json
+    python3 tools/frontier.py [--src PATH] > frontier.json
 
-Each instance runs in its own `python3` process, under a per-instance
-timeout. The child times `ordered_hamming.cli.main(["report", ..., "--json"])`
-in process, so interpreter start-up and imports are left out, then reads
+Each instance runs in its own `python3` process, under a timeout of
+TIMEOUT_S seconds. The child times
+`ordered_hamming.cli.main(["report", ..., "--json"])` in process, so
+interpreter start-up and imports are left out, then reads
 r (`Instance.orbitals.count`, built again after the timed call) and dim T
 (from the report's stdout). An instance that runs past the timeout is
 recorded as "timeout". `--src` picks the source tree to import, so one
@@ -23,6 +24,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300.0
 
 # (q, n): the 12 instances of the ROADMAP measurement table.
 INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
@@ -61,13 +63,13 @@ def label(q: tuple[int, ...], n: int) -> str:
     return f"X({len(q)},{n};{','.join(map(str, q))})"
 
 
-def run_one(q: tuple[int, ...], n: int, src: Path, timeout: float) -> dict:
+def run_one(q: tuple[int, ...], n: int, src: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
     cmd = [sys.executable, "-c", CHILD, json.dumps(q), str(n)]
     try:
-        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return {"result": "timeout", "timeout_s": timeout}
+        return {"result": "timeout", "timeout_s": TIMEOUT_S}
     if done.returncode != 0:
         return {"result": "error", "returncode": done.returncode, "stderr": done.stderr[-500:]}
     return json.loads(done.stdout.splitlines()[-1])
@@ -76,14 +78,13 @@ def run_one(q: tuple[int, ...], n: int, src: Path, timeout: float) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per instance")
     args = parser.parse_args(argv)
 
     results = {}
     for q, n in INSTANCES:
         name = label(q, n)
         start = time.monotonic()
-        results[name] = run_one(q, n, args.src.resolve(), args.timeout)
+        results[name] = run_one(q, n, args.src.resolve())
         print(f"{name}: {results[name]} ({time.monotonic() - start:.1f} s)", file=sys.stderr)
     blob = {
         "machine": {
@@ -91,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "platform": platform.machine(),
         },
-        "timeout_s": args.timeout,
+        "timeout_s": TIMEOUT_S,
         "instances": results,
     }
     print(json.dumps(blob, indent=1))
