@@ -140,15 +140,10 @@ class RatMatrix:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _same_shape(self, other: RatMatrix) -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch(
-                f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-
     def _entrywise(self, other: RatMatrix, op) -> RatMatrix:
         """op(self, other) entry by entry, for op in (add, sub)."""
-        self._same_shape(other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
         den = math.lcm(self._den, other._den)
         sa, sb = den // self._den, den // other._den
         pairs = zip(self._grid, other._grid)
@@ -186,12 +181,6 @@ class RatMatrix:
         num = c.numerator
         return _lowest_terms(
             ([num * a for a in row] for row in self._grid), self._den * c.denominator
-        )
-
-    def hadamard(self, other: RatMatrix) -> RatMatrix:
-        self._same_shape(other)
-        return _lowest_terms(
-            (map(mul, ra, rb) for ra, rb in zip(self._grid, other._grid)), self._den * other._den
         )
 
     def trace(self) -> Fraction:
@@ -489,6 +478,12 @@ class OrbitalMatrix:
         """`mat` in orbital coordinates, after `Orbitals.vector` checks every entry."""
         return cls(orbitals, orbitals.vector(mat), mat.denominator)
 
+    @classmethod
+    def identity(cls, orbitals: Orbitals) -> OrbitalMatrix:
+        """1 on the orbitals of diagonal pairs, which hold no other pair, and 0 elsewhere."""
+        side = orbitals.side
+        return cls(orbitals, [int(x == y) for x, y in (divmod(p, side) for p in orbitals.reps)])
+
     def matches(self, mat: RatMatrix) -> bool:
         """Whether the dense `mat` is this matrix; one not constant on every orbital is not."""
         return mat.denominator == self.den and self.orbitals._entries(mat) == self.vec
@@ -513,6 +508,16 @@ class OrbitalMatrix:
         c = _coerce(scalar)
         num = c.numerator
         return OrbitalMatrix(self.orbitals, [num * a for a in self.vec], self.den * c.denominator)
+
+    def hadamard(self, other: OrbitalMatrix) -> OrbitalMatrix:
+        """The entrywise product: both factors are constant on every orbital, so it is too."""
+        entries = list(map(mul, self.vec, other.vec))
+        return OrbitalMatrix(self.orbitals, entries, self.den * other.den)
+
+    def trace(self) -> Fraction:
+        """The sum of the N diagonal entries, each read through its pair's label."""
+        side, labels, vec = self.orbitals.side, self.orbitals.labels, self.vec
+        return Fraction(sum(vec[labels[x * (side + 1)]] for x in range(side)), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.vec)
@@ -582,17 +587,14 @@ class MatrixSubspace:
         )
 
 
-def algebra_closure(
-    generators: Sequence[RatMatrix], unital: bool, orbitals: Orbitals
-) -> MatrixSubspace:
+def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> MatrixSubspace:
     """Smallest multiplication-closed subspace containing the generators.
 
     The algebra is the span of the nonempty words in the generators, plus
-    I when `unital`. Every generator must be constant on each orbital (the
-    group's maps commute with it), checked entry by entry; one that is not
-    raises InternalMismatch. Words then stay constant too, so the closure
-    runs on orbital vectors of length `orbitals.count` and multiplies
-    through `Orbitals.product`, never forming a dense matrix.
+    I when `unital`. The generators lie on one set of orbitals, and one on
+    other orbitals raises DimensionMismatch. Words of orbital-constant
+    matrices stay constant, so the closure runs on orbital vectors and
+    multiplies through `Orbitals.product`, never forming a dense matrix.
 
     It is found by spinning: the pool starts with I (when `unital`) and the
     generators, and one walk over the pool multiplies each element on the
@@ -614,9 +616,11 @@ def algebra_closure(
     pool element is a word in S, so the walk is itself the proof that the
     span is an algebra, and S generates it.
     """
-    gens = [orbitals.vector(g) for g in generators]
-    if not gens:
+    if not generators:
         raise EmptyInput("closure of an empty generator list")
+    orbitals = generators[0].orbitals
+    if any(g.orbitals is not orbitals for g in generators):
+        raise DimensionMismatch("closure generators lie on different orbitals")
     red = _IntRowReducer(orbitals.count)
     pool: list[list[int]] = []
 
@@ -627,9 +631,8 @@ def algebra_closure(
         return False
 
     if unital:
-        side = orbitals.side
-        try_add([int(x == y) for x, y in (divmod(p, side) for p in orbitals.reps)])
-    spin = [g for g in gens if try_add(g)]
+        try_add(OrbitalMatrix.identity(orbitals).vec)
+    spin = [g.vec for g in generators if try_add(g.vec)]
     for b in pool:  # also visits the products appended during the walk
         for g in spin:
             try_add(_primitive(orbitals.product(g, b)))

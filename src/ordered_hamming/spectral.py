@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact_linalg import InternalMismatch, RatMatrix, kron_all, mat_sum
+from .exact_linalg import InternalMismatch, OrbitalMatrix, RatMatrix, kron_all, mat_sum
 from .scheme import SchemeParams, Shape, enumerate_shapes
 from .symtensor import multinomial
 
@@ -260,13 +260,13 @@ def eigen_n(params: SchemeParams) -> tuple[RatMatrix, RatMatrix]:
 
 
 def verify_spectral_n(inst: Instance) -> dict[str, bool]:
-    """Exact spectral verification at depth n.
+    """Exact spectral verification at depth n, in the orbital coordinates of `inst`.
 
     Checks, for all shape pairs: the eigenvalue equations
     A_mu E_lam = P[lam][mu] E_lam, the Hadamard counterparts
-    E_mu o A_lam = |X^n|^-1 Q[lam][mu] A_lam, the closed-form valency and
-    multiplicity values, and that lifted adjacency matrices equal the
-    brute-force relation matrices.
+    E_mu o A_lam = |X^n|^-1 Q[lam][mu] A_lam, the valencies as A_lam J = k J,
+    the multiplicities as traces, and that lifted adjacency matrices equal
+    the brute-force relation matrices. Only P Q is a dense product.
     """
     params = inst.params
     shapes = inst.shapes
@@ -274,7 +274,6 @@ def verify_spectral_n(inst: Instance) -> dict[str, bool]:
     idem = inst.idempotents
     P, Q = eigen_n(params)
     npts = params.num_points
-    inv_size = Fraction(1, npts)
 
     eig_ok = True
     had_ok = True
@@ -282,19 +281,14 @@ def verify_spectral_n(inst: Instance) -> dict[str, bool]:
         for mi, mu in enumerate(shapes):
             if adj[mu] * idem[lam] != idem[lam].scale(P[li, mi]):
                 eig_ok = False
-            if idem[mu].hadamard(adj[lam]) != adj[lam].scale(inv_size * Q[li, mi]):
+            if idem[mu].hadamard(adj[lam]) != adj[lam].scale(Q[li, mi] / npts):
                 had_ok = False
 
-    val_ok = all(
-        set(adj[lam].row_sums()) == {Fraction(valency_n(lam, params))} for lam in shapes
-    )
+    ones = OrbitalMatrix(inst.orbitals, [1] * inst.orbitals.count)
+    val_ok = all(adj[lam] * ones == ones.scale(valency_n(lam, params)) for lam in shapes)
     mult_ok = all(idem[lam].trace() == multiplicity_n(lam, params) for lam in shapes)
-
-    brute = inst.relations
-    lift_ok = all(adj[lam] == brute[lam] for lam in shapes)
-
-    resolve_ok = mat_sum(idem.values()) == RatMatrix.identity(npts)
-
+    lift_ok = all(adj[lam].matches(inst.relations[lam]) for lam in shapes)
+    resolve_ok = mat_sum(idem.values()) == OrbitalMatrix.identity(inst.orbitals)
     pq_ok = P * Q == RatMatrix.identity(len(shapes)).scale(npts)
 
     return {

@@ -70,19 +70,21 @@ class TerwBasisSet:
     Gnat: OrbitalMatrix
 
 
-def terw_basis(data: BaseSpectralData, orbitals: Orbitals) -> TerwBasisSet:
-    """Construct the F/G families in the depth-one `orbitals`, cross-checking each closed form.
+def terw_basis(base: Instance) -> TerwBasisSet:
+    """Construct the F/G families of the depth-one instance `base`, cross-checking each closed form.
 
-    E and E* lie in T, so each enters once through `Orbitals.vector` and
-    every sandwich runs in orbital coordinates. Each F family is built
-    twice (sandwiches vs. Kronecker closed forms); a mismatch raises
+    E and E* are the families of `base`, held in its orbitals, so every
+    sandwich runs in orbital coordinates. Each F family is built twice
+    (sandwiches vs. Kronecker closed forms); a mismatch raises
     InternalMismatch.
     """
+    data = base.spectral
     params = data.params
     m = params.m
     size = params.base_size
     k, mult = data.k, data.mult
-    E, estar = ([OrbitalMatrix.of(orbitals, mat) for mat in fam] for fam in (data.E, data.Estar))
+    # the depth-one shapes are e_0, ..., e_m in order
+    E, estar = (list(fam.values()) for fam in (base.idempotents, base.duals))
     c = factor_columns(params.q)
 
     F = [E[0]]
@@ -101,7 +103,7 @@ def terw_basis(data: BaseSpectralData, orbitals: Orbitals) -> TerwBasisSet:
     G = [E[j] - F[j] for j in range(1, m + 1)]
     Gstar = [estar[j] - Fstar[j] for j in range(1, m + 1)]
     fnat = mat_sum(F)
-    gnat = OrbitalMatrix.of(orbitals, RatMatrix.identity(size)) - fnat
+    gnat = OrbitalMatrix.identity(base.orbitals) - fnat
     return TerwBasisSet(*map(tuple, (E, estar, F, Fstar, G, Gstar)), Fnat=fnat, Gnat=gnat)
 
 
@@ -111,10 +113,11 @@ class Instance:
     The size bound is checked here and nowhere else. The depth-one data
     (`spectral`, `basis`) lives on `base`, the depth-one instance, and every
     depth-n family (A, E, E*) is one `lifted_sum` per shape of its depth-one
-    family. An instance keeps what it built for its own lifetime: create
-    one per command or per suite instance. `relations` always comes from
-    the brute-force definition, never from the lifted families it is
-    compared against.
+    family, held once as an `OrbitalMatrix` on `orbitals`, since it lies in
+    T. An instance keeps what it built for its own lifetime: create one per
+    command or per suite instance. `relations` always comes from the
+    brute-force definition, never from the lifted families it is compared
+    against.
     """
 
     def __init__(self, params: SchemeParams, max_points: int | None = None):
@@ -150,19 +153,22 @@ class Instance:
         """p^k_ij counted from the sweep; None if some p^k_ij is not relation-constant."""
         return intersection_counts(self.pair_shapes)
 
-    def _lift(self, base: tuple[RatMatrix, ...]) -> dict[Shape, RatMatrix]:
-        return {lam: lifted_sum(list(zip(base, lam))) for lam in self.shapes}
+    def _lift(self, base: tuple[RatMatrix, ...]) -> dict[Shape, OrbitalMatrix]:
+        orbitals = self.orbitals
+        return {
+            lam: OrbitalMatrix.of(orbitals, lifted_sum(list(zip(base, lam)))) for lam in self.shapes
+        }
 
     @cached_property
-    def adjacency(self) -> dict[Shape, RatMatrix]:
+    def adjacency(self) -> dict[Shape, OrbitalMatrix]:
         return self._lift(self.spectral.A)
 
     @cached_property
-    def idempotents(self) -> dict[Shape, RatMatrix]:
+    def idempotents(self) -> dict[Shape, OrbitalMatrix]:
         return self._lift(self.spectral.E)
 
     @cached_property
-    def duals(self) -> dict[Shape, RatMatrix]:
+    def duals(self) -> dict[Shape, OrbitalMatrix]:
         return self._lift(self.spectral.Estar)
 
     @cached_property
@@ -185,7 +191,7 @@ class Instance:
     @cached_property
     def basis(self) -> TerwBasisSet:
         base = self.base
-        return base.basis if base is not self else terw_basis(self.spectral, self.orbitals)
+        return base.basis if base is not self else terw_basis(self)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +316,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
 
     Every matrix multiplied here lies in T and every product runs in
     orbital coordinates: the depth-one identities on `Instance.basis` and
-    A in the depth-one orbitals, the lifted G families in this instance's.
+    the depth-one adjacency family, the lifted G families in this instance's.
     Only the per-letter factor identities multiply dense q-by-q matrices,
     which are not in T.
     """
@@ -322,7 +328,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     data = inst.spectral
     tw = inst.basis
     E, estar, F, Fstar = tw.E, tw.Estar, tw.F, tw.Fstar
-    A = [OrbitalMatrix.of(inst.base.orbitals, mat) for mat in data.A]
+    A = list(inst.base.adjacency.values())
     k, mult = data.k, data.mult
     G = (None,) + tw.G  # 1-based access
     Gstar = (None,) + tw.Gstar
@@ -528,16 +534,13 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     C(lam,mu) = |X^n| / k_mu B(lam,mu) the law for mu = nu reads
     C(lam,mu) C(mu,rho) = C(lam,rho).
 
-    Every factor lies in T, so it enters as an `OrbitalMatrix`, checked on
-    every entry, and every product runs in orbital coordinates.
+    Every factor is an `OrbitalMatrix` of the instance, so every product
+    runs in orbital coordinates.
     """
     params = inst.params
     shapes = inst.shapes
     orbitals = inst.orbitals
-    idems, duals = (
-        {lam: OrbitalMatrix.of(orbitals, mat) for lam, mat in fam.items()}
-        for fam in (inst.idempotents, inst.duals)
-    )
+    idems, duals = inst.idempotents, inst.duals
     left = {lam: duals[lam] * idems[shapes[0]] for lam in shapes}
     unit = {
         (lam, mu): (left[lam] * duals[mu]).scale(Fraction(params.num_points, valency_n(mu, params)))
@@ -564,7 +567,7 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     }
 
 
-def _generators(inst: Instance, which: str) -> list[RatMatrix]:
+def _generators(inst: Instance, which: str) -> list[OrbitalMatrix]:
     """The adjacency (`bm`) or idempotent (`idem`) family, then the dual idempotents."""
     if which == "bm":
         first = inst.adjacency
@@ -577,7 +580,7 @@ def _generators(inst: Instance, which: str) -> list[RatMatrix]:
 
 def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspace:
     """Unital closure of the adjacency (or idempotent) family plus the dual idempotents."""
-    return algebra_closure(_generators(inst, generators), unital=True, orbitals=inst.orbitals)
+    return algebra_closure(_generators(inst, generators), unital=True)
 
 
 @dataclass(frozen=True)
@@ -616,17 +619,17 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
     for d in range(n + 1):
         # compositions(0, k) is the all-zero tuple, and lifted_sum drops
         # zero multiplicities, so d = 0 and d = n need no special case
-        gens = [
+        lifted = (
             lifted_sum(list(zip(fam, sigma)) + list(zip(gfam, tau)))
             for fam, gfam in families
             for sigma in compositions(n - d, m + 1)
             for tau in compositions(d, m)
-        ]
-        gens = [g for g in gens if not g.is_zero()]
+        )
+        gens = [OrbitalMatrix.of(inst.orbitals, g) for g in lifted if not g.is_zero()]
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
             continue
-        comp = algebra_closure(gens, unital=False, orbitals=inst.orbitals)
+        comp = algebra_closure(gens, unital=False)
         infos.append(
             ComponentInfo(d=d, dim=comp.dimension, commutative=_commutative(comp))
         )
@@ -717,9 +720,8 @@ def structure_report(inst: Instance) -> StructureReport:
     center = center_dimension(closure)
     # alg(S) depends only on span(S), so equal seed spans prove the bm and
     # idem closures equal without closing the idem set a second time
-    orbitals = inst.orbitals
     bm_seeds, idem_seeds = (
-        MatrixSubspace.span(orbitals, map(orbitals.vector, _generators(inst, which)))
+        MatrixSubspace.span(inst.orbitals, (g.vec for g in _generators(inst, which)))
         for which in ("bm", "idem")
     )
 

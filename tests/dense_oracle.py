@@ -8,16 +8,17 @@ computation that never uses the group. The scheme axioms and intersection
 numbers are also read here from dense relation matrices and their
 products, against the counts the package takes from the pair-shape sweep,
 and `point_sub`/`shape_of` give the relation of a pair by its definition,
-against the `pair_shapes` sweep. The identity suite is run here with dense
-products, against the suite the package runs in orbital coordinates.
+against the `pair_shapes` sweep. The identity suite and the spectral
+checks are run here with dense products, against the suites the package
+runs in orbital coordinates.
 """
 
 from fractions import Fraction
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
-from ordered_hamming.exact_linalg import kron_all, mat_sum
+from ordered_hamming.exact_linalg import OrbitalMatrix, kron_all, mat_sum
 from ordered_hamming.scheme import compositions
-from ordered_hamming.spectral import factor_columns, splice
+from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
 from ordered_hamming.symtensor import lifted_sum
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
@@ -28,6 +29,18 @@ from ordered_hamming.terwilliger import (
     _theta_enumerate,
     _theta_feasible,
 )
+
+
+def discrete(mats):
+    """Square matrices as `OrbitalMatrix` values on one discrete `Orbitals`: every pair its own."""
+    mats = list(mats)
+    orbitals = Orbitals(mats[0].nrows)
+    return [OrbitalMatrix.of(orbitals, m) for m in mats]
+
+
+def dense_family(inst, base):
+    """The depth-n lift of a depth-one family, one dense `lifted_sum` per shape, never wrapped."""
+    return {lam: lifted_sum(list(zip(base, lam))) for lam in inst.shapes}
 
 
 def span_basis(mats):
@@ -76,7 +89,12 @@ def is_symmetric(mat: RatMatrix) -> bool:
 
 
 def is_zero_one(mat: RatMatrix) -> bool:
-    return mat == mat.hadamard(mat)
+    return all(mat[x, y] ** 2 == mat[x, y] for x in range(mat.nrows) for y in range(mat.ncols))
+
+
+def hadamard(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The entrywise product of two matrices of one shape."""
+    return RatMatrix([[a[x, y] * b[x, y] for y in range(a.ncols)] for x in range(a.nrows)])
 
 
 def _first_pair(mat: RatMatrix) -> tuple[int, int] | None:
@@ -131,6 +149,48 @@ def dense_scheme_checks(shapes, mats):
         return checks, None
     table = {(i, j, k): p for (i, j), coeffs in tables.items() for k, p in coeffs.items()}
     return checks, table
+
+
+def dense_spectral_n(inst):
+    """The spectral checks of `verify_spectral_n` on dense families, with dense products."""
+    params = inst.params
+    shapes = inst.shapes
+    adj = dense_family(inst, inst.spectral.A)
+    idem = dense_family(inst, inst.spectral.E)
+    P, Q = eigen_n(params)
+    npts = params.num_points
+    inv_size = Fraction(1, npts)
+
+    eig_ok = True
+    had_ok = True
+    for li, lam in enumerate(shapes):
+        for mi, mu in enumerate(shapes):
+            if adj[mu] * idem[lam] != idem[lam].scale(P[li, mi]):
+                eig_ok = False
+            if hadamard(idem[mu], adj[lam]) != adj[lam].scale(inv_size * Q[li, mi]):
+                had_ok = False
+
+    val_ok = all(
+        set(adj[lam].row_sums()) == {Fraction(valency_n(lam, params))} for lam in shapes
+    )
+    mult_ok = all(idem[lam].trace() == multiplicity_n(lam, params) for lam in shapes)
+
+    brute = inst.relations
+    lift_ok = all(adj[lam] == brute[lam] for lam in shapes)
+
+    resolve_ok = mat_sum(idem.values()) == RatMatrix.identity(npts)
+
+    pq_ok = P * Q == RatMatrix.identity(len(shapes)).scale(npts)
+
+    return {
+        "eigenvalue_equations": eig_ok,
+        "hadamard_equations": had_ok,
+        "valencies_match_row_sums": val_ok,
+        "multiplicities_match_traces": mult_ok,
+        "lifted_matches_bruteforce": lift_ok,
+        "idempotents_resolve_identity": resolve_ok,
+        "pq_product_is_size_identity": pq_ok,
+    }
 
 
 # ---------------------------------------------------------------------------

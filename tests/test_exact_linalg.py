@@ -20,9 +20,17 @@ from ordered_hamming import (
     terwilliger_closure,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
-from ordered_hamming.exact_linalg import MatrixSubspace, _flat, _IntRowReducer
+from ordered_hamming.exact_linalg import MatrixSubspace, OrbitalMatrix, _flat, _IntRowReducer
 
-from dense_oracle import basis_matrices, contains, is_zero_one, span_basis
+from dense_oracle import (
+    basis_matrices,
+    contains,
+    dense_family,
+    discrete,
+    hadamard,
+    is_zero_one,
+    span_basis,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -51,8 +59,8 @@ def test_identity_is_multiplicative_unit():
 
 
 def test_all_ones_is_hadamard_unit():
-    m = RatMatrix([["1/3", 2], [-5, "7/11"]])
-    assert RatMatrix.ones(2).hadamard(m) == m
+    ones, m = discrete([RatMatrix.ones(2), RatMatrix([["1/3", 2], [-5, "7/11"]])])
+    assert ones.hadamard(m) == m
 
 
 def test_trace_of_normalized_ones():
@@ -141,24 +149,24 @@ def test_span_basis_order_invariant(perm, mats):
 
 def test_closure_of_triangle_adjacency():
     a = RatMatrix.ones(3) - RatMatrix.identity(3)
-    sub = algebra_closure([a], unital=True, orbitals=Orbitals(3))
+    sub = algebra_closure(discrete([a]), unital=True)
     assert sub.dimension == 2
 
 
 def test_closure_is_multiplication_closed_and_order_invariant():
     inst = Instance(SchemeParams((3,), 1))
-    gens = list(inst.relations.values()) + list(inst.duals.values())
-    orbitals = inst.orbitals
-    sub = algebra_closure(gens, unital=True, orbitals=orbitals)
+    relations = [OrbitalMatrix.of(inst.orbitals, r) for r in inst.relations.values()]
+    gens = relations + list(inst.duals.values())
+    sub = algebra_closure(gens, unital=True)
     assert sub.dimension == 5
     basis = basis_matrices(sub)
     assert all(contains(sub, x * y) for x in basis for y in basis)
-    assert algebra_closure(list(reversed(gens)), unital=True, orbitals=orbitals) == sub
+    assert algebra_closure(list(reversed(gens)), unital=True) == sub
 
 
 def test_closure_requires_generators():
     with pytest.raises(EmptyInput):
-        algebra_closure([], unital=True, orbitals=Orbitals(2))
+        algebra_closure([], unital=True)
 
 
 def _matrix_unit(n, i, j):
@@ -179,8 +187,8 @@ def test_center_of_diagonal_algebra_is_its_dimension():
 
 def test_center_of_commutative_closure_equals_dimension():
     inst = Instance(SchemeParams((2, 2), 1))
-    gens = list(inst.relations.values())
-    sub = algebra_closure(gens, unital=True, orbitals=inst.orbitals)
+    gens = [OrbitalMatrix.of(inst.orbitals, r) for r in inst.relations.values()]
+    sub = algebra_closure(gens, unital=True)
     assert center_dimension(sub) == sub.dimension == 3
 
 
@@ -226,7 +234,6 @@ def test_operations_match_fraction_reference(data):
         (-A, [[-x for x in row] for row in a]),
         (A * W, _ref_matmul(a, w)),
         (A.scale(s), [[s * x for x in row] for row in a]),
-        (A.hadamard(B), [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
         (kron(A, W), _ref_kron(a, w)),
     ]
     for got, want in cases:
@@ -301,7 +308,7 @@ def test_span_dimension_matches_sympy_rank(mats):
 @given(st.lists(int3x3, min_size=1, max_size=4))
 def test_center_dimension_matches_sympy_commutant_rank(mats):
     sympy = pytest.importorskip("sympy")
-    alg = algebra_closure(mats, unital=True, orbitals=Orbitals(3))
+    alg = algebra_closure(discrete(mats), unital=True)
     basis = [sympy.Matrix(3, 3, _vec(b)) for b in basis_matrices(alg)]
     d = len(basis)
     # column k stacks vec(B_k B_j - B_j B_k) over every basis element B_j
@@ -371,7 +378,7 @@ def dense_closure(generators, unital):
 
 
 def closure3(gens, unital):
-    return algebra_closure(gens, unital, Orbitals(3))
+    return algebra_closure(discrete(gens), unital)
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,8 +389,8 @@ def test_closure_matches_pool_reference(mats, unital):
 
 def test_closure_of_nilpotent_matrix_unit():
     e12 = _matrix_unit(2, 0, 1)
-    assert algebra_closure([e12], unital=False, orbitals=Orbitals(2)).dimension == 1
-    assert algebra_closure([e12], unital=True, orbitals=Orbitals(2)).dimension == 2
+    assert algebra_closure(discrete([e12]), unital=False).dimension == 1
+    assert algebra_closure(discrete([e12]), unital=True).dimension == 2
 
 
 def test_closure_skips_zero_generator():
@@ -419,9 +426,10 @@ def test_closure_with_all_later_generators_dependent():
 @pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 2, 2), 1)])
 def test_terwilliger_closure_matches_pool_reference(q, n):
     inst = Instance(SchemeParams(q, n))
-    duals = list(inst.duals.values())
-    for generators, first in (("bm", inst.adjacency), ("idem", inst.idempotents)):
-        reference = pool_closure(list(first.values()) + duals, unital=True)
+    data = inst.spectral
+    duals = list(dense_family(inst, data.Estar).values())
+    for generators, base in (("bm", data.A), ("idem", data.E)):
+        reference = pool_closure(list(dense_family(inst, base).values()) + duals, unital=True)
         assert basis_matrices(terwilliger_closure(inst, generators)) == basis_matrices(reference)
 
 
@@ -429,9 +437,9 @@ def test_component_closures_match_pool_reference(monkeypatch):
     calls = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital, orbitals):
-        sub = plain_closure(gens, unital, orbitals)
-        calls.append((list(gens), unital, sub))
+    def recording_closure(gens, unital):
+        sub = plain_closure(gens, unital)
+        calls.append(([g.matrix() for g in gens], unital, sub))
         return sub
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
@@ -463,11 +471,12 @@ def test_orbital_product_matches_dense_product(q, n):
     inst = Instance(SchemeParams(q, n))
     orbitals = inst.orbitals
     npts = inst.params.num_points
+    data = inst.spectral
     # integer multiples of T elements: A, E* and N * E
     mats = (
-        list(inst.adjacency.values())
-        + list(inst.duals.values())
-        + [e.scale(npts) for e in inst.idempotents.values()]
+        list(dense_family(inst, data.A).values())
+        + list(dense_family(inst, data.Estar).values())
+        + [e.scale(npts) for e in dense_family(inst, data.E).values()]
     )
     for a in mats:
         for b in mats:
@@ -480,7 +489,8 @@ def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
     """E*_lam A_mu is not symmetric; products with a sparse right factor go through transposes."""
     inst = Instance(SchemeParams(q, n))
     orbitals = inst.orbitals
-    mats = [e * a for e in inst.duals.values() for a in inst.adjacency.values()]
+    duals, adjacency = (dense_family(inst, base) for base in (inst.spectral.Estar, inst.spectral.A))
+    mats = [e * a for e in duals.values() for a in adjacency.values()]
     mats.append(RatMatrix.ones(inst.params.num_points))
     for a in mats:
         transposed = RatMatrix([list(col) for col in zip(*_entries(a))])
@@ -492,8 +502,8 @@ def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
 
 def test_closure_keeps_its_spin_generators_and_a_span_its_basis():
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    orbitals = Orbitals(3)
-    sub = algebra_closure([a, a.scale(3), RatMatrix([[0] * 3] * 3)], unital=False, orbitals=orbitals)
+    sub = algebra_closure(discrete([a, a.scale(3), RatMatrix([[0] * 3] * 3)]), unital=False)
+    orbitals = sub.orbitals
     assert sub.spin == [orbitals.vector(a)]
     span = span_basis([a, a * a])
     assert span.spin == [orbitals.vector(m) for m in basis_matrices(span)]
@@ -511,9 +521,10 @@ def test_vector_rejects_a_matrix_not_constant_on_an_orbital():
 
 def test_subspace_equality_across_coordinates():
     inst = Instance(SchemeParams((3,), 2))
-    gens = list(inst.adjacency.values()) + list(inst.duals.values())
-    orbital = algebra_closure(gens, unital=True, orbitals=inst.orbitals)
-    dense = dense_closure(gens, unital=True)
+    orbital = algebra_closure([*inst.adjacency.values(), *inst.duals.values()], unital=True)
+    data = inst.spectral
+    dense_gens = [*dense_family(inst, data.A).values(), *dense_family(inst, data.Estar).values()]
+    dense = dense_closure(dense_gens, unital=True)
     assert orbital.orbitals.count == 15 < dense.orbitals.count == 81
     # spans compare only in one coordinate system; their dense bases agree
     assert orbital != dense and basis_matrices(orbital) == basis_matrices(dense)
@@ -531,11 +542,12 @@ def _label(value):
 def test_terwilliger_closure_matches_dense_oracle(q, n):
     """Both generator sets, expanded from orbital coordinates, row for row."""
     inst = Instance(SchemeParams(q, n))
-    duals = list(inst.duals.values())
-    for generators, first in (("bm", inst.adjacency), ("idem", inst.idempotents)):
+    data = inst.spectral
+    duals = list(dense_family(inst, data.Estar).values())
+    for generators, base in (("bm", data.A), ("idem", data.E)):
         got = terwilliger_closure(inst, generators)
         assert got.orbitals is inst.orbitals
-        want = dense_closure(list(first.values()) + duals, unital=True)
+        want = dense_closure(list(dense_family(inst, base).values()) + duals, unital=True)
         assert basis_matrices(got) == basis_matrices(want)
 
 
@@ -544,9 +556,9 @@ def test_component_closures_match_dense_oracle(monkeypatch, q, n):
     calls = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital, orbitals):
-        sub = plain_closure(gens, unital, orbitals)
-        calls.append((list(gens), unital, sub))
+    def recording_closure(gens, unital):
+        sub = plain_closure(gens, unital)
+        calls.append(([g.matrix() for g in gens], unital, sub))
         return sub
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
@@ -555,3 +567,28 @@ def test_component_closures_match_dense_oracle(monkeypatch, q, n):
     assert len(pieces) == n + 1
     for gens, unital, sub in pieces:
         assert basis_matrices(sub) == basis_matrices(dense_closure(gens, unital))
+
+
+@pytest.mark.parametrize("q,n", [((2,), 3), ((2, 2), 2)], ids=_label)
+def test_orbital_hadamard_trace_and_identity_match_the_dense_definitions(q, n):
+    inst = Instance(SchemeParams(q, n))
+    fams = [*inst.adjacency.values(), *inst.idempotents.values(), *inst.duals.values()]
+    for a in fams:
+        dense_a = a.matrix()
+        assert a.trace() == dense_a.trace()
+        assert a.trace() == sum((dense_a[x, x] for x in range(dense_a.nrows)), Fraction(0))
+        for b in fams:
+            assert a.hadamard(b).matrix() == hadamard(dense_a, b.matrix())
+    identity = OrbitalMatrix.identity(inst.orbitals)
+    assert identity.matrix() == RatMatrix.identity(inst.params.num_points)
+    assert identity.trace() == inst.params.num_points
+    assert all(identity * a == a == a * identity for a in fams)
+
+
+def test_closure_rejects_generators_on_two_orbitals():
+    a = RatMatrix.ones(3) - RatMatrix.identity(3)
+    with pytest.raises(DimensionMismatch):
+        algebra_closure(discrete([a]) + discrete([a]), unital=True)
+    inst = Instance(SchemeParams((2,), 2))
+    with pytest.raises(DimensionMismatch):
+        algebra_closure([*inst.adjacency.values(), *inst.base.duals.values()], unital=False)

@@ -1,0 +1,31 @@
+"""The frontier runner scales each instance's wall time by the benchmark's calibration loop."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _frontier():
+    spec = importlib.util.spec_from_file_location("frontier", ROOT / "tools" / "frontier.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frontier_records_calibration_and_scaled_wall(monkeypatch, capsys):
+    frontier = _frontier()
+    loops = iter([0.3, 0.5, 0.2, 0.2])
+    outcomes = iter([{"exit": 0, "wall_s": 2.0, "r": 5, "dim_T": 5}, {"result": "timeout"}])
+    monkeypatch.setattr(frontier, "calibration_loop", lambda: next(loops))
+    monkeypatch.setattr(frontier, "run_one", lambda q, n, src: next(outcomes))
+    monkeypatch.setattr(frontier, "INSTANCES", (((2,), 2), ((2,), 3)))
+    assert frontier.main([]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    first, second = blob["instances"]["X(1,2;2)"], blob["instances"]["X(1,3;2)"]
+    # the loop took 0.4 s on average around the first instance
+    assert first["calibration_s"] == [0.3, 0.5] and first["wall_s"] == 2.0
+    assert first["scaled_wall_s"] == round(2.0 * frontier.NOMINAL_CALIBRATION_S / 0.4, 3)
+    assert second == {"result": "timeout", "calibration_s": [0.2, 0.2]}
+    assert blob["nominal_calibration_s"] == frontier.NOMINAL_CALIBRATION_S

@@ -26,9 +26,9 @@ from ordered_hamming import (
     valency_n,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
-from ordered_hamming.exact_linalg import _flat, _IntRowReducer, mat_sum
+from ordered_hamming.exact_linalg import OrbitalMatrix, _flat, _IntRowReducer, mat_sum
 
-from dense_oracle import basis_matrices, span_basis
+from dense_oracle import basis_matrices, dense_family, discrete, span_basis
 
 ORACLE_INSTANCES = list(SUITE_INSTANCES) + [((3,), 2), ((2,), 4), ((3,), 3)]
 
@@ -82,8 +82,8 @@ def dense_primary_subalgebra(inst):
     """Reference primary subalgebra: the sandwiches as dense products, in dense coordinates."""
     params = inst.params
     shapes = inst.shapes
-    idems = inst.idempotents
-    duals = inst.duals
+    idems = dense_family(inst, inst.spectral.E)
+    duals = dense_family(inst, inst.spectral.Estar)
     e0n = idems[shapes[0]]
     sandwich = {(lam, mu): duals[lam] * e0n * duals[mu] for lam in shapes for mu in shapes}
     sub = span_basis(list(sandwich.values()))
@@ -148,8 +148,8 @@ def test_component_checks_match_dense_oracle(monkeypatch, q, n):
     pieces = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital, orbitals):
-        sub = plain_closure(gens, unital, orbitals)
+    def recording_closure(gens, unital):
+        sub = plain_closure(gens, unital)
         if not unital:
             pieces.append(sub)
         return sub
@@ -169,18 +169,18 @@ def test_component_checks_match_dense_oracle(monkeypatch, q, n):
 def test_center_uses_every_spin_generator():
     """Upper triangular 2x2: scalars only, but each generator alone leaves a 2-dim commutant."""
     e11, e12 = _unit(2, 0, 0), _unit(2, 0, 1)
-    alg = algebra_closure([e11, e12], unital=True, orbitals=Orbitals(2))
+    alg = algebra_closure(discrete([e11, e12]), unital=True)
     assert alg.dimension == 3 and len(alg.spin) == 2
     assert center_dimension(alg) == dense_center_dimension(alg) == 1
     for gen in (e11, e12):
-        assert center_dimension(algebra_closure([gen], unital=True, orbitals=Orbitals(2))) == 2
+        assert center_dimension(algebra_closure(discrete([gen]), unital=True)) == 2
 
 
 def test_spin_generators_decide_commutativity_and_annihilation():
     orbitals = Orbitals(3)
 
     def piece(*gens):
-        return algebra_closure(list(gens), unital=False, orbitals=orbitals)
+        return algebra_closure([OrbitalMatrix.of(orbitals, g) for g in gens], unital=False)
 
     e01, e12, e11, e22 = _unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 1, 1), _unit(3, 2, 2)
     # E_01 E_12 = E_02 but E_12 E_01 = 0: one order vanishes, the other does not

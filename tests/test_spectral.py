@@ -16,7 +16,10 @@ from ordered_hamming import (
     verify_base_duality,
     verify_spectral_n,
 )
-from ordered_hamming.spectral import base_eigenmatrix_P, base_eigenmatrix_Q
+from ordered_hamming.cli import SUITE_INSTANCES
+from ordered_hamming.spectral import base_eigenmatrix_P, base_eigenmatrix_Q, factor_columns
+
+from dense_oracle import dense_spectral_n
 
 
 def test_base_data_for_mixed_alphabets():
@@ -135,7 +138,7 @@ def test_eigen_duality_at_depth(q, n):
 
 
 def test_lifted_adjacency_identity_case():
-    assert Instance(SchemeParams((2, 3), 2)).adjacency[(2, 0, 0)] == RatMatrix.identity(36)
+    assert Instance(SchemeParams((2, 3), 2)).adjacency[(2, 0, 0)].matches(RatMatrix.identity(36))
 
 
 def test_lifted_adjacency_two_letter_case():
@@ -144,15 +147,15 @@ def test_lifted_adjacency_two_letter_case():
     from ordered_hamming import kron
 
     expected = kron(A[1], A[0]) + kron(A[0], A[1])
-    assert inst.adjacency[(1, 1)] == expected
-    assert inst.adjacency[(1, 1)] == inst.relations[(1, 1)]
+    assert inst.adjacency[(1, 1)].matches(expected)
+    assert inst.adjacency[(1, 1)].matches(inst.relations[(1, 1)])
 
 
 def test_lifted_idempotents_resolve_identity():
     total = None
     for e in Instance(SchemeParams((2, 2), 2)).idempotents.values():
         total = e if total is None else total + e
-    assert total == RatMatrix.identity(16)
+    assert total.matches(RatMatrix.identity(16))
 
 
 @pytest.mark.parametrize(
@@ -185,7 +188,59 @@ def test_adjacency_span_is_already_closed(q, n):
     params = SchemeParams(q, n)
     inst = Instance(params)
     mats = list(inst.adjacency.values())
-    span = MatrixSubspace.span(inst.orbitals, map(inst.orbitals.vector, mats))
-    closed = algebra_closure(mats, unital=True, orbitals=inst.orbitals)
+    span = MatrixSubspace.span(inst.orbitals, (a.vec for a in mats))
+    closed = algebra_closure(mats, unital=True)
     assert span == closed
     assert closed.dimension == params.class_count
+
+
+@pytest.mark.parametrize("q,n", list(SUITE_INSTANCES) + [((2, 3), 2)], ids=str)
+def test_spectral_verification_matches_the_dense_oracle(q, n):
+    inst = Instance(SchemeParams(q, n))
+    assert list(verify_spectral_n(inst).items()) == list(dense_spectral_n(inst).items())
+
+
+def test_spectral_verification_makes_one_dense_product(monkeypatch):
+    """Only P Q, of side the class count, is dense; every family product is orbital."""
+    inst = Instance(SchemeParams((2, 3), 2))
+    factor_columns(inst.params.q)  # the per-letter table is shared by every instance
+    shapes = []
+    plain_mul = RatMatrix.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, RatMatrix):
+            shapes.append((self.nrows, self.ncols, other.ncols))
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
+    assert all(verify_spectral_n(inst).values())
+    assert shapes == [(6, 6, 6)] and inst.params.class_count == 6
+
+
+def _false_checks(inst) -> list[str]:
+    return [name for name, ok in verify_spectral_n(inst).items() if not ok]
+
+
+def test_swapped_idempotents_fail_the_eigenvalue_and_hadamard_equations(monkeypatch):
+    inst = Instance(SchemeParams((2,), 2))
+    lam, mu = inst.shapes[1:]
+    idem = inst.idempotents
+    monkeypatch.setattr(inst, "idempotents", {**idem, lam: idem[mu], mu: idem[lam]})
+    failed = _false_checks(inst)
+    assert "eigenvalue_equations" in failed and "hadamard_equations" in failed
+
+
+def test_a_changed_relation_cell_fails_the_bruteforce_match(monkeypatch):
+    inst = Instance(SchemeParams((2,), 2))
+    lam = inst.shapes[1]
+    rows = [[inst.relations[lam][x, y] for y in range(4)] for x in range(4)]
+    rows[0][1] = 1 - rows[0][1]
+    monkeypatch.setitem(inst.relations, lam, RatMatrix(rows))
+    assert _false_checks(inst) == ["lifted_matches_bruteforce"]
+
+
+def test_a_doubled_adjacency_fails_the_valencies(monkeypatch):
+    inst = Instance(SchemeParams((2,), 2))
+    lam = inst.shapes[1]
+    monkeypatch.setitem(inst.adjacency, lam, inst.adjacency[lam].scale(2))
+    assert "valencies_match_row_sums" in _false_checks(inst)

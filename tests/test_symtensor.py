@@ -19,7 +19,7 @@ from ordered_hamming import (
     multinomial,
 )
 from ordered_hamming import exact_linalg, symtensor
-from ordered_hamming.exact_linalg import EmptyInput, mat_sum
+from ordered_hamming.exact_linalg import EmptyInput, OrbitalMatrix, mat_sum
 
 from dense_oracle import basis_matrices, span_basis
 
@@ -230,7 +230,7 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
     shapes = compositions(n, params1.m + 1)
     full_span = span_basis([lifted_sum(list(zip(data.E, lam))) for lam in shapes])
     orbitals = Instance(SchemeParams((2, 2), n)).orbitals
-    closure = algebra_closure(gens, unital=True, orbitals=orbitals)
+    closure = algebra_closure([OrbitalMatrix.of(orbitals, g) for g in gens], unital=True)
     assert basis_matrices(closure) == basis_matrices(full_span)
 
 

@@ -135,17 +135,18 @@ def test_lifted_dual_idempotent_examples():
     point_mass = inst.duals[inst.shapes[0]]
     expected = [[0] * 16 for _ in range(16)]
     expected[0][0] = 1
-    assert point_mass == RatMatrix(expected)
+    assert point_mass.matches(RatMatrix(expected))
     total = None
     for d in inst.duals.values():
         total = d if total is None else total + d
-    assert total == RatMatrix.identity(16)
+    assert total.matches(RatMatrix.identity(16))
 
 
 def test_lifted_dual_idempotent_matches_point_shapes():
     params = SchemeParams((2, 3), 2)
     pts = iter_points(params)
-    for lam, mat in Instance(params).duals.items():
+    for lam, dual in Instance(params).duals.items():
+        mat = dual.matrix()
         for i, x in enumerate(pts):
             assert mat[i, i] == (1 if shape_of(x, params) == lam else 0)
             assert all(mat[i, j] == 0 for j in range(len(pts)) if j != i)
@@ -312,6 +313,23 @@ def test_identity_suite_makes_no_dense_product_beyond_the_letter_factors(
     assert sides and max(sides) <= 3
 
 
+def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, capsys):
+    """Each lifted matrix passes the entry-by-entry orbital check once; the parent made 90."""
+    calls = 0
+    plain_vector = Orbitals.vector
+
+    def counting_vector(self, mat):
+        nonlocal calls
+        calls += 1
+        return plain_vector(self, mat)
+
+    monkeypatch.setattr(Orbitals, "vector", counting_vector)
+    assert main(["report", "--q", "2,2", "--n", "2", "--json"]) == 0
+    capsys.readouterr()
+    # 18 depth-two A/E/E*, 9 depth-one A/E/E*, 6 lifted G and 20 component generators
+    assert calls <= 53
+
+
 def test_a_dropped_support_grid_fails_the_lifted_products(monkeypatch, capsys):
     # X(3,2;2,3,2): the margins (0,1,1), (0,1,1) have two grids; dropping one
     # keeps every pair feasible, so only the expected sum can catch it
@@ -384,7 +402,7 @@ def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
     first = inst.adjacency if generators == "bm" else inst.idempotents
     gens = list(first.values()) + list(inst.duals.values())
     # the generators the closure keeps: those independent of I and earlier ones
-    accepted = span_basis([RatMatrix.identity(16)] + gens).dimension - 1
+    accepted = span_basis([RatMatrix.identity(16)] + [g.matrix() for g in gens]).dimension - 1
     products = Counter()
     plain_mul = RatMatrix.__mul__
     plain_product = Orbitals.product
@@ -409,8 +427,10 @@ def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
 
 def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
     inst = Instance(SchemeParams((2,), 2))
-    # points 01 and 10 share one orbital; this E* tells them apart
-    monkeypatch.setitem(inst.duals, (1, 1), RatMatrix.diagonal([0, 1, 0, 0]))
+    # points 01 and 10 share one orbital; a lift that tells them apart is refused
+    # when the instance enters its families in orbital coordinates
+    stray = RatMatrix.diagonal([0, 1, 0, 0])
+    monkeypatch.setattr(terwilliger_module, "lifted_sum", lambda parts: stray)
     with pytest.raises(InternalMismatch, match="not constant on orbital"):
         terwilliger_closure(inst, "bm")
 
@@ -429,8 +449,8 @@ def test_generator_agreement_fails_for_an_idempotent_outside_the_seed_span(monke
     lam = inst.shapes[1]
     # in T, so both closures are still T; only the seed spans differ
     stray = inst.adjacency[lam] * inst.duals[lam]
-    seeds = span_basis(list(inst.adjacency.values()) + list(inst.duals.values()))
-    assert not contains(seeds, stray)
+    seeds = span_basis([g.matrix() for g in [*inst.adjacency.values(), *inst.duals.values()]])
+    assert not contains(seeds, stray.matrix())
     monkeypatch.setattr(inst, "idempotents", {**inst.idempotents, lam: stray})
     assert structure_report(inst).checks["generator_sets_agree"] is False
 
@@ -450,10 +470,10 @@ def test_structure_report_closes_t_once(monkeypatch, q, n, closures):
     count = 0
     plain_closure = terwilliger_module.algebra_closure
 
-    def counting_closure(gens, unital, orbitals):
+    def counting_closure(gens, unital):
         nonlocal count
         count += unital
-        return plain_closure(gens, unital, orbitals)
+        return plain_closure(gens, unital)
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", counting_closure)
     structure_report(Instance(SchemeParams(q, n)))

@@ -10,6 +10,13 @@ r (`Instance.orbitals.count`, built again after the timed call) and dim T
 (from the report's stdout). An instance that runs past the timeout is
 recorded as "timeout". `--src` picks the source tree to import, so one
 copy of this script measures any checkout.
+
+CPU speed on a shared virtual machine drifts, so the benchmark's
+calibration loop (`perfbench/run.py`) is timed just before and just after
+each instance, and recorded as `calibration_s`. `scaled_wall_s` is
+`wall_s` times NOMINAL_CALIBRATION_S over the mean of those two loop
+times: the wall time at the benchmark machine's nominal speed, which
+compares across runs where raw `wall_s` does not.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.run import NOMINAL_CALIBRATION_S, calibration_loop  # noqa: E402
+
 TIMEOUT_S = 300.0
 
 # (q, n): the 12 instances of the ROADMAP measurement table.
@@ -75,6 +85,18 @@ def run_one(q: tuple[int, ...], n: int, src: Path) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def run_calibrated(q: tuple[int, ...], n: int, src: Path) -> dict:
+    """`run_one` between two timings of the calibration loop, with the wall time scaled."""
+    before = calibration_loop()
+    result = run_one(q, n, src)
+    after = calibration_loop()
+    result["calibration_s"] = [round(before, 4), round(after, 4)]
+    if "wall_s" in result:
+        scale = NOMINAL_CALIBRATION_S / ((before + after) / 2)
+        result["scaled_wall_s"] = round(result["wall_s"] * scale, 3)
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import")
@@ -84,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     for q, n in INSTANCES:
         name = label(q, n)
         start = time.monotonic()
-        results[name] = run_one(q, n, args.src.resolve())
+        results[name] = run_calibrated(q, n, args.src.resolve())
         print(f"{name}: {results[name]} ({time.monotonic() - start:.1f} s)", file=sys.stderr)
     blob = {
         "machine": {
@@ -93,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform.machine(),
         },
         "timeout_s": TIMEOUT_S,
+        "nominal_calibration_s": NOMINAL_CALIBRATION_S,
         "instances": results,
     }
     print(json.dumps(blob, indent=1))
