@@ -11,19 +11,19 @@ permutation of a group commutes with is constant on each orbit of that
 group on pairs of points, so it is one integer per orbital. The discrete
 partition, every pair its own orbital, is the plain row-major vectorization.
 Closures multiply in these coordinates through one structure table and
-never form a dense product. A closure keeps the generators it spun under,
-and the spinning proves it closed under multiplication; `center_dimension`
-works from those generators in the same coordinates. Subspace bookkeeping
-happens in fully reduced integer row-echelon form, so the resulting basis
-is canonical: two subspaces in the same coordinates are equal exactly when
-their stored rows are identical. Subspaces in different coordinates never
-compare equal.
+never form a dense product; a closure stops once it spans every orbital.
+It keeps the generators it spun under, and the spinning proves it closed
+under multiplication; `center_dimension` works from those generators, with
+masks for the diagonal ones. Subspaces are kept in fully reduced integer
+row-echelon form with sparse rows ({column: value}), so the basis is
+canonical: two subspaces in the same coordinates are equal exactly when
+their rows are identical. Subspaces in different coordinates never compare
+equal.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -255,77 +255,80 @@ def kron_all(mats: Sequence[RatMatrix]) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _content(vec: Sequence[int]) -> int:
-    g = 0
-    for a in vec:
-        if a:
-            g = math.gcd(g, a)
-            if g == 1:
-                return 1
-    return g
-
-
 def _primitive(vec: list[int]) -> list[int]:
-    g = _content(vec)
-    if g > 1:
-        return [a // g for a in vec]
-    return vec
+    g = math.gcd(*vec)
+    return [a // g for a in vec] if g > 1 else vec
 
 
-def _first_nonzero(vec: Sequence[int]) -> int | None:
-    for i, a in enumerate(vec):
-        if a:
-            return i
-    return None
+class _RowReducer:
+    """Fully reduced integer row-echelon form with canonical sparse rows.
 
-
-class _IntRowReducer:
-    """Fully reduced integer row-echelon container with canonical rows.
-
-    Rows are primitive integer vectors with positive pivot entries; every
-    pivot column is zero in all other rows. This is the unique reduced
-    echelon basis of the row space, scaled entrywise to clear denominators.
+    Each row is a primitive integer vector held as {column: value} under
+    its pivot, its first nonzero column, where it is positive; every pivot
+    column is zero in all other rows. This is the unique reduced echelon
+    basis of the row space, scaled entrywise to clear denominators.
     """
 
-    __slots__ = ("width", "rows", "pivots")
+    __slots__ = ("width", "_rows")
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def residual(self, vec: Sequence[int]) -> list[int]:
-        out = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = out[p]
-            if c:
-                rp = row[p]
-                out = [a * rp - b * c for a, b in zip(out, row)]
-                out = _primitive(out)
-        return out
-
-    def insert(self, vec: Sequence[int]) -> bool:
-        new = self.residual(vec)
-        piv = _first_nonzero(new)
-        if piv is None:
-            return False
-        if new[piv] < 0:
-            new = [-a for a in new]
-        new = _primitive(new)
-        for k, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                vp = new[piv]
-                merged = [a * vp - b * c for a, b in zip(row, new)]
-                self.rows[k] = _primitive(merged)
-        pos = bisect_left(self.pivots, piv)
-        self.rows.insert(pos, new)
-        self.pivots.insert(pos, piv)
-        return True
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The rows as dense vectors, in pivot order."""
+        return [[self._rows[p].get(j, 0) for j in range(self.width)] for p in self.pivots]
+
+    def residual(self, vec: Sequence[int]) -> list[int]:
+        """vec less its part in the span, as a primitive vector; unchanged when it meets no pivot.
+
+        Every row is zero on the other pivots, so the coefficient of each
+        row is read off vec at that row's pivot, and one combination over
+        the pivots in vec's support removes them all.
+        """
+        rows = self._rows
+        used = [(p, vec[p]) for p in rows if vec[p]]
+        if not used:
+            return list(vec)
+        lead = math.lcm(*(rows[p][p] for p, _ in used))
+        out = [a * lead for a in vec] if lead > 1 else list(vec)
+        for p, c in used:
+            row = rows[p]
+            f = c * (lead // row[p])
+            for j, a in row.items():
+                out[j] -= f * a
+        return _primitive(out)
+
+    def insert(self, vec: Sequence[int]) -> bool:
+        """Add vec to the span; False when it already lies there."""
+        out = self.residual(vec)
+        if not any(out):
+            return False
+        new = {j: a for j, a in enumerate(out) if a}
+        piv = next(iter(new))
+        g = math.gcd(*new.values()) * (1 if new[piv] > 0 else -1)
+        if g != 1:
+            new = {j: a // g for j, a in new.items()}
+        vp = new[piv]
+        rows = self._rows
+        for p, row in rows.items():
+            c = row.get(piv)
+            if c:
+                keys = row.keys() | new.keys()
+                merged = {j: a for j in keys if (a := row.get(j, 0) * vp - c * new.get(j, 0))}
+                g = math.gcd(*merged.values())
+                rows[p] = {j: a // g for j, a in merged.items()} if g > 1 else merged
+        rows[piv] = new
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +494,25 @@ class OrbitalMatrix:
     def matrix(self) -> RatMatrix:
         return self.orbitals.matrix(self.vec, self.den)
 
+    def _shared(self, other: OrbitalMatrix) -> Orbitals:
+        """The orbitals both operands lie on; operands on different ones raise DimensionMismatch."""
+        if other.orbitals is not self.orbitals:
+            raise DimensionMismatch("operands lie on different orbitals")
+        return self.orbitals
+
     def __add__(self, other: OrbitalMatrix) -> OrbitalMatrix:
+        orbitals = self._shared(other)
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         summed = [x * sa + y * sb for x, y in zip(self.vec, other.vec)]
-        return OrbitalMatrix(self.orbitals, summed, den)
+        return OrbitalMatrix(orbitals, summed, den)
 
     def __sub__(self, other: OrbitalMatrix) -> OrbitalMatrix:
         return self + other.scale(-1)
 
     def __mul__(self, other: OrbitalMatrix) -> OrbitalMatrix:
-        product = self.orbitals.product(self.vec, other.vec)
-        return OrbitalMatrix(self.orbitals, product, self.den * other.den)
+        orbitals = self._shared(other)
+        return OrbitalMatrix(orbitals, orbitals.product(self.vec, other.vec), self.den * other.den)
 
     def scale(self, scalar) -> OrbitalMatrix:
         c = _coerce(scalar)
@@ -512,7 +522,7 @@ class OrbitalMatrix:
     def hadamard(self, other: OrbitalMatrix) -> OrbitalMatrix:
         """The entrywise product: both factors are constant on every orbital, so it is too."""
         entries = list(map(mul, self.vec, other.vec))
-        return OrbitalMatrix(self.orbitals, entries, self.den * other.den)
+        return OrbitalMatrix(self._shared(other), entries, self.den * other.den)
 
     def trace(self) -> Fraction:
         """The sum of the N diagonal entries, each read through its pair's label."""
@@ -545,10 +555,7 @@ class MatrixSubspace:
     __slots__ = ("orbitals", "_reducer", "spin")
 
     def __init__(
-        self,
-        orbitals: Orbitals,
-        reducer: _IntRowReducer,
-        spin: Sequence[Sequence[int]] | None = None,
+        self, orbitals: Orbitals, reducer: _RowReducer, spin: Sequence[Sequence[int]] | None = None
     ):
         self.orbitals = orbitals
         self._reducer = reducer
@@ -557,7 +564,7 @@ class MatrixSubspace:
     @classmethod
     def span(cls, orbitals: Orbitals, vectors: Iterable[Sequence[int]]) -> MatrixSubspace:
         """Linear span of orbital vectors."""
-        red = _IntRowReducer(orbitals.count)
+        red = _RowReducer(orbitals.count)
         for vec in vectors:
             red.insert(vec)
         return cls(orbitals, red)
@@ -599,29 +606,31 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     It is found by spinning: the pool starts with I (when `unital`) and the
     generators, and one walk over the pool multiplies each element on the
     left by every generator the pool accepted, appending each product that
-    is independent. The walk ends when it reaches the end of the pool,
-    after about dim * k products for k accepted generators.
+    is independent. The walked pool spans a space that holds the seeds and
+    is closed under left multiplication by the accepted generators, so it
+    holds every word; a rejected generator is a combination of I (when
+    `unital`) and the accepted ones. The walk ends at the end of the pool,
+    after about dim * k products for k accepted generators, or before its
+    next product once the span holds all r orbital vectors. That stop is
+    exact, not r standing in for the dimension: the orbital-constant
+    matrices form the centralizer algebra of the group, closed under the
+    products `Orbitals.product` computes, so no word can leave the span.
+    It fires only once the measured dimension has reached r.
 
-    The walked pool spans a space that holds the seeds and is closed under
-    left multiplication by the accepted generators, so it holds every word.
-    A rejected generator is a combination of I (when `unital`) and the
-    accepted ones, so it is not needed for spinning. The span is kept in
-    canonical reduced echelon form, so the result does not depend on
-    generator order or on the order of the walk; and because orbitals are
-    labelled in row-major order of their first pair, its rows expand, each
-    scaled to pivot entry 1, to the basis the same span has in dense
-    coordinates.
-
-    The result keeps the accepted generators as its `spin` set S. Every
-    pool element is a word in S, so the walk is itself the proof that the
-    span is an algebra, and S generates it.
+    The span is kept in canonical reduced echelon form, so the result does
+    not depend on generator order or on the order of the walk; and because
+    orbitals are labelled in row-major order of their first pair, its rows
+    expand, each scaled to pivot entry 1, to the basis the same span has in
+    dense coordinates. The result keeps the accepted generators as its
+    `spin` set S: every pool element is a word in S, so the walk proves the
+    span an algebra, and S generates it.
     """
     if not generators:
         raise EmptyInput("closure of an empty generator list")
     orbitals = generators[0].orbitals
     if any(g.orbitals is not orbitals for g in generators):
         raise DimensionMismatch("closure generators lie on different orbitals")
-    red = _IntRowReducer(orbitals.count)
+    red = _RowReducer(orbitals.count)
     pool: list[list[int]] = []
 
     def try_add(vec: list[int]) -> bool:
@@ -633,9 +642,11 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     if unital:
         try_add(OrbitalMatrix.identity(orbitals).vec)
     spin = [g.vec for g in generators if try_add(g.vec)]
-    for b in pool:  # also visits the products appended during the walk
-        for g in spin:
-            try_add(_primitive(orbitals.product(g, b)))
+    # the walk also visits the products appended to the pool on the way
+    for g, b in ((g, b) for b in pool for g in spin):
+        if red.dimension == orbitals.count:
+            break
+        try_add(_primitive(orbitals.product(g, b)))
     return MatrixSubspace(orbitals, red, spin)
 
 
@@ -643,19 +654,38 @@ def center_dimension(alg: MatrixSubspace) -> int:
     """Dimension of the center of the algebra `alg`, measured from its spin set S.
 
     Z in alg is central exactly when [Z, s] = 0 for every s in S, because S
-    generates alg. Z = sum of c_b b over the basis, so the center is the
-    kernel of c -> sum of c_b ([b, s])_{s in S}: its dimension is d minus
-    the rank of the d vectors that concatenate [b, s] = bs - sb over S, one
-    per basis element b. Every product runs in orbital coordinates.
+    generates alg. An s nonzero only on diagonal orbitals is a diagonal
+    matrix, and [Z, s][x, z] = Z[x, z] (s[z, z] - s[x, x]) is Z times a mask
+    read at each representative (x, z), with no product. So the Z that
+    commute with every diagonal s are those zero on the masked orbitals: the
+    kernel of the basis restricted to them, found as the rows that pivot
+    after them when the basis is reduced with those orbitals first. The
+    center is that kernel less the rank of the vectors that concatenate
+    [z, s] = zs - sz over the other s, one per kernel element z.
 
     `alg` must be an algebra, such as the result of `algebra_closure`,
     whose spinning proves it closed under multiplication.
     """
-    basis = alg._reducer.rows
-    product = alg.orbitals.product
-    commutators = _IntRowReducer(len(alg.spin) * alg.orbitals.count)
-    for b in basis:
-        commutators.insert(
-            [x - y for s in alg.spin for x, y in zip(product(b, s), product(s, b))]
-        )
-    return len(basis) - commutators.dimension
+    orbitals = alg.orbitals
+    side, count = orbitals.side, orbitals.count
+    eye = OrbitalMatrix.identity(orbitals).vec
+    diag = [orbitals.labels[x * (side + 1)] for x in range(side)]  # the orbital of (x, x)
+    ends = [(diag[rep // side], diag[rep % side]) for rep in orbitals.reps]
+    masked: set[int] = set()
+    others = []
+    for s in alg.spin:
+        if any(a for a, d in zip(s, eye) if not d):
+            others.append(s)
+        else:
+            masked.update(o for o, (dx, dz) in enumerate(ends) if s[dx] != s[dz])
+    order = sorted(range(count), key=lambda o: o not in masked)  # masked first, stable
+    where = sorted(range(count), key=order.__getitem__)  # each orbital's place in order
+    kernel = _RowReducer(count)
+    for b in alg._reducer._rows.values():
+        kernel.insert([b.get(o, 0) for o in order])
+    zs = [[z.get(i, 0) for i in where] for p, z in kernel._rows.items() if p >= len(masked)]
+    product = orbitals.product
+    commutators = _RowReducer(len(others) * count)
+    for z in zs:
+        commutators.insert([x - y for s in others for x, y in zip(product(z, s), product(s, z))])
+    return len(zs) - commutators.dimension

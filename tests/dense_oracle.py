@@ -10,10 +10,15 @@ products, against the counts the package takes from the pair-shape sweep,
 and `point_sub`/`shape_of` give the relation of a pair by its definition,
 against the `pair_shapes` sweep. The identity suite and the spectral
 checks are run here with dense products, against the suites the package
-runs in orbital coordinates.
+runs in orbital coordinates. The dense row reducer and the center stacked
+over the whole spin set are the references for the package's sparse
+reducer and masked center.
 """
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
+from typing import Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
 from ordered_hamming.exact_linalg import OrbitalMatrix, kron_all, mat_sum
@@ -29,6 +34,73 @@ from ordered_hamming.terwilliger import (
     _theta_enumerate,
     _theta_feasible,
 )
+
+
+class DenseRowReducer:
+    """Fully reduced integer row-echelon container with canonical dense rows.
+
+    Rows are primitive integer vectors with positive pivot entries; every
+    pivot column is zero in all other rows. This is the unique reduced
+    echelon basis of the row space, scaled entrywise to clear denominators.
+    The package's sparse reducer must keep exactly these rows.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def residual(self, vec: Sequence[int]) -> list[int]:
+        out = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = out[p]
+            if c:
+                rp = row[p]
+                out = _primitive([a * rp - b * c for a, b in zip(out, row)])
+        return out
+
+    def insert(self, vec: Sequence[int]) -> bool:
+        new = self.residual(vec)
+        piv = next((i for i, a in enumerate(new) if a), None)
+        if piv is None:
+            return False
+        if new[piv] < 0:
+            new = [-a for a in new]
+        new = _primitive(new)
+        for k, row in enumerate(self.rows):
+            c = row[piv]
+            if c:
+                vp = new[piv]
+                self.rows[k] = _primitive([a * vp - b * c for a, b in zip(row, new)])
+        pos = bisect_left(self.pivots, piv)
+        self.rows.insert(pos, new)
+        self.pivots.insert(pos, piv)
+        return True
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+
+def _primitive(vec: list[int]) -> list[int]:
+    g = math.gcd(*vec)
+    return [a // g for a in vec] if g > 1 else vec
+
+
+def stacked_center_dimension(alg: MatrixSubspace) -> int:
+    """Reference center: d minus the rank of the d vectors stacking [b, s] over all of S.
+
+    One vector per basis element b, concatenating bs - sb for every s in
+    the spin set, diagonal or not; no mask and no kernel step.
+    """
+    basis = alg._reducer.rows
+    product = alg.orbitals.product
+    commutators = DenseRowReducer(len(alg.spin) * alg.orbitals.count)
+    for b in basis:
+        commutators.insert(
+            [x - y for s in alg.spin for x, y in zip(product(b, s), product(s, b))]
+        )
+    return len(basis) - commutators.dimension
 
 
 def discrete(mats):

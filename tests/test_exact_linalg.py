@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,10 @@ from ordered_hamming import (
     terwilliger_closure,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
-from ordered_hamming.exact_linalg import MatrixSubspace, OrbitalMatrix, _flat, _IntRowReducer
+from ordered_hamming.exact_linalg import MatrixSubspace, OrbitalMatrix, _flat, _RowReducer
 
 from dense_oracle import (
+    DenseRowReducer,
     basis_matrices,
     contains,
     dense_family,
@@ -326,7 +328,7 @@ def pool_closure(generators, unital):
     """
     gens = list(generators)
     side = gens[0].nrows
-    red = _IntRowReducer(side * side)
+    red = DenseRowReducer(side * side)
     pool = []
 
     def try_add(mat):
@@ -359,7 +361,7 @@ def dense_closure(generators, unital):
     """
     gens = list(generators)
     side = gens[0].nrows
-    red = _IntRowReducer(side * side)
+    red = DenseRowReducer(side * side)
     pool = []
 
     def try_add(mat):
@@ -592,3 +594,42 @@ def test_closure_rejects_generators_on_two_orbitals():
     inst = Instance(SchemeParams((2,), 2))
     with pytest.raises(DimensionMismatch):
         algebra_closure([*inst.adjacency.values(), *inst.base.duals.values()], unital=False)
+
+
+def test_orbital_arithmetic_rejects_operands_on_two_orbitals():
+    """X(2,2;2,2): a depth-two matrix (55 orbitals) never meets a depth-one one (10)."""
+    inst = Instance(SchemeParams((2, 2), 2))
+    deep, shallow = next(iter(inst.adjacency.values())), next(iter(inst.base.adjacency.values()))
+    assert deep.orbitals.count == 55 and shallow.orbitals.count == 10
+    for x, y in ((deep, shallow), (shallow, deep)):
+        for op in (add, sub, mul, OrbitalMatrix.hadamard):
+            with pytest.raises(DimensionMismatch):
+                op(x, y)
+
+
+@st.composite
+def reducer_inputs(draw):
+    """Small vectors, mostly zeros, with repeats and combinations of earlier ones mixed in."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+    vector = st.lists(entry, min_size=width, max_size=width)
+    base = draw(st.lists(vector, min_size=1, max_size=8))
+    index = st.integers(min_value=0, max_value=len(base) - 1)
+    coeff = st.integers(min_value=-3, max_value=3)
+    mixes = draw(st.lists(st.tuples(index, index, coeff, coeff), max_size=6))
+    vecs = base + [[a * x + b * y for x, y in zip(base[i], base[j])] for i, j, a, b in mixes]
+    return width, draw(st.permutations(vecs)), draw(st.lists(vector, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reducer_inputs())
+def test_sparse_reducer_matches_dense_oracle(case):
+    width, vecs, probes = case
+    sparse, dense = _RowReducer(width), DenseRowReducer(width)
+    for vec in vecs:
+        assert sparse.insert(vec) == dense.insert(vec)
+        assert sparse.rows == dense.rows
+        assert sparse.pivots == dense.pivots
+        assert sparse.dimension == dense.dimension
+        for probe in probes + vecs:
+            assert sparse.residual(probe) == dense.residual(probe)

@@ -5,6 +5,8 @@ orbital coordinates, from the spin generators of each closure. The oracles
 here are the dense computations they replaced: the commutant loop over
 basis pairs, the sandwiches as dense `RatMatrix` products, and the
 commutativity and annihilation checks over every pair of basis elements.
+The masked center is also checked against the commutators [b, s] stacked
+over the whole spin set, which it replaced.
 """
 
 import math
@@ -26,11 +28,19 @@ from ordered_hamming import (
     valency_n,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
-from ordered_hamming.exact_linalg import OrbitalMatrix, _flat, _IntRowReducer, mat_sum
+from ordered_hamming.exact_linalg import OrbitalMatrix, _flat, mat_sum
 
-from dense_oracle import basis_matrices, dense_family, discrete, span_basis
+from dense_oracle import (
+    DenseRowReducer,
+    basis_matrices,
+    dense_family,
+    discrete,
+    span_basis,
+    stacked_center_dimension,
+)
 
 ORACLE_INSTANCES = list(SUITE_INSTANCES) + [((3,), 2), ((2,), 4), ((3,), 3)]
+CENTER_INSTANCES = list(SUITE_INSTANCES) + [((2, 3), 2), ((2, 2, 2), 2)]
 
 
 def _label(value):
@@ -43,7 +53,7 @@ def _nullspace(mats):
     # Scaling every entry row by one factor keeps the nullspace.
     den = math.lcm(*(m.denominator for m in mats))
     cols = [[a * (den // m.denominator) for a in _flat(m)] for m in mats]
-    red = _IntRowReducer(width)
+    red = DenseRowReducer(width)
     for row in zip(*cols):
         red.insert(row)
     pivots = set(red.pivots)
@@ -129,6 +139,19 @@ def _unit(n, i, j):
 def test_center_matches_dense_oracle(q, n):
     alg = terwilliger_closure(Instance(SchemeParams(q, n)))
     assert center_dimension(alg) == dense_center_dimension(alg)
+
+
+@pytest.mark.parametrize(
+    "q,n,generators",
+    [(q, n, "bm") for q, n in CENTER_INSTANCES]
+    # idem spins under dense E_λ; X(3,2;2,2,2) alone would take seconds in the oracle
+    + [(q, n, "idem") for q, n in CENTER_INSTANCES[:-1]],
+    ids=_label,
+)
+def test_masked_center_matches_stacked_oracle(q, n, generators):
+    """The masks and the kernel step against [b, s] stacked over every s in S."""
+    alg = terwilliger_closure(Instance(SchemeParams(q, n)), generators)
+    assert center_dimension(alg) == stacked_center_dimension(alg)
 
 
 @pytest.mark.parametrize("q,n", ORACLE_INSTANCES, ids=_label)

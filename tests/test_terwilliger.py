@@ -330,6 +330,31 @@ def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, caps
     assert calls <= 53
 
 
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 73),
+        (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 106),
+        (["report", "--q", "2,2", "--n", "2"], 1599),
+    ],
+    ids=["closure-bm", "closure-idem", "report"],
+)
+def test_orbital_product_count(monkeypatch, capsys, argv, bound):
+    """The walk stops at a full span, the center masks diagonal generators; the parent made 280, 280, 2964."""
+    calls = 0
+    plain_product = Orbitals.product
+
+    def counting_product(self, a, b):
+        nonlocal calls
+        calls += 1
+        return plain_product(self, a, b)
+
+    monkeypatch.setattr(Orbitals, "product", counting_product)
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    assert calls <= bound
+
+
 def test_a_dropped_support_grid_fails_the_lifted_products(monkeypatch, capsys):
     # X(3,2;2,3,2): the margins (0,1,1), (0,1,1) have two grids; dropping one
     # keeps every pair feasible, so only the expected sum can catch it
