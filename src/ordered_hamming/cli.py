@@ -35,7 +35,6 @@ from .spectral import (
     verify_base_duality,
     verify_spectral_n,
 )
-from .symtensor import lifted_sum
 from .terwilliger import (
     Instance,
     StructureReport,
@@ -177,13 +176,12 @@ def _cmd_scheme_verify(args, parser, params) -> tuple[dict, dict]:
 def _cmd_adjacency(args, parser, params) -> tuple[dict, dict]:
     shape = _parse_shape(args.shape, params.m + 1, params.n, parser, "--shape")
     inst = Instance(params, args.max_points)
-    # one lift and one relation, not the whole families
-    lifted = lifted_sum(list(zip(inst.spectral.A, shape)))
-    checks = {"matches_relation_matrix": lifted == relation_matrix(shape, inst.pair_shapes)}
+    lifted = inst.adjacency[shape]
+    checks = {"matches_relation_matrix": lifted.matches(relation_matrix(shape, inst.pair_shapes))}
     data = {
         "shape": list(shape),
         "valency": valency_n(shape, params),
-        "matrix": lifted.to_json(),
+        "matrix": lifted.matrix().to_json(),
     }
     return checks, data
 

@@ -56,8 +56,7 @@ from .symtensor import lifted_sum
 class TerwBasisSet:
     """E, E* and the split F/G families of the depth-one scheme, in its orbitals.
 
-    Every member lies in T; `.matrix()` expands one where `lifted_sum` needs
-    dense factors.
+    Every member lies in T; `Instance.lift` takes them to depth n as they are.
     """
 
     E: tuple[OrbitalMatrix, ...]
@@ -111,10 +110,10 @@ class Instance:
     """One scheme X(m, n; q) whose matrix families are each built once, on first use.
 
     The size bound is checked here and nowhere else. The depth-one data
-    (`spectral`, `basis`) lives on `base`, the depth-one instance, and every
-    depth-n family (A, E, E*) is one `lifted_sum` per shape of its depth-one
-    family, held once as an `OrbitalMatrix` on `orbitals`, since it lies in
-    T. An instance keeps what it built for its own lifetime: create one per
+    (`spectral`, `basis`) lives on `base`, the depth-one instance, which
+    enters its closed forms A, E, E* once as `OrbitalMatrix` values; at depth
+    n each family is one `lift` per shape, in orbital coordinates. An
+    instance keeps what it built for its own lifetime: create one per
     command or per suite instance. `relations` always comes from the
     brute-force definition, never from the lifted families it is compared
     against.
@@ -153,23 +152,36 @@ class Instance:
         """p^k_ij counted from the sweep; None if some p^k_ij is not relation-constant."""
         return intersection_counts(self.pair_shapes)
 
-    def _lift(self, base: tuple[RatMatrix, ...]) -> dict[Shape, OrbitalMatrix]:
-        orbitals = self.orbitals
-        return {
-            lam: OrbitalMatrix.of(orbitals, lifted_sum(list(zip(base, lam)))) for lam in self.shapes
-        }
+    @cached_property
+    def blocks(self) -> list[tuple[int, ...]]:
+        """For each orbital, the depth-one orbitals of the n block pairs of its representative."""
+        n1, labels = self.base.orbitals.side, self.base.orbitals.labels
+        scales = [n1**b for b in reversed(range(self.params.n))]  # first block slowest
+        pairs = (divmod(rep, self.params.num_points) for rep in self.orbitals.reps)
+        return [tuple(labels[x // s % n1 * n1 + z // s % n1] for s in scales) for x, z in pairs]
+
+    def lift(self, parts: list[tuple[OrbitalMatrix, int]]) -> OrbitalMatrix:
+        """The `lifted_sum` of depth-one parts, on this instance's orbitals."""
+        return lifted_sum(parts, self.orbitals, self.blocks)
+
+    def _family(self, name: str, closed: tuple[RatMatrix, ...]) -> dict[Shape, OrbitalMatrix]:
+        """Depth one enters the closed forms in orbital coordinates, once; depth n lifts them."""
+        if self.base is self:
+            return {lam: OrbitalMatrix.of(self.orbitals, m) for lam, m in zip(self.shapes, closed)}
+        base = list(getattr(self.base, name).values())
+        return {lam: self.lift(list(zip(base, lam))) for lam in self.shapes}
 
     @cached_property
     def adjacency(self) -> dict[Shape, OrbitalMatrix]:
-        return self._lift(self.spectral.A)
+        return self._family("adjacency", self.spectral.A)
 
     @cached_property
     def idempotents(self) -> dict[Shape, OrbitalMatrix]:
-        return self._lift(self.spectral.E)
+        return self._family("idempotents", self.spectral.E)
 
     @cached_property
     def duals(self) -> dict[Shape, OrbitalMatrix]:
-        return self._lift(self.spectral.Estar)
+        return self._family("duals", self.spectral.Estar)
 
     @cached_property
     def orbitals(self) -> Orbitals:
@@ -402,16 +414,12 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     else:
         checks["g_products_by_regime"] = _g_product_regimes_hold(q, G, Gstar)
         inner = compositions(n, m)
-        dense = ([g.matrix() for g in fam] for fam in (tw.G, tw.Gstar))
         lifted_g, lifted_gs = (
-            {tau: OrbitalMatrix.of(inst.orbitals, lifted_sum([*zip(fam, tau)])) for tau in inner}
-            for fam in dense
+            {tau: inst.lift([*zip(fam, tau)]) for tau in inner} for fam in (tw.G, tw.Gstar)
         )
-        g_sum = mat_sum(lifted_g.values())
-        checks["g_natural_lifted"] = g_sum == mat_sum(lifted_gs.values()) and g_sum.matches(
-            kron_all([tw.Gnat.matrix()] * n)
-        )
-        checks["lifted_g_products"] = _lifted_g_products_hold(params, G, Gstar, lifted_g, lifted_gs)
+        g_sum, gs_sum = (mat_sum(fam.values()) for fam in (lifted_g, lifted_gs))
+        checks["g_natural_lifted"] = g_sum == gs_sum == inst.lift([(tw.Gnat, n)])
+        checks["lifted_g_products"] = _lifted_g_products_hold(inst, lifted_g, lifted_gs)
 
     f_matches = all(F[j] == E[j] for j in range(1, m + 1)) and all(
         Fstar[j] == estar[j] for j in range(1, m + 1)
@@ -487,15 +495,11 @@ def _g_product_regimes_hold(q: tuple[int, ...], G: Sequence, Gstar: Sequence) ->
     return True
 
 
-def _lifted_g_products_hold(
-    params: SchemeParams, G: Sequence, Gstar: Sequence, lifted_g: dict, lifted_gs: dict
-) -> bool:
-    """Each lifted G product is the sum over its support grids of lifted depth-one products.
-
-    The depth-one products (G 1-based) expand to dense factors for `lifted_sum`.
-    """
+def _lifted_g_products_hold(inst: Instance, lifted_g: dict, lifted_gs: dict) -> bool:
+    """Each lifted G product is the sum over its support grids of lifted depth-one products."""
+    params, tw = inst.params, inst.basis
     m = params.m
-    grid = [[(G[j] * Gstar[i]).matrix() for j in range(1, m + 1)] for i in range(1, m + 1)]
+    grid = [[tw.G[j] * tw.Gstar[i] for j in range(m)] for i in range(m)]
     inner = compositions(params.n, m)
     for lam in inner:
         for mu in inner:
@@ -511,10 +515,10 @@ def _lifted_g_products_hold(
                     return False
                 continue
             expected = mat_sum(
-                lifted_sum([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
+                inst.lift([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
                 for c in grids
             )
-            if not left.matches(expected) or left.is_zero():
+            if left != expected or left.is_zero():
                 return False
     return True
 
@@ -610,9 +614,6 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
     if inst.degenerate:
         raise ValueError("component split is vacuous when the G families vanish")
     tw = inst.basis
-    families = [
-        [[x.matrix() for x in fam] for fam in pair] for pair in ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
-    ]
 
     infos = []
     pieces: list[MatrixSubspace] = []
@@ -620,12 +621,12 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
         # compositions(0, k) is the all-zero tuple, and lifted_sum drops
         # zero multiplicities, so d = 0 and d = n need no special case
         lifted = (
-            lifted_sum(list(zip(fam, sigma)) + list(zip(gfam, tau)))
-            for fam, gfam in families
+            inst.lift(list(zip(fam, sigma)) + list(zip(gfam, tau)))
+            for fam, gfam in ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
             for sigma in compositions(n - d, m + 1)
             for tau in compositions(d, m)
         )
-        gens = [OrbitalMatrix.of(inst.orbitals, g) for g in lifted if not g.is_zero()]
+        gens = [g for g in lifted if not g.is_zero()]
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
             continue

@@ -12,19 +12,20 @@ against the `pair_shapes` sweep. The identity suite and the spectral
 checks are run here with dense products, against the suites the package
 runs in orbital coordinates. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
-reducer and masked center.
+reducer and masked center, and the dense Kronecker lift `dense_lifted_sum`
+the reference for the package's lift in orbital coordinates.
 """
 
 import math
 from bisect import bisect_left
+from functools import cache
 from fractions import Fraction
 from typing import Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
-from ordered_hamming.exact_linalg import OrbitalMatrix, kron_all, mat_sum
+from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, kron, kron_all, mat_sum
 from ordered_hamming.scheme import compositions
 from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
-from ordered_hamming.symtensor import lifted_sum
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
     _factor_identities_hold,
@@ -110,9 +111,42 @@ def discrete(mats):
     return [OrbitalMatrix.of(orbitals, m) for m in mats]
 
 
+def dense_lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
+    """Sum of dense Kronecker products over all arrangements of the given parts.
+
+    The reference for the package's `lifted_sum`, which works in orbital
+    coordinates. Parts with multiplicity zero are dropped first. The
+    first-factor recursion is memoized on the remaining counts, so the work
+    is one Kronecker product per nonzero count in each count state; a state
+    with one factor left, or a lone factor, is that factor.
+    """
+    kept = [(m, c) for m, c in parts if c]
+    if not kept:
+        raise EmptyInput("total multiplicity must be at least 1")
+    side = kept[0][0].nrows
+    for m, _ in kept:
+        if m.nrows != m.ncols or m.nrows != side:
+            raise DimensionMismatch("all factors must be square with one common side")
+    mats, counts = zip(*kept)
+    if counts == (1,):
+        return mats[0]
+
+    @cache
+    def lift(rest: tuple[int, ...]) -> RatMatrix:
+        if sum(rest) == 1:
+            return mats[rest.index(1)]
+        return mat_sum(
+            kron(mats[i], lift(rest[:i] + (c - 1,) + rest[i + 1 :]))
+            for i, c in enumerate(rest)
+            if c
+        )
+
+    return lift(counts)
+
+
 def dense_family(inst, base):
-    """The depth-n lift of a depth-one family, one dense `lifted_sum` per shape, never wrapped."""
-    return {lam: lifted_sum(list(zip(base, lam))) for lam in inst.shapes}
+    """The depth-n lift of a depth-one family, one `dense_lifted_sum` per shape, never wrapped."""
+    return {lam: dense_lifted_sum(list(zip(base, lam))) for lam in inst.shapes}
 
 
 def span_basis(mats):
@@ -397,8 +431,8 @@ def dense_terw_identities(inst):
         inner = compositions(n, m)
         glist = list(tw.G)
         gslist = list(tw.Gstar)
-        lifted_g = {tau: lifted_sum(list(zip(glist, tau))) for tau in inner}
-        lifted_gs = {tau: lifted_sum(list(zip(gslist, tau))) for tau in inner}
+        lifted_g = {tau: dense_lifted_sum(list(zip(glist, tau))) for tau in inner}
+        lifted_gs = {tau: dense_lifted_sum(list(zip(gslist, tau))) for tau in inner}
         gnat_power = kron_all([tw.Gnat] * n)
         checks["g_natural_lifted"] = (
             mat_sum(lifted_g.values()) == mat_sum(lifted_gs.values()) == gnat_power
@@ -458,7 +492,7 @@ def _lifted_g_products_hold(params, tw, lifted_g, lifted_gs) -> bool:
                     return False
                 continue
             expected = mat_sum(
-                lifted_sum([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
+                dense_lifted_sum([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
                 for c in grids
             )
             if left != expected or left.is_zero():

@@ -7,7 +7,8 @@ import pytest
 import ordered_hamming.scheme as scheme_module
 import ordered_hamming.spectral as spectral_module
 import ordered_hamming.terwilliger as terwilliger_module
-from ordered_hamming import DEFAULT_MAX_POINTS, SchemeParams, cli
+from ordered_hamming import DEFAULT_MAX_POINTS, Instance, RatMatrix, SchemeParams, cli
+from ordered_hamming import exact_linalg
 from ordered_hamming.cli import main
 from ordered_hamming.spectral import InternalMismatch
 
@@ -133,6 +134,32 @@ def test_identities_golden_output(capsys, q, n, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,q,side", [("report", "2,2", 16), ("identities", "2,3", 36)])
+def test_report_and_identities_build_no_dense_matrix_of_side_n(monkeypatch, capsys, command, q, side):
+    # every depth-n matrix is lifted and held in orbital coordinates
+    sides = Counter()
+    plain_init, plain_lowest = RatMatrix.__init__, exact_linalg._lowest_terms
+
+    def counting_init(self, rows):
+        plain_init(self, rows)
+        sides[self.nrows] += 1
+
+    def counting_lowest(grid, den):
+        mat = plain_lowest(grid, den)
+        sides[mat.nrows] += 1
+        return mat
+
+    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
+    monkeypatch.setattr(exact_linalg, "_lowest_terms", counting_lowest)
+    assert main([command, "--q", q, "--n", "2", "--json"]) == 0
+    capsys.readouterr()
+    assert sides[side] == 0
+    # the counters see the depth-one closed forms and a dense matrix of side N
+    assert sides[int(side**0.5)] > 0
+    Instance(SchemeParams(tuple(map(int, q.split(","))), 2)).adjacency[(2, 0, 0)].matrix()
+    assert sides[side] == 1
 
 
 def test_adjacency_command_cross_checks(capsys):
@@ -322,10 +349,35 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
     }
 
 
+def _patch_maps(monkeypatch, depth: int, bad: list[tuple[int, ...]]) -> None:
+    """Give the stabilizer maps of the given depth `bad`, and every other depth its real maps."""
+    real = scheme_module.stabilizer_maps
+    monkeypatch.setattr(
+        scheme_module, "stabilizer_maps", lambda params: bad if params.n == depth else real(params)
+    )
+
+
 def test_closure_with_a_bad_stabilizer_map_exits_3(capsys, monkeypatch):
     # on X(1,2;2), swapping the points 10 and 11 fixes 0 but changes a weight
-    monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda params: [(0, 1, 3, 2)])
+    _patch_maps(monkeypatch, 2, [(0, 1, 3, 2)])
     code, payload = run_cli(capsys, "closure", "--q", "2", "--n", "2", "--json")
+    assert code == 3
+    assert payload == {
+        "command": "closure",
+        "error": {
+            "type": "InternalMismatch",
+            "message": "stabilizer map 0 changes the shape of a difference from point 0",
+        },
+        "overall_pass": False,
+    }
+
+
+def test_closure_with_a_bad_depth_one_stabilizer_map_exits_3(capsys, monkeypatch):
+    # the depth-n families are lifted from the depth-one orbitals, so a depth-one
+    # map is checked too: on X(2,1;2,2), swapping the points 01 and 10 fixes 0
+    # but moves the last differing coordinate
+    _patch_maps(monkeypatch, 1, [(0, 2, 1, 3)])
+    code, payload = run_cli(capsys, "closure", "--q", "2,2", "--n", "2", "--json")
     assert code == 3
     assert payload == {
         "command": "closure",

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +30,22 @@ def test_frontier_records_calibration_and_scaled_wall(monkeypatch, capsys):
     assert first["scaled_wall_s"] == round(2.0 * frontier.NOMINAL_CALIBRATION_S / 0.4, 3)
     assert second == {"result": "timeout", "calibration_s": [0.2, 0.2]}
     assert blob["nominal_calibration_s"] == frontier.NOMINAL_CALIBRATION_S
+
+
+def test_frontier_child_lifts_the_point_bound_to_the_instance(monkeypatch):
+    frontier = _frontier()
+    assert ((4,), 5) in frontier.INSTANCES and ((2,), 10) in frontier.INSTANCES
+    # the child gets the instance's own point count as its bound
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"exit": 0}\n', stderr="")
+
+    monkeypatch.setattr(frontier.subprocess, "run", fake_run)
+    frontier.run_one((2,), 10, ROOT / "src")
+    assert seen[0][-3:] == ["[2]", "10", "1024"]
+    monkeypatch.undo()
+    # and a real child reports with that bound
+    result = frontier.run_one((2,), 2, ROOT / "src")
+    assert result["exit"] == 0 and result["r"] == 10 and result["dim_T"] == 10

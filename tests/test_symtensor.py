@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Sequence
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from ordered_hamming import (
     Instance,
     RatMatrix,
@@ -18,10 +20,9 @@ from ordered_hamming import (
     lifted_sum,
     multinomial,
 )
-from ordered_hamming import exact_linalg, symtensor
-from ordered_hamming.exact_linalg import EmptyInput, OrbitalMatrix, mat_sum
+from ordered_hamming.exact_linalg import DimensionMismatch, EmptyInput, OrbitalMatrix, mat_sum
 
-from dense_oracle import basis_matrices, span_basis
+from dense_oracle import basis_matrices, dense_lifted_sum, span_basis
 
 A = RatMatrix([[1, 2], [3, 4]])
 B = RatMatrix([[0, 1], [1, 1]])
@@ -31,8 +32,8 @@ C = RatMatrix([[2, 0], [5, "1/2"]])
 def multiset_arrangements(multiplicities: Sequence[int]) -> list[tuple[int, ...]]:
     """All distinct index sequences with the given multiplicities, in lex order.
 
-    The reference that `lifted_sum` is checked against: one Kronecker chain
-    per arrangement.
+    The reference that `dense_lifted_sum` is checked against: one Kronecker
+    chain per arrangement.
     """
     counts = list(multiplicities)
     if any(c < 0 for c in counts):
@@ -88,33 +89,32 @@ def test_lifted_sum_makes_one_kron_per_nonzero_count_per_state(monkeypatch):
         calls.append(1)
         return kron(a, b)
 
-    monkeypatch.setattr(symtensor, "kron", counting_kron, raising=False)
-    monkeypatch.setattr(exact_linalg, "kron", counting_kron)
-    lifted_sum([(A, 4), (B, 4)])
+    monkeypatch.setattr(dense_oracle, "kron", counting_kron)
+    dense_lifted_sum([(A, 4), (B, 4)])
     assert len(calls) == 16 * 2 + 6 * 1
 
 
 def test_lifted_sum_two_singletons():
-    assert lifted_sum([(A, 1), (B, 1)]) == kron(A, B) + kron(B, A)
+    assert dense_lifted_sum([(A, 1), (B, 1)]) == kron(A, B) + kron(B, A)
 
 
 def test_lifted_sum_pure_power():
-    assert lifted_sum([(A, 3)]) == kron_all([A, A, A])
+    assert dense_lifted_sum([(A, 3)]) == kron_all([A, A, A])
 
 
 def test_lifted_sum_three_term_example():
-    got = lifted_sum([(A, 1), (B, 2)])
+    got = dense_lifted_sum([(A, 1), (B, 2)])
     expected = kron_all([A, B, B]) + kron_all([B, A, B]) + kron_all([B, B, A])
     assert got == expected
 
 
 def test_lifted_sum_drops_zero_multiplicities():
-    assert lifted_sum([(A, 1), (B, 0), (C, 1)]) == lifted_sum([(A, 1), (C, 1)])
-    assert lifted_sum([(A, 0), (B, 0), (C, 0), (A, 2)]) == kron(A, A)
+    assert dense_lifted_sum([(A, 1), (B, 0), (C, 1)]) == dense_lifted_sum([(A, 1), (C, 1)])
+    assert dense_lifted_sum([(A, 0), (B, 0), (C, 0), (A, 2)]) == kron(A, A)
 
 
 def test_lifted_sum_part_order_invariant():
-    assert lifted_sum([(A, 2), (B, 1)]) == lifted_sum([(B, 1), (A, 2)])
+    assert dense_lifted_sum([(A, 2), (B, 1)]) == dense_lifted_sum([(B, 1), (A, 2)])
 
 
 def _digits(index: int, base: int, length: int) -> list[int]:
@@ -145,13 +145,13 @@ def permute_positions(mat: RatMatrix, perm: Sequence[int], base: int) -> RatMatr
 
 
 def symmetrizer_average(mat: RatMatrix, n: int, base: int) -> RatMatrix:
-    """Average of all n! coordinate permutations of `mat`: the plain oracle for lifted_sum."""
+    """Average of all n! coordinate permutations of `mat`: the plain oracle for dense_lifted_sum."""
     total = mat_sum(permute_positions(mat, perm, base) for perm in permutations(range(n)))
     return total.scale(Fraction(1, math.factorial(n)))
 
 
 def test_lifted_sum_is_scaled_symmetrizer_average():
-    lifted = lifted_sum([(A, 1), (B, 2)])
+    lifted = dense_lifted_sum([(A, 1), (B, 2)])
     ordered = kron_all([A, B, B])
     assert symmetrizer_average(ordered, 3, 2).scale(multinomial((1, 2))) == lifted
 
@@ -185,7 +185,7 @@ def test_lifted_sum_is_the_sum_over_arrangements(parts):
     expected = mat_sum(
         kron_all([mats[i] for i in arr]) for arr in multiset_arrangements(counts)
     )
-    assert lifted_sum(parts) == expected
+    assert dense_lifted_sum(parts) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -195,13 +195,13 @@ def test_lifted_concatenation_is_scaled_symmetrized_kron(pu, pw):
     n1 = sum(c for _, c in pu)
     n = n1 + sum(c for _, c in pw)
     assume(n <= 4)
-    joined = kron(lifted_sum(pu), lifted_sum(pw))
-    assert lifted_sum(pu + pw) == symmetrizer_average(joined, n, 2).scale(math.comb(n, n1))
+    joined = kron(dense_lifted_sum(pu), dense_lifted_sum(pw))
+    assert dense_lifted_sum(pu + pw) == symmetrizer_average(joined, n, 2).scale(math.comb(n, n1))
 
 
 def test_identity_symmetric_product_is_scaled_identity():
     i2 = RatMatrix.identity(2)
-    assert lifted_sum([(i2, 2), (i2, 1)]) == RatMatrix.identity(8).scale(3)
+    assert dense_lifted_sum([(i2, 2), (i2, 1)]) == RatMatrix.identity(8).scale(3)
 
 
 @pytest.mark.parametrize("q", [(2, 2), (2, 3)])
@@ -211,7 +211,7 @@ def test_lifted_idempotents_are_orthogonal(q):
     from ordered_hamming import compositions
 
     shapes = compositions(2, params.m + 1)
-    lifted = {lam: lifted_sum(list(zip(data.E, lam))) for lam in shapes}
+    lifted = {lam: dense_lifted_sum(list(zip(data.E, lam))) for lam in shapes}
     for lam in shapes:
         for mu in shapes:
             prod = lifted[lam] * lifted[mu]
@@ -224,11 +224,11 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
     data = base_spectral(params1)
     n = 2
     ident = RatMatrix.identity(4)
-    gens = [lifted_sum([(e, 1), (ident, n - 1)]) for e in data.E]
+    gens = [dense_lifted_sum([(e, 1), (ident, n - 1)]) for e in data.E]
     from ordered_hamming import compositions
 
     shapes = compositions(n, params1.m + 1)
-    full_span = span_basis([lifted_sum(list(zip(data.E, lam))) for lam in shapes])
+    full_span = span_basis([dense_lifted_sum(list(zip(data.E, lam))) for lam in shapes])
     orbitals = Instance(SchemeParams((2, 2), n)).orbitals
     closure = algebra_closure([OrbitalMatrix.of(orbitals, g) for g in gens], unital=True)
     assert basis_matrices(closure) == basis_matrices(full_span)
@@ -241,8 +241,63 @@ def test_sym_product_span_dimension_multiplies(q, expected):
     f_span = span_basis([f.matrix() for f in tw.F])
     g_span = span_basis([g.matrix() for g in tw.G if not g.is_zero()])
     pairs = [
-        lifted_sum([(f, 1), (g, 1)])
+        dense_lifted_sum([(f, 1), (g, 1)])
         for f in basis_matrices(f_span)
         for g in basis_matrices(g_span)
     ]
     assert span_basis(pairs).dimension == f_span.dimension * g_span.dimension == expected
+
+
+# The lift in orbital coordinates against the dense oracle. The depth-one
+# parts are random orbital vectors, so they are neither symmetric nor equal
+# on an orbital and its transpose, over random denominators.
+_LIFT_INSTANCES = [((3,), 3), ((2, 2), 2), ((2, 3), 2), ((2, 2), 3), ((2, 2, 2), 2)]
+
+
+@cache
+def _lift_instance(q, n):
+    return Instance(SchemeParams(q, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbital_lift_matches_the_dense_lift(data):
+    q, n = data.draw(st.sampled_from(_LIFT_INSTANCES))
+    inst = _lift_instance(q, n)
+    base = inst.base.orbitals
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    # the factor placed on each block; a factor no block takes has count 0
+    slots = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    entries = st.lists(st.integers(-3, 3), min_size=base.count, max_size=base.count)
+    parts = [
+        (OrbitalMatrix(base, data.draw(entries), data.draw(st.integers(1, 6))), slots.count(i))
+        for i in range(k)
+    ]
+    dense = dense_lifted_sum([(m.matrix(), c) for m, c in parts])
+    assert lifted_sum(parts, inst.orbitals, inst.blocks) == OrbitalMatrix.of(inst.orbitals, dense)
+
+
+def test_orbital_lift_of_a_lone_factor_is_that_factor():
+    inst = _lift_instance((2, 3), 1)
+    a = inst.adjacency[inst.shapes[1]]
+    assert inst.lift([(a, 1), (inst.duals[inst.shapes[0]], 0)]) is a
+
+
+def test_orbital_lift_checks_its_parts():
+    inst = _lift_instance((2, 2), 2)
+    a, b = inst.base.adjacency[(1, 0, 0)], inst.adjacency[(2, 0, 0)]
+    with pytest.raises(EmptyInput):
+        inst.lift([(a, 0)])
+    with pytest.raises(DimensionMismatch, match="one set of orbitals"):
+        inst.lift([(a, 1), (b, 1)])
+    with pytest.raises(DimensionMismatch, match="one block per factor"):
+        inst.lift([(a, 3)])
+
+
+@pytest.mark.parametrize("q,n", [((2,), 3), ((2, 3), 2), ((3, 2), 2)], ids=str)
+def test_families_are_the_dense_lifts(q, n):
+    inst = _lift_instance(q, n)
+    data = inst.spectral
+    for fam, closed in ((inst.adjacency, data.A), (inst.idempotents, data.E), (inst.duals, data.Estar)):
+        dense = dense_oracle.dense_family(inst, closed)
+        assert all(fam[lam].matches(dense[lam]) for lam in inst.shapes)

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -451,11 +452,18 @@ def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
 
 
 def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
-    inst = Instance(SchemeParams((2,), 2))
-    # points 01 and 10 share one orbital; a lift that tells them apart is refused
-    # when the instance enters its families in orbital coordinates
-    stray = RatMatrix.diagonal([0, 1, 0, 0])
-    monkeypatch.setattr(terwilliger_module, "lifted_sum", lambda parts: stray)
+    inst = Instance(SchemeParams((3,), 2))
+    # points 1 and 2 of X(1,1;3) share one orbital; a depth-one closed form that
+    # tells them apart is refused when the depth-one instance enters it in orbital
+    # coordinates, before any family is lifted from it
+    stray = RatMatrix.diagonal([0, 1, 0])
+    plain = terwilliger_module.base_spectral
+
+    def stray_spectral(params):
+        data = plain(params)
+        return replace(data, A=(stray, *data.A[1:]))
+
+    monkeypatch.setattr(terwilliger_module, "base_spectral", stray_spectral)
     with pytest.raises(InternalMismatch, match="not constant on orbital"):
         terwilliger_closure(inst, "bm")
 

@@ -4,11 +4,12 @@
 
 Each instance runs in its own `python3` process, under a timeout of
 TIMEOUT_S seconds. The child times
-`ordered_hamming.cli.main(["report", ..., "--json"])` in process, so
-interpreter start-up and imports are left out, then reads
-r (`Instance.orbitals.count`, built again after the timed call) and dim T
-(from the report's stdout). An instance that runs past the timeout is
-recorded as "timeout". `--src` picks the source tree to import, so one
+`ordered_hamming.cli.main(["report", ..., "--max-points", N, "--json"])` in
+process, so interpreter start-up and imports are left out, then reads
+r (`Instance(params, N).orbitals.count`, built again after the timed call)
+and dim T (from the report's stdout). N is the instance's own point count,
+so instances past the CLI's default bound run too. An instance that runs
+past the timeout is recorded as "timeout". `--src` picks the source tree to import, so one
 copy of this script measures any checkout.
 
 CPU speed on a shared virtual machine drifts, so the benchmark's
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -36,7 +38,8 @@ from perfbench.run import NOMINAL_CALIBRATION_S, calibration_loop  # noqa: E402
 
 TIMEOUT_S = 300.0
 
-# (q, n): the 12 instances of the ROADMAP measurement table.
+# (q, n): the 12 instances of the ROADMAP measurement table, then its two
+# 1024-point rows.
 INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2, 3), 2),
     ((2, 2, 2), 2),
@@ -50,21 +53,23 @@ INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2, 2, 2, 2), 2),
     ((2, 2), 4),
     ((2,) * 8, 1),
+    ((4,), 5),
+    ((2,), 10),
 )
 
 CHILD = """
 import contextlib, io, json, sys, time
 from ordered_hamming import Instance, SchemeParams
 from ordered_hamming.cli import main
-q, n = tuple(json.loads(sys.argv[1])), int(sys.argv[2])
-argv = ["report", "--q", ",".join(map(str, q)), "--n", str(n), "--json"]
+q, n, points = tuple(json.loads(sys.argv[1])), int(sys.argv[2]), sys.argv[3]
+argv = ["report", "--q", ",".join(map(str, q)), "--n", str(n), "--max-points", points, "--json"]
 out = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
     code = main(argv)
 wall = time.perf_counter() - start
 blob = json.loads(out.getvalue())
-r = Instance(SchemeParams(q, n)).orbitals.count
+r = Instance(SchemeParams(q, n), int(points)).orbitals.count
 print(json.dumps({"exit": code, "wall_s": round(wall, 3), "r": r, "dim_T": blob["data"]["dim_T"]}))
 """
 
@@ -75,7 +80,8 @@ def label(q: tuple[int, ...], n: int) -> str:
 
 def run_one(q: tuple[int, ...], n: int, src: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    cmd = [sys.executable, "-c", CHILD, json.dumps(q), str(n)]
+    points = math.prod(q) ** n
+    cmd = [sys.executable, "-c", CHILD, json.dumps(q), str(n), str(points)]
     try:
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
