@@ -6,6 +6,9 @@ passed, 1 means a check failed (or, under --strict, a printed-formula
 prediction disagreed with measurement), 2 means a usage error or a size
 bound violation, 3 means an internal inconsistency (two constructions
 disagree); stdout then holds an "error" document instead of results.
+
+Only the named command's parser is built; the full parser, with every
+command, is built for --help, for no arguments and for an unknown command.
 """
 
 from __future__ import annotations
@@ -85,15 +88,63 @@ def _parse_shape(text: str, length: int, total: int, parser: argparse.ArgumentPa
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_STRICT = _option("--strict", action="store_true", help="fail when a printed formula disagrees")
+
+# Each command's help and the options it adds after the shared ones, in help order.
+_COMMANDS: dict[str, tuple[str, tuple]] = {
+    "shapes": ("list all relation shapes", ()),
+    "scheme-verify": ("check the association scheme axioms", ()),
+    "adjacency": (
+        "one lifted adjacency matrix, cross-checked",
+        (_option("--shape", required=True, help="comma-separated shape entries"),),
+    ),
+    "eigenmatrix": (
+        "first or second eigenmatrix at depth n",
+        (_option("--which", choices=("P", "Q"), default="P"),),
+    ),
+    "krawchouk": (
+        "Krawtchouk coefficient table",
+        (_option("--reversed", action="store_true", help="use the reversed alphabet sequence"),),
+    ),
+    "theta": (
+        "enumerate support grids for one margin pair",
+        (
+            _option("--lambda", dest="lam", required=True, help="row-sum shape (m entries)"),
+            _option("--mu", required=True, help="column-sum shape (m entries)"),
+        ),
+    ),
+    "omega": ("all feasible margin pairs", ()),
+    "identities": ("run the structural identity suite", ()),
+    "closure": (
+        "dimension of the generated matrix algebra",
+        (_option("--generators", choices=("bm", "idem"), default="bm"),),
+    ),
+    "report": ("full structure report with measured dimensions", (_STRICT,)),
+    "suite": ("run the built-in instance suite", (_STRICT,)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one.
+
+    A one-command parser still shows every command in its usage line, so
+    its usage errors read exactly as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="ordered-hamming",
         description="Exact constructions and verifications for ordered Hamming schemes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, need_params=True):
-        if need_params:
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, extra = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if name != "suite":
             p.add_argument("--q", required=True, help="comma-separated alphabet sizes, each >= 2")
             p.add_argument("--n", required=True, type=int, help="word length, >= 1")
         p.add_argument(
@@ -103,41 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="largest allowed |X^n| for matrix-producing work (default 256)",
         )
         p.add_argument("--json", action="store_true", help="suppress stderr logging")
-
-    add_common(sub.add_parser("shapes", help="list all relation shapes"))
-    add_common(sub.add_parser("scheme-verify", help="check the association scheme axioms"))
-
-    p = sub.add_parser("adjacency", help="one lifted adjacency matrix, cross-checked")
-    add_common(p)
-    p.add_argument("--shape", required=True, help="comma-separated shape entries")
-
-    p = sub.add_parser("eigenmatrix", help="first or second eigenmatrix at depth n")
-    add_common(p)
-    p.add_argument("--which", choices=("P", "Q"), default="P")
-
-    p = sub.add_parser("krawchouk", help="Krawtchouk coefficient table")
-    add_common(p)
-    p.add_argument("--reversed", action="store_true", help="use the reversed alphabet sequence")
-
-    p = sub.add_parser("theta", help="enumerate support grids for one margin pair")
-    add_common(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="row-sum shape (m entries)")
-    p.add_argument("--mu", required=True, help="column-sum shape (m entries)")
-
-    add_common(sub.add_parser("omega", help="all feasible margin pairs"))
-    add_common(sub.add_parser("identities", help="run the structural identity suite"))
-
-    p = sub.add_parser("closure", help="dimension of the generated matrix algebra")
-    add_common(p)
-    p.add_argument("--generators", choices=("bm", "idem"), default="bm")
-
-    p = sub.add_parser("report", help="full structure report with measured dimensions")
-    add_common(p)
-    p.add_argument("--strict", action="store_true", help="fail when a printed formula disagrees")
-
-    p = sub.add_parser("suite", help="run the built-in instance suite")
-    add_common(p, need_params=False)
-    p.add_argument("--strict", action="store_true", help="fail when a printed formula disagrees")
+        for flags, options in extra:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -346,7 +364,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:

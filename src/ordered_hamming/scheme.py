@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact_linalg import InternalMismatch, Orbitals, RatMatrix
 
@@ -31,21 +30,26 @@ class SizeBound(ValueError):
     """|X^n| exceeds the configured bound for matrix-producing operations."""
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Alphabet sizes q_1..q_m (each >= 2) and word length n >= 1."""
-
+# a NamedTuple may not define __new__, so the checks live on the subclass below
+class _SchemeFields(NamedTuple):
     q: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(x) for x in self.q))
-        if not self.q:
+
+class SchemeParams(_SchemeFields):
+    """Alphabet sizes q_1..q_m (each >= 2) and word length n >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, q, n):
+        q = tuple(int(x) for x in q)
+        if not q:
             raise ValueError("need at least one alphabet")
-        if any(x < 2 for x in self.q):
+        if any(x < 2 for x in q):
             raise ValueError("alphabet sizes must be at least 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("word length must be at least 1")
+        return super().__new__(cls, q, n)
 
     @property
     def m(self) -> int:

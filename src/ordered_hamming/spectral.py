@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -67,8 +66,7 @@ def splice(
     return [*left[:p], pivot, *right[p + 1 :]]
 
 
-@dataclass(frozen=True)
-class BaseSpectralData:
+class BaseSpectralData(NamedTuple):
     """Adjacency matrices, idempotents, dual idempotents, valencies, multiplicities at n = 1."""
 
     params: SchemeParams

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .exact_linalg import (
     InternalMismatch,
@@ -52,8 +52,7 @@ from .spectral import (
 from .symtensor import lifted_sum
 
 
-@dataclass(frozen=True)
-class TerwBasisSet:
+class TerwBasisSet(NamedTuple):
     """E, E* and the split F/G families of the depth-one scheme, in its orbitals.
 
     Every member lies in T; `Instance.lift` takes them to depth n as they are.
@@ -211,8 +210,7 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaSet:
+class LambdaSet(NamedTuple):
     """Pairs (i, j) whose G-family product survives, plus the >=3 alphabet count."""
 
     pairs: frozenset[tuple[int, int]]
@@ -443,26 +441,28 @@ def _mutually_annihilating(xs: Sequence, ys: Sequence) -> bool:
 
 
 def _factor_identities_hold(q: tuple[int, ...]) -> bool:
-    for qj in q:
-        I, _, jt, d, h, hstar, z = letter_factors(qj)
-        ok = (
-            (jt * h).is_zero()
-            and (h * jt).is_zero()
-            and (d * hstar).is_zero()
-            and (hstar * d).is_zero()
-            and d * (I - jt) == d * h
-            and (I - jt) * d == h * d
-            and jt * (I - d) == jt * hstar
-            and (I - d) * jt == hstar * jt
-            and (I - jt) * (I - d) - h * hstar == z
-            and (I - d) * (I - jt) - hstar * h == z
-            and I - d - hstar == z
-            and z.trace() == qj - 2
-            and (z.is_zero() if qj == 2 else not z.is_zero())
-        )
-        if not ok:
-            return False
-    return True
+    return all(map(_letter_identities_hold, q))
+
+
+@lru_cache(maxsize=None)
+def _letter_identities_hold(qj: int) -> bool:
+    """The identities among one letter's factors, checked once per alphabet size."""
+    I, _, jt, d, h, hstar, z = letter_factors(qj)
+    return (
+        (jt * h).is_zero()
+        and (h * jt).is_zero()
+        and (d * hstar).is_zero()
+        and (hstar * d).is_zero()
+        and d * (I - jt) == d * h
+        and (I - jt) * d == h * d
+        and jt * (I - d) == jt * hstar
+        and (I - d) * jt == hstar * jt
+        and (I - jt) * (I - d) - h * hstar == z
+        and (I - d) * (I - jt) - hstar * h == z
+        and I - d - hstar == z
+        and z.trace() == qj - 2
+        and (z.is_zero() if qj == 2 else not z.is_zero())
+    )
 
 
 def _g_product_factors(i: int, j: int, c: LetterFactors, m: int) -> list[RatMatrix]:
@@ -587,8 +587,7 @@ def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspac
     return algebra_closure(_generators(inst, generators), unital=True)
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     d: int
     dim: int
     commutative: bool
@@ -673,15 +672,13 @@ def all_pass(checks: Mapping[str, bool | None]) -> bool:
     return all(v for v in checks.values() if v is not None)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     source: str
     value: int
     agrees: bool
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     params: SchemeParams
     dim_T: int
     dim_primary: int
@@ -696,9 +693,14 @@ class StructureReport:
         return all(p.agrees for p in self.predictions)
 
     def to_json(self) -> dict:
-        """Every field but `checks`, which the command reports beside the data."""
-        blob = asdict(self)
+        """Every field but `checks`, which the command reports beside the data, records as dicts."""
+        blob = self._asdict()
         del blob["checks"]
+        blob.update(
+            params=self.params._asdict(),
+            components=tuple(c._asdict() for c in self.components),
+            predictions=tuple(p._asdict() for p in self.predictions),
+        )
         return blob
 
 

@@ -341,7 +341,7 @@ def expanded(tw):
     return TerwBasisSet(
         **{
             name: x.matrix() if name in ("Fnat", "Gnat") else tuple(y.matrix() for y in x)
-            for name, x in vars(tw).items()
+            for name, x in tw._asdict().items()
         }
     )
 

@@ -1,6 +1,11 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -412,6 +417,78 @@ def test_letter_factors_are_built_once_per_alphabet_size(capsys):
     assert table.cache_info().misses == 2
     table(2), table(3)
     assert table.cache_info().misses == 2
+
+
+def test_letter_identities_are_checked_once_per_alphabet_size(capsys):
+    """One suite pass checks the letter factor identities for q = 2 and q = 3 only, once each."""
+    check = terwilliger_module._letter_identities_hold
+    check.cache_clear()
+    assert main(["suite", "--max-points", "8", "--json"]) == 0
+    assert check.cache_info().misses == 2
+    check(2), check(3)
+    assert check.cache_info().misses == 2
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, ordered_hamming.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def _commands(parser: argparse.ArgumentParser) -> list[str]:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_a_named_command_gets_a_parser_with_that_command_alone(monkeypatch, capsys):
+    built = []
+    plain = cli.build_parser
+
+    def recording(command=None):
+        built.append(plain(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["closure", "--q", "2", "--n", "2", "--json"]) == 0
+    capsys.readouterr()
+    assert [_commands(p) for p in built] == [["closure"]]
+    assert _commands(plain("bogus")) == _commands(plain()) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["closure", "--help"],
+        ["bogus"],
+        ["closure", "--q", "x", "--n", "2"],
+        ["closure", "--q", "2", "--n", "2", "--generators", "x"],
+    ],
+    ids=" ".join,
+)
+def test_the_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    """Help and usage errors, stdout, stderr and exit code, byte for byte."""
+
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code, capsys.readouterr()
+
+    one = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome() == one
 
 
 def test_pair_shape_sweep_runs_once_per_suite_instance(monkeypatch):

@@ -3,7 +3,11 @@
 import importlib.util
 import json
 import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
+
+import ordered_hamming.terwilliger as terwilliger_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +53,22 @@ def test_frontier_child_lifts_the_point_bound_to_the_instance(monkeypatch):
     # and a real child reports with that bound
     result = frontier.run_one((2,), 2, ROOT / "src")
     assert result["exit"] == 0 and result["r"] == 10 and result["dim_T"] == 10
+
+
+def test_frontier_child_builds_each_orbital_structure_once(monkeypatch, capsys):
+    """r comes from the timed report itself, not from a second orbit search."""
+    frontier = _frontier()
+    builds = Counter()
+    plain = terwilliger_module.stabilizer_orbitals
+
+    def counting(params, sweep):
+        builds[params] += 1
+        return plain(params, sweep)
+
+    monkeypatch.setattr(terwilliger_module, "stabilizer_orbitals", counting)
+    monkeypatch.setattr(sys, "argv", ["-c", "[2, 2]", "2", "16"])
+    exec(frontier.CHILD, {"__name__": "__main__"})
+    result = json.loads(capsys.readouterr().out)
+    assert result["exit"] == 0 and result["r"] == 55 and result["dim_T"] == 55
+    # X(2,2;2,2) and the depth-one scheme its report closes
+    assert sorted(builds.values()) == [1, 1]

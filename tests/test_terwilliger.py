@@ -1,7 +1,6 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -300,6 +299,8 @@ def test_identity_suite_makes_no_dense_product_beyond_the_letter_factors(
     monkeypatch, capsys, command
 ):
     """Only the q-by-q letter factors, which are not in T, are multiplied densely."""
+    # the letter identities are checked once per alphabet size; check them again here
+    terwilliger_module._letter_identities_hold.cache_clear()
     sides = []
     plain_mul = RatMatrix.__mul__
 
@@ -461,7 +462,7 @@ def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
 
     def stray_spectral(params):
         data = plain(params)
-        return replace(data, A=(stray, *data.A[1:]))
+        return data._replace(A=(stray, *data.A[1:]))
 
     monkeypatch.setattr(terwilliger_module, "base_spectral", stray_spectral)
     with pytest.raises(InternalMismatch, match="not constant on orbital"):

@@ -4,13 +4,14 @@
 
 Each instance runs in its own `python3` process, under a timeout of
 TIMEOUT_S seconds. The child times
-`ordered_hamming.cli.main(["report", ..., "--max-points", N, "--json"])` in
-process, so interpreter start-up and imports are left out, then reads
-r (`Instance(params, N).orbitals.count`, built again after the timed call)
-and dim T (from the report's stdout). N is the instance's own point count,
-so instances past the CLI's default bound run too. An instance that runs
-past the timeout is recorded as "timeout". `--src` picks the source tree to import, so one
-copy of this script measures any checkout.
+`ordered_hamming.cli.main(["report", ..., "--max-points", N])` in
+process, so interpreter start-up and imports are left out. It reads r
+from the `r = ... orbitals` line the report logs to stderr and dim T from
+its stdout, so nothing is built outside the timed call. N is the
+instance's own point count, so instances past the CLI's default bound run
+too. An instance that runs past the timeout is recorded as "timeout".
+`--src` picks the source tree to import, so one copy of this script
+measures any checkout.
 
 CPU speed on a shared virtual machine drifts, so the benchmark's
 calibration loop (`perfbench/run.py`) is timed just before and just after
@@ -58,18 +59,17 @@ INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
 )
 
 CHILD = """
-import contextlib, io, json, sys, time
-from ordered_hamming import Instance, SchemeParams
+import contextlib, io, json, re, sys, time
 from ordered_hamming.cli import main
 q, n, points = tuple(json.loads(sys.argv[1])), int(sys.argv[2]), sys.argv[3]
-argv = ["report", "--q", ",".join(map(str, q)), "--n", str(n), "--max-points", points, "--json"]
-out = io.StringIO()
+argv = ["report", "--q", ",".join(map(str, q)), "--n", str(n), "--max-points", points]
+out, err = io.StringIO(), io.StringIO()
 start = time.perf_counter()
-with contextlib.redirect_stdout(out):
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = main(argv)
 wall = time.perf_counter() - start
 blob = json.loads(out.getvalue())
-r = Instance(SchemeParams(q, n), int(points)).orbitals.count
+r = int(re.search(r"\\br = (\\d+) orbitals", err.getvalue()).group(1))
 print(json.dumps({"exit": code, "wall_s": round(wall, 3), "r": r, "dim_T": blob["data"]["dim_T"]}))
 """
 
