@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -339,37 +339,23 @@ class _RowReducer:
 class Orbitals:
     """The orbitals of a group of point permutations: its orbits on pairs of points.
 
-    `maps` generate the group; each is a permutation of range(side), moving
-    the pair (x, y) to (map[x], map[y]). Pairs are numbered row-major,
-    x * side + y. Orbitals are numbered in order of their first pair, which
-    is their representative, so a row-major scan of a matrix meets the
-    orbitals in label order. A matrix that every map commutes with is
-    constant on each orbital; its orbital vector holds one grid entry per
-    orbital, a positive multiple of the matrix. With no maps every pair is
-    its own orbital, and the orbital vector is the row-major vectorization.
+    `keys` holds one key per pair, row-major (x * side + y), equal exactly
+    within an orbital. Orbitals are numbered in order of their first pair,
+    their representative, so a row-major scan of a matrix meets them in
+    label order. A matrix the group commutes with is constant on each
+    orbital; its orbital vector holds one grid entry per orbital, a positive
+    multiple of the matrix. Without keys every pair is its own orbital, and
+    the orbital vector is the row-major vectorization.
     """
 
-    def __init__(self, side: int, maps: Sequence[Sequence[int]] = ()):
+    def __init__(self, side: int, keys: Iterable[Hashable] | None = None):
         self.side = side
-        labels = [-1] * (side * side)
-        reps: list[int] = []
-        for start in range(side * side):
-            if labels[start] >= 0:
-                continue
-            # every earlier pair lies in an orbital already labelled
-            label = len(reps)
-            reps.append(start)
-            labels[start] = label
-            todo = [start]
-            while todo:
-                x, y = divmod(todo.pop(), side)
-                for perm in maps:
-                    pair = perm[x] * side + perm[y]
-                    if labels[pair] < 0:
-                        labels[pair] = label
-                        todo.append(pair)
-        self.labels = labels
-        self.reps = reps
+        number: dict[Hashable, int] = {}
+        keys = range(side * side) if keys is None else keys
+        self.labels = labels = [number.setdefault(key, len(number)) for key in keys]
+        self.reps = reps = [0] * len(number)
+        for label in range(1, len(number)):  # each label first occurs after the one before
+            reps[label] = labels.index(label, reps[label - 1])
 
     @property
     def count(self) -> int:
@@ -425,11 +411,7 @@ class Orbitals:
 
     @cached_property
     def _transposed(self) -> list[int]:
-        """The orbital of the transposed pairs of each orbital.
-
-        The maps move (x, z) and (z, x) alike, so the pairs (z, x) of one
-        orbital form an orbital again.
-        """
+        """The orbital of the transposed pairs of each orbital, as the group moves both alike."""
         side, labels = self.side, self.labels
         return [labels[z * side + x] for x, z in (divmod(rep, side) for rep in self.reps)]
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import product
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from itertools import chain, product
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact_linalg import InternalMismatch, Orbitals, RatMatrix
 
@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 DEFAULT_MAX_POINTS = 256
 
 Shape = tuple[int, ...]
-Point = tuple[tuple[int, ...], ...]
 
 
 class SizeBound(ValueError):
@@ -103,20 +102,27 @@ def enumerate_shapes(params: SchemeParams) -> list[Shape]:
     return list(compositions(params.n, params.m + 1))
 
 
-def iter_points(params: SchemeParams) -> list[Point]:
-    """Every point of X^n in flat-index order (last coordinate fastest)."""
-    blocks = [tuple(b) for b in product(*(range(qj) for qj in params.q))]
-    return [tuple(p) for p in product(blocks, repeat=params.n)]
+def block_sums(table: Sequence[Sequence[int]], n: int) -> Iterable[Sequence[int]]:
+    """The rows of the n-fold Kronecker sum of a square table over pairs of blocks.
+
+    Entry (x, y), for points of n blocks (the first slowest), is the sum over
+    b of table[x_b][y_b]. A row at depth n is a row at depth n - 1 plus each
+    row of the table, so one row per depth is held at a time.
+    """
+    rows: Iterable[Sequence[int]] = table
+    for _ in range(n - 1):
+        rows = ([s + t for s in row for t in last] for row in rows for last in table)
+    return rows
 
 
 def pair_shapes(params: SchemeParams) -> list[Shape]:
     """The shape of x - y for every pair of points, row-major.
 
     Entry j of the shape counts the blocks whose last differing coordinate
-    is j (0 where the blocks agree). One table over pairs of blocks holds
-    (n + 1)**j for that j, so the shape of a pair, read in base n + 1, is a
-    sum of n lookups. Equal shapes are one tuple object, so the N^2 entries
-    hold only pointers.
+    is j (0 where the blocks agree). With (n + 1)**j for that j in a table
+    over pairs of blocks, the shape read in base n + 1 is the pair's
+    `block_sums` entry. Equal shapes are one tuple object, so the N^2
+    entries hold only pointers.
     """
     base = params.n + 1
     blocks = list(product(*(range(qj) for qj in params.q)))
@@ -126,8 +132,7 @@ def pair_shapes(params: SchemeParams) -> list[Shape]:
 
     digit = [[base ** last_differing(a, b) for b in blocks] for a in blocks]
     shared = {sum(c * base**j for j, c in enumerate(lam)): lam for lam in enumerate_shapes(params)}
-    pts = list(product(range(len(blocks)), repeat=params.n))
-    return [shared[sum(digit[a][b] for a, b in zip(x, y))] for x in pts for y in pts]
+    return [shared[s] for row in block_sums(digit, params.n) for s in row]
 
 
 def relation_matrix(lam: Shape, sweep: Sequence[Shape]) -> RatMatrix:
@@ -145,48 +150,37 @@ def _swap_values(block: tuple[int, ...], j: int, above: tuple[int, ...], a: int)
 
 
 def stabilizer_maps(params: SchemeParams) -> list[tuple[int, ...]]:
-    """Point permutations, as flat-index tuples, that fix 0 and keep every relation.
+    """Permutations of the points of one block, as flat-index tuples, fixing 0 and every relation.
 
-    - When n > 1, the transposition of blocks 0 and 1 and the n-cycle of
-      blocks; the shape of x - y counts blocks, so their order is free.
-    - In block 0, the triangular value swaps: at coordinate j, for one
-      setting of the coordinates above j, swap the values a and a + 1 and
-      leave the coordinates below j alone. A swap changes coordinate j
-      only, by a bijection of its values that depends only on the
-      coordinates above j, so two blocks keep the last coordinate at which
-      they differ. When the setting above j is all zeros, a starts at 1,
-      so the zero point stays put.
-
-    They generate a group of scheme automorphisms fixing 0, so each
-    commutes with every A_lam and E*_lam. `stabilizer_orbitals` checks
-    each map before it uses them.
+    They are the triangular value swaps: at coordinate j, for one setting
+    of the coordinates above j, swap the values a and a + 1. Only
+    coordinate j changes, by a bijection that depends on the coordinates
+    above it, so two blocks keep their last differing coordinate; a starts
+    at 1 when the setting above j is all zeros, so 0 stays put. They
+    generate a group G1 of automorphisms fixing 0, each checked by
+    `stabilizer_orbitals`; depth n has `multiset_orbitals`.
     """
+    if params.n != 1:
+        raise ValueError(f"stabilizer maps act on one block, not on {params.label()}")
     q = params.q
-    pts = iter_points(params)
-    index = {x: i for i, x in enumerate(pts)}
-
-    def as_perm(move) -> tuple[int, ...]:
-        return tuple(index[move(x)] for x in pts)
-
-    maps = []
-    if params.n > 1:
-        maps.append(as_perm(lambda x: (x[1], x[0]) + x[2:]))
-        if params.n > 2:  # for n = 2 the n-cycle is the transposition
-            maps.append(as_perm(lambda x: x[1:] + x[:1]))
-    for j in range(params.m):
-        for above in product(*(range(qi) for qi in q[j + 1 :])):
-            for a in range(0 if any(above) else 1, q[j] - 1):
-                maps.append(as_perm(lambda x: (_swap_values(x[0], j, above, a),) + x[1:]))
-    return maps
+    blocks = list(product(*map(range, q)))
+    index = {b: i for i, b in enumerate(blocks)}
+    return [
+        tuple(index[_swap_values(b, j, above, a)] for b in blocks)
+        for j in range(params.m)
+        for above in product(*map(range, q[j + 1 :]))
+        for a in range(0 if any(above) else 1, q[j] - 1)
+    ]
 
 
 def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbitals:
-    """The orbitals on pairs of points of the group `stabilizer_maps` generates.
+    """The orbitals on pairs of points of one block of the group `stabilizer_maps` generates.
 
     Every map is checked on every point and pair before use: it must be a
-    permutation of the points, fix the zero point, and keep the shape of x - y
-    for all N^2 pairs, read from the `pair_shapes` sweep. A map that fails
-    raises InternalMismatch.
+    permutation of the points, fix the zero point, and keep the shape of
+    x - y for all N^2 pairs, read from the `pair_shapes` sweep; one that
+    fails raises InternalMismatch. Each pair is keyed by the first pair of
+    its orbit. Depth one only, as `stabilizer_maps` is.
     """
     npts = params.num_points
     maps = stabilizer_maps(params)
@@ -201,7 +195,29 @@ def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbital
                 raise InternalMismatch(
                     f"stabilizer map {k} changes the shape of a difference from point {x}"
                 )
-    return Orbitals(npts, maps)
+    first = [-1] * (npts * npts)
+    for start in range(npts * npts):
+        todo = [start] if first[start] < 0 else []
+        for pair in todo:  # the orbit of start, which grows as it is searched
+            if first[pair] < 0:
+                first[pair] = start
+                x, y = divmod(pair, npts)
+                todo.extend(perm[x] * npts + perm[y] for perm in maps)
+    return Orbitals(npts, first)
+
+
+def multiset_orbitals(base: Orbitals, n: int) -> Orbitals:
+    """Orbitals of n-block points, keyed by the multiset of `base` orbitals of their block pairs.
+
+    The stabilizer of 0 is G1 wr S_n: a block permutation, which keeps the
+    shape as it counts blocks, and one depth-one element per block. Pairs
+    with equal multisets are related by such an element, so the keys are
+    its orbitals. The key sum_b (n + 1)**label(x_b, y_b) is exact, as no
+    label occurs n + 1 times, and streams from `block_sums` (no N^2 list).
+    """
+    side, weight = base.side, [(n + 1) ** label for label in base.labels]
+    table = [weight[x * side : (x + 1) * side] for x in range(side)]
+    return Orbitals(side**n, chain.from_iterable(block_sums(table, n)))
 
 
 def intersection_counts(sweep: Sequence[Shape]) -> dict[Shape, Counter] | None:

@@ -35,6 +35,7 @@ from .scheme import (
     compositions,
     enumerate_shapes,
     intersection_counts,
+    multiset_orbitals,
     pair_shapes,
     relation_matrix,
     require_within_bound,
@@ -139,7 +140,7 @@ class Instance:
 
     @cached_property
     def pair_shapes(self) -> tuple[Shape, ...]:
-        """The `pair_shapes` sweep, shared by `relations`, `intersection_counts` and `orbitals`."""
+        """The sweep that `relations`, `intersection_counts` and depth-one `orbitals` read."""
         return tuple(pair_shapes(self.params))
 
     @cached_property
@@ -184,8 +185,10 @@ class Instance:
 
     @cached_property
     def orbitals(self) -> Orbitals:
-        """Orbitals of the checked stabilizer maps of 0; every closure runs in them."""
-        return stabilizer_orbitals(self.params, self.pair_shapes)
+        """Orbitals of the stabilizer of 0: searched at depth one, multisets of those at n."""
+        if self.base is self:
+            return stabilizer_orbitals(self.params, self.pair_shapes)
+        return multiset_orbitals(self.base.orbitals, self.params.n)
 
     @cached_property
     def spectral(self) -> BaseSpectralData:

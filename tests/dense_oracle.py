@@ -13,18 +13,22 @@ checks are run here with dense products, against the suites the package
 runs in orbital coordinates. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
 reducer and masked center, and the dense Kronecker lift `dense_lifted_sum`
-the reference for the package's lift in orbital coordinates.
+the reference for the package's lift in orbital coordinates. The depth-n
+stabilizer maps (block permutations and block-0 value swaps) and the orbit
+search over them, `searched_orbitals`, are the reference for the package's
+multiset labelling of the depth-n orbitals.
 """
 
 import math
 from bisect import bisect_left
 from functools import cache
+from itertools import product
 from fractions import Fraction
 from typing import Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
 from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, kron, kron_all, mat_sum
-from ordered_hamming.scheme import compositions
+from ordered_hamming.scheme import SchemeParams, compositions, stabilizer_maps
 from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
@@ -172,6 +176,58 @@ def contains(sub: MatrixSubspace, mat: RatMatrix) -> bool:
     """Whether `mat` lies in `sub`; a matrix not constant on every orbital does not."""
     vec = sub.orbitals._entries(mat)
     return vec is not None and not any(sub._reducer.residual(vec))
+
+
+def iter_points(params):
+    """Every point of X^n in flat-index order (last coordinate fastest)."""
+    blocks = [tuple(b) for b in product(*(range(qj) for qj in params.q))]
+    return [tuple(p) for p in product(blocks, repeat=params.n)]
+
+
+def dense_stabilizer_maps(params):
+    """Point permutations of X^n, as flat-index tuples, that fix 0 and generate G1 wr S_n.
+
+    When n > 1, the transposition of blocks 0 and 1 and the n-cycle of
+    blocks, then the depth-one value swaps of `stabilizer_maps` acting on
+    block 0.
+    """
+    depth_one = stabilizer_maps(SchemeParams(params.q, 1))
+    if params.n == 1:
+        return depth_one
+    pts = iter_points(params)
+    index = {x: i for i, x in enumerate(pts)}
+    maps = [tuple(index[(x[1], x[0]) + x[2:]] for x in pts)]
+    if params.n > 2:  # for n = 2 the n-cycle is the transposition
+        maps.append(tuple(index[x[1:] + x[:1]] for x in pts))
+    stride = len(pts) // params.base_size  # block 0 is the slowest
+    return maps + [
+        tuple(perm[i // stride] * stride + i % stride for i in range(len(pts))) for perm in depth_one
+    ]
+
+
+def searched_orbitals(side, maps):
+    """The orbits of the group `maps` generate on pairs: (labels, reps), by breadth-first search.
+
+    Orbitals are numbered by their first pair in row-major order, which is
+    their representative.
+    """
+    labels = [-1] * (side * side)
+    reps = []
+    for start in range(side * side):
+        if labels[start] >= 0:
+            continue
+        label = len(reps)
+        reps.append(start)
+        labels[start] = label
+        todo = [start]
+        while todo:
+            x, y = divmod(todo.pop(), side)
+            for perm in maps:
+                pair = perm[x] * side + perm[y]
+                if labels[pair] < 0:
+                    labels[pair] = label
+                    todo.append(pair)
+    return labels, reps
 
 
 def point_sub(x, y, params):

@@ -354,34 +354,11 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
     }
 
 
-def _patch_maps(monkeypatch, depth: int, bad: list[tuple[int, ...]]) -> None:
-    """Give the stabilizer maps of the given depth `bad`, and every other depth its real maps."""
-    real = scheme_module.stabilizer_maps
-    monkeypatch.setattr(
-        scheme_module, "stabilizer_maps", lambda params: bad if params.n == depth else real(params)
-    )
-
-
-def test_closure_with_a_bad_stabilizer_map_exits_3(capsys, monkeypatch):
-    # on X(1,2;2), swapping the points 10 and 11 fixes 0 but changes a weight
-    _patch_maps(monkeypatch, 2, [(0, 1, 3, 2)])
-    code, payload = run_cli(capsys, "closure", "--q", "2", "--n", "2", "--json")
-    assert code == 3
-    assert payload == {
-        "command": "closure",
-        "error": {
-            "type": "InternalMismatch",
-            "message": "stabilizer map 0 changes the shape of a difference from point 0",
-        },
-        "overall_pass": False,
-    }
-
-
 def test_closure_with_a_bad_depth_one_stabilizer_map_exits_3(capsys, monkeypatch):
-    # the depth-n families are lifted from the depth-one orbitals, so a depth-one
-    # map is checked too: on X(2,1;2,2), swapping the points 01 and 10 fixes 0
-    # but moves the last differing coordinate
-    _patch_maps(monkeypatch, 1, [(0, 2, 1, 3)])
+    # the depth-n orbitals and families are built from the depth-one ones, so
+    # the depth-one maps are the ones checked: on X(2,1;2,2), swapping the
+    # points 01 and 10 fixes 0 but moves the last differing coordinate
+    monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda params: [(0, 2, 1, 3)])
     code, payload = run_cli(capsys, "closure", "--q", "2,2", "--n", "2", "--json")
     assert code == 3
     assert payload == {
@@ -489,6 +466,33 @@ def test_the_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, 
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert outcome() == one
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("closure", "--q", "2", "--n", "4"),
+        ("report", "--q", "2,2", "--n", "2"),
+        ("identities", "--q", "2,3", "--n", "2"),
+    ],
+)
+def test_depth_n_commands_build_no_depth_n_sweep_or_maps(monkeypatch, capsys, argv):
+    """The depth-n orbitals are labelled from the depth-one ones: no N^2 sweep, no depth-n maps."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(params, *rest):
+            calls[name, params.n] += 1
+            return fn(params, *rest)
+
+        return wrapper
+
+    for name in ("pair_shapes", "stabilizer_maps"):
+        plain = getattr(scheme_module, name)
+        for module in (scheme_module, terwilliger_module):
+            monkeypatch.setattr(module, name, counted(name, plain), raising=False)
+    assert main([*argv, "--json"]) == 0
+    assert calls == {("pair_shapes", 1): 1, ("stabilizer_maps", 1): 1}
 
 
 def test_pair_shape_sweep_runs_once_per_suite_instance(monkeypatch):

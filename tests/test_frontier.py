@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import ordered_hamming.terwilliger as terwilliger_module
+from ordered_hamming import Orbitals
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,19 +56,19 @@ def test_frontier_child_lifts_the_point_bound_to_the_instance(monkeypatch):
 
 
 def test_frontier_child_builds_each_orbital_structure_once(monkeypatch, capsys):
-    """r comes from the timed report itself, not from a second orbit search."""
+    """r comes from the timed report itself, not from a second orbital build."""
     frontier = _frontier()
     builds = Counter()
-    plain = terwilliger_module.stabilizer_orbitals
+    plain = Orbitals.__init__
 
-    def counting(params, sweep):
-        builds[params] += 1
-        return plain(params, sweep)
+    def counting(self, side, keys=None):
+        builds[side] += 1
+        plain(self, side, keys)
 
-    monkeypatch.setattr(terwilliger_module, "stabilizer_orbitals", counting)
+    monkeypatch.setattr(Orbitals, "__init__", counting)
     monkeypatch.setattr(sys, "argv", ["-c", "[2, 2]", "2", "16"])
     exec(frontier.CHILD, {"__name__": "__main__"})
     result = json.loads(capsys.readouterr().out)
     assert result["exit"] == 0 and result["r"] == 55 and result["dim_T"] == 55
-    # X(2,2;2,2) and the depth-one scheme its report closes
-    assert sorted(builds.values()) == [1, 1]
+    # X(2,2;2,2), 16 points, and the depth-one scheme its report closes, 4 points
+    assert builds == {16: 1, 4: 1}

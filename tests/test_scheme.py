@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import ordered_hamming.scheme as scheme_module
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming.cli import main
-from ordered_hamming.scheme import pair_shapes
+from ordered_hamming.scheme import block_sums, multiset_orbitals, pair_shapes
 from ordered_hamming import (
     Instance,
     InternalMismatch,
@@ -16,7 +17,7 @@ from ordered_hamming import (
     SizeBound,
     enumerate_shapes,
     intersection_numbers,
-    iter_points,
+    Orbitals,
     relation_matrix,
     stabilizer_maps,
     stabilizer_orbitals,
@@ -24,7 +25,16 @@ from ordered_hamming import (
     verify_axioms,
 )
 
-from dense_oracle import dense_scheme_checks, is_symmetric, is_zero_one, point_sub, shape_of
+from dense_oracle import (
+    dense_scheme_checks,
+    dense_stabilizer_maps,
+    is_symmetric,
+    is_zero_one,
+    iter_points,
+    point_sub,
+    searched_orbitals,
+    shape_of,
+)
 
 
 def reference_pair_shapes(params):
@@ -269,9 +279,10 @@ def test_doctored_sweep_fails_r1_to_r3(pair, label, failed):
     "q,n", [((2,), 3), ((3,), 2), ((2, 3), 1), ((2, 2), 2), ((3, 2), 2), ((2, 2, 2), 1)]
 )
 def test_stabilizer_maps_fix_zero_and_keep_every_relation(q, n):
+    """The package's depth-one maps, and the oracle's depth-n maps built from them."""
     params = SchemeParams(q, n)
     pts = iter_points(params)
-    for perm in stabilizer_maps(params):
+    for perm in dense_stabilizer_maps(params):
         assert sorted(perm) == list(range(len(pts))) and perm[0] == 0
         for x, px in zip(pts, perm):
             for y, py in zip(pts, perm):
@@ -285,8 +296,14 @@ def test_stabilizer_maps_of_one_block():
     assert stabilizer_maps(SchemeParams((3,), 1)) == [(0, 2, 1)]
     # X(2,1;2,2): coordinate 1 under the setting 1 of coordinate 2 swaps 01 and 11
     assert stabilizer_maps(SchemeParams((2, 2), 1)) == [(0, 3, 2, 1)]
-    # X(1,3;2): the block transposition and the 3-cycle, no value swap
-    assert len(stabilizer_maps(SchemeParams((2,), 3))) == 2
+    # X(1,3;2): the oracle's block transposition and 3-cycle, no value swap
+    assert len(dense_stabilizer_maps(SchemeParams((2,), 3))) == 2
+    # the package's maps act on one block only
+    for params in (SchemeParams((2,), 3), SchemeParams((3,), 2)):
+        with pytest.raises(ValueError, match="one block"):
+            stabilizer_maps(params)
+        with pytest.raises(ValueError, match="one block"):
+            stabilizer_orbitals(params, pair_shapes(params))
 
 
 @pytest.mark.parametrize(
@@ -294,11 +311,59 @@ def test_stabilizer_maps_of_one_block():
 )
 def test_orbital_counts(q, n, orbitals):
     # these equal dim T, measured by the closure tests
+    assert Instance(SchemeParams(q, n)).orbitals.count == orbitals
+
+
+@pytest.mark.parametrize(
+    "q,n", [((2,), 4), ((3,), 3), ((2, 2), 2), ((2, 3), 2), ((2, 2), 3), ((2, 2, 2), 2)]
+)
+def test_multiset_labels_equal_the_orbit_search(q, n):
+    """The depth-n labels and representatives are those of the search over G1 wr S_n."""
     params = SchemeParams(q, n)
-    assert stabilizer_orbitals(params, pair_shapes(params)).count == orbitals
+    orbitals = Instance(params).orbitals
+    maps = dense_stabilizer_maps(params)
+    assert (orbitals.labels, orbitals.reps) == searched_orbitals(params.num_points, maps)
+    # r = C(r1 + n - 1, n): every multiset of n depth-one orbitals occurs
+    r1 = Instance(SchemeParams(q, 1)).orbitals.count
+    assert orbitals.count == math.comb(r1 + n - 1, n)
 
 
-# X(1,2;2) has the points 00, 01, 10, 11 in flat-index order
+@st.composite
+def block_labellings(draw):
+    """A labelling of the pairs of 2-4 points by 1-5 labels, any pair any label, and n in 1..3."""
+    side = draw(st.integers(min_value=2, max_value=4))
+    keys = draw(st.lists(st.integers(0, 4), min_size=side * side, max_size=side * side))
+    return Orbitals(side, keys), draw(st.integers(min_value=1, max_value=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_labellings())
+def test_multiset_orbitals_follow_the_definition(labelling):
+    """Pairs of n-block points share an orbital exactly when their block labels agree as multisets.
+
+    The labelling need not come from a group, nor be closed under
+    transposition, so reading a block pair transposed shows here.
+    """
+    base, n = labelling
+    side = base.side
+    pts = list(product(range(side), repeat=n))
+
+    def multiset(x, y):
+        return tuple(sorted(base.labels[a * side + b] for a, b in zip(x, y)))
+
+    got = multiset_orbitals(base, n)
+    assert got.labels == Orbitals(side**n, (multiset(x, y) for x in pts for y in pts)).labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_sums_add_the_block_entries(n):
+    table = [[1, 20], [300, 4000]]  # not symmetric, so a transposed read shows
+    pts = list(product(range(2), repeat=n))
+    rows = [list(row) for row in block_sums(table, n)]
+    assert rows == [[sum(table[a][b] for a, b in zip(x, y)) for y in pts] for x in pts]
+
+
+# X(2,1;2,2) has the points 00, 01, 10, 11 in flat-index order
 @pytest.mark.parametrize(
     "bad,reason",
     [
@@ -309,7 +374,7 @@ def test_orbital_counts(q, n, orbitals):
     ],
 )
 def test_stabilizer_orbitals_reject_a_bad_map(monkeypatch, bad, reason):
-    params = SchemeParams((2,), 2)
+    params = SchemeParams((2, 2), 1)
     good = stabilizer_maps(params)
     monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda p: good + [bad])
     with pytest.raises(InternalMismatch, match=reason):

@@ -15,7 +15,6 @@ from ordered_hamming import (
     RatMatrix,
     SchemeParams,
     component_dims,
-    iter_points,
     lambda_set,
     omega_set,
     intersection_numbers,
@@ -35,6 +34,7 @@ from dense_oracle import (
     dense_terw_basis,
     dense_terw_identities,
     expanded,
+    iter_points,
     shape_of,
     span_basis,
 )
