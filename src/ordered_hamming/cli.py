@@ -19,7 +19,7 @@ import math
 import sys
 import time
 
-from .exact_linalg import RatMatrix, format_rational
+from .exact_linalg import InternalMismatch, RatMatrix, format_rational
 from .scheme import (
     DEFAULT_MAX_POINTS,
     SchemeParams,
@@ -31,7 +31,6 @@ from .scheme import (
     verify_axioms,
 )
 from .spectral import (
-    InternalMismatch,
     eigen_n,
     krawchouk_table,
     valency_n,

@@ -44,8 +44,8 @@ class InternalMismatch(AssertionError):
     """Two independent constructions of one object disagree, or a self-check failed.
 
     The self-checks are those the code relies on for exactness, such as a
-    symmetry map keeping every relation or a matrix being constant on an
-    orbital.
+    closed form agreeing with the relation diagonal it stands for, or a
+    matrix being constant on an orbital.
     """
 
 

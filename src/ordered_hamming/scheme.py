@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact_linalg import InternalMismatch, Orbitals, RatMatrix
+from .exact_linalg import Orbitals, RatMatrix
 
 if TYPE_CHECKING:
     from .terwilliger import Instance
@@ -142,68 +142,18 @@ def relation_matrix(lam: Shape, sweep: Sequence[Shape]) -> RatMatrix:
     return RatMatrix(flags[i : i + npts] for i in range(0, len(flags), npts))
 
 
-def _swap_values(block: tuple[int, ...], j: int, above: tuple[int, ...], a: int):
-    """Swap the values a and a + 1 at coordinate j, if the coordinates above j are `above`."""
-    if block[j + 1 :] == above and block[j] in (a, a + 1):
-        return block[:j] + (2 * a + 1 - block[j],) + block[j + 1 :]
-    return block
+def triple_orbitals(sweep: Sequence[Shape]) -> Orbitals:
+    """Orbitals of one-block points, keyed by (shape(0 - x), shape(0 - y), shape(x - y)).
 
-
-def stabilizer_maps(params: SchemeParams) -> list[tuple[int, ...]]:
-    """Permutations of the points of one block, as flat-index tuples, fixing 0 and every relation.
-
-    They are the triangular value swaps: at coordinate j, for one setting
-    of the coordinates above j, swap the values a and a + 1. Only
-    coordinate j changes, by a bijection that depends on the coordinates
-    above it, so two blocks keep their last differing coordinate; a starts
-    at 1 when the setting above j is all zeros, so 0 stays put. They
-    generate a group G1 of automorphisms fixing 0, each checked by
-    `stabilizer_orbitals`; depth n has `multiset_orbitals`.
+    The points are the leaves of a tree with q_j children per node at level j,
+    and shape(x - y) is the level at which x and y part. G1, generated by the
+    swaps of two children of a node (not the child on the path of 0), fixes 0
+    and keeps every shape, so each triple class is a union of orbitals. G1 is
+    the whole stabilizer of leaf 0 among the tree's automorphisms, transitive
+    on the leaf pairs with one triple of levels by induction on m.
     """
-    if params.n != 1:
-        raise ValueError(f"stabilizer maps act on one block, not on {params.label()}")
-    q = params.q
-    blocks = list(product(*map(range, q)))
-    index = {b: i for i, b in enumerate(blocks)}
-    return [
-        tuple(index[_swap_values(b, j, above, a)] for b in blocks)
-        for j in range(params.m)
-        for above in product(*map(range, q[j + 1 :]))
-        for a in range(0 if any(above) else 1, q[j] - 1)
-    ]
-
-
-def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbitals:
-    """The orbitals on pairs of points of one block of the group `stabilizer_maps` generates.
-
-    Every map is checked on every point and pair before use: it must be a
-    permutation of the points, fix the zero point, and keep the shape of
-    x - y for all N^2 pairs, read from the `pair_shapes` sweep; one that
-    fails raises InternalMismatch. Each pair is keyed by the first pair of
-    its orbit. Depth one only, as `stabilizer_maps` is.
-    """
-    npts = params.num_points
-    maps = stabilizer_maps(params)
-    for k, perm in enumerate(maps):
-        if sorted(perm) != list(range(npts)):
-            raise InternalMismatch(f"stabilizer map {k} is not a permutation of the points")
-        if perm[0] != 0:
-            raise InternalMismatch(f"stabilizer map {k} moves the zero point")
-        for x, px in enumerate(perm):
-            image = sweep[px * npts : (px + 1) * npts]
-            if [image[py] for py in perm] != list(sweep[x * npts : (x + 1) * npts]):
-                raise InternalMismatch(
-                    f"stabilizer map {k} changes the shape of a difference from point {x}"
-                )
-    first = [-1] * (npts * npts)
-    for start in range(npts * npts):
-        todo = [start] if first[start] < 0 else []
-        for pair in todo:  # the orbit of start, which grows as it is searched
-            if first[pair] < 0:
-                first[pair] = start
-                x, y = divmod(pair, npts)
-                todo.extend(perm[x] * npts + perm[y] for perm in maps)
-    return Orbitals(npts, first)
+    npts = math.isqrt(len(sweep))  # row 0 of the `pair_shapes` sweep is shape(0 - x)
+    return Orbitals(npts, zip(product(sweep[:npts], repeat=2), sweep))
 
 
 def multiset_orbitals(base: Orbitals, n: int) -> Orbitals:

@@ -39,7 +39,7 @@ from .scheme import (
     pair_shapes,
     relation_matrix,
     require_within_bound,
-    stabilizer_orbitals,
+    triple_orbitals,
 )
 from .spectral import (
     BaseSpectralData,
@@ -185,9 +185,9 @@ class Instance:
 
     @cached_property
     def orbitals(self) -> Orbitals:
-        """Orbitals of the stabilizer of 0: searched at depth one, multisets of those at n."""
+        """Orbitals of the stabilizer of 0: shape triples at depth one, multisets of those at n."""
         if self.base is self:
-            return stabilizer_orbitals(self.params, self.pair_shapes)
+            return triple_orbitals(self.pair_shapes)
         return multiset_orbitals(self.base.orbitals, self.params.n)
 
     @cached_property

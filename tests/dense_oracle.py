@@ -16,7 +16,10 @@ reducer and masked center, and the dense Kronecker lift `dense_lifted_sum`
 the reference for the package's lift in orbital coordinates. The depth-n
 stabilizer maps (block permutations and block-0 value swaps) and the orbit
 search over them, `searched_orbitals`, are the reference for the package's
-multiset labelling of the depth-n orbitals.
+multiset labelling of the depth-n orbitals. The depth-one value swaps,
+`stabilizer_maps`, checked on every pair and searched by
+`stabilizer_orbitals`, are the reference for the package's labelling of the
+depth-one orbitals by their triple of shapes.
 """
 
 import math
@@ -28,7 +31,7 @@ from typing import Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
 from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, kron, kron_all, mat_sum
-from ordered_hamming.scheme import SchemeParams, compositions, stabilizer_maps
+from ordered_hamming.scheme import SchemeParams, Shape, compositions
 from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
@@ -182,6 +185,70 @@ def iter_points(params):
     """Every point of X^n in flat-index order (last coordinate fastest)."""
     blocks = [tuple(b) for b in product(*(range(qj) for qj in params.q))]
     return [tuple(p) for p in product(blocks, repeat=params.n)]
+
+
+def _swap_values(block: tuple[int, ...], j: int, above: tuple[int, ...], a: int):
+    """Swap the values a and a + 1 at coordinate j, if the coordinates above j are `above`."""
+    if block[j + 1 :] == above and block[j] in (a, a + 1):
+        return block[:j] + (2 * a + 1 - block[j],) + block[j + 1 :]
+    return block
+
+
+def stabilizer_maps(params: SchemeParams) -> list[tuple[int, ...]]:
+    """Permutations of the points of one block, as flat-index tuples, fixing 0 and every relation.
+
+    They are the triangular value swaps: at coordinate j, for one setting
+    of the coordinates above j, swap the values a and a + 1. Only
+    coordinate j changes, by a bijection that depends on the coordinates
+    above it, so two blocks keep their last differing coordinate; a starts
+    at 1 when the setting above j is all zeros, so 0 stays put. They
+    generate a group G1 of automorphisms fixing 0, each checked by
+    `stabilizer_orbitals`; depth n has `multiset_orbitals`.
+    """
+    if params.n != 1:
+        raise ValueError(f"stabilizer maps act on one block, not on {params.label()}")
+    q = params.q
+    blocks = list(product(*map(range, q)))
+    index = {b: i for i, b in enumerate(blocks)}
+    return [
+        tuple(index[_swap_values(b, j, above, a)] for b in blocks)
+        for j in range(params.m)
+        for above in product(*map(range, q[j + 1 :]))
+        for a in range(0 if any(above) else 1, q[j] - 1)
+    ]
+
+
+def stabilizer_orbitals(params: SchemeParams, sweep: Sequence[Shape]) -> Orbitals:
+    """The orbitals on pairs of points of one block of the group `stabilizer_maps` generates.
+
+    Every map is checked on every point and pair before use: it must be a
+    permutation of the points, fix the zero point, and keep the shape of
+    x - y for all N^2 pairs, read from the `pair_shapes` sweep; one that
+    fails raises InternalMismatch. Each pair is keyed by the first pair of
+    its orbit. Depth one only, as `stabilizer_maps` is.
+    """
+    npts = params.num_points
+    maps = stabilizer_maps(params)
+    for k, perm in enumerate(maps):
+        if sorted(perm) != list(range(npts)):
+            raise InternalMismatch(f"stabilizer map {k} is not a permutation of the points")
+        if perm[0] != 0:
+            raise InternalMismatch(f"stabilizer map {k} moves the zero point")
+        for x, px in enumerate(perm):
+            image = sweep[px * npts : (px + 1) * npts]
+            if [image[py] for py in perm] != list(sweep[x * npts : (x + 1) * npts]):
+                raise InternalMismatch(
+                    f"stabilizer map {k} changes the shape of a difference from point {x}"
+                )
+    first = [-1] * (npts * npts)
+    for start in range(npts * npts):
+        todo = [start] if first[start] < 0 else []
+        for pair in todo:  # the orbit of start, which grows as it is searched
+            if first[pair] < 0:
+                first[pair] = start
+                x, y = divmod(pair, npts)
+                todo.extend(perm[x] * npts + perm[y] for perm in maps)
+    return Orbitals(npts, first)
 
 
 def dense_stabilizer_maps(params):

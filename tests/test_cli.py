@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,10 @@ import pytest
 import ordered_hamming.scheme as scheme_module
 import ordered_hamming.spectral as spectral_module
 import ordered_hamming.terwilliger as terwilliger_module
-from ordered_hamming import DEFAULT_MAX_POINTS, Instance, RatMatrix, SchemeParams, cli
+from ordered_hamming import DEFAULT_MAX_POINTS, Instance, Orbitals, RatMatrix, SchemeParams, cli
 from ordered_hamming import exact_linalg
 from ordered_hamming.cli import main
-from ordered_hamming.spectral import InternalMismatch
+from ordered_hamming.exact_linalg import InternalMismatch
 
 
 def run_cli(capsys, *argv):
@@ -354,18 +355,22 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
     }
 
 
-def test_closure_with_a_bad_depth_one_stabilizer_map_exits_3(capsys, monkeypatch):
+def test_closure_with_too_coarse_depth_one_orbitals_exits_3(capsys, monkeypatch):
     # the depth-n orbitals and families are built from the depth-one ones, so
-    # the depth-one maps are the ones checked: on X(2,1;2,2), swapping the
-    # points 01 and 10 fixes 0 but moves the last differing coordinate
-    monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda params: [(0, 2, 1, 3)])
+    # the depth-one labelling is the one checked: keyed by shape(x - y) alone
+    # on X(2,1;2,2), its classes are the relations, and E*_0 = diag(1, 0, 0, 0)
+    # is not constant on the diagonal one
+    def coarse(sweep):
+        return Orbitals(math.isqrt(len(sweep)), sweep)
+
+    monkeypatch.setattr(terwilliger_module, "triple_orbitals", coarse)
     code, payload = run_cli(capsys, "closure", "--q", "2,2", "--n", "2", "--json")
     assert code == 3
     assert payload == {
         "command": "closure",
         "error": {
             "type": "InternalMismatch",
-            "message": "stabilizer map 0 changes the shape of a difference from point 0",
+            "message": "matrix is not constant on orbital 0: entry (1, 1) differs from (0, 0)",
         },
         "overall_pass": False,
     }
@@ -477,22 +482,31 @@ def test_the_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, 
     ],
 )
 def test_depth_n_commands_build_no_depth_n_sweep_or_maps(monkeypatch, capsys, argv):
-    """The depth-n orbitals are labelled from the depth-one ones: no N^2 sweep, no depth-n maps."""
+    """The depth-n orbitals are labelled from the depth-one ones: no N^2 sweep, no maps.
+
+    Each builder is counted by the points it works on; the depth-one
+    scheme has q_1 ... q_m of them.
+    """
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(params, *rest):
-            calls[name, params.n] += 1
-            return fn(params, *rest)
+    def counted(name, fn, points):
+        def wrapper(arg):
+            calls[name, points(arg)] += 1
+            return fn(arg)
 
         return wrapper
 
-    for name in ("pair_shapes", "stabilizer_maps"):
+    points_of = {
+        "pair_shapes": lambda params: params.num_points,
+        "triple_orbitals": lambda sweep: math.isqrt(len(sweep)),
+    }
+    for name, points in points_of.items():
         plain = getattr(scheme_module, name)
         for module in (scheme_module, terwilliger_module):
-            monkeypatch.setattr(module, name, counted(name, plain), raising=False)
+            monkeypatch.setattr(module, name, counted(name, plain, points), raising=False)
     assert main([*argv, "--json"]) == 0
-    assert calls == {("pair_shapes", 1): 1, ("stabilizer_maps", 1): 1}
+    side = math.prod(map(int, argv[2].split(",")))
+    assert calls == {("pair_shapes", side): 1, ("triple_orbitals", side): 1}
 
 
 def test_pair_shape_sweep_runs_once_per_suite_instance(monkeypatch):

@@ -19,12 +19,11 @@ from ordered_hamming import (
     intersection_numbers,
     Orbitals,
     relation_matrix,
-    stabilizer_maps,
-    stabilizer_orbitals,
     valency_n,
     verify_axioms,
 )
 
+import dense_oracle
 from dense_oracle import (
     dense_scheme_checks,
     dense_stabilizer_maps,
@@ -34,6 +33,8 @@ from dense_oracle import (
     point_sub,
     searched_orbitals,
     shape_of,
+    stabilizer_maps,
+    stabilizer_orbitals,
 )
 
 
@@ -279,7 +280,7 @@ def test_doctored_sweep_fails_r1_to_r3(pair, label, failed):
     "q,n", [((2,), 3), ((3,), 2), ((2, 3), 1), ((2, 2), 2), ((3, 2), 2), ((2, 2, 2), 1)]
 )
 def test_stabilizer_maps_fix_zero_and_keep_every_relation(q, n):
-    """The package's depth-one maps, and the oracle's depth-n maps built from them."""
+    """The oracle's depth-one value swaps, and its depth-n maps built from them."""
     params = SchemeParams(q, n)
     pts = iter_points(params)
     for perm in dense_stabilizer_maps(params):
@@ -298,7 +299,7 @@ def test_stabilizer_maps_of_one_block():
     assert stabilizer_maps(SchemeParams((2, 2), 1)) == [(0, 3, 2, 1)]
     # X(1,3;2): the oracle's block transposition and 3-cycle, no value swap
     assert len(dense_stabilizer_maps(SchemeParams((2,), 3))) == 2
-    # the package's maps act on one block only
+    # the value swaps act on one block only
     for params in (SchemeParams((2,), 3), SchemeParams((3,), 2)):
         with pytest.raises(ValueError, match="one block"):
             stabilizer_maps(params)
@@ -326,6 +327,27 @@ def test_multiset_labels_equal_the_orbit_search(q, n):
     # r = C(r1 + n - 1, n): every multiset of n depth-one orbitals occurs
     r1 = Instance(SchemeParams(q, 1)).orbitals.count
     assert orbitals.count == math.comb(r1 + n - 1, n)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        (2,), (3,), (4,), (5,), (7,), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (3, 3),
+        (5, 6), (2, 2, 2), (2, 3, 4), (4, 3, 2), (3, 3, 3), (6, 2, 2), (2, 2, 2, 2),
+        (2, 2, 2, 3), (3, 2, 2, 2), (2,) * 5, (2,) * 6, (2,) * 7, (2,) * 8,
+    ],
+    ids=lambda q: ",".join(map(str, q)),
+)
+def test_shape_triples_equal_the_orbit_search(q):
+    """The depth-one labels and representatives are those of the search over the value swaps.
+
+    No closed-form check replaces this one: a key without shape(0 - y) keeps
+    every A, E and E* constant on its classes, but its products are wrong.
+    """
+    params = SchemeParams(q, 1)
+    orbitals = Instance(params).orbitals
+    oracle = stabilizer_orbitals(params, pair_shapes(params))
+    assert (orbitals.labels, orbitals.reps) == (oracle.labels, oracle.reps)
 
 
 @st.composite
@@ -376,8 +398,6 @@ def test_block_sums_add_the_block_entries(n):
 def test_stabilizer_orbitals_reject_a_bad_map(monkeypatch, bad, reason):
     params = SchemeParams((2, 2), 1)
     good = stabilizer_maps(params)
-    monkeypatch.setattr(scheme_module, "stabilizer_maps", lambda p: good + [bad])
+    monkeypatch.setattr(dense_oracle, "stabilizer_maps", lambda p: good + [bad])
     with pytest.raises(InternalMismatch, match=reason):
         stabilizer_orbitals(params, pair_shapes(params))
-    with pytest.raises(InternalMismatch, match=reason):
-        Instance(params).orbitals

@@ -600,7 +600,7 @@ FAMILY_BUILDERS = (
     "base_idempotents",
     "base_dual_idempotents",
     "terw_basis",
-    "stabilizer_orbitals",
+    "triple_orbitals",
 )
 
 
