@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 
 from .exact_linalg import InternalMismatch, RatMatrix, format_rational
 from .scheme import (
@@ -27,7 +28,6 @@ from .scheme import (
     enumerate_shapes,
     intersection_numbers,
     intersection_table_json,
-    relation_matrix,
     verify_axioms,
 )
 from .spectral import (
@@ -87,46 +87,6 @@ def _parse_shape(text: str, length: int, total: int, parser: argparse.ArgumentPa
     return values
 
 
-def _option(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
-    return flags, options
-
-
-_STRICT = _option("--strict", action="store_true", help="fail when a printed formula disagrees")
-
-# Each command's help and the options it adds after the shared ones, in help order.
-_COMMANDS: dict[str, tuple[str, tuple]] = {
-    "shapes": ("list all relation shapes", ()),
-    "scheme-verify": ("check the association scheme axioms", ()),
-    "adjacency": (
-        "one lifted adjacency matrix, cross-checked",
-        (_option("--shape", required=True, help="comma-separated shape entries"),),
-    ),
-    "eigenmatrix": (
-        "first or second eigenmatrix at depth n",
-        (_option("--which", choices=("P", "Q"), default="P"),),
-    ),
-    "krawchouk": (
-        "Krawtchouk coefficient table",
-        (_option("--reversed", action="store_true", help="use the reversed alphabet sequence"),),
-    ),
-    "theta": (
-        "enumerate support grids for one margin pair",
-        (
-            _option("--lambda", dest="lam", required=True, help="row-sum shape (m entries)"),
-            _option("--mu", required=True, help="column-sum shape (m entries)"),
-        ),
-    ),
-    "omega": ("all feasible margin pairs", ()),
-    "identities": ("run the structural identity suite", ()),
-    "closure": (
-        "dimension of the generated matrix algebra",
-        (_option("--generators", choices=("bm", "idem"), default="bm"),),
-    ),
-    "report": ("full structure report with measured dimensions", (_STRICT,)),
-    "suite": ("run the built-in instance suite", (_STRICT,)),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of `command` alone when it names one.
 
@@ -141,7 +101,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, extra = _COMMANDS[name]
+        _, help_text, extra = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name != "suite":
             p.add_argument("--q", required=True, help="comma-separated alphabet sizes, each >= 2")
@@ -194,7 +154,8 @@ def _cmd_adjacency(args, parser, params) -> tuple[dict, dict]:
     shape = _parse_shape(args.shape, params.m + 1, params.n, parser, "--shape")
     inst = Instance(params, args.max_points)
     lifted = inst.adjacency[shape]
-    checks = {"matches_relation_matrix": lifted.matches(relation_matrix(shape, inst.pair_shapes))}
+    indicator = [s == shape for s in inst.pair_shapes]
+    checks = {"matches_relation_matrix": lifted.is_indicator(indicator)}
     data = {
         "shape": list(shape),
         "valency": valency_n(shape, params),
@@ -347,18 +308,49 @@ def _cmd_suite(args) -> dict:
     }
 
 
-# Every command but `suite` takes --q and --n and returns (checks, data).
-_HANDLERS = {
-    "shapes": _cmd_shapes,
-    "scheme-verify": _cmd_scheme_verify,
-    "adjacency": _cmd_adjacency,
-    "eigenmatrix": _cmd_eigenmatrix,
-    "krawchouk": _cmd_krawchouk,
-    "theta": _cmd_theta,
-    "omega": _cmd_omega,
-    "identities": _cmd_identities,
-    "closure": _cmd_closure,
-    "report": _cmd_report,
+def _option(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_STRICT = _option("--strict", action="store_true", help="fail when a printed formula disagrees")
+
+# Each command's handler, help and the options it adds after the shared ones, in help
+# order. Every handler but `suite`'s takes the parsed --q and --n and returns (checks, data).
+_COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
+    "shapes": (_cmd_shapes, "list all relation shapes", ()),
+    "scheme-verify": (_cmd_scheme_verify, "check the association scheme axioms", ()),
+    "adjacency": (
+        _cmd_adjacency,
+        "one lifted adjacency matrix, cross-checked",
+        (_option("--shape", required=True, help="comma-separated shape entries"),),
+    ),
+    "eigenmatrix": (
+        _cmd_eigenmatrix,
+        "first or second eigenmatrix at depth n",
+        (_option("--which", choices=("P", "Q"), default="P"),),
+    ),
+    "krawchouk": (
+        _cmd_krawchouk,
+        "Krawtchouk coefficient table",
+        (_option("--reversed", action="store_true", help="use the reversed alphabet sequence"),),
+    ),
+    "theta": (
+        _cmd_theta,
+        "enumerate support grids for one margin pair",
+        (
+            _option("--lambda", dest="lam", required=True, help="row-sum shape (m entries)"),
+            _option("--mu", required=True, help="column-sum shape (m entries)"),
+        ),
+    ),
+    "omega": (_cmd_omega, "all feasible margin pairs", ()),
+    "identities": (_cmd_identities, "run the structural identity suite", ()),
+    "closure": (
+        _cmd_closure,
+        "dimension of the generated matrix algebra",
+        (_option("--generators", choices=("bm", "idem"), default="bm"),),
+    ),
+    "report": (_cmd_report, "full structure report with measured dimensions", (_STRICT,)),
+    "suite": (_cmd_suite, "run the built-in instance suite", (_STRICT,)),
 }
 
 
@@ -368,11 +360,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        handler = _COMMANDS[args.command][0]
         if args.command == "suite":
-            payload = _cmd_suite(args)
+            payload = handler(args)
         else:
             params = _params_from_args(args, parser)
-            checks, data = _HANDLERS[args.command](args, parser, params)
+            checks, data = handler(args, parser, params)
             payload = _run_report(args.command, params, checks, data)
     except SizeBound as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)

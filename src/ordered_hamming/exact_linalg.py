@@ -361,21 +361,18 @@ class Orbitals:
     def count(self) -> int:
         return len(self.reps)
 
-    def _entries(self, mat: RatMatrix) -> list[int] | None:
-        """The orbital vector of `mat`, or None when `mat` is not constant on every orbital."""
-        if mat.nrows != self.side or mat.ncols != self.side:
-            raise DimensionMismatch(
-                f"matrix is {mat.nrows}x{mat.ncols}, orbitals are on {self.side} points"
-            )
-        flat = _flat(mat)
+    def _entries(self, flat: list[int]) -> list[int] | None:
+        """The orbital vector of row-major entries, or None if not constant on every orbital."""
+        if len(flat) != len(self.labels):
+            raise DimensionMismatch(f"{len(flat)} entries, orbitals are on {self.side} points")
         vec = [flat[p] for p in self.reps]
         return vec if list(map(vec.__getitem__, self.labels)) == flat else None
 
     def vector(self, mat: RatMatrix) -> list[int]:
         """The orbital vector of `mat`, after checking every entry against its orbital."""
-        vec = self._entries(mat)
+        flat = _flat(mat)
+        vec = self._entries(flat)
         if vec is None:
-            flat = _flat(mat)
             pair = next(
                 p for p, label in enumerate(self.labels) if flat[p] != flat[self.reps[label]]
             )
@@ -471,7 +468,11 @@ class OrbitalMatrix:
 
     def matches(self, mat: RatMatrix) -> bool:
         """Whether the dense `mat` is this matrix; one not constant on every orbital is not."""
-        return mat.denominator == self.den and self.orbitals._entries(mat) == self.vec
+        return mat.denominator == self.den and self.orbitals._entries(_flat(mat)) == self.vec
+
+    def is_indicator(self, flags: list[bool]) -> bool:
+        """Whether this is the 0/1 matrix with the row-major entries `flags`."""
+        return self.den == 1 and self.orbitals._entries(flags) == self.vec
 
     def matrix(self) -> RatMatrix:
         return self.orbitals.matrix(self.vec, self.den)
@@ -563,7 +564,7 @@ class MatrixSubspace:
         return (
             isinstance(other, MatrixSubspace)
             and self.orbitals.labels == other.orbitals.labels
-            and self._reducer.rows == other._reducer.rows
+            and self._reducer._rows == other._reducer._rows
         )
 
     def __hash__(self) -> int:

@@ -1,10 +1,10 @@
 """Ordered Hamming scheme built from first principles.
 
 Points of X^n are n blocks of mixed-radix coordinates; the relation of a
-pair (x, y) is the shape of x - y, taken blockwise mod q_j. Adjacency
-matrices here come straight from that definition, with no spectral input,
-so they can serve as an independent cross-check for the lifted
-constructions elsewhere.
+pair (x, y) is the shape of x - y, taken blockwise mod q_j. The
+`pair_shapes` sweep here comes straight from that definition, with no
+spectral input, so it can serve as an independent cross-check for the
+lifted constructions elsewhere.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact_linalg import Orbitals, RatMatrix
+from .exact_linalg import Orbitals
 
 if TYPE_CHECKING:
     from .terwilliger import Instance
@@ -119,27 +119,21 @@ def pair_shapes(params: SchemeParams) -> list[Shape]:
     """The shape of x - y for every pair of points, row-major.
 
     Entry j of the shape counts the blocks whose last differing coordinate
-    is j (0 where the blocks agree). With (n + 1)**j for that j in a table
-    over pairs of blocks, the shape read in base n + 1 is the pair's
-    `block_sums` entry. Equal shapes are one tuple object, so the N^2
-    entries hold only pointers.
+    is j (0 where the blocks agree). A table over pairs of blocks holds
+    (n + 1)**j for that j, grown one coordinate at a time, the new one
+    fastest; the shape read in base n + 1 is the pair's `block_sums` entry.
+    Equal shapes are one tuple object, so the N^2 entries hold only pointers.
     """
     base = params.n + 1
-    blocks = list(product(*(range(qj) for qj in params.q)))
-
-    def last_differing(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        return max((j for j, (u, v) in enumerate(zip(a, b), 1) if u != v), default=0)
-
-    digit = [[base ** last_differing(a, b) for b in blocks] for a in blocks]
+    digit = [[1]]
+    for j, qj in enumerate(params.q, 1):
+        digit = [
+            [d if u == v else base**j for d in row for v in range(qj)]
+            for row in digit
+            for u in range(qj)
+        ]
     shared = {sum(c * base**j for j, c in enumerate(lam)): lam for lam in enumerate_shapes(params)}
     return [shared[s] for row in block_sums(digit, params.n) for s in row]
-
-
-def relation_matrix(lam: Shape, sweep: Sequence[Shape]) -> RatMatrix:
-    """0/1 matrix of the relation `lam`, read from the `pair_shapes` sweep."""
-    npts = math.isqrt(len(sweep))
-    flags = [int(s == lam) for s in sweep]
-    return RatMatrix(flags[i : i + npts] for i in range(0, len(flags), npts))
 
 
 def triple_orbitals(sweep: Sequence[Shape]) -> Orbitals:
@@ -170,19 +164,21 @@ def multiset_orbitals(base: Orbitals, n: int) -> Orbitals:
     return Orbitals(side**n, chain.from_iterable(block_sums(table, n)))
 
 
-def intersection_counts(sweep: Sequence[Shape]) -> dict[Shape, Counter] | None:
-    """p^k_ij as {k: Counter({(i, j): p})}, counted from the `pair_shapes` sweep.
+def intersection_counts(
+    sweep: Sequence[Shape], shapes: Sequence[Shape]
+) -> dict[tuple[Shape, Shape, Shape], int] | None:
+    """p^k_ij as {(i, j, k): p} over `shapes`, counted from the `pair_shapes` sweep.
 
     Entry (x, y) of A_i A_j is #{z : sweep[x, z] = i, sweep[z, y] = j}. With
     the C relations labelled 0..C-1, counting C * row x + column y gives that
     entry for every pair of labels at once. Relation k keeps the counts of
     its first pair in row-major order; None if any other pair of k counts
-    differently, since then p^k_ij is not defined.
+    differently, since then p^k_ij is not defined. The keys run over i,
+    then j, then the k that have a pair.
     """
     npts = math.isqrt(len(sweep))
-    shapes = list(dict.fromkeys(sweep))
-    label = {lam: a for a, lam in enumerate(shapes)}
-    c = len(shapes)
+    label = {lam: a for a, lam in enumerate(dict.fromkeys(chain(shapes, sweep)))}
+    c = len(label)
     rows = [[label[lam] for lam in sweep[x * npts : (x + 1) * npts]] for x in range(npts)]
     cols = list(zip(*rows))
     first: dict[int, Counter] = {}
@@ -192,8 +188,13 @@ def intersection_counts(sweep: Sequence[Shape]) -> dict[Shape, Counter] | None:
             counts = Counter([a + b for a, b in zip(scaled, col)])
             if first.setdefault(k, counts) != counts:
                 return None
-    pairs = [(i, j) for i in shapes for j in shapes]
-    return {shapes[k]: Counter({pairs[ij]: p for ij, p in cnt.items()}) for k, cnt in first.items()}
+    return {
+        (i, j, k): first[label[k]][c * label[i] + label[j]]
+        for i in shapes
+        for j in shapes
+        for k in shapes
+        if label[k] in first
+    }
 
 
 def verify_axioms(inst: Instance) -> dict[str, bool | None]:
@@ -215,19 +216,13 @@ def verify_axioms(inst: Instance) -> dict[str, bool | None]:
         "R4_constants_well_defined": counts is not None,
         "R5_constants_commute": None
         if counts is None
-        else all(c[i, j] == c[j, i] for c in counts.values() for i in shapes for j in shapes),
+        else all(p == counts[j, i, k] for (i, j, k), p in counts.items()),
     }
 
 
 def intersection_numbers(inst: Instance) -> dict[tuple[Shape, Shape, Shape], int] | None:
     """Table of p^k_{ij} over the relations that have a pair, or None if R4 fails."""
-    counts = inst.intersection_counts
-    if counts is None:
-        return None
-    shapes = inst.shapes
-    return {
-        (i, j, k): counts[k][i, j] for i in shapes for j in shapes for k in shapes if k in counts
-    }
+    return inst.intersection_counts
 
 
 def intersection_table_json(table: dict[tuple[Shape, Shape, Shape], int]) -> list[dict]:

@@ -263,8 +263,9 @@ def verify_spectral_n(inst: Instance) -> dict[str, bool]:
     Checks, for all shape pairs: the eigenvalue equations
     A_mu E_lam = P[lam][mu] E_lam, the Hadamard counterparts
     E_mu o A_lam = |X^n|^-1 Q[lam][mu] A_lam, the valencies as A_lam J = k J,
-    the multiplicities as traces, and that lifted adjacency matrices equal
-    the brute-force relation matrices. Only P Q is a dense product.
+    the multiplicities as traces, and that each lifted A_lam is the 0/1
+    indicator of lam in the brute-force `pair_shapes` sweep, read through
+    the orbital labels with no relation matrix. Only P Q is a dense product.
     """
     params = inst.params
     shapes = inst.shapes
@@ -285,7 +286,7 @@ def verify_spectral_n(inst: Instance) -> dict[str, bool]:
     ones = OrbitalMatrix(inst.orbitals, [1] * inst.orbitals.count)
     val_ok = all(adj[lam] * ones == ones.scale(valency_n(lam, params)) for lam in shapes)
     mult_ok = all(idem[lam].trace() == multiplicity_n(lam, params) for lam in shapes)
-    lift_ok = all(adj[lam].matches(inst.relations[lam]) for lam in shapes)
+    lift_ok = all(adj[lam].is_indicator([s == lam for s in inst.pair_shapes]) for lam in shapes)
     resolve_ok = mat_sum(idem.values()) == OrbitalMatrix.identity(inst.orbitals)
     pq_ok = P * Q == RatMatrix.identity(len(shapes)).scale(npts)
 

@@ -11,7 +11,6 @@ predictions to compare against, never as answers to hard-code.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,6 +23,7 @@ from .exact_linalg import (
     OrbitalMatrix,
     Orbitals,
     RatMatrix,
+    _flat,
     algebra_closure,
     center_dimension,
     kron_all,
@@ -37,7 +37,6 @@ from .scheme import (
     intersection_counts,
     multiset_orbitals,
     pair_shapes,
-    relation_matrix,
     require_within_bound,
     triple_orbitals,
 )
@@ -114,7 +113,7 @@ class Instance:
     enters its closed forms A, E, E* once as `OrbitalMatrix` values; at depth
     n each family is one `lift` per shape, in orbital coordinates. An
     instance keeps what it built for its own lifetime: create one per
-    command or per suite instance. `relations` always comes from the
+    command or per suite instance. `pair_shapes` always comes from the
     brute-force definition, never from the lifted families it is compared
     against.
     """
@@ -140,17 +139,13 @@ class Instance:
 
     @cached_property
     def pair_shapes(self) -> tuple[Shape, ...]:
-        """The sweep that `relations`, `intersection_counts` and depth-one `orbitals` read."""
+        """The sweep the relation checks, `intersection_counts` and depth-one `orbitals` read."""
         return tuple(pair_shapes(self.params))
 
     @cached_property
-    def relations(self) -> dict[Shape, RatMatrix]:
-        return {lam: relation_matrix(lam, self.pair_shapes) for lam in self.shapes}
-
-    @cached_property
-    def intersection_counts(self) -> dict[Shape, Counter] | None:
+    def intersection_counts(self) -> dict[tuple[Shape, Shape, Shape], int] | None:
         """p^k_ij counted from the sweep; None if some p^k_ij is not relation-constant."""
-        return intersection_counts(self.pair_shapes)
+        return intersection_counts(self.pair_shapes, self.shapes)
 
     @cached_property
     def blocks(self) -> list[tuple[int, ...]]:
@@ -196,9 +191,12 @@ class Instance:
         if self.base is not self:
             return self.base.spectral
         data = base_spectral(self.params)
-        row0 = self.pair_shapes[: self.params.num_points]
-        for j, lam in enumerate(self.shapes):
-            if RatMatrix.diagonal([int(s == lam) for s in row0]) != data.Estar[j]:
+        npts = self.params.num_points
+        row0 = self.pair_shapes[:npts]
+        flags = [False] * npts**2  # row-major, with lam's flags from row 0 on the diagonal
+        for j, (lam, estar) in enumerate(zip(self.shapes, data.Estar)):
+            flags[:: npts + 1] = [s == lam for s in row0]
+            if estar.denominator != 1 or _flat(estar) != flags:
                 raise InternalMismatch(f"dual idempotent {j} disagrees with relation diagonal")
         return data
 

@@ -4,9 +4,10 @@ The package measures every span in one orbital coordinate system. These
 helpers work in the discrete coordinates (every pair of points its own
 orbital, the row-major vectorization) or expand a span from any
 coordinates to dense matrices, so a measurement can be checked against a
-computation that never uses the group. The scheme axioms and intersection
-numbers are also read here from dense relation matrices and their
-products, against the counts the package takes from the pair-shape sweep,
+computation that never uses the group. `relation_matrices` builds the dense
+0/1 relation matrices from the pair-shape sweep. The scheme axioms and
+intersection numbers are read here from them and their products, against
+the counts the package takes from the sweep,
 and `point_sub`/`shape_of` give the relation of a pair by its definition,
 against the `pair_shapes` sweep. The identity suite and the spectral
 checks are run here with dense products, against the suites the package
@@ -30,7 +31,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
-from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, kron, kron_all, mat_sum
+from ordered_hamming.exact_linalg import (
+    DimensionMismatch,
+    OrbitalMatrix,
+    _flat,
+    kron,
+    kron_all,
+    mat_sum,
+)
 from ordered_hamming.scheme import SchemeParams, Shape, compositions
 from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
 from ordered_hamming.terwilliger import (
@@ -88,6 +96,11 @@ class DenseRowReducer:
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+    @property
+    def _rows(self) -> dict[int, dict[int, int]]:
+        """The rows as the package's reducer holds them, {pivot: {column: value}}."""
+        return {p: {j: a for j, a in enumerate(row) if a} for row, p in zip(self.rows, self.pivots)}
 
 
 def _primitive(vec: list[int]) -> list[int]:
@@ -177,7 +190,7 @@ def basis_matrices(sub: MatrixSubspace) -> list[RatMatrix]:
 
 def contains(sub: MatrixSubspace, mat: RatMatrix) -> bool:
     """Whether `mat` lies in `sub`; a matrix not constant on every orbital does not."""
-    vec = sub.orbitals._entries(mat)
+    vec = sub.orbitals._entries(_flat(mat))
     return vec is not None and not any(sub._reducer.residual(vec))
 
 
@@ -312,6 +325,18 @@ def shape_of(x, params):
     return tuple(lam)
 
 
+def relation_matrices(inst) -> dict[Shape, RatMatrix]:
+    """The 0/1 matrix of every relation of `inst`, read from its `pair_shapes` sweep.
+
+    The brute-force reference: the package compares its lifted adjacency
+    family with the sweep itself and builds none of these.
+    """
+    sweep = inst.pair_shapes
+    npts = math.isqrt(len(sweep))
+    rows = [sweep[i : i + npts] for i in range(0, len(sweep), npts)]
+    return {lam: RatMatrix([int(s == lam) for s in row] for row in rows) for lam in inst.shapes}
+
+
 def is_symmetric(mat: RatMatrix) -> bool:
     n = mat.nrows
     return all(mat[x, y] == mat[y, x] for x in range(n) for y in range(n))
@@ -404,7 +429,7 @@ def dense_spectral_n(inst):
     )
     mult_ok = all(idem[lam].trace() == multiplicity_n(lam, params) for lam in shapes)
 
-    brute = inst.relations
+    brute = relation_matrices(inst)
     lift_ok = all(adj[lam] == brute[lam] for lam in shapes)
 
     resolve_ok = mat_sum(idem.values()) == RatMatrix.identity(npts)

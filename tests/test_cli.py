@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,26 @@ def test_margin_commands_golden_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_adjacency_with_a_wrong_sweep_cell_exits_1(capsys, monkeypatch):
+    # X(1,2;2): the pair (00, 01) has shape (1, 1); the sweep reads it as (0, 2)
+    plain = terwilliger_module.pair_shapes
+
+    def doctored(params):
+        sweep = plain(params)
+        if params.n == 2:
+            assert sweep[1] == (1, 1)
+            sweep[1] = (0, 2)
+        return sweep
+
+    monkeypatch.setattr(terwilliger_module, "pair_shapes", doctored)
+    for shape in ("1,1", "0,2"):
+        argv = ["adjacency", "--q", "2", "--n", "2", "--shape", shape, "--json"]
+        code, payload = run_cli(capsys, *argv)
+        assert code == 1 and payload["checks"] == {"matches_relation_matrix": False}
+    code, payload = run_cli(capsys, "adjacency", "--q", "2", "--n", "2", "--shape", "2,0", "--json")
+    assert code == 0 and payload["checks"] == {"matches_relation_matrix": True}
+
+
 def test_adjacency_size_bound_exit(capsys):
     code = main(
         ["adjacency", "--q", "2,2", "--n", "2", "--shape", "1,1,0", "--max-points", "4", "--json"]
@@ -352,6 +373,29 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
         "command": "report",
         "error": {"type": error.__name__, "message": "constructions disagree"},
         "overall_pass": False,
+    }
+
+
+@pytest.mark.parametrize("wrong,j", [("swapped", 1), ("halved", 0)])
+def test_a_wrong_dual_idempotent_closed_form_exits_3(capsys, monkeypatch, wrong, j):
+    # X(2,1;2,3): E*_1 and E*_2 trade places, or E*_0 keeps its grid over denominator 2
+    plain = terwilliger_module.base_spectral
+
+    def doctored(params):
+        data = plain(params)
+        estar = list(data.Estar)
+        if wrong == "swapped":
+            estar[1], estar[2] = estar[2], estar[1]
+        else:
+            estar[0] = estar[0].scale(Fraction(1, 2))
+        return data._replace(Estar=tuple(estar))
+
+    monkeypatch.setattr(terwilliger_module, "base_spectral", doctored)
+    code, payload = run_cli(capsys, "identities", "--q", "2,3", "--n", "1", "--json")
+    assert code == 3
+    assert payload["error"] == {
+        "type": "InternalMismatch",
+        "message": f"dual idempotent {j} disagrees with relation diagonal",
     }
 
 
@@ -530,3 +574,35 @@ def test_pair_shape_sweep_runs_once_per_suite_instance(monkeypatch):
         cli._run_instance(params, DEFAULT_MAX_POINTS, strict=False)
         assert calls[params] == 1
         assert max(calls.values()) == 1, calls
+
+
+def test_relation_checks_build_no_dense_matrix_of_side_n(monkeypatch, capsys):
+    """At n >= 2 the relation checks read the sweep: the only N-row matrix is the one printed.
+
+    The suite's per-instance checks, which include the report, build none;
+    `adjacency` builds one, the lifted matrix it prints.
+    """
+    sides = Counter()
+    plain_init, plain_lowest = RatMatrix.__init__, exact_linalg._lowest_terms
+
+    def counting_init(self, rows):
+        plain_init(self, rows)
+        sides[self.nrows] += 1
+
+    def counting_lowest(grid, den):
+        mat = plain_lowest(grid, den)
+        sides[mat.nrows] += 1
+        return mat
+
+    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
+    monkeypatch.setattr(exact_linalg, "_lowest_terms", counting_lowest)
+    for q, n in cli.SUITE_INSTANCES:
+        params = SchemeParams(q, n)
+        if n >= 2:
+            sides.clear()
+            assert cli._run_instance(params, DEFAULT_MAX_POINTS, strict=False)["overall_pass"]
+            assert sides[params.num_points] == 0, params.label()
+    sides.clear()
+    assert main(["adjacency", "--q", "2,2", "--n", "2", "--shape", "1,1,0", "--json"]) == 0
+    capsys.readouterr()
+    assert sides[16] == 1

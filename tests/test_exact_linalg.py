@@ -31,6 +31,7 @@ from dense_oracle import (
     discrete,
     hadamard,
     is_zero_one,
+    relation_matrices,
     span_basis,
 )
 
@@ -123,7 +124,7 @@ def test_span_of_independent_supports():
 
 
 def test_span_of_adjacency_matrices_has_class_count_dimension():
-    mats = list(Instance(SchemeParams((2, 2), 1)).relations.values())
+    mats = list(relation_matrices(Instance(SchemeParams((2, 2), 1))).values())
     assert span_basis(mats).dimension == 3
 
 
@@ -157,7 +158,7 @@ def test_closure_of_triangle_adjacency():
 
 def test_closure_is_multiplication_closed_and_order_invariant():
     inst = Instance(SchemeParams((3,), 1))
-    relations = [OrbitalMatrix.of(inst.orbitals, r) for r in inst.relations.values()]
+    relations = [OrbitalMatrix.of(inst.orbitals, r) for r in relation_matrices(inst).values()]
     gens = relations + list(inst.duals.values())
     sub = algebra_closure(gens, unital=True)
     assert sub.dimension == 5
@@ -189,7 +190,7 @@ def test_center_of_diagonal_algebra_is_its_dimension():
 
 def test_center_of_commutative_closure_equals_dimension():
     inst = Instance(SchemeParams((2, 2), 1))
-    gens = [OrbitalMatrix.of(inst.orbitals, r) for r in inst.relations.values()]
+    gens = [OrbitalMatrix.of(inst.orbitals, r) for r in relation_matrices(inst).values()]
     sub = algebra_closure(gens, unital=True)
     assert center_dimension(sub) == sub.dimension == 3
 
@@ -282,7 +283,7 @@ def test_integer_rows_make_no_fraction(monkeypatch):
 
     inst = Instance(SchemeParams((5, 6), 1))
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    relations = inst.relations
+    relations = relation_matrices(inst)
     monkeypatch.undo()
     assert len(relations) == 3 and all(map(is_zero_one, relations.values()))
     assert made == 0
@@ -519,6 +520,20 @@ def test_vector_rejects_a_matrix_not_constant_on_an_orbital():
         orbitals.vector(RatMatrix.diagonal([0, 1, 0, 0]))
     with pytest.raises(DimensionMismatch):
         orbitals.vector(RatMatrix.identity(3))
+
+
+def test_is_indicator_reads_row_major_flags():
+    inst = Instance(SchemeParams((2,), 2))
+    for lam, a in inst.adjacency.items():
+        flags = [s == lam for s in inst.pair_shapes]
+        assert a.is_indicator(flags)
+        assert not a.scale(2).is_indicator(flags)
+        # the same grid over denominator 2 is not 0/1
+        assert not a.scale(Fraction(1, 2)).is_indicator(flags)
+        with pytest.raises(DimensionMismatch):
+            a.is_indicator(flags[:-1])
+    # flags not constant on an orbital match nothing
+    assert not any(a.is_indicator([True] + [False] * 15) for a in inst.adjacency.values())
 
 
 def test_subspace_equality_across_coordinates():

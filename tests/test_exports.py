@@ -48,3 +48,10 @@ def test_only_instance_takes_the_size_bound_or_an_optional_sweep():
         if "sweep" in params and params["sweep"].default is None:
             knobs.append((name, "sweep"))
     assert not knobs, knobs
+
+
+def test_the_relation_matrices_are_not_public():
+    """The relation checks read the pair-shape sweep; only the test oracle builds 0/1 matrices."""
+    assert not hasattr(ordered_hamming, "relation_matrix")
+    assert not hasattr(ordered_hamming.scheme, "relation_matrix")
+    assert not hasattr(ordered_hamming.Instance, "relations")

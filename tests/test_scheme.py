@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ordered_hamming.scheme as scheme_module
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming.cli import main
 from ordered_hamming.scheme import block_sums, multiset_orbitals, pair_shapes
@@ -18,7 +17,6 @@ from ordered_hamming import (
     enumerate_shapes,
     intersection_numbers,
     Orbitals,
-    relation_matrix,
     valency_n,
     verify_axioms,
 )
@@ -31,6 +29,7 @@ from dense_oracle import (
     is_zero_one,
     iter_points,
     point_sub,
+    relation_matrices,
     searched_orbitals,
     shape_of,
     stabilizer_maps,
@@ -74,11 +73,11 @@ def test_shape_of_examples():
 
 
 def test_diagonal_relation_is_identity():
-    assert Instance(SchemeParams((2, 3), 1)).relations[(1, 0, 0)] == RatMatrix.identity(6)
+    assert relation_matrices(Instance(SchemeParams((2, 3), 1)))[(1, 0, 0)] == RatMatrix.identity(6)
 
 
 def test_single_block_relation_of_triangle():
-    triangle = Instance(SchemeParams((3,), 1)).relations[(0, 1)]
+    triangle = relation_matrices(Instance(SchemeParams((3,), 1)))[(0, 1)]
     assert triangle == RatMatrix.ones(3) - RatMatrix.identity(3)
 
 
@@ -87,7 +86,7 @@ def test_binary_pair_swap_relation():
     expected = RatMatrix(
         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     )
-    assert Instance(SchemeParams((2,), 2)).relations[(0, 2)] == expected
+    assert relation_matrices(Instance(SchemeParams((2,), 2)))[(0, 2)] == expected
 
 
 @pytest.mark.parametrize("q,n", [((3,), 1), ((2, 2), 2), ((2, 2, 2), 1), ((2, 3), 1)])
@@ -98,7 +97,7 @@ def test_axioms_hold(q, n):
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2), ((2, 2), 2)])
 def test_relations_partition_all_pairs(q, n):
     params = SchemeParams(q, n)
-    mats = Instance(params).relations
+    mats = relation_matrices(Instance(params))
     total = None
     for mat in mats.values():
         assert is_symmetric(mat)
@@ -110,7 +109,7 @@ def test_relations_partition_all_pairs(q, n):
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2), ((2, 2), 2)])
 def test_relation_row_sums_match_valency_formula(q, n):
     params = SchemeParams(q, n)
-    for lam, mat in Instance(params).relations.items():
+    for lam, mat in relation_matrices(Instance(params)).items():
         assert set(mat.row_sums()) == {valency_n(lam, params)}
 
 
@@ -141,7 +140,7 @@ def test_valency_diagonal_identity(q, n):
 def test_products_decompose_exactly(q, n):
     params = SchemeParams(q, n)
     inst = Instance(params)
-    mats = inst.relations
+    mats = relation_matrices(inst)
     table = intersection_numbers(inst)
     shapes = enumerate_shapes(params)
     for i in shapes:
@@ -164,9 +163,9 @@ def test_axioms_and_intersection_numbers_count_the_sweep_once_per_instance(monke
     passes = []
     plain = terwilliger_module.intersection_counts
 
-    def counting(sweep):
+    def counting(sweep, shapes):
         passes.append(len(sweep))
-        return plain(sweep)
+        return plain(sweep, shapes)
 
     monkeypatch.setattr(terwilliger_module, "intersection_counts", counting)
     for params in (SchemeParams((2, 3), 1), SchemeParams((2,), 2)):
@@ -179,37 +178,33 @@ def test_axioms_and_intersection_numbers_count_the_sweep_once_per_instance(monke
 
 def test_scheme_verify_builds_no_matrix(monkeypatch, capsys):
     products = []
-    relations = []
-    plain_mul = RatMatrix.__mul__
+    built = []
+    plain_mul, plain_init = RatMatrix.__mul__, RatMatrix.__init__
 
     def counting_mul(self, other):
         if isinstance(other, RatMatrix):
             products.append((self.nrows, other.ncols))
         return plain_mul(self, other)
 
-    def counted_relation(module):
-        plain = module.relation_matrix
-
-        def counting(lam, sweep):
-            relations.append(lam)
-            return plain(lam, sweep)
-
-        return counting
+    def counting_init(self, rows):
+        plain_init(self, rows)
+        built.append(self.nrows)
 
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
-    for module in (scheme_module, terwilliger_module):
-        monkeypatch.setattr(module, "relation_matrix", counted_relation(module))
+    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
     assert main(["scheme-verify", "--q", "2,3", "--n", "1", "--json"]) == 0
     assert '"R4_constants_well_defined":true' in capsys.readouterr().out
-    assert products == [] and relations == []
+    assert products == [] and built == []
     # the counters see the dense path when it is taken
     inst = Instance(SchemeParams((2, 3), 1))
-    identity = inst.relations[inst.shapes[0]]
+    identity = relation_matrices(inst)[inst.shapes[0]]
     assert identity * identity == identity
-    assert len(relations) == len(inst.shapes) and len(products) == 1
+    assert built == [6] * len(inst.shapes) and len(products) == 1
 
 
-@pytest.mark.parametrize("q,n", [((5, 6), 1), ((2, 3), 2), ((2, 2), 3)])
+@pytest.mark.parametrize(
+    "q,n", [((5, 6), 1), ((2, 3), 2), ((2, 2), 3), ((4, 3, 2), 1), ((2,) * 6, 1)]
+)
 def test_pair_shapes_matches_the_definition(q, n):
     params = SchemeParams(q, n)
     sweep = pair_shapes(params)
@@ -221,7 +216,7 @@ def test_pair_shapes_matches_the_definition(q, n):
 @pytest.mark.parametrize("q,n", [((2,), 2), ((3,), 2), ((2, 3), 1), ((2, 2), 2)])
 def test_sweep_counts_match_dense_decomposition_on_schemes(q, n):
     inst = Instance(SchemeParams(q, n))
-    checks, table = dense_scheme_checks(inst.shapes, inst.relations)
+    checks, table = dense_scheme_checks(inst.shapes, relation_matrices(inst))
     assert all(checks.values())
     assert verify_axioms(inst) == checks
     assert list(intersection_numbers(inst).items()) == list(table.items())
@@ -255,8 +250,7 @@ def test_sweep_counts_match_dense_decomposition_on_any_labelling(labelling):
     inst = Instance(SchemeParams((npts,), 1))
     inst.shapes = labels
     inst.__dict__["pair_shapes"] = sweep
-    mats = {lam: relation_matrix(lam, sweep) for lam in labels}
-    checks, table = dense_scheme_checks(labels, mats)
+    checks, table = dense_scheme_checks(labels, relation_matrices(inst))
     assert verify_axioms(inst) == checks
     got = intersection_numbers(inst)
     assert (got is None) == (table is None)

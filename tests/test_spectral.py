@@ -19,7 +19,7 @@ from ordered_hamming import (
 from ordered_hamming.cli import SUITE_INSTANCES
 from ordered_hamming.spectral import base_eigenmatrix_P, base_eigenmatrix_Q, factor_columns
 
-from dense_oracle import dense_spectral_n
+from dense_oracle import dense_spectral_n, relation_matrices
 
 
 def test_base_data_for_mixed_alphabets():
@@ -148,7 +148,7 @@ def test_lifted_adjacency_two_letter_case():
 
     expected = kron(A[1], A[0]) + kron(A[0], A[1])
     assert inst.adjacency[(1, 1)].matches(expected)
-    assert inst.adjacency[(1, 1)].matches(inst.relations[(1, 1)])
+    assert inst.adjacency[(1, 1)].matches(relation_matrices(inst)[(1, 1)])
 
 
 def test_lifted_idempotents_resolve_identity():
@@ -230,12 +230,13 @@ def test_swapped_idempotents_fail_the_eigenvalue_and_hadamard_equations(monkeypa
     assert "eigenvalue_equations" in failed and "hadamard_equations" in failed
 
 
-def test_a_changed_relation_cell_fails_the_bruteforce_match(monkeypatch):
+def test_a_changed_relation_cell_fails_the_bruteforce_match():
+    # X(1,2;2): the pair (00, 01) has shape (1, 1); read it as (0, 2) instead
     inst = Instance(SchemeParams((2,), 2))
-    lam = inst.shapes[1]
-    rows = [[inst.relations[lam][x, y] for y in range(4)] for x in range(4)]
-    rows[0][1] = 1 - rows[0][1]
-    monkeypatch.setitem(inst.relations, lam, RatMatrix(rows))
+    sweep = list(inst.pair_shapes)
+    assert sweep[1] == (1, 1)
+    sweep[1] = (0, 2)
+    inst.__dict__["pair_shapes"] = tuple(sweep)
     assert _false_checks(inst) == ["lifted_matches_bruteforce"]
 
 

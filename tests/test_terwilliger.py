@@ -28,6 +28,7 @@ from ordered_hamming import (
     verify_terw_identities,
 )
 from ordered_hamming.cli import SUITE_INSTANCES, main
+from ordered_hamming.exact_linalg import _flat
 
 from dense_oracle import (
     contains,
@@ -385,7 +386,7 @@ def test_a_swapped_closed_form_factor_fails_the_g_products(monkeypatch, capsys):
         terwilliger_module.kron_all(terwilliger_module._g_product_factors(i, j, c, 2))
         for i, j in lambda_set(SchemeParams((2, 3), 1)).pairs
     ]
-    assert any(orbitals._entries(mat) is None for mat in swapped)
+    assert any(orbitals._entries(_flat(mat)) is None for mat in swapped)
     code, checks = _identities(capsys, "2,3", "2")
     assert code == 1
     assert [name for name, ok in checks.items() if ok is False] == ["g_products_by_regime"]
@@ -595,7 +596,6 @@ def test_structure_report_json_schema(report_for):
 
 FAMILY_BUILDERS = (
     "pair_shapes",
-    "relation_matrix",
     "base_adjacency",
     "base_idempotents",
     "base_dual_idempotents",
@@ -607,10 +607,9 @@ FAMILY_BUILDERS = (
 def test_each_family_is_built_once_per_instance(monkeypatch):
     """The suite's per-instance checks, or a closure alone, build every family once.
 
-    Builds are counted per argument tuple, so `relation_matrix` may run
-    once for each shape, and the depth-one instance the report measures for
-    n > 1 has its own keys. The depth-one families are built once per
-    scheme; every depth-n family is lifted from them.
+    Builds are counted per argument tuple, so the depth-one instance the
+    report measures for n > 1 has its own keys. The depth-one families are
+    built once per scheme; every depth-n family is lifted from them.
     """
     builds = Counter()
 
@@ -632,7 +631,7 @@ def test_each_family_is_built_once_per_instance(monkeypatch):
         verify_spectral_n(inst)
         structure_report(inst)
 
-    closure_builders = set(FAMILY_BUILDERS) - {"relation_matrix", "terw_basis"}
+    closure_builders = set(FAMILY_BUILDERS) - {"terw_basis"}
     for work, built in [(suite, set(FAMILY_BUILDERS)), (terwilliger_closure, closure_builders)]:
         builds.clear()
         work(Instance(SchemeParams((3,), 2)))
