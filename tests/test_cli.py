@@ -143,9 +143,8 @@ def test_identities_golden_output(capsys, q, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command,q,side", [("report", "2,2", 16), ("identities", "2,3", 36)])
-def test_report_and_identities_build_no_dense_matrix_of_side_n(monkeypatch, capsys, command, q, side):
-    # every depth-n matrix is lifted and held in orbital coordinates
+def _count_matrix_sides(monkeypatch) -> Counter:
+    """A counter of every `RatMatrix` built from here on, by its number of rows."""
     sides = Counter()
     plain_init, plain_lowest = RatMatrix.__init__, exact_linalg._lowest_terms
 
@@ -160,6 +159,13 @@ def test_report_and_identities_build_no_dense_matrix_of_side_n(monkeypatch, caps
 
     monkeypatch.setattr(RatMatrix, "__init__", counting_init)
     monkeypatch.setattr(exact_linalg, "_lowest_terms", counting_lowest)
+    return sides
+
+
+@pytest.mark.parametrize("command,q,side", [("report", "2,2", 16), ("identities", "2,3", 36)])
+def test_report_and_identities_build_no_dense_matrix_of_side_n(monkeypatch, capsys, command, q, side):
+    # every depth-n matrix is lifted and held in orbital coordinates
+    sides = _count_matrix_sides(monkeypatch)
     assert main([command, "--q", q, "--n", "2", "--json"]) == 0
     capsys.readouterr()
     assert sides[side] == 0
@@ -582,20 +588,7 @@ def test_relation_checks_build_no_dense_matrix_of_side_n(monkeypatch, capsys):
     The suite's per-instance checks, which include the report, build none;
     `adjacency` builds one, the lifted matrix it prints.
     """
-    sides = Counter()
-    plain_init, plain_lowest = RatMatrix.__init__, exact_linalg._lowest_terms
-
-    def counting_init(self, rows):
-        plain_init(self, rows)
-        sides[self.nrows] += 1
-
-    def counting_lowest(grid, den):
-        mat = plain_lowest(grid, den)
-        sides[mat.nrows] += 1
-        return mat
-
-    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
-    monkeypatch.setattr(exact_linalg, "_lowest_terms", counting_lowest)
+    sides = _count_matrix_sides(monkeypatch)
     for q, n in cli.SUITE_INSTANCES:
         params = SchemeParams(q, n)
         if n >= 2:
