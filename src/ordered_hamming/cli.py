@@ -20,13 +20,12 @@ import sys
 import time
 from collections.abc import Callable
 
-from .exact_linalg import InternalMismatch, RatMatrix, format_rational
+from .exact_linalg import InternalMismatch, RatMatrix
 from .scheme import (
     DEFAULT_MAX_POINTS,
     SchemeParams,
     SizeBound,
     enumerate_shapes,
-    intersection_numbers,
     intersection_table_json,
     verify_axioms,
 )
@@ -144,7 +143,7 @@ def _cmd_shapes(args, parser, params) -> tuple[dict, dict]:
 def _cmd_scheme_verify(args, parser, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     checks = verify_axioms(inst)
-    table = intersection_numbers(inst)
+    table = inst.intersection_counts
     return checks, {
         "intersection_numbers": None if table is None else intersection_table_json(table)
     }
@@ -177,12 +176,10 @@ def _cmd_eigenmatrix(args, parser, params) -> tuple[dict, dict]:
 
 def _cmd_krawchouk(args, parser, params) -> tuple[dict, dict]:
     table = krawchouk_table(params.reversed() if args.reversed else params)
-    shapes = enumerate_shapes(params)
-    rows = [[format_rational(table[(mu, lam)]) for mu in shapes] for lam in shapes]
     data = {
         "reversed": bool(args.reversed),
-        "shape_order": [list(s) for s in shapes],
-        "table": rows,
+        "shape_order": [list(s) for s in enumerate_shapes(params)],
+        "table": table.to_json()["entries"],
     }
     return {}, data
 

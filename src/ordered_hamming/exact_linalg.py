@@ -110,9 +110,8 @@ class RatMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def ones(cls, nrows: int, ncols: int | None = None) -> RatMatrix:
-        ncols = nrows if ncols is None else ncols
-        return cls([[1] * ncols for _ in range(nrows)])
+    def ones(cls, n: int) -> RatMatrix:
+        return cls([[1] * n for _ in range(n)])
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> RatMatrix:

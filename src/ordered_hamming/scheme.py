@@ -220,11 +220,6 @@ def verify_axioms(inst: Instance) -> dict[str, bool | None]:
     }
 
 
-def intersection_numbers(inst: Instance) -> dict[tuple[Shape, Shape, Shape], int] | None:
-    """Table of p^k_{ij} over the relations that have a pair, or None if R4 fails."""
-    return inst.intersection_counts
-
-
 def intersection_table_json(table: dict[tuple[Shape, Shape, Shape], int]) -> list[dict]:
     return [
         {"i": list(i), "j": list(j), "k": list(k), "p": p}

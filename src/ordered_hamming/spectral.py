@@ -3,9 +3,9 @@
 The depth-one scheme (n = 1) has explicit Kronecker-product adjacency
 matrices, primitive idempotents and dual idempotents, each spliced from one
 cached table of per-letter factors; `Instance` lifts each
-family to depth n with one `lifted_sum` per shape. Eigenmatrices at depth n
-are coefficient tables of a product generating function (multivariate
-Krawtchouk polynomials).
+family to depth n with one `lifted_sum` per shape. The depth-n eigenmatrices
+are the coefficient tables of a product generating function (multivariate
+Krawtchouk polynomials), each one `RatMatrix` built degree by degree.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact_linalg import InternalMismatch, OrbitalMatrix, RatMatrix, kron_all, mat_sum
-from .scheme import SchemeParams, Shape, enumerate_shapes
+from .exact_linalg import InternalMismatch, OrbitalMatrix, RatMatrix, _flat, kron_all, mat_sum
+from .scheme import SchemeParams, Shape, compositions
 from .symtensor import multinomial
 
 if TYPE_CHECKING:
@@ -186,55 +186,36 @@ def verify_base_duality(params: SchemeParams) -> dict[str, bool | None]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Multivariate Krawtchouk tables via generating-function expansion.
-# ---------------------------------------------------------------------------
+def krawchouk_table(params: SchemeParams) -> RatMatrix:
+    """The depth-n first eigenmatrix: rows lam and columns mu in shape order.
 
-Monomial = tuple[int, ...]
-
-
-def _poly_mul(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    out: dict[Monomial, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, Fraction(0)) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
-
-
-def krawchouk_table(params: SchemeParams) -> dict[tuple[Shape, Shape], Fraction]:
-    """Coefficient table K[(mu, lam)] of the product generating function.
-
-    For each shape lam, expand prod_j (sum_i P[j][i] z_i)^lam_j and read the
-    z^mu coefficient. The table of `params.reversed()` is the second
-    eigenmatrix of `params`.
+    Entry (lam, mu) is the z^mu coefficient of prod_j (sum_i P[j][i] z_i)^lam_j,
+    P the depth-one first eigenmatrix. Taking one factor off the first j with
+    lam_j > 0 gives K(lam, mu) = sum_i P[j][i] K(lam - e_j, mu - e_i), built
+    from K(0, 0) = 1 one total degree at a time on P's integer grid, so the
+    denominator is divided out once at the end. The table of
+    `params.reversed()` is the second eigenmatrix of `params`.
     """
-    m = params.m
     P = base_eigenmatrix_P(params)
-    shapes = enumerate_shapes(params)
-    zero_exp = tuple([0] * (m + 1))
-    linear = []
-    for j in range(m + 1):
-        poly: dict[Monomial, Fraction] = {}
-        for i in range(m + 1):
-            c = P[j, i]
-            if c:
-                e = tuple(int(t == i) for t in range(m + 1))
-                poly[e] = c
-        linear.append(poly)
-    table: dict[tuple[Shape, Shape], Fraction] = {}
-    for lam in shapes:
-        expansion: dict[Monomial, Fraction] = {zero_exp: Fraction(1)}
-        for j, lam_j in enumerate(lam):
-            for _ in range(lam_j):
-                expansion = _poly_mul(expansion, linear[j])
-        for mu in shapes:
-            table[(mu, lam)] = expansion.get(mu, Fraction(0))
-    return table
+    parts = params.m + 1
+    grid = _flat(P)
+    weights = [grid[j * parts : (j + 1) * parts] for j in range(parts)]
+    shapes = compositions(0, parts)
+    table = [[1]]
+    for degree in range(1, params.n + 1):
+        below = {s: k for k, s in enumerate(shapes)}
+        shapes = compositions(degree, parts)
+        # per shape s, the pairs (i, index of s - e_i one degree below) over
+        # every i with s_i > 0; the first pair has the first such i
+        lowered = [
+            [(i, below[s[:i] + (c - 1,) + s[i + 1 :]]) for i, c in enumerate(s) if c]
+            for s in shapes
+        ]
+        table = [
+            [sum(weights[j][i] * table[k][t] for i, t in down) for down in lowered]
+            for (j, k), *_ in lowered
+        ]
+    return RatMatrix(table).scale(Fraction(1, P.denominator**params.n))
 
 
 def valency_n(lam: Shape, params: SchemeParams) -> int:
@@ -249,12 +230,7 @@ def multiplicity_n(lam: Shape, params: SchemeParams) -> int:
 
 def eigen_n(params: SchemeParams) -> tuple[RatMatrix, RatMatrix]:
     """First and second eigenmatrices at depth n, rows and columns in shape order."""
-    shapes = enumerate_shapes(params)
-    kt = krawchouk_table(params)
-    kt_rev = krawchouk_table(params.reversed())
-    P = RatMatrix([[kt[(mu, lam)] for mu in shapes] for lam in shapes])
-    Q = RatMatrix([[kt_rev[(mu, lam)] for mu in shapes] for lam in shapes])
-    return P, Q
+    return krawchouk_table(params), krawchouk_table(params.reversed())
 
 
 def verify_spectral_n(inst: Instance) -> dict[str, bool]:

@@ -65,7 +65,7 @@ def test_scheme_verify_command(capsys):
     assert {"i": [0, 1], "j": [0, 1], "k": [0, 1], "p": 1} in rows
 
 
-# SHA-256 of stdout. `suite` never calls intersection_numbers, so the suite
+# SHA-256 of stdout. `suite` never prints the intersection numbers, so the suite
 # digest does not cover this path. X(2,3;2,2) has 64 points and 10 relations.
 @pytest.mark.parametrize(
     "q,n,digest",

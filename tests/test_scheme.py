@@ -15,7 +15,6 @@ from ordered_hamming import (
     SchemeParams,
     SizeBound,
     enumerate_shapes,
-    intersection_numbers,
     Orbitals,
     valency_n,
     verify_axioms,
@@ -114,19 +113,19 @@ def test_relation_row_sums_match_valency_formula(q, n):
 
 
 def test_intersection_numbers_on_triangle():
-    table = intersection_numbers(Instance(SchemeParams((3,), 1)))
+    table = Instance(SchemeParams((3,), 1)).intersection_counts
     assert table[((0, 1), (0, 1), (0, 1))] == 1
 
 
 def test_intersection_number_of_four_cycle():
-    table = intersection_numbers(Instance(SchemeParams((2,), 2)))
+    table = Instance(SchemeParams((2,), 2)).intersection_counts
     assert table[((1, 1), (1, 1), (2, 0))] == 2
 
 
 @pytest.mark.parametrize("q,n", [((2, 3), 1), ((2,), 2)])
 def test_valency_diagonal_identity(q, n):
     params = SchemeParams(q, n)
-    table = intersection_numbers(Instance(params))
+    table = Instance(params).intersection_counts
     shapes = enumerate_shapes(params)
     diag = shapes[0]
     for lam in shapes:
@@ -141,7 +140,7 @@ def test_products_decompose_exactly(q, n):
     params = SchemeParams(q, n)
     inst = Instance(params)
     mats = relation_matrices(inst)
-    table = intersection_numbers(inst)
+    table = inst.intersection_counts
     shapes = enumerate_shapes(params)
     for i in shapes:
         for j in shapes:
@@ -171,7 +170,7 @@ def test_axioms_and_intersection_numbers_count_the_sweep_once_per_instance(monke
     for params in (SchemeParams((2, 3), 1), SchemeParams((2,), 2)):
         inst = Instance(params)
         verify_axioms(inst)
-        intersection_numbers(inst)
+        inst.intersection_counts
         verify_axioms(inst)
     assert passes == [36, 16]
 
@@ -219,7 +218,7 @@ def test_sweep_counts_match_dense_decomposition_on_schemes(q, n):
     checks, table = dense_scheme_checks(inst.shapes, relation_matrices(inst))
     assert all(checks.values())
     assert verify_axioms(inst) == checks
-    assert list(intersection_numbers(inst).items()) == list(table.items())
+    assert list(inst.intersection_counts.items()) == list(table.items())
 
 
 @st.composite
@@ -252,7 +251,7 @@ def test_sweep_counts_match_dense_decomposition_on_any_labelling(labelling):
     inst.__dict__["pair_shapes"] = sweep
     checks, table = dense_scheme_checks(labels, relation_matrices(inst))
     assert verify_axioms(inst) == checks
-    got = intersection_numbers(inst)
+    got = inst.intersection_counts
     assert (got is None) == (table is None)
     assert got is None or list(got.items()) == list(table.items())
 

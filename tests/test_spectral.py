@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,21 +89,26 @@ def _sympy_krawchouk(params, lam):
     return out
 
 
-@pytest.mark.parametrize("q,n", [((2,), 2), ((2, 3), 2), ((3,), 2)])
+@pytest.mark.parametrize(
+    "q,n",
+    [((2,), 2), ((2, 3), 2), ((3,), 2), ((2,), 4), ((2, 2, 2), 3), ((3, 2), 3), ((4, 3, 2), 2)],
+)
 def test_krawchouk_table_against_sympy(q, n):
     params = SchemeParams(q, n)
     table = krawchouk_table(params)
-    for lam in enumerate_shapes(params):
+    shapes = enumerate_shapes(params)
+    for li, lam in enumerate(shapes):
         expected = _sympy_krawchouk(params, lam)
-        for mu in enumerate_shapes(params):
-            assert table[(mu, lam)] == expected[mu]
+        for mi, mu in enumerate(shapes):
+            assert table[li, mi] == expected[mu]
 
 
 def test_krawchouk_spot_values():
+    # shapes in order (2, 0), (1, 1), (0, 2); row (1, 1)
     table = krawchouk_table(SchemeParams((2,), 2))
-    assert table[((2, 0), (1, 1))] == 1
-    assert table[((1, 1), (1, 1))] == 0
-    assert table[((0, 2), (1, 1))] == -1
+    assert table[1, 0] == 1
+    assert table[1, 1] == 0
+    assert table[1, 2] == -1
 
 
 @pytest.mark.parametrize("q,n", [((2,), 2), ((2, 3), 2), ((2, 2), 2)])
@@ -109,11 +116,20 @@ def test_krawchouk_degenerate_rows_and_columns(q, n):
     params = SchemeParams(q, n)
     table = krawchouk_table(params)
     shapes = enumerate_shapes(params)
-    top = shapes[0]
-    for lam in shapes:
-        assert table[(top, lam)] == 1
-    for mu in shapes:
-        assert table[(mu, top)] == valency_n(mu, params)
+    for li in range(len(shapes)):
+        assert table[li, 0] == 1
+    for mi, mu in enumerate(shapes):
+        assert table[0, mi] == valency_n(mu, params)
+
+
+def test_krawchouk_table_recursion_depth_does_not_grow_with_n():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        table = krawchouk_table(SchemeParams((2,), 60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert table.nrows == table.ncols == 61
 
 
 def test_four_cycle_eigenmatrix():

@@ -17,7 +17,6 @@ from ordered_hamming import (
     component_dims,
     lambda_set,
     omega_set,
-    intersection_numbers,
     primary_subalgebra,
     structure_report,
     terwilliger_closure,
@@ -627,7 +626,7 @@ def test_each_family_is_built_once_per_instance(monkeypatch):
 
     def suite(inst):
         verify_axioms(inst)
-        intersection_numbers(inst)
+        inst.intersection_counts
         verify_spectral_n(inst)
         structure_report(inst)
 

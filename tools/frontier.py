@@ -39,8 +39,9 @@ from perfbench.run import NOMINAL_CALIBRATION_S, calibration_loop  # noqa: E402
 
 TIMEOUT_S = 300.0
 
-# (q, n): the 12 instances of the ROADMAP measurement table, then its two
-# 1024-point rows.
+# (q, n): every row of the ROADMAP measurement tables so far: twelve instances
+# up to 256 points, two 1024-point rows, then X(3,3;2,2,2), X(3,2;2,2,8) and
+# the two 4096-point rows.
 INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2, 3), 2),
     ((2, 2, 2), 2),
@@ -56,6 +57,10 @@ INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2,) * 8, 1),
     ((4,), 5),
     ((2,), 10),
+    ((2, 2, 2), 3),
+    ((2, 2, 8), 2),
+    ((4,), 6),
+    ((2,), 12),
 )
 
 CHILD = """
