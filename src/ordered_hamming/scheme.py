@@ -167,26 +167,36 @@ def multiset_orbitals(base: Orbitals, n: int) -> Orbitals:
 def intersection_counts(
     sweep: Sequence[Shape], shapes: Sequence[Shape]
 ) -> dict[tuple[Shape, Shape, Shape], int] | None:
-    """p^k_ij as {(i, j, k): p} over `shapes`, counted from the `pair_shapes` sweep.
+    """p^k_ij as {(i, j, k): p} over `shapes`, checked on the `pair_shapes` sweep.
 
-    Entry (x, y) of A_i A_j is #{z : sweep[x, z] = i, sweep[z, y] = j}. With
-    the C relations labelled 0..C-1, counting C * row x + column y gives that
-    entry for every pair of labels at once. Relation k keeps the counts of
-    its first pair in row-major order; None if any other pair of k counts
-    differently, since then p^k_ij is not defined. The keys run over i,
-    then j, then the k that have a pair.
+    With the C relations labelled 0..C-1 (`shapes`, then other labels of the
+    sweep), a count of C * label(x, z) + label(z, y) over z gives p^k_ij at the
+    first pair (x, y) of relation k, row-major. R4, A_i A_j = sum_k p^k_ij A_k,
+    is checked on every row x: row z of A_b is sum_y [label(z, y) = b] 2**(w y),
+    w = N.bit_length(), so row x of A_i A_j is the sum of the rows z of A_j with
+    label(x, z) = i, and no entry (at most N) carries. None if a row differs, as
+    p^k_ij is then undefined. Keys run over i, j, then the k that have a pair.
     """
     npts = math.isqrt(len(sweep))
     label = {lam: a for a, lam in enumerate(dict.fromkeys(chain(shapes, sweep)))}
     c = len(label)
     rows = [[label[lam] for lam in sweep[x * npts : (x + 1) * npts]] for x in range(npts)]
-    cols = list(zip(*rows))
     first: dict[int, Counter] = {}
     for row in rows:
-        scaled = [c * a for a in row]
-        for k, col in zip(row, cols):
-            counts = Counter([a + b for a, b in zip(scaled, col)])
-            if first.setdefault(k, counts) != counts:
+        for y, k in enumerate(row):
+            if k not in first:
+                first[k] = Counter([c * a + col[y] for a, col in zip(row, rows)])
+    bits = [1 << npts.bit_length() * y for y in range(npts)]
+    packed = [[0] * npts for _ in range(c)]  # packed[b][x]: row x of A_b
+    related = [[[] for _ in range(c)] for _ in rows]  # related[x][b]: the z with label(x, z) = b
+    for x, row in enumerate(rows):
+        for z, (b, bit) in enumerate(zip(row, bits)):
+            packed[b][x] |= bit
+            related[x][b].append(z)
+    for i, j in product(first, repeat=2):
+        terms = [(first[k][c * i + j], packed[k]) for k in first if first[k][c * i + j]]
+        for x, zs in enumerate(related):
+            if sum(map(packed[j].__getitem__, zs[i])) != sum(p * ak[x] for p, ak in terms):
                 return None
     return {
         (i, j, k): first[label[k]][c * label[i] + label[j]]

@@ -7,9 +7,11 @@ coordinates to dense matrices, so a measurement can be checked against a
 computation that never uses the group. `relation_matrices` builds the dense
 0/1 relation matrices from the pair-shape sweep. The scheme axioms and
 intersection numbers are read here from them and their products, against
-the counts the package takes from the sweep,
-and `point_sub`/`shape_of` give the relation of a pair by its definition,
-against the `pair_shapes` sweep. The identity suite and the spectral
+the counts the package takes from the sweep; `profile_intersection_counts`
+counts the profile of every pair over all N points z, the reference for the
+package's packed-row check of A_i A_j = sum_k p^k_ij A_k. `point_sub` and
+`shape_of` give the relation of a pair by its definition, against the
+`pair_shapes` sweep. The identity suite and the spectral
 checks are run here with dense products, against the suites the package
 runs in orbital coordinates. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
@@ -25,8 +27,9 @@ depth-one orbitals by their triple of shapes.
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from fractions import Fraction
 from typing import Sequence
 
@@ -335,6 +338,39 @@ def relation_matrices(inst) -> dict[Shape, RatMatrix]:
     npts = math.isqrt(len(sweep))
     rows = [sweep[i : i + npts] for i in range(0, len(sweep), npts)]
     return {lam: RatMatrix([int(s == lam) for s in row] for row in rows) for lam in inst.shapes}
+
+
+def profile_intersection_counts(
+    sweep: Sequence[Shape], shapes: Sequence[Shape]
+) -> dict[tuple[Shape, Shape, Shape], int] | None:
+    """p^k_ij as {(i, j, k): p} over `shapes`, counted from the `pair_shapes` sweep.
+
+    Entry (x, y) of A_i A_j is #{z : sweep[x, z] = i, sweep[z, y] = j}. With
+    the C relations labelled 0..C-1, counting C * row x + column y gives that
+    entry for every pair of labels at once. Relation k keeps the counts of
+    its first pair in row-major order; None if any other pair of k counts
+    differently, since then p^k_ij is not defined. The keys run over i,
+    then j, then the k that have a pair.
+    """
+    npts = math.isqrt(len(sweep))
+    label = {lam: a for a, lam in enumerate(dict.fromkeys(chain(shapes, sweep)))}
+    c = len(label)
+    rows = [[label[lam] for lam in sweep[x * npts : (x + 1) * npts]] for x in range(npts)]
+    cols = list(zip(*rows))
+    first: dict[int, Counter] = {}
+    for row in rows:
+        scaled = [c * a for a in row]
+        for k, col in zip(row, cols):
+            counts = Counter([a + b for a, b in zip(scaled, col)])
+            if first.setdefault(k, counts) != counts:
+                return None
+    return {
+        (i, j, k): first[label[k]][c * label[i] + label[j]]
+        for i in shapes
+        for j in shapes
+        for k in shapes
+        if label[k] in first
+    }
 
 
 def is_symmetric(mat: RatMatrix) -> bool:

@@ -66,13 +66,16 @@ def test_scheme_verify_command(capsys):
 
 
 # SHA-256 of stdout. `suite` never prints the intersection numbers, so the suite
-# digest does not cover this path. X(2,3;2,2) has 64 points and 10 relations.
+# digest does not cover this path. X(2,3;2,2) has 64 points and 10 relations;
+# X(2,2;4,4) and X(2,4;2,2) have 256 points, the default bound, and 6 and 15.
 @pytest.mark.parametrize(
     "q,n,digest",
     [
         ("2,3", "1", "3f9bfb46f2ec9f659db844d387be09d1c66a882703bda20ba561741efb6da119"),
         ("2", "2", "c0f41a256a3e1deebb60372fe67c961a206e69998e1ebb23f053f3978e3c91b8"),
         ("2,2", "3", "ecf986c793b711b6a3a6e529094ac5b06b30082857798b70c0ee763fec1d8f33"),
+        ("4,4", "2", "f8ec1a87330dc25d27e98d104635dc2d6cc491eae6d72601af34b08caed724ad"),
+        ("2,2", "4", "9db26738ead8d00cad5be275bf3722330e85c0b12a78e10e8e8e78b749f52e2d"),
     ],
 )
 def test_scheme_verify_golden_output(capsys, q, n, digest):

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming.cli import main
-from ordered_hamming.scheme import block_sums, multiset_orbitals, pair_shapes
+from ordered_hamming.scheme import (
+    block_sums,
+    intersection_counts,
+    multiset_orbitals,
+    pair_shapes,
+)
 from ordered_hamming import (
     Instance,
     InternalMismatch,
@@ -28,6 +33,7 @@ from dense_oracle import (
     is_zero_one,
     iter_points,
     point_sub,
+    profile_intersection_counts,
     relation_matrices,
     searched_orbitals,
     shape_of,
@@ -254,6 +260,51 @@ def test_sweep_counts_match_dense_decomposition_on_any_labelling(labelling):
     got = inst.intersection_counts
     assert (got is None) == (table is None)
     assert got is None or list(got.items()) == list(table.items())
+
+
+@pytest.mark.parametrize("q,n", [((2, 3), 2), ((2, 2, 2), 2), ((3,), 4)])
+def test_packed_row_check_matches_the_profile_count(q, n):
+    params = SchemeParams(q, n)
+    sweep, shapes = tuple(pair_shapes(params)), enumerate_shapes(params)
+    got = intersection_counts(sweep, shapes)
+    assert list(got.items()) == list(profile_intersection_counts(sweep, shapes).items())
+
+
+@st.composite
+def labellings(draw):
+    """Labellings of 2-6 points that may be non-symmetric and may use the label (9,).
+
+    `shapes` holds 1-3 labels and never (9,). Half of the labellings depend only
+    on y - x mod N, which keeps every row a shift of row 0 and makes R4 hold
+    more often; the rest are drawn pair by pair.
+    """
+    npts = draw(st.integers(min_value=2, max_value=6))
+    shapes = [(k,) for k in range(draw(st.integers(min_value=1, max_value=3)))]
+    pool = st.sampled_from(shapes + [(9,)])
+    if draw(st.booleans()):
+        by_difference = [draw(pool) for _ in range(npts)]
+        sweep = tuple(by_difference[(y - x) % npts] for x in range(npts) for y in range(npts))
+    else:
+        sweep = tuple(draw(pool) for _ in range(npts * npts))
+    return shapes, sweep
+
+
+@settings(max_examples=300, deadline=None)
+@given(labellings())
+def test_packed_row_check_matches_the_profile_count_on_any_labelling(labelling):
+    shapes, sweep = labelling
+    got = intersection_counts(sweep, shapes)
+    want = profile_intersection_counts(sweep, shapes)
+    assert (got is None) == (want is None)
+    assert got is None or list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("npts", [4, 8])
+def test_one_relation_counts_n_at_a_power_of_two(npts):
+    """J J = N J: every entry of the one product is N, the largest any product holds."""
+    sweep = ((0,),) * npts**2
+    assert intersection_counts(sweep, [(0,)]) == {((0,), (0,), (0,)): npts}
+    assert profile_intersection_counts(sweep, [(0,)]) == {((0,), (0,), (0,)): npts}
 
 
 @pytest.mark.parametrize(
