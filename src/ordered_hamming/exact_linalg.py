@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import add, mul, sub
 from typing import Hashable, Iterable, Sequence
 
@@ -588,16 +588,17 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     It is found by spinning: the pool starts with I (when `unital`) and the
     generators, and one walk over the pool multiplies each element on the
     left by every generator the pool accepted, appending each product that
-    is independent. The walked pool spans a space that holds the seeds and
-    is closed under left multiplication by the accepted generators, so it
-    holds every word; a rejected generator is a combination of I (when
-    `unital`) and the accepted ones. The walk ends at the end of the pool,
-    after about dim * k products for k accepted generators, or before its
-    next product once the span holds all r orbital vectors. That stop is
-    exact, not r standing in for the dimension: the orbital-constant
-    matrices form the centralizer algebra of the group, closed under the
-    products `Orbitals.product` computes, so no word can leave the span.
-    It fires only once the measured dimension has reached r.
+    is independent; it starts after I, as g I = g is a seed. The walked pool
+    spans a space that holds the seeds and is closed under left
+    multiplication by the accepted generators, so it holds every word; a
+    rejected generator is a combination of I (when `unital`) and the
+    accepted ones. The walk ends at the end of the pool, after about dim * k
+    products for k accepted generators, or before its next product once the
+    span holds all r orbital vectors. That stop is exact, not r standing in
+    for the dimension: the orbital-constant matrices form the centralizer
+    algebra of the group, closed under the products `Orbitals.product`
+    computes, so no word can leave the span. It fires only once the
+    measured dimension has reached r.
 
     The span is kept in canonical reduced echelon form, so the result does
     not depend on generator order or on the order of the walk; and because
@@ -624,8 +625,8 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     if unital:
         try_add(OrbitalMatrix.identity(orbitals).vec)
     spin = [g.vec for g in generators if try_add(g.vec)]
-    # the walk also visits the products appended to the pool on the way
-    for g, b in ((g, b) for b in pool for g in spin):
+    # the walk also visits the products appended to the live pool on the way
+    for g, b in ((g, b) for b in islice(pool, unital, None) for g in spin):
         if red.dimension == orbitals.count:
             break
         try_add(_primitive(orbitals.product(g, b)))

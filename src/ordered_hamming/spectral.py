@@ -3,7 +3,7 @@
 The depth-one scheme (n = 1) has explicit Kronecker-product adjacency
 matrices, primitive idempotents and dual idempotents, each spliced from one
 cached table of per-letter factors; `Instance` lifts each
-family to depth n with one `lifted_sum` per shape. The depth-n eigenmatrices
+family to depth n in one `lifted_family` expansion. The depth-n eigenmatrices
 are the coefficient tables of a product generating function (multivariate
 Krawtchouk polynomials), each one `RatMatrix` built degree by degree.
 """

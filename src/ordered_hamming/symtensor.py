@@ -1,19 +1,18 @@
 """Symmetrized Kronecker sums, in orbital coordinates.
 
-The workhorse is `lifted_sum` (written L_op elsewhere in the docs): given
-depth-one matrices v_1..v_k with multiplicities c_1..c_k summing to n, it
-returns the sum over all distinct arrangements of the n-fold Kronecker
-product, as L(c) = sum_{i: c_i > 0} v_i (x) L(c - e_i), with no n!-term
-symmetrizer average and no rational division. Factors and sum are
-`OrbitalMatrix` values: the depth-n orbitals are orbits of G_1 wr S_n, G_1
-the depth-one group, so the sum is constant on them, and its entry at a
-representative (x, z) is read from the depth-one orbitals of the block
-pairs (x_b, z_b).
+`lifted_family` takes depth-one matrices v_1..v_k to every lifted sum L(c),
+c summing to n: the sum of the n-fold Kronecker products over all distinct
+arrangements with v_i taken c_i times. The depth-n orbitals are orbits of
+G_1 wr S_n, G_1 the depth-one group, so each L(c) is an `OrbitalMatrix`.
+At a representative with block labels l_1..l_n, L(c) is the coefficient of
+t^c in the one product prod_b (sum_i t_i v_i[l_b]), so one expansion per
+orbital gives every c, with no symmetrizer average and no division.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import cache
 from typing import Sequence
 
@@ -28,35 +27,43 @@ def multinomial(multiplicities: Sequence[int]) -> int:
     return out
 
 
-def lifted_sum(parts: Sequence, orbitals: Orbitals, blocks: Sequence) -> OrbitalMatrix:
-    """Sum of Kronecker products over all arrangements of the (OrbitalMatrix, count) parts.
+def lifted_family(mats: Sequence[OrbitalMatrix], orbitals: Orbitals, blocks: Sequence) -> dict:
+    """Every nonzero lifted sum of `mats`, keyed by its multiplicity tuple c; absent keys read 0.
 
     blocks[o] holds the depth-one orbitals of the n block pairs of orbital
-    o's representative, first block first. Zero counts are dropped, and a
-    lone factor of count one on `orbitals` is returned as it is. Entries are
-    over prod den_i^c_i; the first-factor recursion is memoized on the
-    remaining counts and block labels, and skips factors zero on the next.
+    o's representative. The product over blocks commutes, so each orbital
+    expands its sorted labels, memoized on the sorted prefix: orbitals that
+    share a prefix share its polynomial. Entries of key c are over
+    prod den_i^c_i. A key is kept when each v_i it takes is nonzero at some
+    block: over all multisets of depth-one orbitals, exactly when L(c) is
+    nonzero, since summed over orderings the expansion is the product of the
+    nonzero linear forms sum_x v_i[x] X_x.
     """
-    kept = [(m, c) for m, c in parts if c]
-    if not kept:
-        raise EmptyInput("total multiplicity must be at least 1")
-    mats, counts = zip(*kept)
-    if any(m.orbitals is not mats[0].orbitals for m in mats) or len(blocks[0]) != sum(counts):
-        raise DimensionMismatch("the parts need one set of orbitals and one block per factor")
-    if counts == (1,) and mats[0].orbitals is orbitals:
-        return mats[0]
-    vecs = [m.vec for m in mats]
+    if not mats:
+        raise EmptyInput("lifting needs at least one depth-one matrix")
+    if any(m.orbitals is not mats[0].orbitals for m in mats):
+        raise DimensionMismatch("the parts need one set of orbitals")
+    width = len(blocks[0]) + 1  # t^c is held as the integer sum_i c_i width^i
+    steps = [width**i for i in range(len(mats))]
+    # the nonzero (t_i's step, v_i entry) pairs at each depth-one orbital
+    terms = [[(s, w) for s, w in zip(steps, col) if w] for col in zip(*(m.vec for m in mats))]
 
     @cache
-    def lift(rest: tuple[int, ...], labels: tuple[int, ...]) -> int:
-        head = labels[0]
-        if len(labels) == 1:
-            return vecs[rest.index(1)][head]
-        return sum(
-            vecs[i][head] * lift(rest[:i] + (c - 1,) + rest[i + 1 :], labels[1:])
-            for i, c in enumerate(rest)
-            if c and vecs[i][head]
-        )
+    def expand(labels: tuple[int, ...]) -> dict[int, int]:
+        prefix = expand(labels[:-1]).items() if len(labels) > 1 else [(0, 1)]
+        out: dict[int, int] = {}
+        for step, weight in terms[labels[-1]]:
+            for mono, coeff in prefix:
+                key = mono + step
+                out[key] = out.get(key, 0) + weight * coeff
+        return out
 
-    den = math.prod(m.den**c for m, c in kept)
-    return OrbitalMatrix(orbitals, [lift(counts, b) for b in blocks], den)
+    vecs: dict[int, list[int]] = defaultdict(lambda: [0] * len(blocks))
+    for o, labels in enumerate(blocks):
+        for mono, coeff in expand(tuple(sorted(labels))).items():
+            vecs[mono][o] = coeff
+    family = defaultdict(lambda: OrbitalMatrix(orbitals, [0] * len(blocks)))
+    for mono, vec in vecs.items():
+        c = tuple(mono // step % width for step in steps)
+        family[c] = OrbitalMatrix(orbitals, vec, math.prod(m.den**e for m, e in zip(mats, c)))
+    return family

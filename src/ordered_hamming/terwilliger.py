@@ -49,13 +49,13 @@ from .spectral import (
     splice,
     valency_n,
 )
-from .symtensor import lifted_sum
+from .symtensor import lifted_family
 
 
 class TerwBasisSet(NamedTuple):
     """E, E* and the split F/G families of the depth-one scheme, in its orbitals.
 
-    Every member lies in T; `Instance.lift` takes them to depth n as they are.
+    Every member lies in T; `Instance.lift` takes a family to depth n in one expansion.
     """
 
     E: tuple[OrbitalMatrix, ...]
@@ -111,11 +111,10 @@ class Instance:
     The size bound is checked here and nowhere else. The depth-one data
     (`spectral`, `basis`) lives on `base`, the depth-one instance, which
     enters its closed forms A, E, E* once as `OrbitalMatrix` values; at depth
-    n each family is one `lift` per shape, in orbital coordinates. An
-    instance keeps what it built for its own lifetime: create one per
-    command or per suite instance. `pair_shapes` always comes from the
-    brute-force definition, never from the lifted families it is compared
-    against.
+    n each family is one `lift`, every shape at once. An instance keeps what
+    it built for its own lifetime: create one per command or per suite
+    instance. `pair_shapes` always comes from the brute-force definition,
+    never from the lifted families it is compared against.
     """
 
     def __init__(self, params: SchemeParams, max_points: int | None = None):
@@ -155,16 +154,16 @@ class Instance:
         pairs = (divmod(rep, self.params.num_points) for rep in self.orbitals.reps)
         return [tuple(labels[x // s % n1 * n1 + z // s % n1] for s in scales) for x, z in pairs]
 
-    def lift(self, parts: list[tuple[OrbitalMatrix, int]]) -> OrbitalMatrix:
-        """The `lifted_sum` of depth-one parts, on this instance's orbitals."""
-        return lifted_sum(parts, self.orbitals, self.blocks)
+    def lift(self, mats: Sequence[OrbitalMatrix]) -> dict[tuple[int, ...], OrbitalMatrix]:
+        """The `lifted_family` of depth-one `mats`, on this instance's orbitals."""
+        return lifted_family(mats, self.orbitals, self.blocks)
 
     def _family(self, name: str, closed: tuple[RatMatrix, ...]) -> dict[Shape, OrbitalMatrix]:
         """Depth one enters the closed forms in orbital coordinates, once; depth n lifts them."""
         if self.base is self:
             return {lam: OrbitalMatrix.of(self.orbitals, m) for lam, m in zip(self.shapes, closed)}
-        base = list(getattr(self.base, name).values())
-        return {lam: self.lift(list(zip(base, lam))) for lam in self.shapes}
+        lifted = self.lift(list(getattr(self.base, name).values()))
+        return {lam: lifted[lam] for lam in self.shapes}
 
     @cached_property
     def adjacency(self) -> dict[Shape, OrbitalMatrix]:
@@ -341,8 +340,6 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     E, estar, F, Fstar = tw.E, tw.Estar, tw.F, tw.Fstar
     A = list(inst.base.adjacency.values())
     k, mult = data.k, data.mult
-    G = (None,) + tw.G  # 1-based access
-    Gstar = (None,) + tw.Gstar
     checks: dict[str, bool | None] = {}
 
     checks["idempotent_sandwich_scalars"] = all(
@@ -377,13 +374,16 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
     checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
     checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
+    # G_i G*_j and G*_i G_j (0-based), multiplied once for every check that reads them
+    g_gs = [[g * gs for gs in tw.Gstar] for g in tw.G]
+    gs_g = [[gs * g for g in tw.G] for gs in tw.Gstar]
     checks["g_product_difference"] = all(
-        G[i] * Gstar[j] == E[i] * estar[j] - F[i] * Fstar[j]
+        g_gs[i - 1][j - 1] == E[i] * estar[j] - F[i] * Fstar[j]
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
     checks["gstar_product_difference"] = all(
-        Gstar[i] * G[j] == estar[i] * E[j] - Fstar[i] * F[j]
+        gs_g[i - 1][j - 1] == estar[i] * E[j] - Fstar[i] * F[j]
         for i in range(1, m + 1)
         for j in range(1, m + 1)
     )
@@ -411,14 +411,12 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
         checks["g_natural_lifted"] = None
         checks["lifted_g_products"] = None
     else:
-        checks["g_products_by_regime"] = _g_product_regimes_hold(q, G, Gstar)
+        checks["g_products_by_regime"] = _g_product_regimes_hold(q, g_gs, gs_g)
         inner = compositions(n, m)
-        lifted_g, lifted_gs = (
-            {tau: inst.lift([*zip(fam, tau)]) for tau in inner} for fam in (tw.G, tw.Gstar)
-        )
-        g_sum, gs_sum = (mat_sum(fam.values()) for fam in (lifted_g, lifted_gs))
-        checks["g_natural_lifted"] = g_sum == gs_sum == inst.lift([(tw.Gnat, n)])
-        checks["lifted_g_products"] = _lifted_g_products_hold(inst, lifted_g, lifted_gs)
+        lifted_g, lifted_gs = (inst.lift(fam) for fam in (tw.G, tw.Gstar))
+        g_sum, gs_sum = (mat_sum(fam[tau] for tau in inner) for fam in (lifted_g, lifted_gs))
+        checks["g_natural_lifted"] = g_sum == gs_sum == inst.lift([tw.Gnat])[(n,)]
+        checks["lifted_g_products"] = _lifted_g_products_hold(inst, lifted_g, lifted_gs, g_gs)
 
     f_matches = all(F[j] == E[j] for j in range(1, m + 1)) and all(
         Fstar[j] == estar[j] for j in range(1, m + 1)
@@ -476,17 +474,18 @@ def _g_product_factors(i: int, j: int, c: LetterFactors, m: int) -> list[RatMatr
     return splice(c.Jt, c.I[p] - c.Jt[p], dual, p)
 
 
-def _g_product_regimes_hold(q: tuple[int, ...], G: Sequence, Gstar: Sequence) -> bool:
-    """G_j G*_i = G*_i G_j: zero off the surviving pairs, else its closed form (G 1-based).
+def _g_product_regimes_hold(q: tuple[int, ...], g_gs: Sequence, gs_g: Sequence) -> bool:
+    """G_j G*_i = G*_i G_j: zero off the surviving pairs, else its closed form.
 
-    A closed form that is not constant on every orbital is not in T, so it differs.
+    g_gs[j][i] is G_j G*_i and gs_g[i][j] is G*_i G_j, 0-based. A closed form
+    that is not constant on every orbital is not in T, so it differs.
     """
     m = len(q)
     c = factor_columns(q)
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            lhs = G[j] * Gstar[i]
-            if lhs != Gstar[i] * G[j]:
+            lhs = g_gs[j - 1][i - 1]
+            if lhs != gs_g[i - 1][j - 1]:
                 return False
             if not _survives(i, j, q):
                 if not lhs.is_zero():
@@ -496,11 +495,12 @@ def _g_product_regimes_hold(q: tuple[int, ...], G: Sequence, Gstar: Sequence) ->
     return True
 
 
-def _lifted_g_products_hold(inst: Instance, lifted_g: dict, lifted_gs: dict) -> bool:
+def _lifted_g_products_hold(inst: Instance, lifted_g: dict, lifted_gs: dict, g_gs: list) -> bool:
     """Each lifted G product is the sum over its support grids of lifted depth-one products."""
-    params, tw = inst.params, inst.basis
+    params = inst.params
     m = params.m
-    grid = [[tw.G[j] * tw.Gstar[i] for j in range(m)] for i in range(m)]
+    # grid c takes G_j G*_i (g_gs[j][i]) c[i][j] times: one lift of the flattened products
+    lifted = inst.lift([g_gs[j][i] for i in range(m) for j in range(m)])
     inner = compositions(params.n, m)
     for lam in inner:
         for mu in inner:
@@ -515,10 +515,7 @@ def _lifted_g_products_hold(inst: Instance, lifted_g: dict, lifted_gs: dict) -> 
                 if not left.is_zero():
                     return False
                 continue
-            expected = mat_sum(
-                inst.lift([(grid[i][j], c[i][j]) for i in range(m) for j in range(m)])
-                for c in grids
-            )
+            expected = mat_sum(lifted[sum(c, ())] for c in grids)
             if left != expected or left.is_zero():
                 return False
     return True
@@ -597,11 +594,11 @@ class ComponentInfo(NamedTuple):
 def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str, bool]]:
     """Dimensions of the closure-generated pieces graded by G-degree d.
 
-    For each d every spanning matrix is one `lifted_sum` over the combined
-    F/G multiset: n - d factors from the F family and d from the G family,
-    together with the starred twin; the piece is the non-unital closure of
-    that set. Cross products between distinct degrees must vanish, which
-    the returned `components_pairwise_annihilating` check records;
+    For each d every spanning matrix is one lifted sum over the combined
+    F/G multiset (one `lift` of F and G, one of F* and G*): n - d factors
+    from the F family and d from the G family, with the starred twin; the
+    piece is the non-unital closure of that set. Cross products between
+    distinct degrees must vanish (the returned `components_pairwise_annihilating`);
     `structure_report` checks that the dimensions add up to dim T.
 
     Commutativity and annihilation are decided on each closure's spin set
@@ -615,18 +612,13 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
         raise ValueError("component split is vacuous when the G families vanish")
     tw = inst.basis
 
+    lifts = [inst.lift(fam + gfam) for fam, gfam in ((tw.F, tw.G), (tw.Fstar, tw.Gstar))]
     infos = []
     pieces: list[MatrixSubspace] = []
     for d in range(n + 1):
-        # compositions(0, k) is the all-zero tuple, and lifted_sum drops
-        # zero multiplicities, so d = 0 and d = n need no special case
-        lifted = (
-            inst.lift(list(zip(fam, sigma)) + list(zip(gfam, tau)))
-            for fam, gfam in ((tw.F, tw.G), (tw.Fstar, tw.Gstar))
-            for sigma in compositions(n - d, m + 1)
-            for tau in compositions(d, m)
-        )
-        gens = [g for g in lifted if not g.is_zero()]
+        # compositions(0, k) is the all-zero tuple, so d = 0 and d = n need no special case
+        keys = [sigma + tau for sigma in compositions(n - d, m + 1) for tau in compositions(d, m)]
+        gens = [lift[c] for lift in lifts for c in keys if c in lift]  # absent keys are zero
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
             continue

@@ -15,8 +15,9 @@ package's packed-row check of A_i A_j = sum_k p^k_ij A_k. `point_sub` and
 checks are run here with dense products, against the suites the package
 runs in orbital coordinates. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
-reducer and masked center, and the dense Kronecker lift `dense_lifted_sum`
-the reference for the package's lift in orbital coordinates. The depth-n
+reducer and masked center. The dense Kronecker lift `dense_lifted_sum` and
+the per-multiplicity first-factor recursion `lifted_sum` are the references
+for the package's one-expansion lift `lifted_family`. The depth-n
 stabilizer maps (block permutations and block-0 value swaps) and the orbit
 search over them, `searched_orbitals`, are the reference for the package's
 multiset labelling of the depth-n orbitals. The depth-one value swaps,
@@ -137,11 +138,12 @@ def discrete(mats):
 def dense_lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
     """Sum of dense Kronecker products over all arrangements of the given parts.
 
-    The reference for the package's `lifted_sum`, which works in orbital
-    coordinates. Parts with multiplicity zero are dropped first. The
-    first-factor recursion is memoized on the remaining counts, so the work
-    is one Kronecker product per nonzero count in each count state; a state
-    with one factor left, or a lone factor, is that factor.
+    The reference for the package's `lifted_family` and for `lifted_sum`,
+    which work in orbital coordinates. Parts with multiplicity zero are
+    dropped first. The first-factor recursion is memoized on the remaining
+    counts, so the work is one Kronecker product per nonzero count in each
+    count state; a state with one factor left, or a lone factor, is that
+    factor.
     """
     kept = [(m, c) for m, c in parts if c]
     if not kept:
@@ -165,6 +167,42 @@ def dense_lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
         )
 
     return lift(counts)
+
+
+def lifted_sum(parts: Sequence, orbitals: Orbitals, blocks: Sequence) -> OrbitalMatrix:
+    """Sum of Kronecker products over all arrangements of the (OrbitalMatrix, count) parts.
+
+    The reference for the package's `lifted_family`, one multiplicity
+    vector at a time. blocks[o] holds the depth-one orbitals of the n block
+    pairs of orbital o's representative, first block first. Zero counts are
+    dropped, and a lone factor of count one on `orbitals` is returned as it
+    is. Entries are over prod den_i^c_i; the first-factor recursion is
+    memoized on the remaining counts and block labels, and skips factors
+    zero on the next.
+    """
+    kept = [(m, c) for m, c in parts if c]
+    if not kept:
+        raise EmptyInput("total multiplicity must be at least 1")
+    mats, counts = zip(*kept)
+    if any(m.orbitals is not mats[0].orbitals for m in mats) or len(blocks[0]) != sum(counts):
+        raise DimensionMismatch("the parts need one set of orbitals and one block per factor")
+    if counts == (1,) and mats[0].orbitals is orbitals:
+        return mats[0]
+    vecs = [m.vec for m in mats]
+
+    @cache
+    def lift(rest: tuple[int, ...], labels: tuple[int, ...]) -> int:
+        head = labels[0]
+        if len(labels) == 1:
+            return vecs[rest.index(1)][head]
+        return sum(
+            vecs[i][head] * lift(rest[:i] + (c - 1,) + rest[i + 1 :], labels[1:])
+            for i, c in enumerate(rest)
+            if c and vecs[i][head]
+        )
+
+    den = math.prod(m.den**c for m, c in kept)
+    return OrbitalMatrix(orbitals, [lift(counts, b) for b in blocks], den)
 
 
 def dense_family(inst, base):

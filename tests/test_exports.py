@@ -29,7 +29,7 @@ def test_symtensor_public_functions():
         and inspect.isfunction(value)
         and value.__module__ == symtensor.__name__
     }
-    assert public == {"multinomial", "lifted_sum"}
+    assert public == {"multinomial", "lifted_family"}
 
 
 def test_only_instance_takes_the_size_bound_or_an_optional_sweep():

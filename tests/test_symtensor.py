@@ -15,14 +15,15 @@ from ordered_hamming import (
     SchemeParams,
     algebra_closure,
     base_spectral,
+    compositions,
     kron,
     kron_all,
-    lifted_sum,
+    lifted_family,
     multinomial,
 )
 from ordered_hamming.exact_linalg import DimensionMismatch, EmptyInput, OrbitalMatrix, mat_sum
 
-from dense_oracle import basis_matrices, dense_lifted_sum, span_basis
+from dense_oracle import basis_matrices, dense_lifted_sum, lifted_sum, span_basis
 
 A = RatMatrix([[1, 2], [3, 4]])
 B = RatMatrix([[0, 1], [1, 1]])
@@ -262,36 +263,47 @@ def _lift_instance(q, n):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_orbital_lift_matches_the_dense_lift(data):
+    """Every key of the one-expansion lift is the per-count recursion and the dense lift.
+
+    Entries are drawn mostly zero, so some lifts vanish, through a zero
+    factor or by cancellation; those, and only those, are absent keys.
+    """
     q, n = data.draw(st.sampled_from(_LIFT_INSTANCES))
     inst = _lift_instance(q, n)
     base = inst.base.orbitals
     k = data.draw(st.integers(min_value=1, max_value=3))
-    # the factor placed on each block; a factor no block takes has count 0
-    slots = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    entries = st.lists(st.integers(-3, 3), min_size=base.count, max_size=base.count)
-    parts = [
-        (OrbitalMatrix(base, data.draw(entries), data.draw(st.integers(1, 6))), slots.count(i))
-        for i in range(k)
-    ]
-    dense = dense_lifted_sum([(m.matrix(), c) for m, c in parts])
-    assert lifted_sum(parts, inst.orbitals, inst.blocks) == OrbitalMatrix.of(inst.orbitals, dense)
+    entries = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=base.count, max_size=base.count)
+    mats = [OrbitalMatrix(base, data.draw(entries), data.draw(st.integers(1, 6))) for _ in range(k)]
+    family = lifted_family(mats, inst.orbitals, inst.blocks)
+    counts = compositions(n, k)
+    assert set(family) <= set(counts)
+    for c in counts:
+        parts = list(zip(mats, c))
+        expected = lifted_sum(parts, inst.orbitals, inst.blocks)
+        dense = dense_lifted_sum([(m.matrix(), e) for m, e in parts])
+        assert expected == OrbitalMatrix.of(inst.orbitals, dense)
+        assert family.get(c) == (None if expected.is_zero() else expected)
 
 
 def test_orbital_lift_of_a_lone_factor_is_that_factor():
     inst = _lift_instance((2, 3), 1)
-    a = inst.adjacency[inst.shapes[1]]
-    assert inst.lift([(a, 1), (inst.duals[inst.shapes[0]], 0)]) is a
+    a, d = inst.adjacency[inst.shapes[1]], inst.duals[inst.shapes[0]]
+    lifted = inst.lift([a, d])
+    assert lifted[(1, 0)] == a and lifted[(0, 1)] == d
 
 
 def test_orbital_lift_checks_its_parts():
     inst = _lift_instance((2, 2), 2)
     a, b = inst.base.adjacency[(1, 0, 0)], inst.adjacency[(2, 0, 0)]
     with pytest.raises(EmptyInput):
-        inst.lift([(a, 0)])
+        inst.lift([])
     with pytest.raises(DimensionMismatch, match="one set of orbitals"):
-        inst.lift([(a, 1), (b, 1)])
-    with pytest.raises(DimensionMismatch, match="one block per factor"):
-        inst.lift([(a, 3)])
+        inst.lift([a, b])
+    # A_(1,0,0) is I, so I (x) I is the one nonzero lift; the absent keys read as 0
+    lifted = inst.lift([a, a.scale(0)])
+    assert set(lifted_family([a, a.scale(0)], inst.orbitals, inst.blocks)) == {(2, 0)}
+    assert lifted[(2, 0)] == OrbitalMatrix.identity(inst.orbitals)
+    assert lifted[(1, 1)].is_zero() and lifted[(0, 2)].is_zero()
 
 
 @pytest.mark.parametrize("q,n", [((2,), 3), ((2, 3), 2), ((3, 2), 2)], ids=str)

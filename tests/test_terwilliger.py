@@ -335,14 +335,22 @@ def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, caps
 @pytest.mark.parametrize(
     "argv,bound",
     [
-        (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 73),
-        (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 106),
-        (["report", "--q", "2,2", "--n", "2"], 1599),
+        (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 65),
+        (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 98),
+        (["report", "--q", "2,2", "--n", "2"], 1573),
+        (["identities", "--q", "2,2", "--n", "2"], 231),
+        (["identities", "--q", "2,3,2", "--n", "2"], 466),
     ],
-    ids=["closure-bm", "closure-idem", "report"],
+    ids=["closure-bm", "closure-idem", "report", "identities-m2", "identities-m3"],
 )
 def test_orbital_product_count(monkeypatch, capsys, argv, bound):
-    """The walk stops at a full span, the center masks diagonal generators; the parent made 280, 280, 2964."""
+    """The walk starts after I and stops at a full span, the center masks diagonal
+    generators, and the identity suite multiplies each G_i G*_j and G*_i G_j once.
+
+    Walking I as well made 73, 106 and 1599 (and before the full-rank stop
+    and the masks 280, 280 and 2964); multiplying the G products again in
+    each check that reads them made 3 m^2 more, 243 and 493 on the suites.
+    """
     calls = 0
     plain_product = Orbitals.product
 
