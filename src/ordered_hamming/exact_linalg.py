@@ -79,11 +79,6 @@ def _lowest_terms(grid: Iterable[Iterable[int]], den: int) -> RatMatrix:
     return mat
 
 
-def _flat(mat: RatMatrix) -> list[int]:
-    """Row-major vectorization of the grid; a positive multiple of the matrix."""
-    return list(chain.from_iterable(mat._grid))
-
-
 class RatMatrix:
     """Immutable dense matrix of exact rationals: an integer grid over one denominator."""
 
@@ -232,21 +227,25 @@ def mat_sum(mats: Iterable[RatMatrix]) -> RatMatrix:
     return total
 
 
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product; block (i, j) is a[i, j] * b, second factor fastest."""
-    return _lowest_terms(
-        ([x * y for x in ra for y in rb] for ra in a._grid for rb in b._grid), a._den * b._den
-    )
+def _kron_entries(factors: Sequence[RatMatrix]) -> tuple[list[int], int]:
+    """The row-major entries of the Kronecker product of `factors`, over one denominator.
 
-
-def kron_all(mats: Sequence[RatMatrix]) -> RatMatrix:
-    """Left-to-right Kronecker chain."""
-    if not mats:
-        raise EmptyInput("kron_all of nothing")
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
+    Grown from the last factor: row (i, k) is row k of the grid so far laid end to end, scaled
+    by each entry of the factor's row i (0 and 1 copy). The denominator is the factors' product.
+    """
+    flat, width, den = [1], 1, 1
+    for f in reversed(factors):
+        rows = [flat[i : i + width] for i in range(0, len(flat), width)]
+        runs = (
+            row if x == 1 else [0] * width if x == 0 else [x * y for y in row]
+            for fr in f._grid
+            for row in rows
+            for x in fr
+        )
+        flat = list(chain.from_iterable(runs))
+        width *= len(f._grid[0])
+        den *= f._den
+    return flat, den
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +366,9 @@ class Orbitals:
         vec = [flat[p] for p in self.reps]
         return vec if list(map(vec.__getitem__, self.labels)) == flat else None
 
-    def vector(self, mat: RatMatrix) -> list[int]:
-        """The orbital vector of `mat`, after checking every entry against its orbital."""
-        flat = _flat(mat)
+    def vector(self, *factors: RatMatrix) -> list[int]:
+        """The orbital vector of the Kronecker product of `factors`, after checking every entry."""
+        flat, _ = _kron_entries(factors)
         vec = self._entries(flat)
         if vec is None:
             pair = next(
@@ -455,9 +454,9 @@ class OrbitalMatrix:
         self.orbitals, self.vec, self.den = orbitals, vec, den
 
     @classmethod
-    def of(cls, orbitals: Orbitals, mat: RatMatrix) -> OrbitalMatrix:
-        """`mat` in orbital coordinates, after `Orbitals.vector` checks every entry."""
-        return cls(orbitals, orbitals.vector(mat), mat.denominator)
+    def of(cls, orbitals: Orbitals, *factors: RatMatrix) -> OrbitalMatrix:
+        """The Kronecker product of `factors` in orbitals, after `Orbitals.vector` checks it."""
+        return cls(orbitals, orbitals.vector(*factors), math.prod(f.denominator for f in factors))
 
     @classmethod
     def identity(cls, orbitals: Orbitals) -> OrbitalMatrix:
@@ -465,9 +464,11 @@ class OrbitalMatrix:
         side = orbitals.side
         return cls(orbitals, [int(x == y) for x, y in (divmod(p, side) for p in orbitals.reps)])
 
-    def matches(self, mat: RatMatrix) -> bool:
-        """Whether the dense `mat` is this matrix; one not constant on every orbital is not."""
-        return mat.denominator == self.den and self.orbitals._entries(_flat(mat)) == self.vec
+    def matches(self, *factors: RatMatrix) -> bool:
+        """Whether the Kronecker product of `factors` is this matrix; a non-constant one is not."""
+        flat, den = _kron_entries(factors)
+        vec = self.orbitals._entries(flat)
+        return vec is not None and OrbitalMatrix(self.orbitals, vec, den) == self
 
     def is_indicator(self, flags: list[bool]) -> bool:
         """Whether this is the 0/1 matrix with the row-major entries `flags`."""

@@ -1,11 +1,13 @@
 """Closed-form spectral data for the ordered Hamming scheme.
 
 The depth-one scheme (n = 1) has explicit Kronecker-product adjacency
-matrices, primitive idempotents and dual idempotents, each spliced from one
-cached table of per-letter factors; `Instance` lifts each
-family to depth n in one `lifted_family` expansion. The depth-n eigenmatrices
-are the coefficient tables of a product generating function (multivariate
-Krawtchouk polynomials), each one `RatMatrix` built degree by degree.
+matrices, primitive idempotents and dual idempotents, each held as its list
+of factors spliced from one cached table of per-letter factors and never
+built as an N x N matrix: `Instance` streams its entries into orbital
+coordinates and lifts each family to depth n in one `lifted_family`
+expansion. The depth-n eigenmatrices are the coefficient tables of a product
+generating function (multivariate Krawtchouk polynomials), each one
+`RatMatrix` built degree by degree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact_linalg import InternalMismatch, OrbitalMatrix, RatMatrix, _flat, kron_all, mat_sum
+from .exact_linalg import InternalMismatch, OrbitalMatrix, RatMatrix, _kron_entries, mat_sum
 from .scheme import SchemeParams, Shape, compositions
 from .symtensor import multinomial
 
@@ -25,7 +27,7 @@ if TYPE_CHECKING:
 
 
 class LetterFactors(NamedTuple):
-    """The q x q factors of one letter; every depth-one closed form is a Kronecker product of them.
+    """The q x q factors of one letter; a depth-one closed form lists one of them per letter.
 
     Jt is J / q and D the matrix unit at (0, 0). H and H* are the rank-one
     idempotents q/(q-1) (I - Jt) D (I - Jt) and q/(q-1) (I - D) Jt (I - D),
@@ -67,12 +69,12 @@ def splice(
 
 
 class BaseSpectralData(NamedTuple):
-    """Adjacency matrices, idempotents, dual idempotents, valencies, multiplicities at n = 1."""
+    """A, E and E* at n = 1 as Kronecker factor lists, with valencies and multiplicities."""
 
     params: SchemeParams
-    A: tuple[RatMatrix, ...]
-    E: tuple[RatMatrix, ...]
-    Estar: tuple[RatMatrix, ...]
+    A: tuple[list[RatMatrix], ...]
+    E: tuple[list[RatMatrix], ...]
+    Estar: tuple[list[RatMatrix], ...]
     k: tuple[int, ...]
     mult: tuple[int, ...]
 
@@ -94,28 +96,24 @@ def base_multiplicities(params: SchemeParams) -> tuple[int, ...]:
     return tuple(out)
 
 
-def base_adjacency(params: SchemeParams) -> tuple[RatMatrix, ...]:
+def base_adjacency(params: SchemeParams) -> tuple[list[RatMatrix], ...]:
     """A_0 = identity; A_j flips coordinate j and frees everything before it."""
     c = factor_columns(params.q)
-    return (kron_all(c.I),) + tuple(
-        kron_all(splice(c.J, c.J[p] - c.I[p], c.I, p)) for p in range(params.m)
-    )
+    return (list(c.I),) + tuple(splice(c.J, c.J[p] - c.I[p], c.I, p) for p in range(params.m))
 
 
-def base_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
+def base_idempotents(params: SchemeParams) -> tuple[list[RatMatrix], ...]:
     """E_0 is the normalized all-ones product; E_j has its (I - Jt) factor at slot m - j."""
     c = factor_columns(params.q)
-    return (kron_all(c.Jt),) + tuple(
-        kron_all(splice(c.Jt, c.I[p] - c.Jt[p], c.I, p)) for p in reversed(range(params.m))
+    return (list(c.Jt),) + tuple(
+        splice(c.Jt, c.I[p] - c.Jt[p], c.I, p) for p in reversed(range(params.m))
     )
 
 
-def base_dual_idempotents(params: SchemeParams) -> tuple[RatMatrix, ...]:
+def base_dual_idempotents(params: SchemeParams) -> tuple[list[RatMatrix], ...]:
     """Diagonal indicators of the depth-one relation classes seen from 0."""
     c = factor_columns(params.q)
-    return (kron_all(c.D),) + tuple(
-        kron_all(splice(c.I, c.I[p] - c.D[p], c.D, p)) for p in range(params.m)
-    )
+    return (list(c.D),) + tuple(splice(c.I, c.I[p] - c.D[p], c.D, p) for p in range(params.m))
 
 
 def _base_eigenmatrix(weights: Sequence[int], alphabet: Sequence[int]) -> RatMatrix:
@@ -146,19 +144,21 @@ def base_spectral(params: SchemeParams) -> BaseSpectralData:
     """Assemble depth-one spectral data, cross-checking the closed forms.
 
     Valencies must match adjacency row sums and multiplicities must match
-    idempotent traces, both exactly; any disagreement raises
-    InternalMismatch. `Instance.spectral` checks the dual idempotents.
+    idempotent traces, both exactly, on the streamed entries; any disagreement
+    raises InternalMismatch. `Instance.spectral` checks the dual idempotents.
     """
     A = base_adjacency(params)
     E = base_idempotents(params)
     k = base_valencies(params)
     mult = base_multiplicities(params)
+    side = params.base_size
     for j, (aj, kj) in enumerate(zip(A, k)):
-        sums = set(aj.row_sums())
-        if sums != {Fraction(kj)}:
+        flat, den = _kron_entries(aj)
+        if {sum(flat[x : x + side]) for x in range(0, side * side, side)} != {kj * den}:
             raise InternalMismatch(f"row sums of adjacency {j} disagree with valency {kj}")
     for j, (ej, mj) in enumerate(zip(E, mult)):
-        if ej.trace() != mj:
+        flat, den = _kron_entries(ej)
+        if sum(flat[:: side + 1]) != mj * den:
             raise InternalMismatch(f"trace of idempotent {j} disagrees with multiplicity {mj}")
     return BaseSpectralData(
         params=params, A=A, E=E, Estar=base_dual_idempotents(params), k=k, mult=mult
@@ -198,8 +198,7 @@ def krawchouk_table(params: SchemeParams) -> RatMatrix:
     """
     P = base_eigenmatrix_P(params)
     parts = params.m + 1
-    grid = _flat(P)
-    weights = [grid[j * parts : (j + 1) * parts] for j in range(parts)]
+    weights = P._grid
     shapes = compositions(0, parts)
     table = [[1]]
     for degree in range(1, params.n + 1):

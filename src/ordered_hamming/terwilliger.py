@@ -23,10 +23,9 @@ from .exact_linalg import (
     OrbitalMatrix,
     Orbitals,
     RatMatrix,
-    _flat,
+    _kron_entries,
     algebra_closure,
     center_dimension,
-    kron_all,
     mat_sum,
 )
 from .scheme import (
@@ -93,9 +92,9 @@ def terw_basis(base: Instance) -> TerwBasisSet:
 
     # closed forms: F_j mirrors the idempotent index pattern, F*_j the dual one
     for j in range(1, m + 1):
-        if not F[j].matches(kron_all(splice(c.Jt, c.H[m - j], c.D, m - j))):
+        if not F[j].matches(*splice(c.Jt, c.H[m - j], c.D, m - j)):
             raise InternalMismatch(f"closed form for F_{j} disagrees with its sandwich")
-        if not Fstar[j].matches(kron_all(splice(c.Jt, c.Hstar[j - 1], c.D, j - 1))):
+        if not Fstar[j].matches(*splice(c.Jt, c.Hstar[j - 1], c.D, j - 1)):
             raise InternalMismatch(f"closed form for F*_{j} disagrees with its sandwich")
 
     G = [E[j] - F[j] for j in range(1, m + 1)]
@@ -158,10 +157,11 @@ class Instance:
         """The `lifted_family` of depth-one `mats`, on this instance's orbitals."""
         return lifted_family(mats, self.orbitals, self.blocks)
 
-    def _family(self, name: str, closed: tuple[RatMatrix, ...]) -> dict[Shape, OrbitalMatrix]:
-        """Depth one enters the closed forms in orbital coordinates, once; depth n lifts them."""
+    def _family(self, name: str, closed: Sequence[list[RatMatrix]]) -> dict[Shape, OrbitalMatrix]:
+        """Depth one enters the closed forms from their factors, once; depth n lifts them."""
         if self.base is self:
-            return {lam: OrbitalMatrix.of(self.orbitals, m) for lam, m in zip(self.shapes, closed)}
+            orbitals = self.orbitals
+            return {lam: OrbitalMatrix.of(orbitals, *fs) for lam, fs in zip(self.shapes, closed)}
         lifted = self.lift(list(getattr(self.base, name).values()))
         return {lam: lifted[lam] for lam in self.shapes}
 
@@ -195,7 +195,8 @@ class Instance:
         flags = [False] * npts**2  # row-major, with lam's flags from row 0 on the diagonal
         for j, (lam, estar) in enumerate(zip(self.shapes, data.Estar)):
             flags[:: npts + 1] = [s == lam for s in row0]
-            if estar.denominator != 1 or _flat(estar) != flags:
+            flat, den = _kron_entries(estar)
+            if den != 1 or flat != flags:
                 raise InternalMismatch(f"dual idempotent {j} disagrees with relation diagonal")
         return data
 
@@ -490,7 +491,7 @@ def _g_product_regimes_hold(q: tuple[int, ...], g_gs: Sequence, gs_g: Sequence) 
             if not _survives(i, j, q):
                 if not lhs.is_zero():
                     return False
-            elif not lhs.matches(kron_all(_g_product_factors(i, j, c, m))):
+            elif not lhs.matches(*_g_product_factors(i, j, c, m)):
                 return False
     return True
 

@@ -15,7 +15,10 @@ package's packed-row check of A_i A_j = sum_k p^k_ij A_k. `point_sub` and
 checks are run here with dense products, against the suites the package
 runs in orbital coordinates. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
-reducer and masked center. The dense Kronecker lift `dense_lifted_sum` and
+reducer and masked center. The dense Kronecker products `kron` and
+`kron_all`, and `dense_spectral`, which expands the package's closed-form
+factor lists with them, are the references for the package's streamed
+Kronecker entries. The dense Kronecker lift `dense_lifted_sum` and
 the per-multiplicity first-factor recursion `lifted_sum` are the references
 for the package's one-expansion lift `lifted_family`. The depth-n
 stabilizer maps (block permutations and block-0 value swaps) and the orbit
@@ -35,14 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
-from ordered_hamming.exact_linalg import (
-    DimensionMismatch,
-    OrbitalMatrix,
-    _flat,
-    kron,
-    kron_all,
-    mat_sum,
-)
+from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, _lowest_terms, mat_sum
 from ordered_hamming.scheme import SchemeParams, Shape, compositions
 from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
 from ordered_hamming.terwilliger import (
@@ -110,6 +106,34 @@ class DenseRowReducer:
 def _primitive(vec: list[int]) -> list[int]:
     g = math.gcd(*vec)
     return [a // g for a in vec] if g > 1 else vec
+
+
+def _flat(mat: RatMatrix) -> list[int]:
+    """Row-major vectorization of the grid; a positive multiple of the matrix."""
+    return list(chain.from_iterable(mat._grid))
+
+
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product; block (i, j) is a[i, j] * b, second factor fastest."""
+    return _lowest_terms(
+        ([x * y for x in ra for y in rb] for ra in a._grid for rb in b._grid), a._den * b._den
+    )
+
+
+def kron_all(mats: Sequence[RatMatrix]) -> RatMatrix:
+    """Left-to-right Kronecker chain."""
+    if not mats:
+        raise EmptyInput("kron_all of nothing")
+    out = mats[0]
+    for m in mats[1:]:
+        out = kron(out, m)
+    return out
+
+
+def dense_spectral(data):
+    """`data` with every closed form of A, E and E* expanded from its factor list by `kron_all`."""
+    families = ("A", "E", "Estar")
+    return data._replace(**{f: tuple(map(kron_all, getattr(data, f))) for f in families})
 
 
 def stacked_center_dimension(alg: MatrixSubspace) -> int:
@@ -483,8 +507,9 @@ def dense_spectral_n(inst):
     """The spectral checks of `verify_spectral_n` on dense families, with dense products."""
     params = inst.params
     shapes = inst.shapes
-    adj = dense_family(inst, inst.spectral.A)
-    idem = dense_family(inst, inst.spectral.E)
+    data = dense_spectral(inst.spectral)
+    adj = dense_family(inst, data.A)
+    idem = dense_family(inst, data.E)
     P, Q = eigen_n(params)
     npts = params.num_points
     inv_size = Fraction(1, npts)
@@ -529,7 +554,10 @@ def dense_spectral_n(inst):
 
 
 def dense_terw_basis(data):
-    """The F/G families from dense sandwich products, each F checked against its closed form."""
+    """The F/G families from dense sandwich products, each F checked against its closed form.
+
+    `data` holds A, E and E* as dense matrices, as `dense_spectral` expands them.
+    """
     params = data.params
     m = params.m
     size = params.base_size
@@ -575,7 +603,7 @@ def dense_terw_identities(inst):
     m = params.m
     n = params.n
     size = params.base_size
-    data = inst.spectral
+    data = dense_spectral(inst.spectral)
     tw = dense_terw_basis(data)
     E, A, estar, k, mult = data.E, data.A, data.Estar, data.k, data.mult
     F, Fstar = tw.F, tw.Fstar

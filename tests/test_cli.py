@@ -165,17 +165,29 @@ def _count_matrix_sides(monkeypatch) -> Counter:
     return sides
 
 
-@pytest.mark.parametrize("command,q,side", [("report", "2,2", 16), ("identities", "2,3", 36)])
-def test_report_and_identities_build_no_dense_matrix_of_side_n(monkeypatch, capsys, command, q, side):
-    # every depth-n matrix is lifted and held in orbital coordinates
+@pytest.mark.parametrize(
+    "command,q,n",
+    [
+        ("report", "2,2", 2),
+        ("identities", "2,3", 2),
+        ("report", "2,2,2", 1),
+        ("identities", "2,3", 1),
+    ],
+    ids=["report-2,2-16", "identities-2,3-36", "report-2,2,2-8", "identities-2,3-6"],  # command-q-N
+)
+def test_report_and_identities_build_no_dense_matrix_of_side_n(monkeypatch, capsys, command, q, n):
+    # every depth-n matrix is lifted and held in orbital coordinates, and the
+    # depth-one closed forms are streamed from their factors: the largest
+    # RatMatrix is a letter factor or a C x C eigenmatrix
+    params = SchemeParams(tuple(map(int, q.split(","))), n)
     sides = _count_matrix_sides(monkeypatch)
-    assert main([command, "--q", q, "--n", "2", "--json"]) == 0
+    assert main([command, "--q", q, "--n", str(n), "--json"]) == 0
     capsys.readouterr()
-    assert sides[side] == 0
-    # the counters see the depth-one closed forms and a dense matrix of side N
-    assert sides[int(side**0.5)] > 0
-    Instance(SchemeParams(tuple(map(int, q.split(","))), 2)).adjacency[(2, 0, 0)].matrix()
-    assert sides[side] == 1
+    assert max(sides) <= max(*params.q, params.class_count)
+    # the counters see a dense matrix of side N
+    inst = Instance(params)
+    inst.adjacency[inst.shapes[0]].matrix()
+    assert sides[params.num_points] == 1
 
 
 def test_adjacency_command_cross_checks(capsys):
@@ -387,7 +399,8 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
 
 @pytest.mark.parametrize("wrong,j", [("swapped", 1), ("halved", 0)])
 def test_a_wrong_dual_idempotent_closed_form_exits_3(capsys, monkeypatch, wrong, j):
-    # X(2,1;2,3): E*_1 and E*_2 trade places, or E*_0 keeps its grid over denominator 2
+    # X(2,1;2,3): E*_1 and E*_2 trade places, or E*_0's first factor keeps its
+    # grid over denominator 2
     plain = terwilliger_module.base_spectral
 
     def doctored(params):
@@ -396,7 +409,7 @@ def test_a_wrong_dual_idempotent_closed_form_exits_3(capsys, monkeypatch, wrong,
         if wrong == "swapped":
             estar[1], estar[2] = estar[2], estar[1]
         else:
-            estar[0] = estar[0].scale(Fraction(1, 2))
+            estar[0] = [estar[0][0].scale(Fraction(1, 2)), *estar[0][1:]]
         return data._replace(Estar=tuple(estar))
 
     monkeypatch.setattr(terwilliger_module, "base_spectral", doctored)

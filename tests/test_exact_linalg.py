@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -17,20 +18,23 @@ from ordered_hamming import (
     algebra_closure,
     center_dimension,
     format_rational,
-    kron,
     terwilliger_closure,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
-from ordered_hamming.exact_linalg import MatrixSubspace, OrbitalMatrix, _flat, _RowReducer
+from ordered_hamming.exact_linalg import MatrixSubspace, OrbitalMatrix, _kron_entries, _RowReducer
 
 from dense_oracle import (
     DenseRowReducer,
+    _flat,
     basis_matrices,
     contains,
     dense_family,
+    dense_spectral,
     discrete,
     hadamard,
     is_zero_one,
+    kron,
+    kron_all,
     relation_matrices,
     span_basis,
 )
@@ -47,6 +51,7 @@ def grids(nrows, ncols):
 
 sides = st.integers(min_value=1, max_value=3)
 matrices = st.tuples(sides, sides).flatmap(lambda shape: grids(*shape)).map(RatMatrix)
+squares = sides.flatmap(lambda side: grids(side, side)).map(RatMatrix)
 
 
 def mat2x2():
@@ -109,6 +114,25 @@ def test_kron_mixed_product(a, b, c, d):
 @given(mat2x2(), mat2x2(), mat2x2())
 def test_kron_associative_under_flat_indexing(a, b, c):
     assert kron(kron(a, b), c) == kron(a, kron(b, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(squares, min_size=1, max_size=3), st.data())
+def test_kron_stream_matches_the_dense_kronecker_product(factors, data):
+    """A factor list's streamed entries are the oracle's `kron_all`, up to the common factor."""
+    zeroed = data.draw(st.integers(min_value=-1, max_value=len(factors) - 1))
+    if zeroed >= 0:
+        factors[zeroed] = factors[zeroed].scale(0)
+    flat, den = _kron_entries(factors)
+    want = kron_all(factors)
+    common, rest = divmod(den, want.denominator)
+    assert rest == 0 and common == math.gcd(den, *flat)
+    assert flat == [common * a for a in _flat(want)]
+    orbitals = Orbitals(want.nrows)
+    target = OrbitalMatrix.of(orbitals, want)
+    assert OrbitalMatrix.of(orbitals, *factors) == target and orbitals.vector(*factors) == flat
+    assert target.matches(*factors)
+    assert target.is_zero() or not target.scale(2).matches(*factors)
 
 
 def test_span_of_proportional_matrices():
@@ -429,7 +453,7 @@ def test_closure_with_all_later_generators_dependent():
 @pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 2, 2), 1)])
 def test_terwilliger_closure_matches_pool_reference(q, n):
     inst = Instance(SchemeParams(q, n))
-    data = inst.spectral
+    data = dense_spectral(inst.spectral)
     duals = list(dense_family(inst, data.Estar).values())
     for generators, base in (("bm", data.A), ("idem", data.E)):
         reference = pool_closure(list(dense_family(inst, base).values()) + duals, unital=True)
@@ -474,7 +498,7 @@ def test_orbital_product_matches_dense_product(q, n):
     inst = Instance(SchemeParams(q, n))
     orbitals = inst.orbitals
     npts = inst.params.num_points
-    data = inst.spectral
+    data = dense_spectral(inst.spectral)
     # integer multiples of T elements: A, E* and N * E
     mats = (
         list(dense_family(inst, data.A).values())
@@ -492,7 +516,8 @@ def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
     """E*_lam A_mu is not symmetric; products with a sparse right factor go through transposes."""
     inst = Instance(SchemeParams(q, n))
     orbitals = inst.orbitals
-    duals, adjacency = (dense_family(inst, base) for base in (inst.spectral.Estar, inst.spectral.A))
+    data = dense_spectral(inst.spectral)
+    duals, adjacency = (dense_family(inst, base) for base in (data.Estar, data.A))
     mats = [e * a for e in duals.values() for a in adjacency.values()]
     mats.append(RatMatrix.ones(inst.params.num_points))
     for a in mats:
@@ -539,7 +564,7 @@ def test_is_indicator_reads_row_major_flags():
 def test_subspace_equality_across_coordinates():
     inst = Instance(SchemeParams((3,), 2))
     orbital = algebra_closure([*inst.adjacency.values(), *inst.duals.values()], unital=True)
-    data = inst.spectral
+    data = dense_spectral(inst.spectral)
     dense_gens = [*dense_family(inst, data.A).values(), *dense_family(inst, data.Estar).values()]
     dense = dense_closure(dense_gens, unital=True)
     assert orbital.orbitals.count == 15 < dense.orbitals.count == 81
@@ -559,7 +584,7 @@ def _label(value):
 def test_terwilliger_closure_matches_dense_oracle(q, n):
     """Both generator sets, expanded from orbital coordinates, row for row."""
     inst = Instance(SchemeParams(q, n))
-    data = inst.spectral
+    data = dense_spectral(inst.spectral)
     duals = list(dense_family(inst, data.Estar).values())
     for generators, base in (("bm", data.A), ("idem", data.E)):
         got = terwilliger_closure(inst, generators)

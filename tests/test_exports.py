@@ -55,3 +55,10 @@ def test_the_relation_matrices_are_not_public():
     assert not hasattr(ordered_hamming, "relation_matrix")
     assert not hasattr(ordered_hamming.scheme, "relation_matrix")
     assert not hasattr(ordered_hamming.Instance, "relations")
+
+
+def test_the_kronecker_products_are_not_public():
+    """Closed forms are streamed from their factors; only the test oracle builds their products."""
+    for name in ("kron", "kron_all"):
+        assert not hasattr(ordered_hamming, name)
+        assert not hasattr(ordered_hamming.exact_linalg, name)

@@ -28,12 +28,14 @@ from ordered_hamming import (
     valency_n,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
-from ordered_hamming.exact_linalg import OrbitalMatrix, _flat, mat_sum
+from ordered_hamming.exact_linalg import OrbitalMatrix, mat_sum
 
 from dense_oracle import (
     DenseRowReducer,
+    _flat,
     basis_matrices,
     dense_family,
+    dense_spectral,
     discrete,
     span_basis,
     stacked_center_dimension,
@@ -92,8 +94,9 @@ def dense_primary_subalgebra(inst):
     """Reference primary subalgebra: the sandwiches as dense products, in dense coordinates."""
     params = inst.params
     shapes = inst.shapes
-    idems = dense_family(inst, inst.spectral.E)
-    duals = dense_family(inst, inst.spectral.Estar)
+    data = dense_spectral(inst.spectral)
+    idems = dense_family(inst, data.E)
+    duals = dense_family(inst, data.Estar)
     e0n = idems[shapes[0]]
     sandwich = {(lam, mu): duals[lam] * e0n * duals[mu] for lam in shapes for mu in shapes}
     sub = span_basis(list(sandwich.values()))

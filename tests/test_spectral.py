@@ -21,7 +21,7 @@ from ordered_hamming import (
 from ordered_hamming.cli import SUITE_INSTANCES
 from ordered_hamming.spectral import base_eigenmatrix_P, base_eigenmatrix_Q, factor_columns
 
-from dense_oracle import dense_spectral_n, relation_matrices
+from dense_oracle import dense_spectral, dense_spectral_n, kron, relation_matrices
 
 
 def test_base_data_for_mixed_alphabets():
@@ -34,14 +34,14 @@ def test_base_data_for_mixed_alphabets():
 
 
 def test_binary_base_idempotent():
-    data = base_spectral(SchemeParams((2,), 1))
+    data = dense_spectral(base_spectral(SchemeParams((2,), 1)))
     assert data.E[1] == RatMatrix([["1/2", "-1/2"], ["-1/2", "1/2"]])
 
 
 @pytest.mark.parametrize("q", [(2,), (3,), (2, 3), (2, 2), (2, 2, 2), (5, 2, 4)])
 def test_base_idempotent_axioms(q):
     params = SchemeParams(q, 1)
-    data = base_spectral(params)
+    data = dense_spectral(base_spectral(params))
     size = params.base_size
     total = None
     for e in data.E:
@@ -159,9 +159,7 @@ def test_lifted_adjacency_identity_case():
 
 def test_lifted_adjacency_two_letter_case():
     inst = Instance(SchemeParams((2,), 2))
-    A = inst.spectral.A
-    from ordered_hamming import kron
-
+    A = dense_spectral(inst.spectral).A
     expected = kron(A[1], A[0]) + kron(A[0], A[1])
     assert inst.adjacency[(1, 1)].matches(expected)
     assert inst.adjacency[(1, 1)].matches(relation_matrices(inst)[(1, 1)])

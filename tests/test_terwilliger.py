@@ -27,14 +27,16 @@ from ordered_hamming import (
     verify_terw_identities,
 )
 from ordered_hamming.cli import SUITE_INSTANCES, main
-from ordered_hamming.exact_linalg import _flat
 
 from dense_oracle import (
+    _flat,
     contains,
+    dense_spectral,
     dense_terw_basis,
     dense_terw_identities,
     expanded,
     iter_points,
+    kron_all,
     shape_of,
     span_basis,
 )
@@ -56,13 +58,13 @@ def test_residual_family_survives_for_three_letters():
 
 
 def test_base_dual_idempotent_is_point_mass():
-    estar = Instance(SchemeParams((2, 2), 1)).spectral.Estar
+    estar = dense_spectral(Instance(SchemeParams((2, 2), 1)).spectral).Estar
     assert estar[0] == RatMatrix.diagonal([1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("q", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_dual_idempotents_partition_identity(q):
-    estar = Instance(SchemeParams(q, 1)).spectral.Estar
+    estar = dense_spectral(Instance(SchemeParams(q, 1)).spectral).Estar
     size = estar[0].nrows
     total = None
     for e in estar:
@@ -285,7 +287,7 @@ def test_identity_suite_marks_vacuous_cases():
 )
 def test_identity_suite_matches_the_dense_oracle(q, n):
     inst = Instance(SchemeParams(q, n))
-    assert expanded(inst.basis) == dense_terw_basis(inst.spectral)
+    assert expanded(inst.basis) == dense_terw_basis(dense_spectral(inst.spectral))
     assert list(verify_terw_identities(inst).items()) == list(dense_terw_identities(inst).items())
 
 
@@ -320,10 +322,10 @@ def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, caps
     calls = 0
     plain_vector = Orbitals.vector
 
-    def counting_vector(self, mat):
+    def counting_vector(self, *factors):
         nonlocal calls
         calls += 1
-        return plain_vector(self, mat)
+        return plain_vector(self, *factors)
 
     monkeypatch.setattr(Orbitals, "vector", counting_vector)
     assert main(["report", "--q", "2,2", "--n", "2", "--json"]) == 0
@@ -390,7 +392,7 @@ def test_a_swapped_closed_form_factor_fails_the_g_products(monkeypatch, capsys):
     orbitals = Instance(SchemeParams((2, 3), 1)).orbitals
     c = spectral_module.factor_columns((2, 3))
     swapped = [
-        terwilliger_module.kron_all(terwilliger_module._g_product_factors(i, j, c, 2))
+        kron_all(terwilliger_module._g_product_factors(i, j, c, 2))
         for i, j in lambda_set(SchemeParams((2, 3), 1)).pairs
     ]
     assert any(orbitals._entries(_flat(mat)) is None for mat in swapped)
@@ -470,7 +472,7 @@ def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
 
     def stray_spectral(params):
         data = plain(params)
-        return data._replace(A=(stray, *data.A[1:]))
+        return data._replace(A=([stray], *data.A[1:]))
 
     monkeypatch.setattr(terwilliger_module, "base_spectral", stray_spectral)
     with pytest.raises(InternalMismatch, match="not constant on orbital"):
