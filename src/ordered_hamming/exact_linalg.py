@@ -182,9 +182,6 @@ class RatMatrix:
             raise DimensionMismatch("trace needs a square matrix")
         return Fraction(sum(row[i] for i, row in enumerate(self._grid)), self._den)
 
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(sum(row), self._den) for row in self._grid)
-
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -1,10 +1,11 @@
 """Closed-form spectral data for the ordered Hamming scheme.
 
 The depth-one scheme (n = 1) has explicit Kronecker-product adjacency
-matrices, primitive idempotents and dual idempotents, each held as its list
-of factors spliced from one cached table of per-letter factors and never
-built as an N x N matrix: `Instance` streams its entries into orbital
-coordinates and lifts each family to depth n in one `lifted_family`
+matrices, primitive idempotents and dual idempotents, each returned as its
+list of factors spliced from one cached table of per-letter factors and never
+built as an N x N matrix: `Instance` streams each once into orbital
+coordinates, checks it there against the valencies, multiplicities or
+relation diagonal, and lifts each family to depth n in one `lifted_family`
 expansion. The depth-n eigenmatrices are the coefficient tables of a product
 generating function (multivariate Krawtchouk polynomials), each one
 `RatMatrix` built degree by degree.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact_linalg import InternalMismatch, OrbitalMatrix, RatMatrix, _kron_entries, mat_sum
+from .exact_linalg import OrbitalMatrix, RatMatrix, mat_sum
 from .scheme import SchemeParams, Shape, compositions
 from .symtensor import multinomial
 
@@ -66,17 +67,6 @@ def splice(
 ) -> list[RatMatrix]:
     """left[:p] + [pivot] + right[p+1:]: the factor list of every depth-one closed form."""
     return [*left[:p], pivot, *right[p + 1 :]]
-
-
-class BaseSpectralData(NamedTuple):
-    """A, E and E* at n = 1 as Kronecker factor lists, with valencies and multiplicities."""
-
-    params: SchemeParams
-    A: tuple[list[RatMatrix], ...]
-    E: tuple[list[RatMatrix], ...]
-    Estar: tuple[list[RatMatrix], ...]
-    k: tuple[int, ...]
-    mult: tuple[int, ...]
 
 
 def base_valencies(params: SchemeParams) -> tuple[int, ...]:
@@ -138,31 +128,6 @@ def base_eigenmatrix_P(params: SchemeParams) -> RatMatrix:
 def base_eigenmatrix_Q(params: SchemeParams) -> RatMatrix:
     """Second eigenmatrix at depth one: the multiplicities, with q reversed."""
     return _base_eigenmatrix(base_multiplicities(params), params.reversed().q)
-
-
-def base_spectral(params: SchemeParams) -> BaseSpectralData:
-    """Assemble depth-one spectral data, cross-checking the closed forms.
-
-    Valencies must match adjacency row sums and multiplicities must match
-    idempotent traces, both exactly, on the streamed entries; any disagreement
-    raises InternalMismatch. `Instance.spectral` checks the dual idempotents.
-    """
-    A = base_adjacency(params)
-    E = base_idempotents(params)
-    k = base_valencies(params)
-    mult = base_multiplicities(params)
-    side = params.base_size
-    for j, (aj, kj) in enumerate(zip(A, k)):
-        flat, den = _kron_entries(aj)
-        if {sum(flat[x : x + side]) for x in range(0, side * side, side)} != {kj * den}:
-            raise InternalMismatch(f"row sums of adjacency {j} disagree with valency {kj}")
-    for j, (ej, mj) in enumerate(zip(E, mult)):
-        flat, den = _kron_entries(ej)
-        if sum(flat[:: side + 1]) != mj * den:
-            raise InternalMismatch(f"trace of idempotent {j} disagrees with multiplicity {mj}")
-    return BaseSpectralData(
-        params=params, A=A, E=E, Estar=base_dual_idempotents(params), k=k, mult=mult
-    )
 
 
 def verify_base_duality(params: SchemeParams) -> dict[str, bool | None]:

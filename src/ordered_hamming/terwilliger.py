@@ -11,7 +11,7 @@ predictions to compare against, never as answers to hard-code.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -23,7 +23,6 @@ from .exact_linalg import (
     OrbitalMatrix,
     Orbitals,
     RatMatrix,
-    _kron_entries,
     algebra_closure,
     center_dimension,
     mat_sum,
@@ -40,9 +39,12 @@ from .scheme import (
     triple_orbitals,
 )
 from .spectral import (
-    BaseSpectralData,
     LetterFactors,
-    base_spectral,
+    base_adjacency,
+    base_dual_idempotents,
+    base_idempotents,
+    base_multiplicities,
+    base_valencies,
     factor_columns,
     letter_factors,
     splice,
@@ -75,11 +77,10 @@ def terw_basis(base: Instance) -> TerwBasisSet:
     (sandwiches vs. Kronecker closed forms); a mismatch raises
     InternalMismatch.
     """
-    data = base.spectral
-    params = data.params
+    params = base.params
     m = params.m
     size = params.base_size
-    k, mult = data.k, data.mult
+    k, mult = base_valencies(params), base_multiplicities(params)
     # the depth-one shapes are e_0, ..., e_m in order
     E, estar = (list(fam.values()) for fam in (base.idempotents, base.duals))
     c = factor_columns(params.q)
@@ -104,16 +105,24 @@ def terw_basis(base: Instance) -> TerwBasisSet:
     return TerwBasisSet(*map(tuple, (E, estar, F, Fstar, G, Gstar)), Fnat=fnat, Gnat=gnat)
 
 
+def _row_sums_are(a: OrbitalMatrix, value: int) -> bool:
+    """Whether every row of `a` sums to `value`, each entry read through its pair's label."""
+    side, labels, vec = a.orbitals.side, a.orbitals.labels, a.vec
+    rows = range(0, side * side, side)
+    return {sum(map(vec.__getitem__, labels[x : x + side])) for x in rows} == {value * a.den}
+
+
 class Instance:
     """One scheme X(m, n; q) whose matrix families are each built once, on first use.
 
     The size bound is checked here and nowhere else. The depth-one data
-    (`spectral`, `basis`) lives on `base`, the depth-one instance, which
-    enters its closed forms A, E, E* once as `OrbitalMatrix` values; at depth
-    n each family is one `lift`, every shape at once. An instance keeps what
-    it built for its own lifetime: create one per command or per suite
-    instance. `pair_shapes` always comes from the brute-force definition,
-    never from the lifted families it is compared against.
+    lives on `base`, the depth-one instance: it enters each closed form of
+    A, E and E* from its factor builder once as an `OrbitalMatrix`, checks
+    it there (row sums, trace, relation diagonal), and builds `basis`. At
+    depth n each family is one `lift`, every shape at once. An instance
+    keeps what it built for its own lifetime: create one per command or per
+    suite instance. `pair_shapes` always comes from the brute-force
+    definition, never from the lifted families it is compared against.
     """
 
     def __init__(self, params: SchemeParams, max_points: int | None = None):
@@ -157,25 +166,50 @@ class Instance:
         """The `lifted_family` of depth-one `mats`, on this instance's orbitals."""
         return lifted_family(mats, self.orbitals, self.blocks)
 
-    def _family(self, name: str, closed: Sequence[list[RatMatrix]]) -> dict[Shape, OrbitalMatrix]:
-        """Depth one enters the closed forms from their factors, once; depth n lifts them."""
-        if self.base is self:
-            orbitals = self.orbitals
-            return {lam: OrbitalMatrix.of(orbitals, *fs) for lam, fs in zip(self.shapes, closed)}
-        lifted = self.lift(list(getattr(self.base, name).values()))
-        return {lam: lifted[lam] for lam in self.shapes}
+    def _family(self, name: str, closed, expected: Iterable, holds, mismatch: str):
+        """Depth one enters closed form j once and checks holds(it, expected[j]); depth n lifts."""
+        if self.base is not self:
+            lifted = self.lift(list(getattr(self.base, name).values()))
+            return {lam: lifted[lam] for lam in self.shapes}
+        family: dict[Shape, OrbitalMatrix] = {}
+        for j, (lam, factors, value) in enumerate(zip(self.shapes, closed(self.params), expected)):
+            family[lam] = mat = OrbitalMatrix.of(self.orbitals, *factors)
+            if not holds(mat, value):
+                raise InternalMismatch(mismatch.format(j=j, value=value))
+        return family
 
     @cached_property
     def adjacency(self) -> dict[Shape, OrbitalMatrix]:
-        return self._family("adjacency", self.spectral.A)
+        """A_lam; each depth-one A_j has every row sum k_j."""
+        return self._family(
+            "adjacency", base_adjacency, base_valencies(self.params), _row_sums_are,
+            "row sums of adjacency {j} disagree with valency {value}",
+        )
 
     @cached_property
     def idempotents(self) -> dict[Shape, OrbitalMatrix]:
-        return self._family("idempotents", self.spectral.E)
+        """E_lam; each depth-one E_j has trace m_j."""
+        return self._family(
+            "idempotents", base_idempotents, base_multiplicities(self.params),
+            lambda e, mj: e.trace() == mj,
+            "trace of idempotent {j} disagrees with multiplicity {value}",
+        )
 
     @cached_property
     def duals(self) -> dict[Shape, OrbitalMatrix]:
-        return self._family("duals", self.spectral.Estar)
+        """E*_lam; each depth-one E*_j is the 0/1 diagonal of row 0 of the sweep at e_j."""
+        return self._family(
+            "duals", base_dual_idempotents, self._diagonal_flags(), OrbitalMatrix.is_indicator,
+            "dual idempotent {j} disagrees with relation diagonal",
+        )
+
+    def _diagonal_flags(self) -> Iterator[list[bool]]:
+        """Per shape, row-major flags set at (x, x) for the x that row 0 of the sweep has at it."""
+        npts, sweep = self.params.num_points, self.pair_shapes
+        flags = [False] * npts**2  # one list, its diagonal refilled for each shape
+        for lam in self.shapes:
+            flags[:: npts + 1] = [s == lam for s in sweep[:npts]]
+            yield flags
 
     @cached_property
     def orbitals(self) -> Orbitals:
@@ -183,22 +217,6 @@ class Instance:
         if self.base is self:
             return triple_orbitals(self.pair_shapes)
         return multiset_orbitals(self.base.orbitals, self.params.n)
-
-    @cached_property
-    def spectral(self) -> BaseSpectralData:
-        """Depth-one A, E and E*; each E*_j is checked against row 0 of the depth-one sweep."""
-        if self.base is not self:
-            return self.base.spectral
-        data = base_spectral(self.params)
-        npts = self.params.num_points
-        row0 = self.pair_shapes[:npts]
-        flags = [False] * npts**2  # row-major, with lam's flags from row 0 on the diagonal
-        for j, (lam, estar) in enumerate(zip(self.shapes, data.Estar)):
-            flags[:: npts + 1] = [s == lam for s in row0]
-            flat, den = _kron_entries(estar)
-            if den != 1 or flat != flags:
-                raise InternalMismatch(f"dual idempotent {j} disagrees with relation diagonal")
-        return data
 
     @cached_property
     def basis(self) -> TerwBasisSet:
@@ -336,11 +354,10 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     m = params.m
     n = params.n
     size = params.base_size
-    data = inst.spectral
     tw = inst.basis
     E, estar, F, Fstar = tw.E, tw.Estar, tw.F, tw.Fstar
     A = list(inst.base.adjacency.values())
-    k, mult = data.k, data.mult
+    k, mult = base_valencies(params), base_multiplicities(params)
     checks: dict[str, bool | None] = {}
 
     checks["idempotent_sandwich_scalars"] = all(

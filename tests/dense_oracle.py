@@ -17,8 +17,10 @@ runs in orbital coordinates. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
 reducer and masked center. The dense Kronecker products `kron` and
 `kron_all`, and `dense_spectral`, which expands the package's closed-form
-factor lists with them, are the references for the package's streamed
-Kronecker entries. The dense Kronecker lift `dense_lifted_sum` and
+factor lists from the depth-one factor builders with them (no `Instance`),
+are the references for the package's streamed Kronecker entries and its
+checked depth-one families; `row_sums` reads the row sums of a dense
+matrix. The dense Kronecker lift `dense_lifted_sum` and
 the per-multiplicity first-factor recursion `lifted_sum` are the references
 for the package's one-expansion lift `lifted_family`. The depth-n
 stabilizer maps (block permutations and block-0 value swaps) and the orbit
@@ -35,12 +37,23 @@ from collections import Counter
 from functools import cache
 from itertools import chain, product
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
 from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, _lowest_terms, mat_sum
 from ordered_hamming.scheme import SchemeParams, Shape, compositions
-from ordered_hamming.spectral import eigen_n, factor_columns, multiplicity_n, splice, valency_n
+from ordered_hamming.spectral import (
+    base_adjacency,
+    base_dual_idempotents,
+    base_idempotents,
+    base_multiplicities,
+    base_valencies,
+    eigen_n,
+    factor_columns,
+    multiplicity_n,
+    splice,
+    valency_n,
+)
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
     _factor_identities_hold,
@@ -130,10 +143,27 @@ def kron_all(mats: Sequence[RatMatrix]) -> RatMatrix:
     return out
 
 
-def dense_spectral(data):
-    """`data` with every closed form of A, E and E* expanded from its factor list by `kron_all`."""
-    families = ("A", "E", "Estar")
-    return data._replace(**{f: tuple(map(kron_all, getattr(data, f))) for f in families})
+class DenseSpectral(NamedTuple):
+    """Depth-one A, E and E* as dense matrices, with valencies and multiplicities."""
+
+    params: SchemeParams
+    A: tuple[RatMatrix, ...]
+    E: tuple[RatMatrix, ...]
+    Estar: tuple[RatMatrix, ...]
+    k: tuple[int, ...]
+    mult: tuple[int, ...]
+
+
+def dense_spectral(params: SchemeParams) -> DenseSpectral:
+    """The depth-one families of `params`, each closed form expanded from its factors by `kron_all`."""
+    builders = (base_adjacency, base_idempotents, base_dual_idempotents)
+    families = (tuple(map(kron_all, build(params))) for build in builders)
+    return DenseSpectral(params, *families, base_valencies(params), base_multiplicities(params))
+
+
+def row_sums(mat: RatMatrix) -> tuple[Fraction, ...]:
+    """The sum of each row of `mat`."""
+    return tuple(Fraction(sum(row), mat._den) for row in mat._grid)
 
 
 def stacked_center_dimension(alg: MatrixSubspace) -> int:
@@ -507,7 +537,7 @@ def dense_spectral_n(inst):
     """The spectral checks of `verify_spectral_n` on dense families, with dense products."""
     params = inst.params
     shapes = inst.shapes
-    data = dense_spectral(inst.spectral)
+    data = dense_spectral(inst.base.params)
     adj = dense_family(inst, data.A)
     idem = dense_family(inst, data.E)
     P, Q = eigen_n(params)
@@ -524,7 +554,7 @@ def dense_spectral_n(inst):
                 had_ok = False
 
     val_ok = all(
-        set(adj[lam].row_sums()) == {Fraction(valency_n(lam, params))} for lam in shapes
+        set(row_sums(adj[lam])) == {Fraction(valency_n(lam, params))} for lam in shapes
     )
     mult_ok = all(idem[lam].trace() == multiplicity_n(lam, params) for lam in shapes)
 
@@ -603,7 +633,7 @@ def dense_terw_identities(inst):
     m = params.m
     n = params.n
     size = params.base_size
-    data = dense_spectral(inst.spectral)
+    data = dense_spectral(inst.base.params)
     tw = dense_terw_basis(data)
     E, A, estar, k, mult = data.E, data.A, data.Estar, data.k, data.mult
     F, Fstar = tw.F, tw.Fstar

@@ -401,18 +401,17 @@ def test_internal_error_exits_3_with_error_document(capsys, monkeypatch, error):
 def test_a_wrong_dual_idempotent_closed_form_exits_3(capsys, monkeypatch, wrong, j):
     # X(2,1;2,3): E*_1 and E*_2 trade places, or E*_0's first factor keeps its
     # grid over denominator 2
-    plain = terwilliger_module.base_spectral
+    plain = terwilliger_module.base_dual_idempotents
 
     def doctored(params):
-        data = plain(params)
-        estar = list(data.Estar)
+        estar = list(plain(params))
         if wrong == "swapped":
             estar[1], estar[2] = estar[2], estar[1]
         else:
             estar[0] = [estar[0][0].scale(Fraction(1, 2)), *estar[0][1:]]
-        return data._replace(Estar=tuple(estar))
+        return tuple(estar)
 
-    monkeypatch.setattr(terwilliger_module, "base_spectral", doctored)
+    monkeypatch.setattr(terwilliger_module, "base_dual_idempotents", doctored)
     code, payload = run_cli(capsys, "identities", "--q", "2,3", "--n", "1", "--json")
     assert code == 3
     assert payload["error"] == {

@@ -62,3 +62,10 @@ def test_the_kronecker_products_are_not_public():
     for name in ("kron", "kron_all"):
         assert not hasattr(ordered_hamming, name)
         assert not hasattr(ordered_hamming.exact_linalg, name)
+
+
+def test_the_depth_one_spectral_record_is_not_public():
+    """The depth-one families enter through `Instance`; no record of them is exported."""
+    for name in ("base_spectral", "BaseSpectralData"):
+        assert not hasattr(ordered_hamming, name)
+        assert not hasattr(ordered_hamming.spectral, name)

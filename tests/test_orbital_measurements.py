@@ -94,7 +94,7 @@ def dense_primary_subalgebra(inst):
     """Reference primary subalgebra: the sandwiches as dense products, in dense coordinates."""
     params = inst.params
     shapes = inst.shapes
-    data = dense_spectral(inst.spectral)
+    data = dense_spectral(inst.base.params)
     idems = dense_family(inst, data.E)
     duals = dense_family(inst, data.Estar)
     e0n = idems[shapes[0]]

@@ -9,7 +9,6 @@ from ordered_hamming import (
     Instance,
     RatMatrix,
     SchemeParams,
-    base_spectral,
     eigen_n,
     enumerate_shapes,
     krawchouk_table,
@@ -26,7 +25,7 @@ from dense_oracle import dense_spectral, dense_spectral_n, kron, relation_matric
 
 def test_base_data_for_mixed_alphabets():
     params = SchemeParams((2, 3), 1)
-    data = base_spectral(params)
+    data = dense_spectral(params)
     assert data.k == (1, 1, 4)
     assert data.mult == (1, 2, 3)
     assert base_eigenmatrix_P(params) == RatMatrix([[1, 1, 4], [1, 1, -2], [1, -1, 0]])
@@ -34,14 +33,14 @@ def test_base_data_for_mixed_alphabets():
 
 
 def test_binary_base_idempotent():
-    data = dense_spectral(base_spectral(SchemeParams((2,), 1)))
+    data = dense_spectral(SchemeParams((2,), 1))
     assert data.E[1] == RatMatrix([["1/2", "-1/2"], ["-1/2", "1/2"]])
 
 
 @pytest.mark.parametrize("q", [(2,), (3,), (2, 3), (2, 2), (2, 2, 2), (5, 2, 4)])
 def test_base_idempotent_axioms(q):
     params = SchemeParams(q, 1)
-    data = dense_spectral(base_spectral(params))
+    data = dense_spectral(params)
     size = params.base_size
     total = None
     for e in data.E:
@@ -159,7 +158,7 @@ def test_lifted_adjacency_identity_case():
 
 def test_lifted_adjacency_two_letter_case():
     inst = Instance(SchemeParams((2,), 2))
-    A = dense_spectral(inst.spectral).A
+    A = dense_spectral(inst.base.params).A
     expected = kron(A[1], A[0]) + kron(A[0], A[1])
     assert inst.adjacency[(1, 1)].matches(expected)
     assert inst.adjacency[(1, 1)].matches(relation_matrices(inst)[(1, 1)])

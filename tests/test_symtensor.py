@@ -14,7 +14,6 @@ from ordered_hamming import (
     RatMatrix,
     SchemeParams,
     algebra_closure,
-    base_spectral,
     compositions,
     lifted_family,
     multinomial,
@@ -214,7 +213,7 @@ def test_identity_symmetric_product_is_scaled_identity():
 @pytest.mark.parametrize("q", [(2, 2), (2, 3)])
 def test_lifted_idempotents_are_orthogonal(q):
     params = SchemeParams(q, 2)
-    data = dense_spectral(base_spectral(SchemeParams(q, 1)))
+    data = dense_spectral(SchemeParams(q, 1))
     from ordered_hamming import compositions
 
     shapes = compositions(2, params.m + 1)
@@ -228,7 +227,7 @@ def test_lifted_idempotents_are_orthogonal(q):
 def test_rank_one_lifts_generate_the_symmetric_algebra():
     # closure of the multiplicity-one lifts equals the span of all lifts
     params1 = SchemeParams((2, 2), 1)
-    data = dense_spectral(base_spectral(params1))
+    data = dense_spectral(params1)
     n = 2
     ident = RatMatrix.identity(4)
     gens = [dense_lifted_sum([(e, 1), (ident, n - 1)]) for e in data.E]
@@ -315,7 +314,7 @@ def test_orbital_lift_checks_its_parts():
 @pytest.mark.parametrize("q,n", [((2,), 3), ((2, 3), 2), ((3, 2), 2)], ids=str)
 def test_families_are_the_dense_lifts(q, n):
     inst = _lift_instance(q, n)
-    data = dense_spectral(inst.spectral)
+    data = dense_spectral(inst.base.params)
     for fam, closed in ((inst.adjacency, data.A), (inst.idempotents, data.E), (inst.duals, data.Estar)):
         dense = dense_oracle.dense_family(inst, closed)
         assert all(fam[lam].matches(dense[lam]) for lam in inst.shapes)

@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
+import ordered_hamming.exact_linalg as exact_linalg_module
 import ordered_hamming.scheme as scheme_module
 import ordered_hamming.spectral as spectral_module
 import ordered_hamming.terwilliger as terwilliger_module
@@ -58,13 +60,13 @@ def test_residual_family_survives_for_three_letters():
 
 
 def test_base_dual_idempotent_is_point_mass():
-    estar = dense_spectral(Instance(SchemeParams((2, 2), 1)).spectral).Estar
+    estar = dense_spectral(SchemeParams((2, 2), 1)).Estar
     assert estar[0] == RatMatrix.diagonal([1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("q", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
 def test_dual_idempotents_partition_identity(q):
-    estar = dense_spectral(Instance(SchemeParams(q, 1)).spectral).Estar
+    estar = dense_spectral(SchemeParams(q, 1)).Estar
     size = estar[0].nrows
     total = None
     for e in estar:
@@ -79,8 +81,8 @@ def test_dual_idempotents_partition_identity(q):
 def test_basis_rejects_dual_idempotents_off_the_relation_row(monkeypatch, n):
     # X(1,1;3): E*_0 and E*_1 swapped disagree with row 0 of the relations;
     # at n = 2 the check is reached through the depth-one `base`
-    plain = spectral_module.base_dual_idempotents
-    monkeypatch.setattr(spectral_module, "base_dual_idempotents", lambda p: plain(p)[::-1])
+    plain = terwilliger_module.base_dual_idempotents
+    monkeypatch.setattr(terwilliger_module, "base_dual_idempotents", lambda p: plain(p)[::-1])
     with pytest.raises(InternalMismatch, match="dual idempotent 0 disagrees"):
         Instance(SchemeParams((3,), n)).basis
 
@@ -101,35 +103,42 @@ def test_basis_rejects_closed_forms_off_their_sandwiches(monkeypatch, swap, matc
 
 
 @pytest.mark.parametrize(
-    "name,match",
+    "name,family,match",
     [
-        ("base_valencies", "row sums of adjacency 1 disagree"),
-        ("base_multiplicities", "trace of idempotent 1 disagrees"),
+        ("base_valencies", "adjacency", "row sums of adjacency 1 disagree"),
+        ("base_multiplicities", "idempotents", "trace of idempotent 1 disagrees"),
     ],
 )
 def test_base_spectral_rejects_valencies_and_multiplicities_off_the_closed_forms(
-    monkeypatch, name, match
+    monkeypatch, name, family, match
 ):
-    plain = getattr(spectral_module, name)
-    monkeypatch.setattr(spectral_module, name, lambda p: plain(p)[:1] + (0,) + plain(p)[2:])
+    # the depth-one instance checks each closed form as it enters it, against
+    # the valencies and multiplicities it looks up in `terwilliger`
+    plain = getattr(terwilliger_module, name)
+    monkeypatch.setattr(terwilliger_module, name, lambda p: plain(p)[:1] + (0,) + plain(p)[2:])
     with pytest.raises(InternalMismatch, match=match):
-        Instance(SchemeParams((3,), 2)).spectral
+        getattr(Instance(SchemeParams((3,), 2)), family)
 
 
 def test_depth_one_data_lives_on_one_base_instance(monkeypatch):
-    """An n > 1 report builds the depth-one spectral data once, on `base`."""
+    """An n > 1 report calls each depth-one factor builder once, on `base`."""
     calls = Counter()
-    plain = terwilliger_module.base_spectral
+    builders = ("base_adjacency", "base_idempotents", "base_dual_idempotents")
 
-    def counting(params):
-        calls[params] += 1
-        return plain(params)
+    def counting(name, plain):
+        def wrapper(params):
+            calls[name, params] += 1
+            return plain(params)
 
-    monkeypatch.setattr(terwilliger_module, "base_spectral", counting)
+        return wrapper
+
+    for name in builders:
+        plain = getattr(terwilliger_module, name)
+        monkeypatch.setattr(terwilliger_module, name, counting(name, plain))
     inst = Instance(SchemeParams((3,), 2))
     structure_report(inst)
-    assert calls == {SchemeParams((3,), 1): 1}
-    assert inst.base.base is inst.base and inst.spectral is inst.base.spectral
+    assert calls == {(name, SchemeParams((3,), 1)): 1 for name in builders}
+    assert inst.base.base is inst.base and inst.basis is inst.base.basis
 
 
 def test_lifted_dual_idempotent_examples():
@@ -287,7 +296,7 @@ def test_identity_suite_marks_vacuous_cases():
 )
 def test_identity_suite_matches_the_dense_oracle(q, n):
     inst = Instance(SchemeParams(q, n))
-    assert expanded(inst.basis) == dense_terw_basis(dense_spectral(inst.spectral))
+    assert expanded(inst.basis) == dense_terw_basis(dense_spectral(inst.base.params))
     assert list(verify_terw_identities(inst).items()) == list(dense_terw_identities(inst).items())
 
 
@@ -332,6 +341,37 @@ def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, caps
     capsys.readouterr()
     # 18 depth-two A/E/E*, 9 depth-one A/E/E*, 6 lifted G and 20 component generators
     assert calls <= 53
+
+
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["report", "--q", "2,3", "--n", "1"], 15),
+        (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 4),
+    ],
+    ids=["report", "closure-bm"],
+)
+def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
+    """A command streams each depth-one closed form it reads once, and no family it does not read.
+
+    report: 3 each of A, E and E*, 4 F and F* closed forms and 2 G products; closure:
+    2 each of A and E*. Streaming A, E and E* once more for their checks, and building
+    E for a bm closure, made 24 and 10.
+    """
+    calls = 0
+    plain = exact_linalg_module._kron_entries
+
+    def counting(factors):
+        nonlocal calls
+        calls += 1
+        return plain(factors)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ordered_hamming" and hasattr(module, "_kron_entries"):
+            monkeypatch.setattr(module, "_kron_entries", counting)
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    assert calls <= bound
 
 
 @pytest.mark.parametrize(
@@ -468,13 +508,8 @@ def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
     # tells them apart is refused when the depth-one instance enters it in orbital
     # coordinates, before any family is lifted from it
     stray = RatMatrix.diagonal([0, 1, 0])
-    plain = terwilliger_module.base_spectral
-
-    def stray_spectral(params):
-        data = plain(params)
-        return data._replace(A=([stray], *data.A[1:]))
-
-    monkeypatch.setattr(terwilliger_module, "base_spectral", stray_spectral)
+    plain = terwilliger_module.base_adjacency
+    monkeypatch.setattr(terwilliger_module, "base_adjacency", lambda p: ([stray], *plain(p)[1:]))
     with pytest.raises(InternalMismatch, match="not constant on orbital"):
         terwilliger_closure(inst, "bm")
 
@@ -640,7 +675,7 @@ def test_each_family_is_built_once_per_instance(monkeypatch):
         verify_spectral_n(inst)
         structure_report(inst)
 
-    closure_builders = set(FAMILY_BUILDERS) - {"terw_basis"}
+    closure_builders = set(FAMILY_BUILDERS) - {"terw_basis", "base_idempotents"}
     for work, built in [(suite, set(FAMILY_BUILDERS)), (terwilliger_closure, closure_builders)]:
         builds.clear()
         work(Instance(SchemeParams((3,), 2)))
