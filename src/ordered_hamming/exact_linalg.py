@@ -213,8 +213,8 @@ class RatMatrix:
         }
 
 
-def mat_sum(mats: Iterable[RatMatrix]) -> RatMatrix:
-    """Sum of a non-empty run of same-shape matrices, added as they arrive."""
+def mat_sum(mats: Iterable[RatMatrix | OrbitalMatrix]) -> RatMatrix | OrbitalMatrix:
+    """Sum of a non-empty run of same-shape `RatMatrix` or same-orbital `OrbitalMatrix` values."""
     it = iter(mats)
     total = next(it, None)
     if total is None:

@@ -199,17 +199,17 @@ class Instance:
     def duals(self) -> dict[Shape, OrbitalMatrix]:
         """E*_lam; each depth-one E*_j is the 0/1 diagonal of row 0 of the sweep at e_j."""
         return self._family(
-            "duals", base_dual_idempotents, self._diagonal_flags(), OrbitalMatrix.is_indicator,
+            "duals", base_dual_idempotents, self._diagonals(), OrbitalMatrix.__eq__,
             "dual idempotent {j} disagrees with relation diagonal",
         )
 
-    def _diagonal_flags(self) -> Iterator[list[bool]]:
-        """Per shape, row-major flags set at (x, x) for the x that row 0 of the sweep has at it."""
-        npts, sweep = self.params.num_points, self.pair_shapes
-        flags = [False] * npts**2  # one list, its diagonal refilled for each shape
+    def _diagonals(self) -> Iterator[OrbitalMatrix]:
+        """Per shape, the 0/1 diagonal at the x that row 0 of the sweep puts in it. An orbital's
+        key holds shape(0 - x) and shape(x - z), so its representative (x, z) gives its flag."""
+        npts, orbitals = self.params.num_points, self.orbitals
+        row0, pairs = self.pair_shapes[:npts], [divmod(rep, npts) for rep in orbitals.reps]
         for lam in self.shapes:
-            flags[:: npts + 1] = [s == lam for s in sweep[:npts]]
-            yield flags
+            yield OrbitalMatrix(orbitals, [int(x == z and row0[x] == lam) for x, z in pairs])
 
     @cached_property
     def orbitals(self) -> Orbitals:
@@ -360,25 +360,32 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     k, mult = base_valencies(params), base_multiplicities(params)
     checks: dict[str, bool | None] = {}
 
+    # E_i E*_j is e_es[i][j], G_i G*_j is g_gs[i - 1][j - 1]: each product made once
+    e_es = [[e * es for es in estar] for e in E]
+    es_e = [[es * e for e in E] for es in estar]
+    f_fs = [[f * fs for fs in Fstar] for f in F]
+    fs_f = [[fs * f for f in F] for fs in Fstar]
+    g_gs = [[g * gs for gs in tw.Gstar] for g in tw.G]
+    gs_g = [[gs * g for g in tw.G] for gs in tw.Gstar]
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+
     checks["idempotent_sandwich_scalars"] = all(
-        E[0] * estar[i] * E[0] == E[0].scale(Fraction(k[i], size)) for i in range(m + 1)
+        e_es[0][i] * E[0] == E[0].scale(Fraction(k[i], size)) for i in range(m + 1)
     )
     checks["dual_sandwich_scalars"] = all(
-        estar[0] * E[i] * estar[0] == estar[0].scale(Fraction(mult[i], size))
+        es_e[0][i] * estar[0] == estar[0].scale(Fraction(mult[i], size))
         for i in range(m + 1)
     )
-    checks["corner_shift"] = all(
-        E[0] * estar[i] == E[0] * estar[0] * A[i] for i in range(m + 1)
-    )
+    checks["corner_shift"] = all(e_es[0][i] == e_es[0][0] * A[i] for i in range(m + 1))
 
     checks["f_zero_matches_e_zero"] = F[0] == E[0] and Fstar[0] == estar[0]
     checks["f_sandwich_reduction"] = all(
-        Fstar[i] * F[0] * Fstar[j] == estar[i] * E[0] * estar[j]
+        fs_f[i][0] * Fstar[j] == es_e[i][0] * estar[j]
         for i in range(m + 1)
         for j in range(m + 1)
     )
     checks["f_dual_sandwich_reduction"] = all(
-        F[i] * Fstar[0] * F[j] == E[i] * estar[0] * E[j]
+        f_fs[i][0] * F[j] == e_es[i][0] * E[j]
         for i in range(m + 1)
         for j in range(m + 1)
     )
@@ -392,37 +399,25 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
     checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
     checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
-    # G_i G*_j and G*_i G_j (0-based), multiplied once for every check that reads them
-    g_gs = [[g * gs for gs in tw.Gstar] for g in tw.G]
-    gs_g = [[gs * g for g in tw.G] for gs in tw.Gstar]
     checks["g_product_difference"] = all(
-        g_gs[i - 1][j - 1] == E[i] * estar[j] - F[i] * Fstar[j]
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
+        g_gs[i - 1][j - 1] == e_es[i][j] - f_fs[i][j] for i, j in pairs
     )
     checks["gstar_product_difference"] = all(
-        gs_g[i - 1][j - 1] == estar[i] * E[j] - Fstar[i] * F[j]
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
+        gs_g[i - 1][j - 1] == es_e[i][j] - fs_f[i][j] for i, j in pairs
     )
     checks["g_natural_sum"] = mat_sum(tw.G) == mat_sum(tw.Gstar) == tw.Gnat
 
     checks["factor_identities"] = _factor_identities_hold(q)
 
-    mixed_low = True
-    mixed_high = True
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if not _survives(i, j, q):
-                if E[j] * estar[i] != F[j] * Fstar[i]:
-                    mixed_low = False
-                if estar[i] * E[j] != Fstar[i] * F[j]:
-                    mixed_low = False
-            elif i + j > m + 1:
-                if not (F[j] * Fstar[i]).is_zero() or not (Fstar[i] * F[j]).is_zero():
-                    mixed_high = False
-    checks["mixed_products_low"] = mixed_low
-    checks["mixed_products_high"] = mixed_high
+    # E_j E*_i is e_es[j][i]: only the high pairs are symmetric in (i, j)
+    checks["mixed_products_low"] = all(
+        e_es[j][i] == f_fs[j][i] and es_e[i][j] == fs_f[i][j]
+        for i, j in pairs
+        if not _survives(i, j, q)
+    )
+    checks["mixed_products_high"] = all(
+        f_fs[j][i].is_zero() and fs_f[i][j].is_zero() for i, j in pairs if i + j > m + 1
+    )
 
     if inst.degenerate:
         checks["g_products_by_regime"] = None
@@ -436,9 +431,7 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
         checks["g_natural_lifted"] = g_sum == gs_sum == inst.lift([tw.Gnat])[(n,)]
         checks["lifted_g_products"] = _lifted_g_products_hold(inst, lifted_g, lifted_gs, g_gs)
 
-    f_matches = all(F[j] == E[j] for j in range(1, m + 1)) and all(
-        Fstar[j] == estar[j] for j in range(1, m + 1)
-    )
+    f_matches = F[1:] == E[1:] and Fstar[1:] == estar[1:]
     checks["f_equals_e_only_in_binary_single_case"] = f_matches == inst.degenerate
     return checks
 

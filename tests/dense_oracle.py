@@ -626,16 +626,19 @@ def expanded(tw):
     )
 
 
-def dense_terw_identities(inst):
-    """The identity suite with every product a dense `RatMatrix` product, on dense families."""
+def dense_terw_identities(inst, tw=None):
+    """The identity suite with every product a dense `RatMatrix` product, on dense families.
+
+    `tw`, a dense basis as `expanded` gives it, is checked in place of `dense_terw_basis`'s.
+    """
     params = inst.params
     q = params.q
     m = params.m
     n = params.n
     size = params.base_size
     data = dense_spectral(inst.base.params)
-    tw = dense_terw_basis(data)
-    E, A, estar, k, mult = data.E, data.A, data.Estar, data.k, data.mult
+    tw = dense_terw_basis(data) if tw is None else tw
+    E, estar, A, k, mult = tw.E, tw.Estar, data.A, data.k, data.mult
     F, Fstar = tw.F, tw.Fstar
     G = (None,) + tw.G  # 1-based access
     Gstar = (None,) + tw.Gstar

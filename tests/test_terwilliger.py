@@ -2,7 +2,7 @@ import json
 import math
 import sys
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -300,6 +300,31 @@ def test_identity_suite_matches_the_dense_oracle(q, n):
     assert list(verify_terw_identities(inst).items()) == list(dense_terw_identities(inst).items())
 
 
+def _swaps(*instances):
+    """Each pair of members of F, F*, G or G* that can trade places, on each X(m, n; q)."""
+    for q, n in instances:
+        for name in ("F", "Fstar", "G", "Gstar"):
+            size = len(q) + (name in ("F", "Fstar"))
+            for a, b in combinations(range(size), 2):
+                label = f"q{','.join(map(str, q))}-n{n}-{name}-{a}-{b}"
+                yield pytest.param(q, n, name, a, b, id=label)
+
+
+@pytest.mark.parametrize(
+    "q,n,name,a,b", _swaps(((2, 3), 1), ((2, 2, 2), 1), ((3, 2, 2), 1), ((2, 3), 2))
+)
+def test_a_doctored_basis_fails_the_suite_as_in_the_dense_oracle(q, n, name, a, b):
+    """With two members of one family swapped, the suite and the oracle read the same
+    doctored basis, agree check for check, and some check fails."""
+    inst = Instance(SchemeParams(q, n))
+    members = list(getattr(inst.base.basis, name))
+    members[a], members[b] = members[b], members[a]
+    inst.base.basis = doctored = inst.base.basis._replace(**{name: tuple(members)})
+    checks = verify_terw_identities(inst)
+    assert list(checks.items()) == list(dense_terw_identities(inst, expanded(doctored)).items())
+    assert False in checks.values()
+
+
 def _identities(capsys, q: str, n: str) -> tuple[int, dict]:
     code = main(["identities", "--q", q, "--n", n, "--json"])
     return code, json.loads(capsys.readouterr().out)["checks"]
@@ -379,19 +404,25 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     [
         (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 65),
         (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 98),
-        (["report", "--q", "2,2", "--n", "2"], 1573),
-        (["identities", "--q", "2,2", "--n", "2"], 231),
-        (["identities", "--q", "2,3,2", "--n", "2"], 466),
+        (["report", "--q", "2,2", "--n", "2"], 1531),
+        (["identities", "--q", "2,2", "--n", "2"], 189),
+        (["identities", "--q", "2,3,2", "--n", "2"], 388),
+        (["identities", "--q", "2,2,2", "--n", "1"], 334),
     ],
-    ids=["closure-bm", "closure-idem", "report", "identities-m2", "identities-m3"],
+    ids=[
+        "closure-bm", "closure-idem", "report", "identities-m2", "identities-m3", "identities-n1"
+    ],
 )
 def test_orbital_product_count(monkeypatch, capsys, argv, bound):
     """The walk starts after I and stops at a full span, the center masks diagonal
-    generators, and the identity suite multiplies each G_i G*_j and G*_i G_j once.
+    generators, and the identity suite multiplies each depth-one product it reads
+    (E_i E*_j, E*_i E_j, F_i F*_j, F*_i F_j, G_i G*_j and G*_i G_j) once.
 
     Walking I as well made 73, 106 and 1599 (and before the full-rank stop
     and the masks 280, 280 and 2964); multiplying the G products again in
-    each check that reads them made 3 m^2 more, 243 and 493 on the suites.
+    each check that reads them made 3 m^2 more, 243 and 493 on the suites;
+    multiplying the E and F products in each check made 1573 on the report
+    and 231, 466 and 416 on the suites.
     """
     calls = 0
     plain_product = Orbitals.product
