@@ -10,7 +10,6 @@ lifted constructions elsewhere.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -169,23 +168,21 @@ def intersection_counts(
 ) -> dict[tuple[Shape, Shape, Shape], int] | None:
     """p^k_ij as {(i, j, k): p} over `shapes`, checked on the `pair_shapes` sweep.
 
-    With the C relations labelled 0..C-1 (`shapes`, then other labels of the
-    sweep), a count of C * label(x, z) + label(z, y) over z gives p^k_ij at the
-    first pair (x, y) of relation k, row-major. R4, A_i A_j = sum_k p^k_ij A_k,
-    is checked on every row x: row z of A_b is sum_y [label(z, y) = b] 2**(w y),
-    w = N.bit_length(), so row x of A_i A_j is the sum of the rows z of A_j with
-    label(x, z) = i, and no entry (at most N) carries. None if a row differs, as
-    p^k_ij is then undefined. Keys run over i, j, then the k that have a pair.
+    The relations are the orbitals of `Orbitals(N, sweep)`, labelled by first
+    pair, so its structure table counts p^k_ij: the z with label(x, z) = i and
+    label(z, y) = j at the first pair (x, y) of relation k. R4,
+    A_i A_j = sum_k p^k_ij A_k, is checked on every row x: row z of A_b is
+    sum_y [label(z, y) = b] 2**(w y), w = N.bit_length(), so row x of A_i A_j
+    is the sum of the rows z of A_j with label(x, z) = i, and no entry (at
+    most N) carries. None if a row differs, as p^k_ij is then undefined. Keys
+    run over i, j, then the k that have a pair.
     """
     npts = math.isqrt(len(sweep))
-    label = {lam: a for a, lam in enumerate(dict.fromkeys(chain(shapes, sweep)))}
-    c = len(label)
-    rows = [[label[lam] for lam in sweep[x * npts : (x + 1) * npts]] for x in range(npts)]
-    first: dict[int, Counter] = {}
-    for row in rows:
-        for y, k in enumerate(row):
-            if k not in first:
-                first[k] = Counter([c * a + col[y] for a, col in zip(row, rows)])
+    relations = Orbitals(npts, sweep)
+    label = {sweep[rep]: a for a, rep in enumerate(relations.reps)}
+    c = relations.count
+    p = {(i, j, k): n for i, row in enumerate(relations._table) for k, j, n in row}
+    rows = [relations.labels[x * npts : (x + 1) * npts] for x in range(npts)]
     bits = [1 << npts.bit_length() * y for y in range(npts)]
     packed = [[0] * npts for _ in range(c)]  # packed[b][x]: row x of A_b
     related = [[[] for _ in range(c)] for _ in rows]  # related[x][b]: the z with label(x, z) = b
@@ -193,17 +190,17 @@ def intersection_counts(
         for z, (b, bit) in enumerate(zip(row, bits)):
             packed[b][x] |= bit
             related[x][b].append(z)
-    for i, j in product(first, repeat=2):
-        terms = [(first[k][c * i + j], packed[k]) for k in first if first[k][c * i + j]]
+    for i, j in product(range(c), repeat=2):
+        terms = [(p[i, j, k], packed[k]) for k in range(c) if (i, j, k) in p]
         for x, zs in enumerate(related):
-            if sum(map(packed[j].__getitem__, zs[i])) != sum(p * ak[x] for p, ak in terms):
+            if sum(map(packed[j].__getitem__, zs[i])) != sum(n * ak[x] for n, ak in terms):
                 return None
     return {
-        (i, j, k): first[label[k]][c * label[i] + label[j]]
+        (i, j, k): p.get((label.get(i), label.get(j), label[k]), 0)
         for i in shapes
         for j in shapes
         for k in shapes
-        if label[k] in first
+        if k in label
     }
 
 

@@ -541,33 +541,30 @@ def primary_subalgebra(inst: Instance) -> tuple[MatrixSubspace, dict[str, bool]]
     """Span of the sandwiches E*_lam E_0^(n) E*_mu, with its structure checks.
 
     The checks, under the names the report prints, verify the dimension,
-    the rational multiplication law
-    B(lam,mu) B(nu,rho) = delta(mu,nu) |X^n|^-1 k_mu B(lam,rho) and that the
-    dual sandwiches E_lam E*_0^(n) E_mu span the same subspace. With
-    C(lam,mu) = |X^n| / k_mu B(lam,mu) the law for mu = nu reads
-    C(lam,mu) C(mu,rho) = C(lam,rho).
-
-    Every factor is an `OrbitalMatrix` of the instance, so every product
-    runs in orbital coordinates.
+    the multiplication law U(lam,mu) U(mu,rho) = U(lam,rho) for
+    U(lam,mu) = |X^n| / k_mu E*_lam E_0^(n) E*_mu with E*_mu E*_nu = 0 for
+    mu != nu, and that the dual sandwiches E_lam E*_0^(n) E_mu span the same
+    subspace. The law is the C identities X_mu = 0, one per class, for
+    X_mu = |X^n| / k_mu E_0 E*_mu E*_mu E_0 - E_0: the two sides differ by
+    |X^n| / k_rho E*_lam X_mu E*_rho, and as the E* sum to I, these vanish for
+    every lam and rho only if X_mu does. Every product runs in orbital coordinates.
     """
     params = inst.params
     shapes = inst.shapes
     orbitals = inst.orbitals
     idems, duals = inst.idempotents, inst.duals
-    left = {lam: duals[lam] * idems[shapes[0]] for lam in shapes}
-    unit = {
-        (lam, mu): (left[lam] * duals[mu]).scale(Fraction(params.num_points, valency_n(mu, params)))
-        for lam in shapes
-        for mu in shapes
-    }
-    sub = MatrixSubspace.span(orbitals, (c.vec for c in unit.values()))
+    e0 = idems[shapes[0]]
+    left = {lam: duals[lam] * e0 for lam in shapes}
+    # the canonical rows do not depend on scaling, so the unscaled sandwiches span it
+    sub = MatrixSubspace.span(
+        orbitals, ((left[lam] * duals[mu]).vec for lam in shapes for mu in shapes)
+    )
     law_ok = all(
         (duals[mu] * duals[nu]).is_zero() for mu in shapes for nu in shapes if mu != nu
     ) and all(
-        unit[lam, mu] * unit[mu, rho] == unit[lam, rho]
-        for lam in shapes
+        # E_0 E*_mu, not left[mu] transposed: a doctored E_0 need not be symmetric
+        (e0 * duals[mu] * left[mu]).scale(Fraction(params.num_points, valency_n(mu, params))) == e0
         for mu in shapes
-        for rho in shapes
     )
     dual_left = {lam: idems[lam] * duals[shapes[0]] for lam in shapes}
     dual_span = MatrixSubspace.span(

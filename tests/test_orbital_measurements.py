@@ -6,7 +6,9 @@ here are the dense computations they replaced: the commutant loop over
 basis pairs, the sandwiches as dense `RatMatrix` products, and the
 commutativity and annihilation checks over every pair of basis elements.
 The masked center is also checked against the commutators [b, s] stacked
-over the whole spin set, which it replaced.
+over the whole spin set, which it replaced. The primary oracle keeps the
+literal multiplication law over every triple of sandwiches, and also runs
+on doctored families, against the one identity per class the package checks.
 """
 
 import math
@@ -90,13 +92,19 @@ def dense_center_dimension(alg):
     return len(current)
 
 
-def dense_primary_subalgebra(inst):
-    """Reference primary subalgebra: the sandwiches as dense products, in dense coordinates."""
+def dense_primary_subalgebra(inst, idems=None, duals=None):
+    """Reference primary subalgebra: the sandwiches as dense products, in dense coordinates.
+
+    The families default to the dense lifts of the closed forms; given ones
+    (dicts of `OrbitalMatrix` by shape, say doctored) are expanded instead.
+    """
     params = inst.params
     shapes = inst.shapes
     data = dense_spectral(inst.base.params)
-    idems = dense_family(inst, data.E)
-    duals = dense_family(inst, data.Estar)
+    idems, duals = (
+        dense_family(inst, base) if fam is None else {lam: x.matrix() for lam, x in fam.items()}
+        for fam, base in ((idems, data.E), (duals, data.Estar))
+    )
     e0n = idems[shapes[0]]
     sandwich = {(lam, mu): duals[lam] * e0n * duals[mu] for lam in shapes for mu in shapes}
     sub = span_basis(list(sandwich.values()))
@@ -165,6 +173,53 @@ def test_primary_matches_dense_oracle(q, n):
     assert sub.orbitals is inst.orbitals
     assert basis_matrices(sub) == basis_matrices(dense_sub)
     assert checks == dense_checks
+
+
+def _doctor(how, shapes, idems, duals):
+    """Break E or E* in one of four ways, on families in discrete coordinates."""
+    s0, s1, s2, last = shapes[0], shapes[1], shapes[2], shapes[-1]
+    if how == "e0_raised":
+        e0 = idems[s0]
+        idems[s0] = OrbitalMatrix(e0.orbitals, [a + e0.den for a in e0.vec], e0.den)
+    elif how == "duals_swapped":
+        duals[s1], duals[s2] = duals[s2], duals[s1]
+    elif how == "dual_summed":
+        duals[s1] = duals[s1] + duals[s2]
+    else:  # "point_dropped": the last diagonal point of the last E*
+        side, vec = duals[last].orbitals.side, list(duals[last].vec)
+        vec[max(p for p in range(0, side * side, side + 1) if vec[p])] = 0
+        duals[last] = OrbitalMatrix(duals[last].orbitals, vec, duals[last].den)
+
+
+@pytest.mark.parametrize("how", ["e0_raised", "duals_swapped", "dual_summed", "point_dropped"])
+@pytest.mark.parametrize(
+    "q,n", [((2,), 2), ((3,), 2), ((2, 3), 1), ((2, 2), 2), ((3, 2), 1), ((2, 2, 2), 1)],
+    ids=_label,
+)
+def test_doctored_families_match_the_literal_law(q, n, how):
+    """The C identities read the primary law as the oracle's C^3 products do, on broken families.
+
+    The families are taken to discrete coordinates, each pair its own
+    orbital, so one diagonal point can be dropped. Swapping E*_1 and E*_2
+    relabels two classes, which keeps the law exactly when their valencies
+    agree (k = 4 for both on X(1,2;3)).
+    """
+    params = SchemeParams(q, n)
+    inst = Instance(params)
+    discrete = Orbitals(params.num_points)
+    idems, duals = (
+        {
+            lam: OrbitalMatrix(discrete, [x.vec[o] for o in x.orbitals.labels], x.den)
+            for lam, x in fam.items()
+        }
+        for fam in (inst.idempotents, inst.duals)
+    )
+    _doctor(how, inst.shapes, idems, duals)
+    inst.__dict__.update(orbitals=discrete, idempotents=idems, duals=duals)
+    _, checks = primary_subalgebra(inst)
+    assert checks == dense_primary_subalgebra(inst, idems, duals)[1]
+    k1, k2 = (valency_n(lam, params) for lam in inst.shapes[1:3])
+    assert checks["primary_multiplication_law"] is (how == "duals_swapped" and k1 == k2)
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from ordered_hamming import (
     verify_terw_identities,
 )
 from ordered_hamming.cli import SUITE_INSTANCES, main
+from ordered_hamming.exact_linalg import mat_sum
 
 from dense_oracle import (
     _flat,
@@ -141,16 +142,25 @@ def test_depth_one_data_lives_on_one_base_instance(monkeypatch):
     assert inst.base.base is inst.base and inst.basis is inst.base.basis
 
 
-def test_lifted_dual_idempotent_examples():
-    inst = Instance(SchemeParams((2, 2), 2))
-    point_mass = inst.duals[inst.shapes[0]]
-    expected = [[0] * 16 for _ in range(16)]
-    expected[0][0] = 1
-    assert point_mass.matches(RatMatrix(expected))
-    total = None
-    for d in inst.duals.values():
-        total = d if total is None else total + d
-    assert total.matches(RatMatrix.identity(16))
+@pytest.mark.parametrize(
+    "q,n",
+    [((2,), 1), ((2,), 3), ((3,), 2), ((2, 3), 1), ((2, 2), 2), ((3, 2), 2), ((2, 2, 2), 2)]
+    + [((8,), 1)],
+    ids=str,
+)
+def test_lifted_dual_idempotent_examples(q, n):
+    """E*_0 is the point mass at 0 and the E* sum to I, at depth one and at depth n.
+
+    `primary_subalgebra` reads the primary law as one identity per class
+    because the E* resolve I; the package does not check that itself.
+    """
+    inst = Instance(SchemeParams(q, n))
+    for level in (inst.base, inst):
+        npts = level.params.num_points
+        expected = [[0] * npts for _ in range(npts)]
+        expected[0][0] = 1
+        assert level.duals[level.shapes[0]].matches(RatMatrix(expected))
+        assert mat_sum(level.duals.values()).matches(RatMatrix.identity(npts))
 
 
 def test_lifted_dual_idempotent_matches_point_shapes():
@@ -404,7 +414,7 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     [
         (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 65),
         (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 98),
-        (["report", "--q", "2,2", "--n", "2"], 1531),
+        (["report", "--q", "2,2", "--n", "2"], 1327),
         (["identities", "--q", "2,2", "--n", "2"], 189),
         (["identities", "--q", "2,3,2", "--n", "2"], 388),
         (["identities", "--q", "2,2,2", "--n", "1"], 334),
@@ -422,7 +432,8 @@ def test_orbital_product_count(monkeypatch, capsys, argv, bound):
     and the masks 280, 280 and 2964); multiplying the G products again in
     each check that reads them made 3 m^2 more, 243 and 493 on the suites;
     multiplying the E and F products in each check made 1573 on the report
-    and 231, 466 and 416 on the suites.
+    and 231, 466 and 416 on the suites; checking the primary law on every
+    triple of sandwiches made 1531 on the report.
     """
     calls = 0
     plain_product = Orbitals.product
@@ -435,6 +446,30 @@ def test_orbital_product_count(monkeypatch, capsys, argv, bound):
     monkeypatch.setattr(Orbitals, "product", counting_product)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
+    assert calls <= bound
+
+
+@pytest.mark.parametrize("q,n,bound", [((2, 2), 2, 126), ((2,), 3, 60)], ids=str)
+def test_primary_product_count(monkeypatch, q, n, bound):
+    """Once E and E* exist the primary stage makes at most 3 C^2 + 3 C orbital products:
+    C^2 + C sandwiches, C^2 - C products of distinct E*, 2 C for the law's C identities
+    and C^2 + C dual sandwiches.
+
+    Checking the law on every triple of sandwiches made C^3 + 3 C^2 + C, 330 and 116.
+    """
+    inst = Instance(SchemeParams(q, n))
+    inst.idempotents, inst.duals
+    calls = 0
+    plain_product = Orbitals.product
+
+    def counting_product(self, a, b):
+        nonlocal calls
+        calls += 1
+        return plain_product(self, a, b)
+
+    monkeypatch.setattr(Orbitals, "product", counting_product)
+    _, checks = primary_subalgebra(inst)
+    assert all(checks.values())
     assert calls <= bound
 
 
