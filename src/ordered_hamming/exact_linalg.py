@@ -264,24 +264,14 @@ class _RowReducer:
     basis of the row space, scaled entrywise to clear denominators.
     """
 
-    __slots__ = ("width", "_rows")
+    __slots__ = ("_rows",)
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def dimension(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
-    @property
-    def rows(self) -> list[list[int]]:
-        """The rows as dense vectors, in pivot order."""
-        return [[self._rows[p].get(j, 0) for j in range(self.width)] for p in self.pivots]
 
     def residual(self, vec: Sequence[int]) -> list[int]:
         """vec less its part in the span, as a primitive vector; unchanged when it meets no pivot.
@@ -527,9 +517,10 @@ class MatrixSubspace:
     """A subspace of N-by-N matrices constant on the given orbitals.
 
     Held as a canonical reduced basis of orbital vectors, so equality in
-    one coordinate system is exact. `spin` is a set S of orbital vectors:
-    a closure keeps the generators it spun under, which generate it as an
-    algebra, and a plain span its own basis. Equality and hashing ignore S.
+    one coordinate system is exact; a plain span keeps only those rows, and
+    `spin` None. Only `algebra_closure` sets the set S of orbital vectors in
+    `spin`: the generators it spun under, which generate the closure as an
+    algebra. Equality ignores S.
     """
 
     __slots__ = ("orbitals", "_reducer", "spin")
@@ -539,19 +530,15 @@ class MatrixSubspace:
     ):
         self.orbitals = orbitals
         self._reducer = reducer
-        self.spin = reducer.rows if spin is None else spin
+        self.spin = spin
 
     @classmethod
     def span(cls, orbitals: Orbitals, vectors: Iterable[Sequence[int]]) -> MatrixSubspace:
         """Linear span of orbital vectors."""
-        red = _RowReducer(orbitals.count)
+        red = _RowReducer()
         for vec in vectors:
             red.insert(vec)
         return cls(orbitals, red)
-
-    @property
-    def ambient_side(self) -> int:
-        return self.orbitals.side
 
     @property
     def dimension(self) -> int:
@@ -564,14 +551,9 @@ class MatrixSubspace:
             and self._reducer._rows == other._reducer._rows
         )
 
-    def __hash__(self) -> int:
-        return hash((self.ambient_side, self.dimension))
-
     def __repr__(self) -> str:
-        return (
-            f"MatrixSubspace(side={self.ambient_side}, orbitals={self.orbitals.count}, "
-            f"dim={self.dimension})"
-        )
+        side, count = self.orbitals.side, self.orbitals.count
+        return f"MatrixSubspace(side={side}, orbitals={count}, dim={self.dimension})"
 
 
 def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> MatrixSubspace:
@@ -611,7 +593,7 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     orbitals = generators[0].orbitals
     if any(g.orbitals is not orbitals for g in generators):
         raise DimensionMismatch("closure generators lie on different orbitals")
-    red = _RowReducer(orbitals.count)
+    red = _RowReducer()
     pool: list[list[int]] = []
 
     def try_add(vec: list[int]) -> bool:
@@ -644,8 +626,8 @@ def center_dimension(alg: MatrixSubspace) -> int:
     center is that kernel less the rank of the vectors that concatenate
     [z, s] = zs - sz over the other s, one per kernel element z.
 
-    `alg` must be an algebra, such as the result of `algebra_closure`,
-    whose spinning proves it closed under multiplication.
+    `alg` must be the result of `algebra_closure`: only a closure has S,
+    and its spinning proves it closed under multiplication.
     """
     orbitals = alg.orbitals
     side, count = orbitals.side, orbitals.count
@@ -661,12 +643,12 @@ def center_dimension(alg: MatrixSubspace) -> int:
             masked.update(o for o, (dx, dz) in enumerate(ends) if s[dx] != s[dz])
     order = sorted(range(count), key=lambda o: o not in masked)  # masked first, stable
     where = sorted(range(count), key=order.__getitem__)  # each orbital's place in order
-    kernel = _RowReducer(count)
+    kernel = _RowReducer()
     for b in alg._reducer._rows.values():
         kernel.insert([b.get(o, 0) for o in order])
     zs = [[z.get(i, 0) for i in where] for p, z in kernel._rows.items() if p >= len(masked)]
     product = orbitals.product
-    commutators = _RowReducer(len(others) * count)
+    commutators = _RowReducer()
     for z in zs:
         commutators.insert([x - y for s in others for x, y in zip(product(z, s), product(s, z))])
     return len(zs) - commutators.dimension

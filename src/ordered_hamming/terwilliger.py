@@ -437,12 +437,15 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
 
 
 def _orthogonal_idempotents(fam: Sequence) -> bool:
-    """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
-    return all(
-        (x * y == x) if i == j else (x * y).is_zero()
-        for i, x in enumerate(fam)
-        for j, y in enumerate(fam)
-    )
+    """Whether x y is x for x = y and 0 otherwise, over every ordered pair of `fam`.
+
+    Cochran's criterion, k + 1 products for k members: each x and their sum S
+    are idempotent (the converse is plain). Over Q an idempotent's rank is its
+    trace, so rank S = sum of the ranks: the im x form a direct sum, im S. So
+    S y = y, and the x y over x != y sum to 0 in that direct sum: each is 0.
+    """
+    total = mat_sum(fam)
+    return all(x * x == x for x in fam) and (len(fam) == 1 or total * total == total)
 
 
 def _mutually_annihilating(xs: Sequence, ys: Sequence) -> bool:

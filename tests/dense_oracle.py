@@ -13,7 +13,9 @@ package's packed-row check of A_i A_j = sum_k p^k_ij A_k. `point_sub` and
 `shape_of` give the relation of a pair by its definition, against the
 `pair_shapes` sweep. The identity suite and the spectral
 checks are run here with dense products, against the suites the package
-runs in orbital coordinates. The dense row reducer and the center stacked
+runs in orbital coordinates; the identity suite here checks orthogonal
+idempotents by the literal law over every ordered pair, against the
+package's sum criterion. The dense row reducer and the center stacked
 over the whole spin set are the references for the package's sparse
 reducer and masked center. The dense Kronecker products `kron` and
 `kron_all`, and `dense_spectral`, which expands the package's closed-form
@@ -58,7 +60,6 @@ from ordered_hamming.terwilliger import (
     TerwBasisSet,
     _factor_identities_hold,
     _mutually_annihilating,
-    _orthogonal_idempotents,
     _survives,
     _theta_enumerate,
     _theta_feasible,
@@ -166,13 +167,19 @@ def row_sums(mat: RatMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(row), mat._den) for row in mat._grid)
 
 
+def dense_rows(sub: MatrixSubspace) -> list[list[int]]:
+    """The canonical rows of `sub` as dense orbital vectors, in pivot order."""
+    count = sub.orbitals.count
+    return [[row.get(j, 0) for j in range(count)] for _, row in sorted(sub._reducer._rows.items())]
+
+
 def stacked_center_dimension(alg: MatrixSubspace) -> int:
     """Reference center: d minus the rank of the d vectors stacking [b, s] over all of S.
 
     One vector per basis element b, concatenating bs - sb for every s in
     the spin set, diagonal or not; no mask and no kernel step.
     """
-    basis = alg._reducer.rows
+    basis = dense_rows(alg)
     product = alg.orbitals.product
     commutators = DenseRowReducer(len(alg.spin) * alg.orbitals.count)
     for b in basis:
@@ -279,8 +286,8 @@ def basis_matrices(sub: MatrixSubspace) -> list[RatMatrix]:
     Orbitals are labelled in row-major order of their first pair, so this
     is the same list in any coordinates that hold the span.
     """
-    red = sub._reducer
-    return [sub.orbitals.matrix(row, row[p]) for row, p in zip(red.rows, red.pivots)]
+    # a row's pivot entry is its first nonzero one
+    return [sub.orbitals.matrix(row, next(filter(None, row))) for row in dense_rows(sub)]
 
 
 def contains(sub: MatrixSubspace, mat: RatMatrix) -> bool:
@@ -729,6 +736,15 @@ def dense_terw_identities(inst, tw=None):
     )
     checks["f_equals_e_only_in_binary_single_case"] = f_matches == inst.degenerate
     return checks
+
+
+def _orthogonal_idempotents(fam) -> bool:
+    """The literal law: x y is x for x = y and 0 otherwise, over every ordered pair of `fam`."""
+    return all(
+        (x * y == x) if i == j else (x * y).is_zero()
+        for i, x in enumerate(fam)
+        for j, y in enumerate(fam)
+    )
 
 
 def _g_product_regimes_hold(params, tw) -> bool:

@@ -7,7 +7,9 @@ TIMEOUT_S seconds. The child times
 `ordered_hamming.cli.main(["report", ..., "--max-points", N])` in
 process, so interpreter start-up and imports are left out. It reads r
 from the `r = ... orbitals` line the report logs to stderr and dim T from
-its stdout, so nothing is built outside the timed call. N is the
+its stdout, so nothing is built outside the timed call, and counts the
+`Orbitals.product` calls the report makes as `products`, a count that
+does not drift with CPU speed as times do. N is the
 instance's own point count, so instances past the CLI's default bound run
 too. An instance that runs past the timeout is recorded as "timeout".
 `--src` picks the source tree to import, so one copy of this script
@@ -65,17 +67,31 @@ INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
 
 CHILD = """
 import contextlib, io, json, re, sys, time
+from ordered_hamming import Orbitals
 from ordered_hamming.cli import main
 q, n, points = tuple(json.loads(sys.argv[1])), int(sys.argv[2]), sys.argv[3]
 argv = ["report", "--q", ",".join(map(str, q)), "--n", str(n), "--max-points", points]
 out, err = io.StringIO(), io.StringIO()
-start = time.perf_counter()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = main(argv)
-wall = time.perf_counter() - start
+products, plain_product = 0, Orbitals.product
+
+def counting_product(self, a, b):
+    global products
+    products += 1
+    return plain_product(self, a, b)
+
+Orbitals.product = counting_product
+try:
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    wall = time.perf_counter() - start
+finally:
+    Orbitals.product = plain_product
 blob = json.loads(out.getvalue())
 r = int(re.search(r"\\br = (\\d+) orbitals", err.getvalue()).group(1))
-print(json.dumps({"exit": code, "wall_s": round(wall, 3), "r": r, "dim_T": blob["data"]["dim_T"]}))
+result = {"exit": code, "wall_s": round(wall, 3), "r": r, "dim_T": blob["data"]["dim_T"]}
+result["products"] = products
+print(json.dumps(result))
 """
 
 
