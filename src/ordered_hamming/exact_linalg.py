@@ -10,15 +10,14 @@ Subspaces live in orbital coordinates (`Orbitals`): a matrix that every
 permutation of a group commutes with is constant on each orbit of that
 group on pairs of points, so it is one integer per orbital. The discrete
 partition, every pair its own orbital, is the plain row-major vectorization.
-Closures multiply in these coordinates through one structure table and
-never form a dense product; a closure stops once it spans every orbital.
-It keeps the generators it spun under, and the spinning proves it closed
-under multiplication; `center_dimension` works from those generators, with
-masks for the diagonal ones. Subspaces are kept in fully reduced integer
-row-echelon form with sparse rows ({column: value}), so the basis is
-canonical: two subspaces in the same coordinates are equal exactly when
-their rows are identical. Subspaces in different coordinates never compare
-equal.
+Closures multiply in these coordinates through one structure table, a
+unital one block by block on the classes of points its diagonal generators
+tell apart, and stop once they span every orbital. A closure keeps the
+generators it accepted, which generate it; `center_dimension` works from
+them, with masks for the diagonal ones. Subspaces are kept in fully reduced
+integer row-echelon form with sparse rows ({column: value}), so the basis
+is canonical: two subspaces in the same coordinates are equal exactly
+when their rows are identical; in different coordinates they never are.
 """
 
 from __future__ import annotations
@@ -266,8 +265,10 @@ class _RowReducer:
 
     __slots__ = ("_rows",)
 
-    def __init__(self):
+    def __init__(self, vectors: Iterable[Sequence[int]] = ()):
         self._rows: dict[int, dict[int, int]] = {}
+        for vec in vectors:
+            self.insert(vec)
 
     @property
     def dimension(self) -> int:
@@ -519,7 +520,7 @@ class MatrixSubspace:
     Held as a canonical reduced basis of orbital vectors, so equality in
     one coordinate system is exact; a plain span keeps only those rows, and
     `spin` None. Only `algebra_closure` sets the set S of orbital vectors in
-    `spin`: the generators it spun under, which generate the closure as an
+    `spin`: the generators it accepted, which generate the closure as an
     algebra. Equality ignores S.
     """
 
@@ -535,10 +536,7 @@ class MatrixSubspace:
     @classmethod
     def span(cls, orbitals: Orbitals, vectors: Iterable[Sequence[int]]) -> MatrixSubspace:
         """Linear span of orbital vectors."""
-        red = _RowReducer()
-        for vec in vectors:
-            red.insert(vec)
-        return cls(orbitals, red)
+        return cls(orbitals, _RowReducer(vectors))
 
     @property
     def dimension(self) -> int:
@@ -556,60 +554,102 @@ class MatrixSubspace:
         return f"MatrixSubspace(side={side}, orbitals={count}, dim={self.dimension})"
 
 
+def _point_classes(orbitals: Orbitals, spin: list[list[int]]) -> tuple[list, list[tuple[int, int]]]:
+    """The non-diagonal members of `spin`, and each orbital's (class(x), class(z)) at its rep."""
+    side, eye = orbitals.side, OrbitalMatrix.identity(orbitals).vec
+    others, diagonal = [], []
+    for s in spin:  # diagonal: zero off the diagonal orbitals, which hold only pairs (x, x)
+        (others if any(a for a, d in zip(s, eye) if not d) else diagonal).append(s)
+    number: dict[tuple[int, ...], int] = {}
+    keys = (tuple(s[orbitals.labels[x * (side + 1)]] for s in diagonal) for x in range(side))
+    cls = [number.setdefault(key, len(number)) for key in keys]
+    return others, [(cls[rep // side], cls[rep % side]) for rep in orbitals.reps]
+
+
+def _graded_span(orbitals: Orbitals, others: list, blocks: list[tuple[int, int]]) -> _RowReducer:
+    """The unital algebra generated by `others` and the class indicators, block by block."""
+    count, product = orbitals.count, orbitals.product
+
+    def split(g: list[int]) -> Iterable[tuple[tuple[int, int], list[int]]]:
+        parts: dict[tuple[int, int], list[int]] = {}
+        for o in filter(g.__getitem__, range(count)):
+            parts.setdefault(blocks[o], [0] * count)[o] = g[o]
+        return parts.items()
+
+    units = [e for _, e in split(OrbitalMatrix.identity(orbitals).vec)]  # the e_c
+    parts = sorted(chain.from_iterable(map(split, others)), key=lambda part: -part[1].count(0))
+    red = _RowReducer(chain(units, (p for _, p in parts)))
+    if red.dimension == count:
+        return red
+    red, pool, done = _RowReducer(units), [], 0  # pool: (vector, row class, column class)
+    walkers: list[list[tuple[list[int], int]]] = [[] for _ in units]  # by column class
+
+    def walk(a: list[int], x: int, b: list[int], z: int) -> None:
+        if red.dimension < count and red.insert(vec := _primitive(product(a, b))):
+            pool.append((vec, x, z))
+
+    for (x, z), p in parts:  # sparsest first; sorted is stable
+        if red.dimension == count or not red.insert(p):
+            continue
+        for b, y, w in pool[:done]:  # what the earlier walkers have met
+            if y == z:
+                walk(p, x, b, w)
+        walkers[z].append((p, x))
+        pool.append((p, x, z))
+        for b, y, w in islice(pool, done, None):  # it meets the products appended on the way
+            for a, v in walkers[y]:
+                walk(a, v, b, w)
+        done = len(pool)
+    return red
+
+
 def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> MatrixSubspace:
     """Smallest multiplication-closed subspace containing the generators.
 
-    The algebra is the span of the nonempty words in the generators, plus
+    The algebra A is the span of the nonempty words in the generators, plus
     I when `unital`. The generators lie on one set of orbitals, and one on
-    other orbitals raises DimensionMismatch. Words of orbital-constant
-    matrices stay constant, so the closure runs on orbital vectors and
-    multiplies through `Orbitals.product`, never forming a dense matrix.
+    other orbitals raises DimensionMismatch. The closure runs on orbital
+    vectors through `Orbitals.product`, never forming a dense matrix. The
+    generators independent of I (when `unital`) and of those before them
+    are accepted as the result's `spin` set S, which generates A.
 
-    It is found by spinning: the pool starts with I (when `unital`) and the
-    generators, and one walk over the pool multiplies each element on the
-    left by every generator the pool accepted, appending each product that
-    is independent; it starts after I, as g I = g is a seed. The walked pool
-    spans a space that holds the seeds and is closed under left
-    multiplication by the accepted generators, so it holds every word; a
-    rejected generator is a combination of I (when `unital`) and the
-    accepted ones. The walk ends at the end of the pool, after about dim * k
-    products for k accepted generators, or before its next product once the
-    span holds all r orbital vectors. That stop is exact, not r standing in
-    for the dimension: the orbital-constant matrices form the centralizer
-    algebra of the group, closed under the products `Orbitals.product`
-    computes, so no word can leave the span. It fires only once the
-    measured dimension has reached r.
+    Without I it spins: one walk over a pool that starts as S multiplies
+    each element on the left by every member of S, keeping each independent
+    product. With I it is graded, as T is on the E*: the indicator e_c of
+    each class of points that the diagonal members of S tell apart lies in
+    A, so A is the sum of its blocks e_c A e_c'. A part e_c v e_c' is a
+    mask, and parts in blocks (c, c') and (d, d') multiply to 0 unless
+    c' = d. If the e_c and the parts of the other members of S span all r
+    orbitals, they hold A, with no product. Else the pool starts as the e_c
+    and takes the parts sparsest first, each as a walker only if it lies
+    outside the span; each walker multiplies on the left every pool element
+    but the e_c whose row class is its column class. The span then holds I
+    and is closed under left multiplication by the e_c and the walkers, so
+    it is the algebra they generate, and it holds each part passed over.
 
-    The span is kept in canonical reduced echelon form, so the result does
-    not depend on generator order or on the order of the walk; and because
-    orbitals are labelled in row-major order of their first pair, its rows
-    expand, each scaled to pivot entry 1, to the basis the same span has in
-    dense coordinates. The result keeps the accepted generators as its
-    `spin` set S: every pool element is a word in S, so the walk proves the
-    span an algebra, and S generates it.
+    Either walk stops before its next product once the span holds all r
+    orbital vectors, and only then: the orbital-constant matrices form the
+    centralizer algebra of the group, so the stop is exact. The span is kept
+    in canonical reduced echelon form, so the result does not depend on
+    generator or walk order; as orbitals are labelled in row-major order of
+    their first pair, its rows expand, each scaled to pivot entry 1, to its
+    dense basis.
     """
     if not generators:
         raise EmptyInput("closure of an empty generator list")
     orbitals = generators[0].orbitals
     if any(g.orbitals is not orbitals for g in generators):
         raise DimensionMismatch("closure generators lie on different orbitals")
-    red = _RowReducer()
-    pool: list[list[int]] = []
-
-    def try_add(vec: list[int]) -> bool:
-        if red.insert(vec):
-            pool.append(vec)
-            return True
-        return False
-
+    red = _RowReducer([OrbitalMatrix.identity(orbitals).vec] * unital)
+    spin = [g.vec for g in generators if red.insert(g.vec)]
     if unital:
-        try_add(OrbitalMatrix.identity(orbitals).vec)
-    spin = [g.vec for g in generators if try_add(g.vec)]
-    # the walk also visits the products appended to the live pool on the way
-    for g, b in ((g, b) for b in islice(pool, unital, None) for g in spin):
+        return MatrixSubspace(orbitals, _graded_span(orbitals, *_point_classes(orbitals, spin)), spin)
+    pool = list(spin)
+    for g, b in ((g, b) for b in pool for g in spin):  # it meets the products appended on the way
         if red.dimension == orbitals.count:
             break
-        try_add(_primitive(orbitals.product(g, b)))
+        if red.insert(vec := _primitive(orbitals.product(g, b))):
+            pool.append(vec)
     return MatrixSubspace(orbitals, red, spin)
 
 
@@ -617,36 +657,25 @@ def center_dimension(alg: MatrixSubspace) -> int:
     """Dimension of the center of the algebra `alg`, measured from its spin set S.
 
     Z in alg is central exactly when [Z, s] = 0 for every s in S, because S
-    generates alg. An s nonzero only on diagonal orbitals is a diagonal
-    matrix, and [Z, s][x, z] = Z[x, z] (s[z, z] - s[x, x]) is Z times a mask
-    read at each representative (x, z), with no product. So the Z that
-    commute with every diagonal s are those zero on the masked orbitals: the
-    kernel of the basis restricted to them, found as the rows that pivot
-    after them when the basis is reduced with those orbitals first. The
+    generates alg. A diagonal s gives [Z, s][x, z] = Z[x, z] (s[z, z] -
+    s[x, x]), Z times a mask read at each representative (x, z), with no
+    product. So the Z that commute with every diagonal s are those zero on
+    the orbitals whose points x and z lie in different classes
+    (`_point_classes`): the kernel of the basis restricted to them, the rows
+    that pivot after them when the basis is reduced with them first. The
     center is that kernel less the rank of the vectors that concatenate
     [z, s] = zs - sz over the other s, one per kernel element z.
 
     `alg` must be the result of `algebra_closure`: only a closure has S,
-    and its spinning proves it closed under multiplication.
+    and its walk proves it closed under multiplication.
     """
-    orbitals = alg.orbitals
-    side, count = orbitals.side, orbitals.count
-    eye = OrbitalMatrix.identity(orbitals).vec
-    diag = [orbitals.labels[x * (side + 1)] for x in range(side)]  # the orbital of (x, x)
-    ends = [(diag[rep // side], diag[rep % side]) for rep in orbitals.reps]
-    masked: set[int] = set()
-    others = []
-    for s in alg.spin:
-        if any(a for a, d in zip(s, eye) if not d):
-            others.append(s)
-        else:
-            masked.update(o for o, (dx, dz) in enumerate(ends) if s[dx] != s[dz])
-    order = sorted(range(count), key=lambda o: o not in masked)  # masked first, stable
+    orbitals, count = alg.orbitals, alg.orbitals.count
+    others, blocks = _point_classes(orbitals, alg.spin)
+    order = sorted(range(count), key=lambda o: blocks[o][0] == blocks[o][1])  # masked first
     where = sorted(range(count), key=order.__getitem__)  # each orbital's place in order
-    kernel = _RowReducer()
-    for b in alg._reducer._rows.values():
-        kernel.insert([b.get(o, 0) for o in order])
-    zs = [[z.get(i, 0) for i in where] for p, z in kernel._rows.items() if p >= len(masked)]
+    masked = sum(x != z for x, z in blocks)
+    kernel = _RowReducer([b.get(o, 0) for o in order] for b in alg._reducer._rows.values())
+    zs = [[z.get(i, 0) for i in where] for p, z in kernel._rows.items() if p >= masked]
     product = orbitals.product
     commutators = _RowReducer()
     for z in zs:

@@ -630,6 +630,7 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
         # compositions(0, k) is the all-zero tuple, so d = 0 and d = n need no special case
         keys = [sigma + tau for sigma in compositions(n - d, m + 1) for tau in compositions(d, m)]
         gens = [lift[c] for lift in lifts for c in keys if c in lift]  # absent keys are zero
+        gens.sort(key=lambda g: g.vec.count(0), reverse=True)  # stable: sparsest first
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
             continue

@@ -379,8 +379,9 @@ def pool_closure(generators, unital):
 def dense_closure(generators, unital):
     """Reference closure: the spinning walk on dense matrices, with `RatMatrix` products.
 
-    The same walk as `algebra_closure`, over row-major vectorizations of
-    N-by-N matrices instead of orbital vectors; used only to cross-check it.
+    The ungraded walk of `algebra_closure`, under every accepted generator,
+    over row-major vectorizations of N-by-N matrices instead of orbital
+    vectors; used only to cross-check it.
     """
     gens = list(generators)
     side = gens[0].nrows
@@ -410,6 +411,23 @@ def closure3(gens, unital):
 @given(st.lists(int3x3, min_size=1, max_size=4), st.booleans())
 def test_closure_matches_pool_reference(mats, unital):
     assert closure3(mats, unital) == pool_closure(mats, unital) == dense_closure(mats, unital)
+
+
+diag3 = (
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3)
+    .filter(lambda entries: len(set(entries)) > 1)
+    .map(RatMatrix.diagonal)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diag3, st.lists(st.one_of(int3x3, diag3), max_size=3))
+def test_graded_closure_matches_pool_reference(diagonal, rest):
+    """A non-scalar diagonal generator first is always accepted, so the unital walk is graded."""
+    mats = [diagonal, *rest]
+    got = closure3(mats, unital=True)
+    assert got == pool_closure(mats, unital=True) == dense_closure(mats, unital=True)
+    assert got.spin[0] == discrete([diagonal])[0].vec
 
 
 def test_closure_of_nilpotent_matrix_unit():
@@ -448,8 +466,14 @@ def test_closure_with_all_later_generators_dependent():
     assert closure3(gens, unital=True).dimension == 3
 
 
-@pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 2, 2), 1)])
+@pytest.mark.parametrize(
+    "q,n",
+    [((2,), 3), ((3,), 2), ((2, 2, 2), 1), ((2,), 1), ((3,), 1)]
+    + [((2,), 2), ((2, 2), 1), ((2, 3), 1), ((2, 2), 2), ((2,), 4)],
+)
 def test_terwilliger_closure_matches_pool_reference(q, n):
+    """The dense oracle's instances up to 16 points: the pool engine takes 8 s on
+    X(1,5;2) and 13 s on X(2,2;2,3), which are left to the dense walk alone."""
     inst = Instance(SchemeParams(q, n))
     data = dense_spectral(inst.base.params)
     duals = list(dense_family(inst, data.Estar).values())

@@ -72,6 +72,6 @@ def test_frontier_child_builds_each_orbital_structure_once(monkeypatch, capsys):
     exec(frontier.CHILD, {"__name__": "__main__"})
     result = json.loads(capsys.readouterr().out)
     assert result["exit"] == 0 and result["r"] == 55 and result["dim_T"] == 55
-    assert result["products"] == 1315 and Orbitals.product is plain_product
+    assert result["products"] == 1134 and Orbitals.product is plain_product
     # X(2,2;2,2), 16 points, and the depth-one scheme its report closes, 4 points
     assert builds == {16: 1, 4: 1}

@@ -442,9 +442,9 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
 @pytest.mark.parametrize(
     "argv,bound",
     [
-        (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 65),
-        (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 98),
-        (["report", "--q", "2,2", "--n", "2"], 1315),
+        (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 0),
+        (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 0),
+        (["report", "--q", "2,2", "--n", "2"], 1134),
         (["identities", "--q", "2,2", "--n", "2"], 177),
         (["identities", "--q", "2,3,2", "--n", "2"], 356),
         (["identities", "--q", "2,2,2", "--n", "1"], 302),
@@ -454,11 +454,13 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     ],
 )
 def test_orbital_product_count(monkeypatch, capsys, argv, bound):
-    """The walk starts after I and stops at a full span, the center masks diagonal
-    generators, and the identity suite multiplies each depth-one product it reads
-    (E_i E*_j, E*_i E_j, F_i F*_j, F*_i F_j, G_i G*_j and G*_i G_j) once.
+    """The unital walk is graded on the E* and stops at a full span, the center masks
+    diagonal generators, and the identity suite multiplies each depth-one product it
+    reads (E_i E*_j, E*_i E_j, F_i F*_j, F*_i F_j, G_i G*_j and G*_i G_j) once.
 
-    Walking I as well made 73, 106 and 1599 (and before the full-rank stop
+    On X(1,4;2) the block parts of the generators span T, so its closures make no
+    product; the ungraded walk, spinning under whole generators, made 65, 98 and
+    1315. Walking I as well made 73, 106 and 1599 (and before the full-rank stop
     and the masks 280, 280 and 2964); multiplying the G products again in
     each check that reads them made 3 m^2 more, 243 and 493 on the suites;
     multiplying the E and F products in each check made 1573 on the report
@@ -480,6 +482,28 @@ def test_orbital_product_count(monkeypatch, capsys, argv, bound):
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
     assert calls <= bound
+
+
+def test_component_walk_reads_fewest_table_entries_sparsest_first(monkeypatch):
+    """X(2,2;2,2): the component stage's products read 29549 structure-table entries.
+
+    Each piece's generators are walked sparsest first, so the pool starts sparse and a
+    product reads the table rows of its sparser factor; in the order the lifts come, the
+    same 701 products read 46923 entries.
+    """
+    inst = Instance(SchemeParams((2, 2), 2))
+    inst.basis
+    counts = Counter()
+    plain = Orbitals._left_product
+
+    def counting(self, a, b):
+        counts["products"] += 1
+        counts["entries"] += sum(len(self._table[i]) for i, ai in enumerate(a) if ai)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(Orbitals, "_left_product", counting)
+    component_dims(inst)
+    assert counts == {"products": 701, "entries": 29549}
 
 
 @pytest.mark.parametrize("q,n,bound", [((2, 2), 2, 126), ((2,), 3, 60)], ids=str)
@@ -572,13 +596,32 @@ def test_closure_rejects_unknown_generator_label():
         terwilliger_closure(Instance(SchemeParams((2,), 1)), "foo")
 
 
-@pytest.mark.parametrize("generators", ["bm", "idem"])
-def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
-    inst = Instance(SchemeParams((2,), 4))
+@pytest.mark.parametrize(
+    "q,n,generators,accepted,dim,count",
+    [
+        ((2,), 4, "bm", 8, 35, 0),
+        ((2,), 4, "idem", 8, 35, 0),
+        ((2, 3, 2), 2, "bm", 18, 209, 708),
+        ((2, 3, 2), 2, "idem", 18, 209, 1230),
+    ],
+    ids=["bm", "idem", "X(3,2;2,3,2)-bm", "X(3,2;2,3,2)-idem"],
+)
+def test_closure_spins_dim_times_accepted_generators(
+    monkeypatch, q, n, generators, accepted, dim, count
+):
+    """The graded walk's products, pinned, within dim T times the accepted generators.
+
+    X(1,4;2) closes from the block parts of its generators with no product, where the
+    ungraded walk made 65 (bm) and 98 (idem) and the pool-against-pool reference engine
+    1897. On X(3,2;2,3,2), dim T = 209 < r = 210, so the parts do not span and the walk
+    runs; the ungraded walk made 3744 there for each generator set.
+    """
+    inst = Instance(SchemeParams(q, n))
     first = inst.adjacency if generators == "bm" else inst.idempotents
     gens = list(first.values()) + list(inst.duals.values())
-    # the generators the closure keeps: those independent of I and earlier ones
-    accepted = span_basis([RatMatrix.identity(16)] + [g.matrix() for g in gens]).dimension - 1
+    # the generators the closure keeps as S: those independent of I and earlier ones
+    identity = RatMatrix.identity(inst.params.num_points)
+    assert span_basis([identity] + [g.matrix() for g in gens]).dimension - 1 == accepted
     products = Counter()
     plain_mul = RatMatrix.__mul__
     plain_product = Orbitals.product
@@ -594,11 +637,10 @@ def test_closure_spins_dim_times_accepted_generators(monkeypatch, generators):
 
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
     monkeypatch.setattr(Orbitals, "product", counting_product)
-    dim = terwilliger_closure(inst, generators).dimension
-    assert dim == 35 and accepted == 8
+    closure = terwilliger_closure(inst, generators)
+    assert closure.dimension == dim and len(closure.spin) == accepted
     assert products["dense"] == 0
-    # the pool-against-pool reference engine needs 1897 here
-    assert 0 < products["orbital"] <= dim * accepted
+    assert products["orbital"] == count <= dim * accepted
 
 
 def test_closure_rejects_a_generator_not_constant_on_an_orbital(monkeypatch):
