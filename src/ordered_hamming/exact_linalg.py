@@ -10,9 +10,9 @@ Subspaces live in orbital coordinates (`Orbitals`): a matrix that every
 permutation of a group commutes with is constant on each orbit of that
 group on pairs of points, so it is one integer per orbital. The discrete
 partition, every pair its own orbital, is the plain row-major vectorization.
-Closures multiply in these coordinates through one structure table, a
-unital one block by block on the classes of points its diagonal generators
-tell apart, and stop once they span every orbital. A closure keeps the
+Every closure takes one walk through one structure table, block by block
+on the classes of points its diagonal generators tell apart (one class
+when not unital), and stops once it spans every orbital. A closure keeps the
 generators it accepted, which generate it; `center_dimension` works from
 them, with masks for the diagonal ones. Subspaces are kept in fully reduced
 integer row-echelon form with sparse rows ({column: value}), so the basis
@@ -566,9 +566,14 @@ def _point_classes(orbitals: Orbitals, spin: list[list[int]]) -> tuple[list, lis
     return others, [(cls[rep // side], cls[rep % side]) for rep in orbitals.reps]
 
 
-def _graded_span(orbitals: Orbitals, others: list, blocks: list[tuple[int, int]]) -> _RowReducer:
-    """The unital algebra generated by `others` and the class indicators, block by block."""
+def _graded_span(orbitals: Orbitals, spin: list, unital: bool, trial: _RowReducer) -> _RowReducer:
+    """The algebra `spin` generates, with I when `unital`, block by block on its point classes.
+
+    Without I there is one class. With one class the parts are the members of `spin`,
+    so `trial`, the reducer that accepted them, is the full-rank trial.
+    """
     count, product = orbitals.count, orbitals.product
+    others, blocks = _point_classes(orbitals, spin) if unital else (spin, [(0, 0)] * count)
 
     def split(g: list[int]) -> Iterable[tuple[tuple[int, int], list[int]]]:
         parts: dict[tuple[int, int], list[int]] = {}
@@ -576,13 +581,14 @@ def _graded_span(orbitals: Orbitals, others: list, blocks: list[tuple[int, int]]
             parts.setdefault(blocks[o], [0] * count)[o] = g[o]
         return parts.items()
 
-    units = [e for _, e in split(OrbitalMatrix.identity(orbitals).vec)]  # the e_c
+    units = [e for _, e in split(OrbitalMatrix.identity(orbitals).vec)] if unital else []
     parts = sorted(chain.from_iterable(map(split, others)), key=lambda part: -part[1].count(0))
-    red = _RowReducer(chain(units, (p for _, p in parts)))
-    if red.dimension == count:
-        return red
+    if len(units) > 1:  # several classes: the parts are not the members of `spin`
+        trial = _RowReducer(chain(units, (p for _, p in parts)))
+    if trial.dimension == count:
+        return trial
     red, pool, done = _RowReducer(units), [], 0  # pool: (vector, row class, column class)
-    walkers: list[list[tuple[list[int], int]]] = [[] for _ in units]  # by column class
+    walkers: list[list[tuple[list[int], int]]] = [[] for _ in units or [0]]  # by column class
 
     def walk(a: list[int], x: int, b: list[int], z: int) -> None:
         if red.dimension < count and red.insert(vec := _primitive(product(a, b))):
@@ -613,21 +619,22 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     generators independent of I (when `unital`) and of those before them
     are accepted as the result's `spin` set S, which generates A.
 
-    Without I it spins: one walk over a pool that starts as S multiplies
-    each element on the left by every member of S, keeping each independent
-    product. With I it is graded, as T is on the E*: the indicator e_c of
-    each class of points that the diagonal members of S tell apart lies in
-    A, so A is the sum of its blocks e_c A e_c'. A part e_c v e_c' is a
-    mask, and parts in blocks (c, c') and (d, d') multiply to 0 unless
-    c' = d. If the e_c and the parts of the other members of S span all r
-    orbitals, they hold A, with no product. Else the pool starts as the e_c
-    and takes the parts sparsest first, each as a walker only if it lies
-    outside the span; each walker multiplies on the left every pool element
-    but the e_c whose row class is its column class. The span then holds I
-    and is closed under left multiplication by the e_c and the walkers, so
-    it is the algebra they generate, and it holds each part passed over.
+    One graded walk closes every A. With I it is graded as T is on the E*:
+    the indicator e_c of each class of points that the diagonal members of
+    S tell apart lies in A, so A is the sum of its blocks e_c A e_c'. A part
+    e_c v e_c' is a mask, and parts in blocks (c, c') and (d, d') multiply
+    to 0 unless c' = d. Without I there is one class and no e_c, as a
+    non-unital algebra need not hold them, and the parts are the members
+    of S. If the e_c and the parts span all r orbitals, they hold A, with
+    no product; with one class the reducer that accepted S is that trial.
+    Else the pool starts as the e_c and takes the parts sparsest first,
+    each as a walker only if it lies outside the span; each walker
+    multiplies on the left every pool element but the e_c whose row class
+    is its column class. The span then holds the walkers (and I when
+    `unital`) and is closed under left multiplication by them and the e_c,
+    so it is the algebra they generate, and it holds each part passed over.
 
-    Either walk stops before its next product once the span holds all r
+    The walk stops before its next product once the span holds all r
     orbital vectors, and only then: the orbital-constant matrices form the
     centralizer algebra of the group, so the stop is exact. The span is kept
     in canonical reduced echelon form, so the result does not depend on
@@ -642,15 +649,7 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
         raise DimensionMismatch("closure generators lie on different orbitals")
     red = _RowReducer([OrbitalMatrix.identity(orbitals).vec] * unital)
     spin = [g.vec for g in generators if red.insert(g.vec)]
-    if unital:
-        return MatrixSubspace(orbitals, _graded_span(orbitals, *_point_classes(orbitals, spin)), spin)
-    pool = list(spin)
-    for g, b in ((g, b) for b in pool for g in spin):  # it meets the products appended on the way
-        if red.dimension == orbitals.count:
-            break
-        if red.insert(vec := _primitive(orbitals.product(g, b))):
-            pool.append(vec)
-    return MatrixSubspace(orbitals, red, spin)
+    return MatrixSubspace(orbitals, _graded_span(orbitals, spin, unital, red), spin)
 
 
 def center_dimension(alg: MatrixSubspace) -> int:

@@ -379,9 +379,11 @@ def pool_closure(generators, unital):
 def dense_closure(generators, unital):
     """Reference closure: the spinning walk on dense matrices, with `RatMatrix` products.
 
-    The ungraded walk of `algebra_closure`, under every accepted generator,
-    over row-major vectorizations of N-by-N matrices instead of orbital
-    vectors; used only to cross-check it.
+    Ungraded: each pool element is multiplied on the left by every accepted
+    generator, with no classes, no lazy admission and no full-rank stop, over
+    row-major vectorizations of N-by-N matrices instead of orbital vectors.
+    `algebra_closure` takes one graded walk, unital or not; this walk is
+    used only to cross-check it.
     """
     gens = list(generators)
     side = gens[0].nrows
@@ -443,6 +445,30 @@ def test_closure_skips_zero_generator():
         got = closure3([zero, a], unital)
         assert got == closure3([a], unital) == pool_closure([zero, a], unital)
         assert got.dimension == 3
+
+
+def test_non_unital_closure_walks_only_generators_outside_the_span(monkeypatch):
+    """The cyclic shift P generates {P, P^2, I}: P walks, and P^2 joins S unwalked.
+
+    Spinning under both accepted generators made 6 products.
+    """
+    p = RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    gens = [p, p * p]
+    calls = 0
+    plain_product = Orbitals.product
+
+    def counting_product(self, a, b):
+        nonlocal calls
+        calls += 1
+        return plain_product(self, a, b)
+
+    monkeypatch.setattr(Orbitals, "product", counting_product)
+    got = closure3(gens, unital=False)
+    monkeypatch.undo()
+    assert calls == 3
+    assert got.spin == [g.vec for g in discrete(gens)]
+    assert got.dimension == 3
+    assert got == pool_closure(gens, unital=False)
 
 
 def test_closure_of_multiple_of_identity():

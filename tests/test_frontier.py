@@ -57,11 +57,12 @@ def test_frontier_child_lifts_the_point_bound_to_the_instance(monkeypatch):
 
 def test_frontier_child_builds_each_orbital_structure_once(monkeypatch, capsys):
     """r comes from the timed report itself, not from a second orbital build, and the
-    child counts the report's orbital products and then restores `Orbitals.product`."""
+    child counts the report's orbital products and the structure-table entries they
+    read, then restores `Orbitals.product` and `Orbitals._left_product`."""
     frontier = _frontier()
     builds = Counter()
     plain = Orbitals.__init__
-    plain_product = Orbitals.product
+    plain_product, plain_left = Orbitals.product, Orbitals._left_product
 
     def counting(self, side, keys=None):
         builds[side] += 1
@@ -72,6 +73,7 @@ def test_frontier_child_builds_each_orbital_structure_once(monkeypatch, capsys):
     exec(frontier.CHILD, {"__name__": "__main__"})
     result = json.loads(capsys.readouterr().out)
     assert result["exit"] == 0 and result["r"] == 55 and result["dim_T"] == 55
-    assert result["products"] == 1134 and Orbitals.product is plain_product
+    assert result["products"] == 1044 and Orbitals.product is plain_product
+    assert result["entries"] == 24955 and Orbitals._left_product is plain_left
     # X(2,2;2,2), 16 points, and the depth-one scheme its report closes, 4 points
     assert builds == {16: 1, 4: 1}

@@ -444,7 +444,7 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     [
         (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 0),
         (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 0),
-        (["report", "--q", "2,2", "--n", "2"], 1134),
+        (["report", "--q", "2,2", "--n", "2"], 1044),
         (["identities", "--q", "2,2", "--n", "2"], 177),
         (["identities", "--q", "2,3,2", "--n", "2"], 356),
         (["identities", "--q", "2,2,2", "--n", "1"], 302),
@@ -454,13 +454,15 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     ],
 )
 def test_orbital_product_count(monkeypatch, capsys, argv, bound):
-    """The unital walk is graded on the E* and stops at a full span, the center masks
-    diagonal generators, and the identity suite multiplies each depth-one product it
-    reads (E_i E*_j, E*_i E_j, F_i F*_j, F*_i F_j, G_i G*_j and G*_i G_j) once.
+    """The unital walk is graded on the E* and stops at a full span, the component
+    pieces take the same walk as one class, the center masks diagonal generators, and
+    the identity suite multiplies each depth-one product it reads (E_i E*_j, E*_i E_j,
+    F_i F*_j, F*_i F_j, G_i G*_j and G*_i G_j) once.
 
     On X(1,4;2) the block parts of the generators span T, so its closures make no
-    product; the ungraded walk, spinning under whole generators, made 65, 98 and
-    1315. Walking I as well made 73, 106 and 1599 (and before the full-rank stop
+    product; the pieces spinning under every accepted generator made 1134 on the
+    report, and the ungraded walk of T, spinning under whole generators, made 65, 98
+    and 1315. Walking I as well made 73, 106 and 1599 (and before the full-rank stop
     and the masks 280, 280 and 2964); multiplying the G products again in
     each check that reads them made 3 m^2 more, 243 and 493 on the suites;
     multiplying the E and F products in each check made 1573 on the report
@@ -485,11 +487,14 @@ def test_orbital_product_count(monkeypatch, capsys, argv, bound):
 
 
 def test_component_walk_reads_fewest_table_entries_sparsest_first(monkeypatch):
-    """X(2,2;2,2): the component stage's products read 29549 structure-table entries.
+    """X(2,2;2,2): the component stage's 611 products read 19808 structure-table entries.
 
     Each piece's generators are walked sparsest first, so the pool starts sparse and a
-    product reads the table rows of its sparser factor; in the order the lifts come, the
-    same 701 products read 46923 entries.
+    product reads the table rows of its sparser factor; in the order the lifts come, 557
+    products read 25408 entries. The order also picks the generators S accepts, so it
+    sets how dense the products that decide commutativity and annihilation are. Before
+    the pieces admitted walkers lazily, the sorted order made 701 products that read
+    29549 entries, and the lift order the same 701 that read 46923.
     """
     inst = Instance(SchemeParams((2, 2), 2))
     inst.basis
@@ -503,7 +508,7 @@ def test_component_walk_reads_fewest_table_entries_sparsest_first(monkeypatch):
 
     monkeypatch.setattr(Orbitals, "_left_product", counting)
     component_dims(inst)
-    assert counts == {"products": 701, "entries": 29549}
+    assert counts == {"products": 611, "entries": 19808}
 
 
 @pytest.mark.parametrize("q,n,bound", [((2, 2), 2, 126), ((2,), 3, 60)], ids=str)

@@ -8,8 +8,13 @@ TIMEOUT_S seconds. The child times
 process, so interpreter start-up and imports are left out. It reads r
 from the `r = ... orbitals` line the report logs to stderr and dim T from
 its stdout, so nothing is built outside the timed call, and counts the
-`Orbitals.product` calls the report makes as `products`, a count that
-does not drift with CPU speed as times do. N is the
+`Orbitals.product` calls the report makes as `products`, and the
+structure-table entries their `Orbitals._left_product` calls read (the
+table rows of the left factor's nonzero orbitals) as `entries`: counts
+that do not drift with CPU speed as times do, the second of which moves
+with the walk order when the first does not. The counters run inside the
+timed call, so `wall_s` carries their cost: on X(3,2;2,3,2), a report of
+about 0.5 s, `entries` adds 0.01-0.08 s. N is the
 instance's own point count, so instances past the CLI's default bound run
 too. An instance that runs past the timeout is recorded as "timeout".
 `--src` picks the source tree to import, so one copy of this script
@@ -67,30 +72,37 @@ INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
 
 CHILD = """
 import contextlib, io, json, re, sys, time
+from itertools import compress
 from ordered_hamming import Orbitals
 from ordered_hamming.cli import main
 q, n, points = tuple(json.loads(sys.argv[1])), int(sys.argv[2]), sys.argv[3]
 argv = ["report", "--q", ",".join(map(str, q)), "--n", str(n), "--max-points", points]
 out, err = io.StringIO(), io.StringIO()
-products, plain_product = 0, Orbitals.product
+products, entries = 0, 0
+plain_product, plain_left = Orbitals.product, Orbitals._left_product
 
 def counting_product(self, a, b):
     global products
     products += 1
     return plain_product(self, a, b)
 
-Orbitals.product = counting_product
+def counting_left(self, a, b):
+    global entries
+    entries += sum(map(len, compress(self._table, a)))
+    return plain_left(self, a, b)
+
+Orbitals.product, Orbitals._left_product = counting_product, counting_left
 try:
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     wall = time.perf_counter() - start
 finally:
-    Orbitals.product = plain_product
+    Orbitals.product, Orbitals._left_product = plain_product, plain_left
 blob = json.loads(out.getvalue())
 r = int(re.search(r"\\br = (\\d+) orbitals", err.getvalue()).group(1))
 result = {"exit": code, "wall_s": round(wall, 3), "r": r, "dim_T": blob["data"]["dim_T"]}
-result["products"] = products
+result["products"], result["entries"] = products, entries
 print(json.dumps(result))
 """
 
