@@ -7,18 +7,23 @@ prediction disagreed with measurement), 2 means a usage error or a size
 bound violation, 3 means an internal inconsistency (two constructions
 disagree); stdout then holds an "error" document instead of results.
 
-Only the named command's parser is built; the full parser, with every
-command, is built for --help, for no arguments and for an unknown command.
+`_COMMANDS` is the one source of options. A well-formed line (a command, then
+whole `--flag value` pairs and bare switches of it, every value of its type and
+choices, every required option given) is read from it without importing
+argparse. Any other line (help, an unknown or abbreviated flag, `--flag=value`,
+`--`, a missing or dash-led value, a bad type or choice, a missing required
+option) goes to argparse, which alone prints help and words usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from collections.abc import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .exact_linalg import InternalMismatch, RatMatrix
 from .scheme import (
@@ -49,6 +54,9 @@ from .terwilliger import (
     verify_terw_identities,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 SUITE_INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2,), 1),
     ((3,), 1),
@@ -61,60 +69,75 @@ SUITE_INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
 )
 
 
-def _parse_csv_ints(text: str, what: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
+def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        parser.error(f"{what} must be a comma-separated list of integers")
+        build_parser().error(f"{what} must be a comma-separated list of integers")
 
 
-def _params_from_args(args, parser: argparse.ArgumentParser) -> SchemeParams:
+def _params_from_args(args) -> SchemeParams:
     """`SchemeParams` states the rules for q and n; breaking one is a usage error."""
-    q = _parse_csv_ints(args.q, "--q", parser)
+    q = _parse_csv_ints(args.q, "--q")
     try:
         return SchemeParams(q, args.n)
     except ValueError as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
 
 
-def _parse_shape(text: str, length: int, total: int, parser: argparse.ArgumentParser, what: str):
-    values = _parse_csv_ints(text, what, parser)
+def _parse_shape(text: str, length: int, total: int, what: str):
+    values = _parse_csv_ints(text, what)
     if len(values) != length or any(v < 0 for v in values) or sum(values) != total:
-        parser.error(
+        build_parser().error(
             f"{what} must be {length} non-negative integers summing to {total}"
         )
     return values
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone when it names one.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, built from `_COMMANDS`."""
+    import argparse
 
-    A one-command parser still shows every command in its usage line, so
-    its usage errors read exactly as the full parser's.
-    """
     parser = argparse.ArgumentParser(
         prog="ordered-hamming",
         description="Exact constructions and verifications for ordered Hamming schemes.",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _, help_text, extra = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "suite":
-            p.add_argument("--q", required=True, help="comma-separated alphabet sizes, each >= 2")
-            p.add_argument("--n", required=True, type=int, help="word length, >= 1")
-        p.add_argument(
-            "--max-points",
-            type=int,
-            default=DEFAULT_MAX_POINTS,
-            help="largest allowed |X^n| for matrix-producing work (default 256)",
-        )
-        p.add_argument("--json", action="store_true", help="suppress stderr logging")
-        for flags, options in extra:
-            p.add_argument(*flags, **options)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _quick_args(argv: list[str]) -> SimpleNamespace | None:
+    """Argparse's reading of a well-formed line (see the module docstring), or None to defer."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value defers, as a dash-led one does
+        try:
+            given[flag] = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if text.startswith("-") or given[flag] not in spec.get("choices", (given[flag],)):
+            return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, spec in options.items():
+        if spec.get("required") and flag not in given:
+            return None
+        unset = False if spec.get("action") == "store_true" else spec.get("default")
+        setattr(args, spec.get("dest", flag[2:].replace("-", "_")), given.get(flag, unset))
+    return args
 
 
 def _log(args, message: str) -> None:
@@ -136,11 +159,11 @@ def _run_report(command: str, params: SchemeParams, checks: dict, data: dict) ->
     }
 
 
-def _cmd_shapes(args, parser, params) -> tuple[dict, dict]:
+def _cmd_shapes(args, params) -> tuple[dict, dict]:
     return {}, {"shapes": [list(s) for s in enumerate_shapes(params)]}
 
 
-def _cmd_scheme_verify(args, parser, params) -> tuple[dict, dict]:
+def _cmd_scheme_verify(args, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     checks = verify_axioms(inst)
     table = inst.intersection_counts
@@ -149,8 +172,8 @@ def _cmd_scheme_verify(args, parser, params) -> tuple[dict, dict]:
     }
 
 
-def _cmd_adjacency(args, parser, params) -> tuple[dict, dict]:
-    shape = _parse_shape(args.shape, params.m + 1, params.n, parser, "--shape")
+def _cmd_adjacency(args, params) -> tuple[dict, dict]:
+    shape = _parse_shape(args.shape, params.m + 1, params.n, "--shape")
     inst = Instance(params, args.max_points)
     lifted = inst.adjacency[shape]
     indicator = [s == shape for s in inst.pair_shapes]
@@ -163,7 +186,7 @@ def _cmd_adjacency(args, parser, params) -> tuple[dict, dict]:
     return checks, data
 
 
-def _cmd_eigenmatrix(args, parser, params) -> tuple[dict, dict]:
+def _cmd_eigenmatrix(args, params) -> tuple[dict, dict]:
     P, Q = eigen_n(params)
     size_identity = P * Q == RatMatrix.identity(params.class_count).scale(params.num_points)
     data = {
@@ -174,7 +197,7 @@ def _cmd_eigenmatrix(args, parser, params) -> tuple[dict, dict]:
     return {"pq_product_is_size_identity": size_identity}, data
 
 
-def _cmd_krawchouk(args, parser, params) -> tuple[dict, dict]:
+def _cmd_krawchouk(args, params) -> tuple[dict, dict]:
     table = krawchouk_table(params.reversed() if args.reversed else params)
     data = {
         "reversed": bool(args.reversed),
@@ -184,9 +207,9 @@ def _cmd_krawchouk(args, parser, params) -> tuple[dict, dict]:
     return {}, data
 
 
-def _cmd_theta(args, parser, params) -> tuple[dict, dict]:
-    lam = _parse_shape(args.lam, params.m, params.n, parser, "--lambda")
-    mu = _parse_shape(args.mu, params.m, params.n, parser, "--mu")
+def _cmd_theta(args, params) -> tuple[dict, dict]:
+    lam = _parse_shape(args.lam, params.m, params.n, "--lambda")
+    mu = _parse_shape(args.mu, params.m, params.n, "--mu")
     grids = theta_enumerate(lam, mu, params)
     feasible = theta_feasible(lam, mu, params)
     data = {
@@ -198,7 +221,7 @@ def _cmd_theta(args, parser, params) -> tuple[dict, dict]:
     return {"feasible_iff_nonempty": feasible == bool(grids)}, data
 
 
-def _cmd_omega(args, parser, params) -> tuple[dict, dict]:
+def _cmd_omega(args, params) -> tuple[dict, dict]:
     pairs = omega_set(params)
     lam_info = lambda_set(params)
     consistent = all(
@@ -215,7 +238,7 @@ def _cmd_omega(args, parser, params) -> tuple[dict, dict]:
     return {"feasible_iff_nonempty": consistent}, data
 
 
-def _cmd_identities(args, parser, params) -> tuple[dict, dict]:
+def _cmd_identities(args, params) -> tuple[dict, dict]:
     return verify_terw_identities(Instance(params, args.max_points)), {}
 
 
@@ -229,7 +252,7 @@ def _log_dimension(args, inst: Instance, dim_t: int) -> None:
     )
 
 
-def _cmd_closure(args, parser, params) -> tuple[dict, dict]:
+def _cmd_closure(args, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     sub = terwilliger_closure(inst, args.generators)
     _log_dimension(args, inst, sub.dimension)
@@ -243,7 +266,7 @@ def _report_checks(report: StructureReport, strict: bool) -> dict:
     return dict(report.checks)
 
 
-def _cmd_report(args, parser, params) -> tuple[dict, dict]:
+def _cmd_report(args, params) -> tuple[dict, dict]:
     inst = Instance(params, args.max_points)
     report = structure_report(inst)
     _log_dimension(args, inst, report.dim_T)
@@ -305,64 +328,78 @@ def _cmd_suite(args) -> dict:
     }
 
 
-def _option(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
-    return flags, options
+# The options every command takes; every command but `suite` takes --q and --n before them.
+_SHARED = {
+    "--max-points": dict(
+        type=int,
+        default=DEFAULT_MAX_POINTS,
+        help="largest allowed |X^n| for matrix-producing work (default 256)",
+    ),
+    "--json": dict(action="store_true", help="suppress stderr logging"),
+}
+_PARAMS = {
+    "--q": dict(required=True, help="comma-separated alphabet sizes, each >= 2"),
+    "--n": dict(required=True, type=int, help="word length, >= 1"),
+    **_SHARED,
+}
+_STRICT = {"--strict": dict(action="store_true", help="fail when a printed formula disagrees")}
 
-
-_STRICT = _option("--strict", action="store_true", help="fail when a printed formula disagrees")
-
-# Each command's handler, help and the options it adds after the shared ones, in help
-# order. Every handler but `suite`'s takes the parsed --q and --n and returns (checks, data).
-_COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
-    "shapes": (_cmd_shapes, "list all relation shapes", ()),
-    "scheme-verify": (_cmd_scheme_verify, "check the association scheme axioms", ()),
+# Each command's handler, help and every option it takes, {flag: argparse keyword
+# arguments} in help order: the one source both `_quick_args` and `build_parser` read.
+# Every handler but `suite`'s takes the parsed --q and --n and returns (checks, data).
+_COMMANDS: dict[str, tuple[Callable, str, dict[str, dict]]] = {
+    "shapes": (_cmd_shapes, "list all relation shapes", _PARAMS),
+    "scheme-verify": (_cmd_scheme_verify, "check the association scheme axioms", _PARAMS),
     "adjacency": (
         _cmd_adjacency,
         "one lifted adjacency matrix, cross-checked",
-        (_option("--shape", required=True, help="comma-separated shape entries"),),
+        {**_PARAMS, "--shape": dict(required=True, help="comma-separated shape entries")},
     ),
     "eigenmatrix": (
         _cmd_eigenmatrix,
         "first or second eigenmatrix at depth n",
-        (_option("--which", choices=("P", "Q"), default="P"),),
+        {**_PARAMS, "--which": dict(choices=("P", "Q"), default="P")},
     ),
     "krawchouk": (
         _cmd_krawchouk,
         "Krawtchouk coefficient table",
-        (_option("--reversed", action="store_true", help="use the reversed alphabet sequence"),),
+        {
+            **_PARAMS,
+            "--reversed": dict(action="store_true", help="use the reversed alphabet sequence"),
+        },
     ),
     "theta": (
         _cmd_theta,
         "enumerate support grids for one margin pair",
-        (
-            _option("--lambda", dest="lam", required=True, help="row-sum shape (m entries)"),
-            _option("--mu", required=True, help="column-sum shape (m entries)"),
-        ),
+        {
+            **_PARAMS,
+            "--lambda": dict(dest="lam", required=True, help="row-sum shape (m entries)"),
+            "--mu": dict(required=True, help="column-sum shape (m entries)"),
+        },
     ),
-    "omega": (_cmd_omega, "all feasible margin pairs", ()),
-    "identities": (_cmd_identities, "run the structural identity suite", ()),
+    "omega": (_cmd_omega, "all feasible margin pairs", _PARAMS),
+    "identities": (_cmd_identities, "run the structural identity suite", _PARAMS),
     "closure": (
         _cmd_closure,
         "dimension of the generated matrix algebra",
-        (_option("--generators", choices=("bm", "idem"), default="bm"),),
+        {**_PARAMS, "--generators": dict(choices=("bm", "idem"), default="bm")},
     ),
-    "report": (_cmd_report, "full structure report with measured dimensions", (_STRICT,)),
-    "suite": (_cmd_suite, "run the built-in instance suite", (_STRICT,)),
+    "report": (_cmd_report, "full structure report with measured dimensions", _PARAMS | _STRICT),
+    "suite": (_cmd_suite, "run the built-in instance suite", _SHARED | _STRICT),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = _quick_args(argv) or build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         handler = _COMMANDS[args.command][0]
         if args.command == "suite":
             payload = handler(args)
         else:
-            params = _params_from_args(args, parser)
-            checks, data = handler(args, parser, params)
+            params = _params_from_args(args)
+            checks, data = handler(args, params)
             payload = _run_report(args.command, params, checks, data)
     except SizeBound as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)

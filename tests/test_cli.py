@@ -1,5 +1,6 @@
-import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordered_hamming.scheme as scheme_module
 import ordered_hamming.spectral as spectral_module
@@ -492,24 +495,105 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
-def _commands(parser: argparse.ArgumentParser) -> list[str]:
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
+# The benchmark's operations (perfbench/run.py).
+BENCHMARK_LINES = [
+    ["suite", "--max-points", "8", "--json"],
+    ["report", "--q", "3", "--n", "2", "--json"],
+    ["closure", "--q", "2", "--n", "4", "--generators", "bm", "--json"],
+    ["closure", "--q", "2", "--n", "4", "--generators", "idem", "--json"],
+    ["scheme-verify", "--q", "5,6", "--n", "1", "--json"],
+]
+# Lines the quick reader must read itself: those and one line per command.
+WELL_FORMED = [
+    *BENCHMARK_LINES,
+    ["shapes", "--json", "--q", "2,2", "--n", "2"],
+    ["adjacency", "--q", "2,2", "--n", "2", "--shape", "1,1,0", "--json"],
+    ["eigenmatrix", "--q", "2", "--n", "2", "--which", "Q", "--json"],
+    ["krawchouk", "--q", "3,2", "--n", "2", "--reversed", "--json"],
+    ["theta", "--q", "2,3", "--n", "2", "--lambda", "0,2", "--mu", "1,1", "--json"],
+    ["omega", "--q", "2,3", "--n", "2", "--json"],
+    ["identities", "--max-points", "3", "--q", "3", "--n", "1", "--json"],
+    ["report", "--q", "2", "--n", "1", "--strict", "--json", "--n", "2"],
+]
 
 
-def test_a_named_command_gets_a_parser_with_that_command_alone(monkeypatch, capsys):
-    built = []
-    plain = cli.build_parser
+def _argparse_reading(argv: list[str]) -> dict | None:
+    """`vars` of what the argparse parser makes of `argv`, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
 
-    def recording(command=None):
-        built.append(plain(command))
-        return built[-1]
 
-    monkeypatch.setattr(cli, "build_parser", recording)
-    assert main(["closure", "--q", "2", "--n", "2", "--json"]) == 0
-    capsys.readouterr()
-    assert [_commands(p) for p in built] == [["closure"]]
-    assert _commands(plain("bogus")) == _commands(plain()) == list(cli._COMMANDS)
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_the_quick_reader_reads_each_well_formed_line_as_argparse_does(argv):
+    quick = cli._quick_args(argv)
+    assert quick is not None
+    assert vars(quick) == _argparse_reading(argv)
+
+
+_FLAGS = sorted({flag for _, _, options in cli._COMMANDS.values() for flag in options})
+_WORDS = [*cli._COMMANDS, "--gen", "--stri", "--q=2", "-h", "--help", "--"]
+_VALUES = ["2", "0", "-5", "2.5", "x", "", "2,3", "1,1,0", "P", "Q", "R", "bm", "idem", "bogus"]
+_TOKENS = st.sampled_from([*_FLAGS, *_WORDS, *_VALUES])
+
+
+def _value(spec: dict):
+    """A value fit for the option most of the time, else any value."""
+    fit = spec.get("choices") or (["0", "2", "3", "+4", " 8"] if spec.get("type") is int else _VALUES)
+    return st.sampled_from([*fit, *_VALUES[:5]])
+
+
+@st.composite
+def _argvs(draw):
+    """A command, a stray token or nothing; then most often its required options, and a few
+    more of its own options, of any command's, or stray tokens."""
+    head = draw(st.sampled_from([*cli._COMMANDS, "bogus", "-h", "--help", "--q", "2", None]))
+    options = cli._COMMANDS[head][2] if head in cli._COMMANDS else {}
+    argv = [] if head is None else [head]
+    for flag, spec in options.items():
+        if spec.get("required") and draw(st.integers(0, 4)):
+            argv += [flag, draw(_value(spec))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["own"] * 4 + ["any", "token"]))
+        if kind == "token":
+            argv.append(draw(_TOKENS))
+            continue
+        flag = draw(st.sampled_from(sorted(options) if kind == "own" and options else _FLAGS))
+        spec = options.get(flag, {})
+        argv += [flag] if spec.get("action") == "store_true" else [flag, draw(_value(spec))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_quick_reader_reads_what_argparse_reads_or_defers(argv):
+    """Where argparse exits the quick reader defers; where it reads, they agree."""
+    quick = cli._quick_args(argv)
+    assert quick is None or vars(quick) == _argparse_reading(argv)
+
+
+def test_a_well_formed_line_imports_no_argparse_and_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import ordered_hamming.cli as cli\n"
+        "built = []\n"
+        "plain = cli.build_parser\n"
+        "cli.build_parser = lambda: built.append(1) or plain()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, len(built), sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, json.dumps(BENCHMARK_LINES)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[0, 0, 0, 0, 0] 0 []\n"
 
 
 @pytest.mark.parametrize(
@@ -521,21 +605,23 @@ def test_a_named_command_gets_a_parser_with_that_command_alone(monkeypatch, caps
         ["bogus"],
         ["closure", "--q", "x", "--n", "2"],
         ["closure", "--q", "2", "--n", "2", "--generators", "x"],
+        *WELL_FORMED,
     ],
     ids=" ".join,
 )
-def test_the_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
-    """Help and usage errors, stdout, stderr and exit code, byte for byte."""
+def test_main_prints_what_it_prints_when_argparse_reads_every_line(monkeypatch, capsys, argv):
+    """Help, usage errors and results: stdout, stderr and exit code, byte for byte."""
 
     def outcome():
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        return exc.value.code, capsys.readouterr()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
 
-    one = outcome()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert outcome() == one
+    shipped = outcome()
+    monkeypatch.setattr(cli, "_quick_args", lambda argv: None)
+    assert outcome() == shipped
 
 
 @pytest.mark.parametrize(
