@@ -7,17 +7,18 @@ and all arithmetic runs on plain integers; `Fraction` appears only where
 entries enter or leave. Nothing ever rounds.
 
 Subspaces live in orbital coordinates (`Orbitals`): a matrix that every
-permutation of a group commutes with is constant on each orbit of that
-group on pairs of points, so it is one integer per orbital. The discrete
+permutation of a group commutes with is constant on each orbit of that group
+on pairs of points, so it is one integer per orbital. The discrete
 partition, every pair its own orbital, is the plain row-major vectorization.
-Every closure takes one walk through one structure table, block by block
-on the classes of points its diagonal generators tell apart (one class
-when not unital), and stops once it spans every orbital. A closure keeps the
-generators it accepted, which generate it; `center_dimension` works from
-them, with masks for the diagonal ones. Subspaces are kept in fully reduced
-integer row-echelon form with sparse rows ({column: value}), so the basis
-is canonical: two subspaces in the same coordinates are equal exactly
-when their rows are identical; in different coordinates they never are.
+Every closure takes one walk through one structure table, block by block on
+the classes of points its diagonal generators tell apart (one class when it
+has none), and stops once it spans every orbital; it holds I only when it is
+passed I. A closure keeps the generators it accepted, which generate it;
+`center_dimension` works from them, with masks for the diagonal ones.
+Subspaces are kept in fully reduced integer row-echelon form with sparse
+rows ({column: value}), so the basis is canonical: two subspaces in the same
+coordinates are equal exactly when their rows are identical; in different
+coordinates they never are.
 """
 
 from __future__ import annotations
@@ -521,7 +522,8 @@ class MatrixSubspace:
     one coordinate system is exact; a plain span keeps only those rows, and
     `spin` None. Only `algebra_closure` sets the set S of orbital vectors in
     `spin`: the generators it accepted, which generate the closure as an
-    algebra. Equality ignores S.
+    algebra; a unital closure was passed I, so I is in its S. Equality
+    ignores S.
     """
 
     __slots__ = ("orbitals", "_reducer", "spin")
@@ -554,8 +556,9 @@ class MatrixSubspace:
         return f"MatrixSubspace(side={side}, orbitals={count}, dim={self.dimension})"
 
 
-def _point_classes(orbitals: Orbitals, spin: list[list[int]]) -> tuple[list, list[tuple[int, int]]]:
-    """The non-diagonal members of `spin`, and each orbital's (class(x), class(z)) at its rep."""
+def _point_classes(orbitals: Orbitals, spin: list[list[int]]) -> tuple[list, list, set[int]]:
+    """Points split by the values of the diagonal members of `spin`: returns the others, each
+    orbital's (class(x), class(z)) at its rep, and the classes where a diagonal one is nonzero."""
     side, eye = orbitals.side, OrbitalMatrix.identity(orbitals).vec
     others, diagonal = [], []
     for s in spin:  # diagonal: zero off the diagonal orbitals, which hold only pairs (x, x)
@@ -563,76 +566,37 @@ def _point_classes(orbitals: Orbitals, spin: list[list[int]]) -> tuple[list, lis
     number: dict[tuple[int, ...], int] = {}
     keys = (tuple(s[orbitals.labels[x * (side + 1)]] for s in diagonal) for x in range(side))
     cls = [number.setdefault(key, len(number)) for key in keys]
-    return others, [(cls[rep // side], cls[rep % side]) for rep in orbitals.reps]
+    live = {c for key, c in number.items() if any(key)}
+    return others, [(cls[rep // side], cls[rep % side]) for rep in orbitals.reps], live
 
 
-def _graded_span(orbitals: Orbitals, spin: list, unital: bool, trial: _RowReducer) -> _RowReducer:
-    """The algebra `spin` generates, with I when `unital`, block by block on its point classes.
-
-    Without I there is one class. With one class the parts are the members of `spin`,
-    so `trial`, the reducer that accepted them, is the full-rank trial.
-    """
-    count, product = orbitals.count, orbitals.product
-    others, blocks = _point_classes(orbitals, spin) if unital else (spin, [(0, 0)] * count)
-
-    def split(g: list[int]) -> Iterable[tuple[tuple[int, int], list[int]]]:
-        parts: dict[tuple[int, int], list[int]] = {}
-        for o in filter(g.__getitem__, range(count)):
-            parts.setdefault(blocks[o], [0] * count)[o] = g[o]
-        return parts.items()
-
-    units = [e for _, e in split(OrbitalMatrix.identity(orbitals).vec)] if unital else []
-    parts = sorted(chain.from_iterable(map(split, others)), key=lambda part: -part[1].count(0))
-    if len(units) > 1:  # several classes: the parts are not the members of `spin`
-        trial = _RowReducer(chain(units, (p for _, p in parts)))
-    if trial.dimension == count:
-        return trial
-    red, pool, done = _RowReducer(units), [], 0  # pool: (vector, row class, column class)
-    walkers: list[list[tuple[list[int], int]]] = [[] for _ in units or [0]]  # by column class
-
-    def walk(a: list[int], x: int, b: list[int], z: int) -> None:
-        if red.dimension < count and red.insert(vec := _primitive(product(a, b))):
-            pool.append((vec, x, z))
-
-    for (x, z), p in parts:  # sparsest first; sorted is stable
-        if red.dimension == count or not red.insert(p):
-            continue
-        for b, y, w in pool[:done]:  # what the earlier walkers have met
-            if y == z:
-                walk(p, x, b, w)
-        walkers[z].append((p, x))
-        pool.append((p, x, z))
-        for b, y, w in islice(pool, done, None):  # it meets the products appended on the way
-            for a, v in walkers[y]:
-                walk(a, v, b, w)
-        done = len(pool)
-    return red
-
-
-def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> MatrixSubspace:
+def algebra_closure(generators: Sequence[OrbitalMatrix]) -> MatrixSubspace:
     """Smallest multiplication-closed subspace containing the generators.
 
-    The algebra A is the span of the nonempty words in the generators, plus
-    I when `unital`. The generators lie on one set of orbitals, and one on
-    other orbitals raises DimensionMismatch. The closure runs on orbital
-    vectors through `Orbitals.product`, never forming a dense matrix. The
-    generators independent of I (when `unital`) and of those before them
-    are accepted as the result's `spin` set S, which generates A.
+    The algebra A is the span of the nonempty words in the generators; a
+    closure that should hold I is passed I. The generators lie on one set of
+    orbitals (others raise DimensionMismatch), and the closure runs on their
+    orbital vectors through `Orbitals.product`, never forming a dense
+    matrix. Those independent of the ones before them are accepted as the
+    result's `spin` set S, which generates A.
 
-    One graded walk closes every A. With I it is graded as T is on the E*:
-    the indicator e_c of each class of points that the diagonal members of
-    S tell apart lies in A, so A is the sum of its blocks e_c A e_c'. A part
-    e_c v e_c' is a mask, and parts in blocks (c, c') and (d, d') multiply
-    to 0 unless c' = d. Without I there is one class and no e_c, as a
-    non-unital algebra need not hold them, and the parts are the members
-    of S. If the e_c and the parts span all r orbitals, they hold A, with
-    no product; with one class the reducer that accepted S is that trial.
-    Else the pool starts as the e_c and takes the parts sparsest first,
-    each as a walker only if it lies outside the span; each walker
-    multiplies on the left every pool element but the e_c whose row class
-    is its column class. The span then holds the walkers (and I when
-    `unital`) and is closed under left multiplication by them and the e_c,
-    so it is the algebra they generate, and it holds each part passed over.
+    One graded walk closes every A, as T is graded on the E*. The points fall
+    into classes on which every diagonal member of S takes one value; with
+    none, there is one class. For each class c on which some diagonal member is
+    nonzero, the indicator e_c lies in A: a polynomial in the diagonal members
+    with no constant term is 1 on c and 0 on every other class. So each block
+    part e_c g e_c' of each g in S lies in A (a part at the all-zero class by
+    subtraction), and A is the algebra the e_c and the parts generate. A part
+    is a mask; a diagonal member's parts are multiples of the e_c, so only the
+    other members are split, and parts in blocks (c, c') and (d, d') multiply
+    to 0 unless c' = d. If S, or else the e_c and the parts, span all r
+    orbitals, they hold A, with no product; the second trial is made only when
+    they are at least r in number. Else the pool starts as the e_c and takes
+    the parts sparsest first, each as a walker only if it lies outside the
+    span; each walker multiplies on the left every pool element but the e_c
+    whose row class is its column class. The span then holds the walkers and
+    the e_c and is closed under left multiplication by them, so it is the
+    algebra they generate, and it holds each part passed over.
 
     The walk stops before its next product once the span holds all r
     orbital vectors, and only then: the orbital-constant matrices form the
@@ -647,9 +611,43 @@ def algebra_closure(generators: Sequence[OrbitalMatrix], unital: bool) -> Matrix
     orbitals = generators[0].orbitals
     if any(g.orbitals is not orbitals for g in generators):
         raise DimensionMismatch("closure generators lie on different orbitals")
-    red = _RowReducer([OrbitalMatrix.identity(orbitals).vec] * unital)
+    count, product = orbitals.count, orbitals.product
+    red = _RowReducer()
     spin = [g.vec for g in generators if red.insert(g.vec)]
-    return MatrixSubspace(orbitals, _graded_span(orbitals, spin, unital, red), spin)
+    others, blocks, live = _point_classes(orbitals, spin)
+
+    def split(g: list[int]) -> Iterable[tuple[tuple[int, int], list[int]]]:
+        parts: dict[tuple[int, int], list[int]] = {}
+        for o in filter(g.__getitem__, range(count)):
+            parts.setdefault(blocks[o], [0] * count)[o] = g[o]
+        return parts.items()
+
+    units = [e for (c, _), e in split(OrbitalMatrix.identity(orbitals).vec) if c in live]
+    parts = sorted(chain.from_iterable(map(split, others)), key=lambda part: -part[1].count(0))
+    if red.dimension < count and len(units) + len(parts) >= count:  # fewer cannot reach r
+        red = _RowReducer(chain(units, (p for _, p in parts)))
+    if red.dimension == count:
+        return MatrixSubspace(orbitals, red, spin)
+    red, pool, done = _RowReducer(units), [], 0  # pool: (vector, row class, column class)
+    walkers: dict[int, list[tuple[list[int], int]]] = {}  # by column class
+
+    def walk(a: list[int], x: int, b: list[int], z: int) -> None:
+        if red.dimension < count and red.insert(vec := _primitive(product(a, b))):
+            pool.append((vec, x, z))
+
+    for (x, z), p in parts:  # sparsest first; sorted is stable
+        if red.dimension == count or not red.insert(p):
+            continue
+        for b, y, w in pool[:done]:  # what the earlier walkers have met
+            if y == z:
+                walk(p, x, b, w)
+        walkers.setdefault(z, []).append((p, x))
+        pool.append((p, x, z))
+        for b, y, w in islice(pool, done, None):  # it meets the products appended on the way
+            for a, v in walkers.get(y, ()):
+                walk(a, v, b, w)
+        done = len(pool)
+    return MatrixSubspace(orbitals, red, spin)
 
 
 def center_dimension(alg: MatrixSubspace) -> int:
@@ -658,18 +656,19 @@ def center_dimension(alg: MatrixSubspace) -> int:
     Z in alg is central exactly when [Z, s] = 0 for every s in S, because S
     generates alg. A diagonal s gives [Z, s][x, z] = Z[x, z] (s[z, z] -
     s[x, x]), Z times a mask read at each representative (x, z), with no
-    product. So the Z that commute with every diagonal s are those zero on
-    the orbitals whose points x and z lie in different classes
-    (`_point_classes`): the kernel of the basis restricted to them, the rows
-    that pivot after them when the basis is reduced with them first. The
-    center is that kernel less the rank of the vectors that concatenate
-    [z, s] = zs - sz over the other s, one per kernel element z.
+    product; I, in the S of a closure passed I, gives 0. So the Z that
+    commute with every diagonal s are those zero on the orbitals whose
+    points x and z lie in different classes (`_point_classes`): the kernel
+    of the basis restricted to them, the rows that pivot after them when
+    the basis is reduced with them first. The center is that kernel less
+    the rank of the vectors that concatenate [z, s] = zs - sz over the
+    other s, one per kernel element z.
 
     `alg` must be the result of `algebra_closure`: only a closure has S,
     and its walk proves it closed under multiplication.
     """
     orbitals, count = alg.orbitals, alg.orbitals.count
-    others, blocks = _point_classes(orbitals, alg.spin)
+    others, blocks, _ = _point_classes(orbitals, alg.spin)
     order = sorted(range(count), key=lambda o: blocks[o][0] == blocks[o][1])  # masked first
     where = sorted(range(count), key=order.__getitem__)  # each orbital's place in order
     masked = sum(x != z for x, z in blocks)

@@ -592,8 +592,8 @@ def _generators(inst: Instance, which: str) -> list[OrbitalMatrix]:
 
 
 def terwilliger_closure(inst: Instance, generators: str = "bm") -> MatrixSubspace:
-    """Unital closure of the adjacency (or idempotent) family plus the dual idempotents."""
-    return algebra_closure(_generators(inst, generators), unital=True)
+    """Closure of I, the adjacency (or idempotent) family and the dual idempotents."""
+    return algebra_closure([OrbitalMatrix.identity(inst.orbitals), *_generators(inst, generators)])
 
 
 class ComponentInfo(NamedTuple):
@@ -608,7 +608,7 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
     For each d every spanning matrix is one lifted sum over the combined
     F/G multiset (one `lift` of F and G, one of F* and G*): n - d factors
     from the F family and d from the G family, with the starred twin; the
-    piece is the non-unital closure of that set. Cross products between
+    piece is the closure of that set, which is not passed I. Cross products between
     distinct degrees must vanish (the returned `components_pairwise_annihilating`);
     `structure_report` checks that the dimensions add up to dim T.
 
@@ -634,7 +634,7 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
         if not gens:
             infos.append(ComponentInfo(d=d, dim=0, commutative=True))
             continue
-        comp = algebra_closure(gens, unital=False)
+        comp = algebra_closure(gens)
         infos.append(
             ComponentInfo(d=d, dim=comp.dimension, commutative=_commutative(comp))
         )
@@ -656,7 +656,7 @@ def _commutative(piece: MatrixSubspace) -> bool:
 
 
 def _annihilate(x: MatrixSubspace, y: MatrixSubspace) -> bool:
-    """Whether xy = yx = 0 for two non-unital closures.
+    """Whether xy = yx = 0 for two closures.
 
     Every word of one closure times a word of the other contains a product
     s t or t s of their spin sets, so those products decide it.

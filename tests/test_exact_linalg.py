@@ -175,24 +175,24 @@ def test_span_basis_order_invariant(perm, mats):
 
 def test_closure_of_triangle_adjacency():
     a = RatMatrix.ones(3) - RatMatrix.identity(3)
-    sub = algebra_closure(discrete([a]), unital=True)
+    sub = algebra_closure(discrete([RatMatrix.identity(3), a]))
     assert sub.dimension == 2
 
 
 def test_closure_is_multiplication_closed_and_order_invariant():
     inst = Instance(SchemeParams((3,), 1))
     relations = [OrbitalMatrix.of(inst.orbitals, r) for r in relation_matrices(inst).values()]
-    gens = relations + list(inst.duals.values())
-    sub = algebra_closure(gens, unital=True)
+    gens = [OrbitalMatrix.identity(inst.orbitals), *relations, *inst.duals.values()]
+    sub = algebra_closure(gens)
     assert sub.dimension == 5
     basis = basis_matrices(sub)
     assert all(contains(sub, x * y) for x in basis for y in basis)
-    assert algebra_closure(list(reversed(gens)), unital=True) == sub
+    assert algebra_closure(list(reversed(gens))) == sub
 
 
 def test_closure_requires_generators():
     with pytest.raises(EmptyInput):
-        algebra_closure([], unital=True)
+        algebra_closure([])
 
 
 def _matrix_unit(n, i, j):
@@ -203,18 +203,18 @@ def _matrix_unit(n, i, j):
 
 def test_center_of_full_matrix_algebra():
     units = [_matrix_unit(2, i, j) for i in range(2) for j in range(2)]
-    assert center_dimension(algebra_closure(discrete(units), unital=False)) == 1
+    assert center_dimension(algebra_closure(discrete(units))) == 1
 
 
 def test_center_of_diagonal_algebra_is_its_dimension():
     mats = [RatMatrix.diagonal([1, 0, 0]), RatMatrix.diagonal([0, 1, 0]), RatMatrix.diagonal([0, 0, 1])]
-    assert center_dimension(algebra_closure(discrete(mats), unital=False)) == 3
+    assert center_dimension(algebra_closure(discrete(mats))) == 3
 
 
 def test_center_of_commutative_closure_equals_dimension():
     inst = Instance(SchemeParams((2, 2), 1))
     gens = [OrbitalMatrix.of(inst.orbitals, r) for r in relation_matrices(inst).values()]
-    sub = algebra_closure(gens, unital=True)
+    sub = algebra_closure([OrbitalMatrix.identity(inst.orbitals), *gens])
     assert center_dimension(sub) == sub.dimension == 3
 
 
@@ -333,7 +333,7 @@ def test_span_dimension_matches_sympy_rank(mats):
 @given(st.lists(int3x3, min_size=1, max_size=4))
 def test_center_dimension_matches_sympy_commutant_rank(mats):
     sympy = pytest.importorskip("sympy")
-    alg = algebra_closure(discrete(mats), unital=True)
+    alg = closure3(mats, unital=True)
     basis = [sympy.Matrix(3, 3, _vec(b)) for b in basis_matrices(alg)]
     d = len(basis)
     # column k stacks vec(B_k B_j - B_j B_k) over every basis element B_j
@@ -382,8 +382,9 @@ def dense_closure(generators, unital):
     Ungraded: each pool element is multiplied on the left by every accepted
     generator, with no classes, no lazy admission and no full-rank stop, over
     row-major vectorizations of N-by-N matrices instead of orbital vectors.
-    `algebra_closure` takes one graded walk, unital or not; this walk is
-    used only to cross-check it.
+    `algebra_closure` takes one graded walk, and holds I only when it is
+    passed I; this walk, which seeds I itself when `unital`, is used only to
+    cross-check it.
     """
     gens = list(generators)
     side = gens[0].nrows
@@ -406,7 +407,9 @@ def dense_closure(generators, unital):
 
 
 def closure3(gens, unital):
-    return algebra_closure(discrete(gens), unital)
+    """`algebra_closure` of the generators, passed I first when `unital`."""
+    eye = [RatMatrix.identity(gens[0].nrows)] * unital
+    return algebra_closure(discrete([*eye, *gens]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,17 +428,28 @@ diag3 = (
 @settings(max_examples=60, deadline=None)
 @given(diag3, st.lists(st.one_of(int3x3, diag3), max_size=3))
 def test_graded_closure_matches_pool_reference(diagonal, rest):
-    """A non-scalar diagonal generator first is always accepted, so the unital walk is graded."""
+    """A non-scalar diagonal generator after I is always accepted, so the walk is graded."""
     mats = [diagonal, *rest]
     got = closure3(mats, unital=True)
     assert got == pool_closure(mats, unital=True) == dense_closure(mats, unital=True)
-    assert got.spin[0] == discrete([diagonal])[0].vec
+    assert got.spin[:2] == [g.vec for g in discrete([RatMatrix.identity(3), diagonal])]
 
 
 def test_closure_of_nilpotent_matrix_unit():
+    """A closure holds I only when it is passed I."""
     e12 = _matrix_unit(2, 0, 1)
-    assert algebra_closure(discrete([e12]), unital=False).dimension == 1
-    assert algebra_closure(discrete([e12]), unital=True).dimension == 2
+    assert algebra_closure(discrete([e12])).dimension == 1
+    assert algebra_closure(discrete([RatMatrix.identity(2), e12])).dimension == 2
+
+
+def test_closure_seeds_only_the_classes_where_a_diagonal_generator_is_nonzero():
+    """diag(1,0,0) splits the points into {0} and {1, 2}; the closure holds e_0 =
+    diag(1,0,0) but not diag(0,1,1), on which every diagonal generator is 0."""
+    gens = [RatMatrix.diagonal([1, 0, 0]), _matrix_unit(3, 0, 1)]
+    got = algebra_closure(discrete(gens))
+    assert got.dimension == 2
+    assert got == pool_closure(gens, unital=False) == dense_closure(gens, unital=False)
+    assert not contains(got, RatMatrix.diagonal([0, 1, 1]))
 
 
 def test_closure_skips_zero_generator():
@@ -512,17 +526,16 @@ def test_component_closures_match_pool_reference(monkeypatch):
     calls = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital):
-        sub = plain_closure(gens, unital)
-        calls.append(([g.matrix() for g in gens], unital, sub))
+    def recording_closure(gens):
+        sub = plain_closure(gens)
+        calls.append(([g.matrix() for g in gens], sub))
         return sub
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
     terwilliger_module.component_dims(Instance(SchemeParams((3,), 2)))
-    pieces = [call for call in calls if not call[1]]
-    assert pieces
-    for gens, unital, sub in pieces:
-        assert basis_matrices(sub) == basis_matrices(pool_closure(gens, unital))
+    assert calls
+    for gens, sub in calls:
+        assert basis_matrices(sub) == basis_matrices(pool_closure(gens, unital=False))
 
 
 def test_discrete_orbitals_are_the_row_major_vectorization():
@@ -578,7 +591,7 @@ def test_orbital_transpose_and_products_of_non_symmetric_elements(q, n):
 
 def test_closure_keeps_its_spin_generators_and_a_span_only_its_rows():
     a = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    sub = algebra_closure(discrete([a, a.scale(3), RatMatrix([[0] * 3] * 3)]), unital=False)
+    sub = algebra_closure(discrete([a, a.scale(3), RatMatrix([[0] * 3] * 3)]))
     orbitals = sub.orbitals
     assert sub.spin == [orbitals.vector(a)]
     span = span_basis([a, a * a])
@@ -611,7 +624,8 @@ def test_is_indicator_reads_row_major_flags():
 
 def test_subspace_equality_across_coordinates():
     inst = Instance(SchemeParams((3,), 2))
-    orbital = algebra_closure([*inst.adjacency.values(), *inst.duals.values()], unital=True)
+    eye = OrbitalMatrix.identity(inst.orbitals)
+    orbital = algebra_closure([eye, *inst.adjacency.values(), *inst.duals.values()])
     data = dense_spectral(inst.base.params)
     dense_gens = [*dense_family(inst, data.A).values(), *dense_family(inst, data.Estar).values()]
     dense = dense_closure(dense_gens, unital=True)
@@ -646,17 +660,16 @@ def test_component_closures_match_dense_oracle(monkeypatch, q, n):
     calls = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital):
-        sub = plain_closure(gens, unital)
-        calls.append(([g.matrix() for g in gens], unital, sub))
+    def recording_closure(gens):
+        sub = plain_closure(gens)
+        calls.append(([g.matrix() for g in gens], sub))
         return sub
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
     terwilliger_module.component_dims(Instance(SchemeParams(q, n)))
-    pieces = [call for call in calls if not call[1]]
-    assert len(pieces) == n + 1
-    for gens, unital, sub in pieces:
-        assert basis_matrices(sub) == basis_matrices(dense_closure(gens, unital))
+    assert len(calls) == n + 1
+    for gens, sub in calls:
+        assert basis_matrices(sub) == basis_matrices(dense_closure(gens, unital=False))
 
 
 @pytest.mark.parametrize("q,n", [((2,), 3), ((2, 2), 2)], ids=_label)
@@ -678,10 +691,10 @@ def test_orbital_hadamard_trace_and_identity_match_the_dense_definitions(q, n):
 def test_closure_rejects_generators_on_two_orbitals():
     a = RatMatrix.ones(3) - RatMatrix.identity(3)
     with pytest.raises(DimensionMismatch):
-        algebra_closure(discrete([a]) + discrete([a]), unital=True)
+        algebra_closure(discrete([a]) + discrete([a]))
     inst = Instance(SchemeParams((2,), 2))
     with pytest.raises(DimensionMismatch):
-        algebra_closure([*inst.adjacency.values(), *inst.base.duals.values()], unital=False)
+        algebra_closure([*inst.adjacency.values(), *inst.base.duals.values()])
 
 
 def test_orbital_arithmetic_rejects_operands_on_two_orbitals():

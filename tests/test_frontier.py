@@ -73,7 +73,7 @@ def test_frontier_child_builds_each_orbital_structure_once(monkeypatch, capsys):
     exec(frontier.CHILD, {"__name__": "__main__"})
     result = json.loads(capsys.readouterr().out)
     assert result["exit"] == 0 and result["r"] == 55 and result["dim_T"] == 55
-    assert result["products"] == 1044 and Orbitals.product is plain_product
-    assert result["entries"] == 24955 and Orbitals._left_product is plain_left
+    assert result["products"] == 800 and Orbitals.product is plain_product
+    assert result["entries"] == 15835 and Orbitals._left_product is plain_left
     # X(2,2;2,2), 16 points, and the depth-one scheme its report closes, 4 points
     assert builds == {16: 1, 4: 1}

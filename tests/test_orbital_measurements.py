@@ -229,10 +229,8 @@ def test_component_checks_match_dense_oracle(monkeypatch, q, n):
     pieces = []
     plain_closure = terwilliger_module.algebra_closure
 
-    def recording_closure(gens, unital):
-        sub = plain_closure(gens, unital)
-        if not unital:
-            pieces.append(sub)
+    def recording_closure(gens):
+        pieces.append(sub := plain_closure(gens))
         return sub
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
@@ -250,18 +248,19 @@ def test_component_checks_match_dense_oracle(monkeypatch, q, n):
 def test_center_uses_every_spin_generator():
     """Upper triangular 2x2: scalars only, but each generator alone leaves a 2-dim commutant."""
     e11, e12 = _unit(2, 0, 0), _unit(2, 0, 1)
-    alg = algebra_closure(discrete([e11, e12]), unital=True)
-    assert alg.dimension == 3 and len(alg.spin) == 2
+    eye = RatMatrix.identity(2)
+    alg = algebra_closure(discrete([eye, e11, e12]))
+    assert alg.dimension == 3 and len(alg.spin) == 3
     assert center_dimension(alg) == dense_center_dimension(alg) == 1
     for gen in (e11, e12):
-        assert center_dimension(algebra_closure(discrete([gen]), unital=True)) == 2
+        assert center_dimension(algebra_closure(discrete([eye, gen]))) == 2
 
 
 def test_spin_generators_decide_commutativity_and_annihilation():
     orbitals = Orbitals(3)
 
     def piece(*gens):
-        return algebra_closure([OrbitalMatrix.of(orbitals, g) for g in gens], unital=False)
+        return algebra_closure([OrbitalMatrix.of(orbitals, g) for g in gens])
 
     e01, e12, e11, e22 = _unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 1, 1), _unit(3, 2, 2)
     # E_01 E_12 = E_02 but E_12 E_01 = 0: one order vanishes, the other does not

@@ -202,7 +202,7 @@ def test_adjacency_span_is_already_closed(q, n):
     inst = Instance(params)
     mats = list(inst.adjacency.values())
     span = MatrixSubspace.span(inst.orbitals, (a.vec for a in mats))
-    closed = algebra_closure(mats, unital=True)
+    closed = algebra_closure(mats)  # A_0 = I is among them
     assert span == closed
     assert closed.dimension == params.class_count
 

@@ -236,7 +236,8 @@ def test_rank_one_lifts_generate_the_symmetric_algebra():
     shapes = compositions(n, params1.m + 1)
     full_span = span_basis([dense_lifted_sum(list(zip(data.E, lam))) for lam in shapes])
     orbitals = Instance(SchemeParams((2, 2), n)).orbitals
-    closure = algebra_closure([OrbitalMatrix.of(orbitals, g) for g in gens], unital=True)
+    eye = OrbitalMatrix.identity(orbitals)
+    closure = algebra_closure([eye, *(OrbitalMatrix.of(orbitals, g) for g in gens)])
     assert basis_matrices(closure) == basis_matrices(full_span)
 
 

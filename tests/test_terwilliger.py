@@ -30,7 +30,7 @@ from ordered_hamming import (
     verify_terw_identities,
 )
 from ordered_hamming.cli import SUITE_INSTANCES, main
-from ordered_hamming.exact_linalg import mat_sum
+from ordered_hamming.exact_linalg import OrbitalMatrix, mat_sum
 
 from dense_oracle import (
     _flat,
@@ -444,7 +444,7 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     [
         (["closure", "--q", "2", "--n", "4", "--generators", "bm"], 0),
         (["closure", "--q", "2", "--n", "4", "--generators", "idem"], 0),
-        (["report", "--q", "2,2", "--n", "2"], 1044),
+        (["report", "--q", "2,2", "--n", "2"], 800),
         (["identities", "--q", "2,2", "--n", "2"], 177),
         (["identities", "--q", "2,3,2", "--n", "2"], 356),
         (["identities", "--q", "2,2,2", "--n", "1"], 302),
@@ -454,23 +454,24 @@ def test_each_closed_form_is_streamed_once(monkeypatch, capsys, argv, bound):
     ],
 )
 def test_orbital_product_count(monkeypatch, capsys, argv, bound):
-    """The unital walk is graded on the E* and stops at a full span, the component
-    pieces take the same walk as one class, the center masks diagonal generators, and
-    the identity suite multiplies each depth-one product it reads (E_i E*_j, E*_i E_j,
-    F_i F*_j, F*_i F_j, G_i G*_j and G*_i G_j) once.
+    """Every walk is graded on the classes its diagonal generators tell apart (T's on
+    the E*, the d = 0 piece's on its starred lifts, a piece with none as one class) and
+    stops at a full span, the center masks diagonal generators, and the identity suite
+    multiplies each depth-one product it reads (E_i E*_j, E*_i E_j, F_i F*_j, F*_i F_j,
+    G_i G*_j and G*_i G_j) once.
 
     On X(1,4;2) the block parts of the generators span T, so its closures make no
-    product; the pieces spinning under every accepted generator made 1134 on the
-    report, and the ungraded walk of T, spinning under whole generators, made 65, 98
-    and 1315. Walking I as well made 73, 106 and 1599 (and before the full-rank stop
-    and the masks 280, 280 and 2964); multiplying the G products again in
-    each check that reads them made 3 m^2 more, 243 and 493 on the suites;
-    multiplying the E and F products in each check made 1573 on the report
-    and 231, 466 and 416 on the suites; checking the primary law on every
-    triple of sandwiches made 1531 on the report. The orthogonal families
-    are checked by Cochran's sum criterion, k + 1 products for k members;
-    every ordered pair, k^2 products, made 1327 on the report and 189, 388
-    and 334 on the suites.
+    product; walking the d = 0 piece as one class made 1044 on the report, the
+    pieces spinning under every accepted generator 1134, and the ungraded walk of T,
+    spinning under whole generators, made 65, 98 and 1315. Walking I as well made
+    73, 106 and 1599 (and before the full-rank stop and the masks 280, 280 and
+    2964); multiplying the G products again in each check that reads them made 3 m^2
+    more, 243 and 493 on the suites; multiplying the E and F products in each check
+    made 1573 on the report and 231, 466 and 416 on the suites; checking the primary
+    law on every triple of sandwiches made 1531 on the report. The orthogonal
+    families are checked by Cochran's sum criterion, k + 1 products for k members;
+    every ordered pair, k^2 products, made 1327 on the report and 189, 388 and 334
+    on the suites.
     """
     calls = 0
     plain_product = Orbitals.product
@@ -487,14 +488,16 @@ def test_orbital_product_count(monkeypatch, capsys, argv, bound):
 
 
 def test_component_walk_reads_fewest_table_entries_sparsest_first(monkeypatch):
-    """X(2,2;2,2): the component stage's 611 products read 19808 structure-table entries.
+    """X(2,2;2,2): the component stage's 367 products read 10688 structure-table entries.
 
     Each piece's generators are walked sparsest first, so the pool starts sparse and a
-    product reads the table rows of its sparser factor; in the order the lifts come, 557
-    products read 25408 entries. The order also picks the generators S accepts, so it
+    product reads the table rows of its sparser factor; in the order the lifts come, 358
+    products read 17575 entries. The order also picks the generators S accepts, so it
     sets how dense the products that decide commutativity and annihilation are. Before
-    the pieces admitted walkers lazily, the sorted order made 701 products that read
-    29549 entries, and the lift order the same 701 that read 46923.
+    the d = 0 piece was split on its diagonal generators, the sorted order made 611
+    products that read 19808 entries, and the lift order 557 that read 25408; before the
+    pieces admitted walkers lazily, the sorted order made 701 products that read 29549
+    entries, and the lift order the same 701 that read 46923.
     """
     inst = Instance(SchemeParams((2, 2), 2))
     inst.basis
@@ -508,7 +511,7 @@ def test_component_walk_reads_fewest_table_entries_sparsest_first(monkeypatch):
 
     monkeypatch.setattr(Orbitals, "_left_product", counting)
     component_dims(inst)
-    assert counts == {"products": 611, "entries": 19808}
+    assert counts == {"products": 367, "entries": 10688}
 
 
 @pytest.mark.parametrize("q,n,bound", [((2, 2), 2, 126), ((2,), 3, 60)], ids=str)
@@ -604,10 +607,10 @@ def test_closure_rejects_unknown_generator_label():
 @pytest.mark.parametrize(
     "q,n,generators,accepted,dim,count",
     [
-        ((2,), 4, "bm", 8, 35, 0),
-        ((2,), 4, "idem", 8, 35, 0),
-        ((2, 3, 2), 2, "bm", 18, 209, 708),
-        ((2, 3, 2), 2, "idem", 18, 209, 1230),
+        ((2,), 4, "bm", 9, 35, 0),
+        ((2,), 4, "idem", 9, 35, 0),
+        ((2, 3, 2), 2, "bm", 19, 209, 708),
+        ((2, 3, 2), 2, "idem", 19, 209, 1230),
     ],
     ids=["bm", "idem", "X(3,2;2,3,2)-bm", "X(3,2;2,3,2)-idem"],
 )
@@ -624,9 +627,9 @@ def test_closure_spins_dim_times_accepted_generators(
     inst = Instance(SchemeParams(q, n))
     first = inst.adjacency if generators == "bm" else inst.idempotents
     gens = list(first.values()) + list(inst.duals.values())
-    # the generators the closure keeps as S: those independent of I and earlier ones
+    # the generators the closure keeps as S: I, then those independent of I and earlier ones
     identity = RatMatrix.identity(inst.params.num_points)
-    assert span_basis([identity] + [g.matrix() for g in gens]).dimension - 1 == accepted
+    assert span_basis([identity] + [g.matrix() for g in gens]).dimension == accepted
     products = Counter()
     plain_mul = RatMatrix.__mul__
     plain_product = Orbitals.product
@@ -691,14 +694,14 @@ def test_structure_report_keeps_the_checks_its_measurements_name(q, n):
 
 @pytest.mark.parametrize("q,n,closures", [((2, 3), 1, 1), ((3,), 2, 2)])
 def test_structure_report_closes_t_once(monkeypatch, q, n, closures):
-    """One unital closure of T, plus the depth-one closure when n > 1."""
+    """One closure of T, which is passed I, plus the depth-one closure when n > 1."""
     count = 0
     plain_closure = terwilliger_module.algebra_closure
 
-    def counting_closure(gens, unital):
+    def counting_closure(gens):
         nonlocal count
-        count += unital
-        return plain_closure(gens, unital)
+        count += OrbitalMatrix.identity(gens[0].orbitals) in gens
+        return plain_closure(gens)
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", counting_closure)
     structure_report(Instance(SchemeParams(q, n)))

@@ -47,8 +47,8 @@ from perfbench.run import NOMINAL_CALIBRATION_S, calibration_loop  # noqa: E402
 TIMEOUT_S = 300.0
 
 # (q, n): every row of the ROADMAP measurement tables so far: twelve instances
-# up to 256 points, two 1024-point rows, then X(3,3;2,2,2), X(3,2;2,2,8) and
-# the two 4096-point rows.
+# up to 256 points, two 1024-point rows, then X(3,3;2,2,2), X(3,2;2,2,8),
+# X(2,5;2,2) and the two 4096-point rows.
 INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2, 3), 2),
     ((2, 2, 2), 2),
@@ -66,6 +66,7 @@ INSTANCES: tuple[tuple[tuple[int, ...], int], ...] = (
     ((2,), 10),
     ((2, 2, 2), 3),
     ((2, 2, 8), 2),
+    ((2, 2), 5),
     ((4,), 6),
     ((2,), 12),
 )
