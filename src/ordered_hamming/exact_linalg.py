@@ -1,10 +1,12 @@
 """Exact-rational matrices, orbital coordinates, spans, algebra closure, and center.
 
-A matrix is a grid of Python ints over one positive common denominator,
-kept in lowest terms: no prime divides the denominator and every entry,
-and the zero matrix has denominator 1. So equal matrices have equal grids,
-and all arithmetic runs on plain integers; `Fraction` appears only where
-entries enter or leave. Nothing ever rounds.
+A matrix is an integer vector over one positive common denominator, kept in
+lowest terms: no prime divides the denominator and every entry, and the zero
+matrix has denominator 1. A frame says what the entries index: the row-major
+cells of a dense `RatMatrix`, or the orbitals of an `OrbitalMatrix`. So equal
+matrices on one frame have equal vectors, and all arithmetic runs on plain
+integers; `Fraction` appears only where entries enter or leave. Nothing ever
+rounds.
 
 Subspaces live in orbital coordinates (`Orbitals`): a matrix that every
 permutation of a group commutes with is constant on each orbit of that group
@@ -28,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from operator import add, mul, sub
+from operator import mul
 from typing import Hashable, Iterable, Sequence
 
 
@@ -65,24 +67,70 @@ def _coerce(value) -> Fraction | int:
     raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
 
 
-def _lowest_terms(grid: Iterable[Iterable[int]], den: int) -> RatMatrix:
-    """The matrix grid / den (den > 0), with the common factors divided out."""
-    grid = tuple(map(tuple, grid))
-    if den != 1:
-        g = math.gcd(den, *chain.from_iterable(grid))
-        if g != 1:
-            grid = tuple(tuple(a // g for a in row) for row in grid)
-            den //= g
-    mat = object.__new__(RatMatrix)
-    mat._grid = grid
-    mat._den = den
-    return mat
+class _Exact:
+    """The integer vector `vec` over one positive denominator `den`, in lowest terms, on a frame.
+
+    The frame says what the entries index: (nrows, ncols), row-major, for a
+    `RatMatrix`, and the `Orbitals` for an `OrbitalMatrix`. Every value is
+    made by `_Exact.__init__`, which divides out the common factors. Operands
+    on different frames, so also of different kinds, raise DimensionMismatch
+    and compare unequal.
+    """
+
+    __slots__ = ("frame", "vec", "den")
+
+    def __init__(self, frame, vec: list[int], den: int = 1):
+        g = math.gcd(den, *vec)
+        if g > 1:
+            vec, den = [a // g for a in vec], den // g
+        self.frame, self.vec, self.den = frame, vec, den
+
+    @classmethod
+    def _new(cls, frame, vec: list[int], den: int):
+        """vec / den on `frame`, for a kind whose own constructor takes other arguments."""
+        out = object.__new__(cls)
+        _Exact.__init__(out, frame, vec, den)
+        return out
+
+    def _shared(self, other: _Exact):
+        """The frame both operands lie on; operands on different ones raise DimensionMismatch."""
+        if not (other.frame is self.frame or other.frame == self.frame):
+            raise DimensionMismatch("operands differ in shape or in orbitals")
+        return self.frame
+
+    def __add__(self, other):
+        frame = self._shared(other)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return self._new(frame, [x * sa + y * sb for x, y in zip(self.vec, other.vec)], den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._new(self.frame, [-a for a in self.vec], self.den)
+
+    def scale(self, scalar):
+        c = _coerce(scalar)
+        num = c.numerator
+        return self._new(self.frame, [num * a for a in self.vec], self.den * c.denominator)
+
+    def is_zero(self) -> bool:
+        return not any(self.vec)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _Exact)
+            and (other.frame is self.frame or other.frame == self.frame)
+            and self.den == other.den
+            and self.vec == other.vec
+        )
 
 
-class RatMatrix:
-    """Immutable dense matrix of exact rationals: an integer grid over one denominator."""
+class RatMatrix(_Exact):
+    """Immutable dense matrix of exact rationals: its row-major entries on the frame (nrows, ncols)."""
 
-    __slots__ = ("_grid", "_den")
+    __slots__ = ()
 
     def __init__(self, rows: Iterable[Iterable]):
         data = [[_coerce(x) for x in row] for row in rows]
@@ -91,12 +139,9 @@ class RatMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DimensionMismatch("ragged rows")
-        # The lcm of lowest-terms denominators leaves no common factor.
         den = math.lcm(*{x.denominator for row in data for x in row})
-        self._grid = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
-        )
-        self._den = den
+        entries = [x.numerator * (den // x.denominator) for row in data for x in row]
+        super().__init__((len(data), width), entries, den)
 
     # -- constructors ---------------------------------------------------
 
@@ -117,85 +162,40 @@ class RatMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self._grid)
+        return self.frame[0]
 
     @property
     def ncols(self) -> int:
-        return len(self._grid[0])
-
-    @property
-    def denominator(self) -> int:
-        """The common denominator of the integer grid, in lowest terms."""
-        return self._den
+        return self.frame[1]
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return Fraction(self._grid[i][j], self._den)
+        return Fraction(self.vec[i * self.frame[1] + j], self.den)
 
     # -- arithmetic -----------------------------------------------------
 
-    def _entrywise(self, other: RatMatrix, op) -> RatMatrix:
-        """op(self, other) entry by entry, for op in (add, sub)."""
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-        den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        pairs = zip(self._grid, other._grid)
-        return _lowest_terms(
-            ([op(x * sa, y * sb) for x, y in zip(ra, rb)] for ra, rb in pairs), den
-        )
-
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        return self._entrywise(other, add)
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        return self._entrywise(other, sub)
-
-    def __neg__(self) -> RatMatrix:
-        return _lowest_terms(([-a for a in row] for row in self._grid), self._den)
-
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
-            if self.ncols != other.nrows:
-                raise DimensionMismatch(
-                    f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
-                )
-            cols = list(zip(*other._grid))
-            return _lowest_terms(
-                ([sum(map(mul, row, col)) for col in cols] for row in self._grid),
-                self._den * other._den,
-            )
+            (n, k), (inner, m) = self.frame, other.frame
+            if k != inner:
+                raise DimensionMismatch(f"{n}x{k} times {inner}x{m}")
+            rows = [self.vec[i : i + k] for i in range(0, n * k, k)]
+            cols = [other.vec[j::m] for j in range(m)]
+            vec = [sum(map(mul, row, col)) for row in rows for col in cols]
+            return self._new((n, m), vec, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, scalar) -> RatMatrix:
         return self.scale(scalar)
 
-    def scale(self, scalar) -> RatMatrix:
-        c = _coerce(scalar)
-        num = c.numerator
-        return _lowest_terms(
-            ([num * a for a in row] for row in self._grid), self._den * c.denominator
-        )
-
     def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
+        n, m = self.frame
+        if n != m:
             raise DimensionMismatch("trace needs a square matrix")
-        return Fraction(sum(row[i] for i, row in enumerate(self._grid)), self._den)
-
-    # -- predicates -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self._grid))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self._den == other._den
-            and self._grid == other._grid
-        )
+        return Fraction(sum(self.vec[:: n + 1]), self.den)
 
     def __hash__(self) -> int:
-        return hash((self._den, self._grid))
+        return hash((self.frame, self.den, *self.vec))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"
@@ -204,13 +204,11 @@ class RatMatrix:
 
     def to_json(self) -> dict:
         # one string per distinct entry, shared by every cell that holds it
-        den = self._den
-        text = {a: format_rational(Fraction(a, den)) for a in set(chain.from_iterable(self._grid))}
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "entries": [[text[a] for a in row] for row in self._grid],
-        }
+        (rows, cols), den = self.frame, self.den
+        text = {a: format_rational(Fraction(a, den)) for a in set(self.vec)}
+        cells = [text[a] for a in self.vec]
+        entries = [cells[i : i + cols] for i in range(0, rows * cols, cols)]
+        return {"rows": rows, "cols": cols, "entries": entries}
 
 
 def mat_sum(mats: Iterable[RatMatrix | OrbitalMatrix]) -> RatMatrix | OrbitalMatrix:
@@ -233,15 +231,16 @@ def _kron_entries(factors: Sequence[RatMatrix]) -> tuple[list[int], int]:
     flat, width, den = [1], 1, 1
     for f in reversed(factors):
         rows = [flat[i : i + width] for i in range(0, len(flat), width)]
+        ncols = f.ncols
         runs = (
             row if x == 1 else [0] * width if x == 0 else [x * y for y in row]
-            for fr in f._grid
+            for i in range(0, len(f.vec), ncols)
             for row in rows
-            for x in fr
+            for x in f.vec[i : i + ncols]
         )
         flat = list(chain.from_iterable(runs))
-        width *= len(f._grid[0])
-        den *= f._den
+        width *= ncols
+        den *= f.den
     return flat, den
 
 
@@ -372,9 +371,7 @@ class Orbitals:
 
     def matrix(self, vec: Sequence[int], den: int = 1) -> RatMatrix:
         """The matrix that is vec[o] / den on every pair of orbital o (den > 0)."""
-        side = self.side
-        flat = list(map(vec.__getitem__, self.labels))
-        return _lowest_terms((flat[i * side : (i + 1) * side] for i in range(side)), den)
+        return RatMatrix._new((self.side, self.side), list(map(vec.__getitem__, self.labels)), den)
 
     @cached_property
     def _table(self) -> list[list[tuple[int, int, int]]]:
@@ -427,25 +424,18 @@ class Orbitals:
         return self._left_product(a, b)
 
 
-class OrbitalMatrix:
-    """A matrix constant on every orbital: its orbital vector over one positive denominator.
+class OrbitalMatrix(_Exact):
+    """A matrix constant on every orbital: its orbital vector on the frame `Orbitals`.
 
-    Kept in lowest terms like `RatMatrix`, so equal matrices on one set of
-    orbitals are equal pairs; products run through `Orbitals.product`.
+    Products run through `Orbitals.product`.
     """
 
-    __slots__ = ("orbitals", "vec", "den")
-
-    def __init__(self, orbitals: Orbitals, vec: list[int], den: int = 1):
-        g = math.gcd(den, *vec)
-        if g > 1:
-            vec, den = [a // g for a in vec], den // g
-        self.orbitals, self.vec, self.den = orbitals, vec, den
+    __slots__ = ()
 
     @classmethod
     def of(cls, orbitals: Orbitals, *factors: RatMatrix) -> OrbitalMatrix:
         """The Kronecker product of `factors` in orbitals, after `Orbitals.vector` checks it."""
-        return cls(orbitals, orbitals.vector(*factors), math.prod(f.denominator for f in factors))
+        return cls(orbitals, orbitals.vector(*factors), math.prod(f.den for f in factors))
 
     @classmethod
     def identity(cls, orbitals: Orbitals) -> OrbitalMatrix:
@@ -456,40 +446,19 @@ class OrbitalMatrix:
     def matches(self, *factors: RatMatrix) -> bool:
         """Whether the Kronecker product of `factors` is this matrix; a non-constant one is not."""
         flat, den = _kron_entries(factors)
-        vec = self.orbitals._entries(flat)
-        return vec is not None and OrbitalMatrix(self.orbitals, vec, den) == self
+        vec = self.frame._entries(flat)
+        return vec is not None and OrbitalMatrix(self.frame, vec, den) == self
 
     def is_indicator(self, flags: list[bool]) -> bool:
         """Whether this is the 0/1 matrix with the row-major entries `flags`."""
-        return self.den == 1 and self.orbitals._entries(flags) == self.vec
+        return self.den == 1 and self.frame._entries(flags) == self.vec
 
     def matrix(self) -> RatMatrix:
-        return self.orbitals.matrix(self.vec, self.den)
-
-    def _shared(self, other: OrbitalMatrix) -> Orbitals:
-        """The orbitals both operands lie on; operands on different ones raise DimensionMismatch."""
-        if other.orbitals is not self.orbitals:
-            raise DimensionMismatch("operands lie on different orbitals")
-        return self.orbitals
-
-    def __add__(self, other: OrbitalMatrix) -> OrbitalMatrix:
-        orbitals = self._shared(other)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        summed = [x * sa + y * sb for x, y in zip(self.vec, other.vec)]
-        return OrbitalMatrix(orbitals, summed, den)
-
-    def __sub__(self, other: OrbitalMatrix) -> OrbitalMatrix:
-        return self + other.scale(-1)
+        return self.frame.matrix(self.vec, self.den)
 
     def __mul__(self, other: OrbitalMatrix) -> OrbitalMatrix:
         orbitals = self._shared(other)
         return OrbitalMatrix(orbitals, orbitals.product(self.vec, other.vec), self.den * other.den)
-
-    def scale(self, scalar) -> OrbitalMatrix:
-        c = _coerce(scalar)
-        num = c.numerator
-        return OrbitalMatrix(self.orbitals, [num * a for a in self.vec], self.den * c.denominator)
 
     def hadamard(self, other: OrbitalMatrix) -> OrbitalMatrix:
         """The entrywise product: both factors are constant on every orbital, so it is too."""
@@ -498,16 +467,8 @@ class OrbitalMatrix:
 
     def trace(self) -> Fraction:
         """The sum of the N diagonal entries, each read through its pair's label."""
-        side, labels, vec = self.orbitals.side, self.orbitals.labels, self.vec
+        side, labels, vec = self.frame.side, self.frame.labels, self.vec
         return Fraction(sum(vec[labels[x * (side + 1)]] for x in range(side)), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.vec)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OrbitalMatrix) and (self.orbitals, self.den, self.vec) == (
-            other.orbitals, other.den, other.vec
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +569,8 @@ def algebra_closure(generators: Sequence[OrbitalMatrix]) -> MatrixSubspace:
     """
     if not generators:
         raise EmptyInput("closure of an empty generator list")
-    orbitals = generators[0].orbitals
-    if any(g.orbitals is not orbitals for g in generators):
+    orbitals = generators[0].frame
+    if any(g.frame is not orbitals for g in generators):
         raise DimensionMismatch("closure generators lie on different orbitals")
     count, product = orbitals.count, orbitals.product
     red = _RowReducer()
@@ -658,22 +619,20 @@ def center_dimension(alg: MatrixSubspace) -> int:
     s[x, x]), Z times a mask read at each representative (x, z), with no
     product; I, in the S of a closure passed I, gives 0. So the Z that
     commute with every diagonal s are those zero on the orbitals whose
-    points x and z lie in different classes (`_point_classes`): the kernel
-    of the basis restricted to them, the rows that pivot after them when
-    the basis is reduced with them first. The center is that kernel less
-    the rank of the vectors that concatenate [z, s] = zs - sz over the
-    other s, one per kernel element z.
+    points x and z lie in different classes (`_point_classes`). The closure
+    is the direct sum of its block parts (`algebra_closure`), and the blocks
+    hold disjoint orbitals, so each canonical row lies in one block: those Z
+    are the span of the rows that pivot on an orbital with x and z in one
+    class. The center is that kernel less the rank of the vectors that
+    concatenate [z, s] = zs - sz over the other s, one per kernel element z.
 
     `alg` must be the result of `algebra_closure`: only a closure has S,
     and its walk proves it closed under multiplication.
     """
     orbitals, count = alg.orbitals, alg.orbitals.count
     others, blocks, _ = _point_classes(orbitals, alg.spin)
-    order = sorted(range(count), key=lambda o: blocks[o][0] == blocks[o][1])  # masked first
-    where = sorted(range(count), key=order.__getitem__)  # each orbital's place in order
-    masked = sum(x != z for x, z in blocks)
-    kernel = _RowReducer([b.get(o, 0) for o in order] for b in alg._reducer._rows.values())
-    zs = [[z.get(i, 0) for i in where] for p, z in kernel._rows.items() if p >= masked]
+    rows = alg._reducer._rows.items()
+    zs = [[z.get(o, 0) for o in range(count)] for p, z in rows if blocks[p][0] == blocks[p][1]]
     product = orbitals.product
     commutators = _RowReducer()
     for z in zs:

@@ -163,7 +163,7 @@ def krawchouk_table(params: SchemeParams) -> RatMatrix:
     """
     P = base_eigenmatrix_P(params)
     parts = params.m + 1
-    weights = P._grid
+    weights = P.vec  # row-major, parts by parts
     shapes = compositions(0, parts)
     table = [[1]]
     for degree in range(1, params.n + 1):
@@ -176,10 +176,10 @@ def krawchouk_table(params: SchemeParams) -> RatMatrix:
             for s in shapes
         ]
         table = [
-            [sum(weights[j][i] * table[k][t] for i, t in down) for down in lowered]
+            [sum(weights[j * parts + i] * table[k][t] for i, t in down) for down in lowered]
             for (j, k), *_ in lowered
         ]
-    return RatMatrix(table).scale(Fraction(1, P.denominator**params.n))
+    return RatMatrix(table).scale(Fraction(1, P.den**params.n))
 
 
 def valency_n(lam: Shape, params: SchemeParams) -> int:

@@ -41,7 +41,7 @@ def lifted_family(mats: Sequence[OrbitalMatrix], orbitals: Orbitals, blocks: Seq
     """
     if not mats:
         raise EmptyInput("lifting needs at least one depth-one matrix")
-    if any(m.orbitals is not mats[0].orbitals for m in mats):
+    if any(m.frame is not mats[0].frame for m in mats):
         raise DimensionMismatch("the parts need one set of orbitals")
     width = len(blocks[0]) + 1  # t^c is held as the integer sum_i c_i width^i
     steps = [width**i for i in range(len(mats))]

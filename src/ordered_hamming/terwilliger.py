@@ -107,7 +107,7 @@ def terw_basis(base: Instance) -> TerwBasisSet:
 
 def _row_sums_are(a: OrbitalMatrix, value: int) -> bool:
     """Whether every row of `a` sums to `value`, each entry read through its pair's label."""
-    side, labels, vec = a.orbitals.side, a.orbitals.labels, a.vec
+    side, labels, vec = a.frame.side, a.frame.labels, a.vec
     rows = range(0, side * side, side)
     return {sum(map(vec.__getitem__, labels[x : x + side])) for x in rows} == {value * a.den}
 

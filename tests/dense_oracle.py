@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ordered_hamming import EmptyInput, InternalMismatch, MatrixSubspace, Orbitals, RatMatrix
-from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, _lowest_terms, mat_sum
+from ordered_hamming.exact_linalg import DimensionMismatch, OrbitalMatrix, _point_classes, mat_sum
 from ordered_hamming.scheme import SchemeParams, Shape, compositions
 from ordered_hamming.spectral import (
     base_adjacency,
@@ -123,15 +123,17 @@ def _primitive(vec: list[int]) -> list[int]:
 
 
 def _flat(mat: RatMatrix) -> list[int]:
-    """Row-major vectorization of the grid; a positive multiple of the matrix."""
-    return list(chain.from_iterable(mat._grid))
+    """Row-major vectorization of the integer entries; a positive multiple of the matrix."""
+    return list(mat.vec)
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Kronecker product; block (i, j) is a[i, j] * b, second factor fastest."""
-    return _lowest_terms(
-        ([x * y for x in ra for y in rb] for ra in a._grid for rb in b._grid), a._den * b._den
-    )
+    (p, q), (r, s) = a.frame, b.frame
+    rows_a = [a.vec[i : i + q] for i in range(0, p * q, q)]
+    rows_b = [b.vec[k : k + s] for k in range(0, r * s, s)]
+    vec = [x * y for ra in rows_a for rb in rows_b for x in ra for y in rb]
+    return RatMatrix._new((p * r, q * s), vec, a.den * b.den)
 
 
 def kron_all(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -164,7 +166,8 @@ def dense_spectral(params: SchemeParams) -> DenseSpectral:
 
 def row_sums(mat: RatMatrix) -> tuple[Fraction, ...]:
     """The sum of each row of `mat`."""
-    return tuple(Fraction(sum(row), mat._den) for row in mat._grid)
+    width = mat.ncols
+    return tuple(Fraction(sum(mat.vec[i : i + width]), mat.den) for i in range(0, len(mat.vec), width))
 
 
 def dense_rows(sub: MatrixSubspace) -> list[list[int]]:
@@ -194,6 +197,16 @@ def discrete(mats):
     mats = list(mats)
     orbitals = Orbitals(mats[0].nrows)
     return [OrbitalMatrix.of(orbitals, m) for m in mats]
+
+
+def rows_in_one_block(alg: MatrixSubspace) -> bool:
+    """Whether every canonical row of a closure lies in one block of its own `_point_classes`.
+
+    `center_dimension` relies on it: it reads the Z that commute with every
+    diagonal member of S off the rows whose pivot has x and z in one class.
+    """
+    _, blocks, _ = _point_classes(alg.orbitals, alg.spin)
+    return all(len({blocks[o] for o in row}) == 1 for row in alg._reducer._rows.values())
 
 
 def dense_lifted_sum(parts: Sequence[tuple[RatMatrix, int]]) -> RatMatrix:
@@ -245,9 +258,9 @@ def lifted_sum(parts: Sequence, orbitals: Orbitals, blocks: Sequence) -> Orbital
     if not kept:
         raise EmptyInput("total multiplicity must be at least 1")
     mats, counts = zip(*kept)
-    if any(m.orbitals is not mats[0].orbitals for m in mats) or len(blocks[0]) != sum(counts):
+    if any(m.frame is not mats[0].frame for m in mats) or len(blocks[0]) != sum(counts):
         raise DimensionMismatch("the parts need one set of orbitals and one block per factor")
-    if counts == (1,) and mats[0].orbitals is orbitals:
+    if counts == (1,) and mats[0].frame is orbitals:
         return mats[0]
     vecs = [m.vec for m in mats]
 

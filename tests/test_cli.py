@@ -152,19 +152,15 @@ def test_identities_golden_output(capsys, q, n, digest):
 def _count_matrix_sides(monkeypatch) -> Counter:
     """A counter of every `RatMatrix` built from here on, by its number of rows."""
     sides = Counter()
-    plain_init, plain_lowest = RatMatrix.__init__, exact_linalg._lowest_terms
+    plain_init = exact_linalg._Exact.__init__
 
-    def counting_init(self, rows):
-        plain_init(self, rows)
-        sides[self.nrows] += 1
+    def counting_init(self, frame, vec, den=1):
+        plain_init(self, frame, vec, den)
+        if isinstance(self, RatMatrix):
+            sides[self.nrows] += 1
 
-    def counting_lowest(grid, den):
-        mat = plain_lowest(grid, den)
-        sides[mat.nrows] += 1
-        return mat
-
-    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
-    monkeypatch.setattr(exact_linalg, "_lowest_terms", counting_lowest)
+    # every value, whichever constructor it enters by, is made by this one
+    monkeypatch.setattr(exact_linalg._Exact, "__init__", counting_init)
     return sides
 
 

@@ -36,6 +36,7 @@ from dense_oracle import (
     kron,
     kron_all,
     relation_matrices,
+    rows_in_one_block,
     span_basis,
 )
 
@@ -124,7 +125,7 @@ def test_kron_stream_matches_the_dense_kronecker_product(factors, data):
         factors[zeroed] = factors[zeroed].scale(0)
     flat, den = _kron_entries(factors)
     want = kron_all(factors)
-    common, rest = divmod(den, want.denominator)
+    common, rest = divmod(den, want.den)
     assert rest == 0 and common == math.gcd(den, *flat)
     assert flat == [common * a for a in _flat(want)]
     orbitals = Orbitals(want.nrows)
@@ -282,6 +283,43 @@ def test_lowest_terms_make_equality_structural(m):
         assert hash(got) == hash(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_and_orbital_matrices_share_one_exact_form(data):
+    """On the discrete partition an `OrbitalMatrix` holds a square `RatMatrix`'s own (vec, den)."""
+    k = data.draw(sides)
+    a = data.draw(grids(k, k))
+    b = data.draw(st.one_of(st.just(a), grids(k, k)))
+    s = data.draw(rationals)
+    A, B = RatMatrix(a), RatMatrix(b)
+    X, Y, X2 = discrete([A, B, RatMatrix(a)])
+    assert (A == B) == (X == Y) and X == X2
+    cases = [(A, X), (A + B, X + Y), (A - B, X - Y), (-A, -X), (A.scale(s), X.scale(s))]
+    for dense, orbital in cases:
+        assert (orbital.vec, orbital.den) == (dense.vec, dense.den)
+        assert dense.den > 0 and math.gcd(dense.den, *dense.vec) == 1
+        assert orbital.is_zero() == dense.is_zero() == (dense.den == 1 and not any(dense.vec))
+        assert orbital.matrix() == dense
+
+
+def test_the_frame_tells_shapes_and_kinds_apart():
+    """A 2x3 and a 3x2 have vectors of one length, and so can a square `RatMatrix` and an
+    `OrbitalMatrix`: only the frame tells them apart."""
+    wide, tall = RatMatrix([[1, 2, 3], [4, 5, 6]]), RatMatrix([[1, 2], [3, 4], [5, 6]])
+    assert wide.vec == tall.vec and wide != tall
+    square = RatMatrix([[1, "1/2"], [3, 4]])
+    (orbital,) = discrete([square])
+    assert (orbital.vec, orbital.den) == (square.vec, square.den)
+    assert orbital != square and square != orbital
+    for x, y in ((wide, tall), (square, orbital), (orbital, square)):
+        for op in (add, sub):
+            with pytest.raises(DimensionMismatch):
+                op(x, y)
+    for op in (mul, OrbitalMatrix.hadamard):
+        with pytest.raises(DimensionMismatch):
+            op(orbital, square)
+
+
 def test_entries_must_be_exact():
     with pytest.raises(TypeError):
         RatMatrix([[0.5]])
@@ -415,7 +453,9 @@ def closure3(gens, unital):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(int3x3, min_size=1, max_size=4), st.booleans())
 def test_closure_matches_pool_reference(mats, unital):
-    assert closure3(mats, unital) == pool_closure(mats, unital) == dense_closure(mats, unital)
+    got = closure3(mats, unital)
+    assert got == pool_closure(mats, unital) == dense_closure(mats, unital)
+    assert rows_in_one_block(got)
 
 
 diag3 = (
@@ -433,6 +473,7 @@ def test_graded_closure_matches_pool_reference(diagonal, rest):
     got = closure3(mats, unital=True)
     assert got == pool_closure(mats, unital=True) == dense_closure(mats, unital=True)
     assert got.spin[:2] == [g.vec for g in discrete([RatMatrix.identity(3), diagonal])]
+    assert rows_in_one_block(got)
 
 
 def test_closure_of_nilpotent_matrix_unit():
@@ -701,7 +742,7 @@ def test_orbital_arithmetic_rejects_operands_on_two_orbitals():
     """X(2,2;2,2): a depth-two matrix (55 orbitals) never meets a depth-one one (10)."""
     inst = Instance(SchemeParams((2, 2), 2))
     deep, shallow = next(iter(inst.adjacency.values())), next(iter(inst.base.adjacency.values()))
-    assert deep.orbitals.count == 55 and shallow.orbitals.count == 10
+    assert deep.frame.count == 55 and shallow.frame.count == 10
     for x, y in ((deep, shallow), (shallow, deep)):
         for op in (add, sub, mul, OrbitalMatrix.hadamard):
             with pytest.raises(DimensionMismatch):

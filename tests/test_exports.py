@@ -69,3 +69,17 @@ def test_the_depth_one_spectral_record_is_not_public():
     for name in ("base_spectral", "BaseSpectralData"):
         assert not hasattr(ordered_hamming, name)
         assert not hasattr(ordered_hamming.spectral, name)
+
+
+def test_one_base_class_holds_the_exact_form():
+    """`RatMatrix` and `OrbitalMatrix` share one lowest-terms vector and its arithmetic."""
+    from ordered_hamming import exact_linalg
+
+    for name in ("_lowest_terms", "_entrywise"):
+        assert not hasattr(exact_linalg, name)
+        assert not hasattr(exact_linalg.RatMatrix, name)
+    for kind in (exact_linalg.RatMatrix, exact_linalg.OrbitalMatrix):
+        own = vars(kind).keys() & {"__add__", "__sub__", "scale", "is_zero", "__eq__"}
+        assert not own, (kind.__name__, sorted(own))
+    for name in ("_grid", "_den", "denominator"):
+        assert not hasattr(exact_linalg.RatMatrix.identity(2), name)

@@ -39,6 +39,7 @@ from dense_oracle import (
     dense_family,
     dense_spectral,
     discrete,
+    rows_in_one_block,
     span_basis,
     stacked_center_dimension,
 )
@@ -55,8 +56,8 @@ def _nullspace(mats):
     """Integer basis of {c : sum_k c[k] * mats[k] = 0}, free coordinates ascending."""
     width = len(mats)
     # Scaling every entry row by one factor keeps the nullspace.
-    den = math.lcm(*(m.denominator for m in mats))
-    cols = [[a * (den // m.denominator) for a in _flat(m)] for m in mats]
+    den = math.lcm(*(m.den for m in mats))
+    cols = [[a * (den // m.den) for a in _flat(m)] for m in mats]
     red = DenseRowReducer(width)
     for row in zip(*cols):
         red.insert(row)
@@ -180,15 +181,15 @@ def _doctor(how, shapes, idems, duals):
     s0, s1, s2, last = shapes[0], shapes[1], shapes[2], shapes[-1]
     if how == "e0_raised":
         e0 = idems[s0]
-        idems[s0] = OrbitalMatrix(e0.orbitals, [a + e0.den for a in e0.vec], e0.den)
+        idems[s0] = OrbitalMatrix(e0.frame, [a + e0.den for a in e0.vec], e0.den)
     elif how == "duals_swapped":
         duals[s1], duals[s2] = duals[s2], duals[s1]
     elif how == "dual_summed":
         duals[s1] = duals[s1] + duals[s2]
     else:  # "point_dropped": the last diagonal point of the last E*
-        side, vec = duals[last].orbitals.side, list(duals[last].vec)
+        side, vec = duals[last].frame.side, list(duals[last].vec)
         vec[max(p for p in range(0, side * side, side + 1) if vec[p])] = 0
-        duals[last] = OrbitalMatrix(duals[last].orbitals, vec, duals[last].den)
+        duals[last] = OrbitalMatrix(duals[last].frame, vec, duals[last].den)
 
 
 @pytest.mark.parametrize("how", ["e0_raised", "duals_swapped", "dual_summed", "point_dropped"])
@@ -209,7 +210,7 @@ def test_doctored_families_match_the_literal_law(q, n, how):
     discrete = Orbitals(params.num_points)
     idems, duals = (
         {
-            lam: OrbitalMatrix(discrete, [x.vec[o] for o in x.orbitals.labels], x.den)
+            lam: OrbitalMatrix(discrete, [x.vec[o] for o in x.frame.labels], x.den)
             for lam, x in fam.items()
         }
         for fam in (inst.idempotents, inst.duals)
@@ -243,6 +244,26 @@ def test_component_checks_match_dense_oracle(monkeypatch, q, n):
             dense_annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
         )
     }
+
+
+@pytest.mark.parametrize("q,n", ORACLE_INSTANCES, ids=_label)
+def test_closure_rows_lie_in_one_block(monkeypatch, q, n):
+    """T from either generator set, and every component piece, is the direct sum of its blocks."""
+    closures = []
+    plain_closure = terwilliger_module.algebra_closure
+
+    def recording_closure(gens):
+        closures.append(sub := plain_closure(gens))
+        return sub
+
+    monkeypatch.setattr(terwilliger_module, "algebra_closure", recording_closure)
+    inst = Instance(SchemeParams(q, n))
+    for generators in ("bm", "idem"):
+        terwilliger_closure(inst, generators)
+    if q != (2,):  # X(1,n;2) has no G families, so no component pieces
+        component_dims(inst)
+        assert len(closures) > 2
+    assert all(map(rows_in_one_block, closures))
 
 
 def test_center_uses_every_spin_generator():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordered_hamming.exact_linalg as exact_linalg
 import ordered_hamming.terwilliger as terwilliger_module
 from ordered_hamming.cli import main
 from ordered_hamming.scheme import (
@@ -185,19 +186,21 @@ def test_axioms_and_intersection_numbers_count_the_sweep_once_per_instance(monke
 def test_scheme_verify_builds_no_matrix(monkeypatch, capsys):
     products = []
     built = []
-    plain_mul, plain_init = RatMatrix.__mul__, RatMatrix.__init__
+    plain_mul, plain_init = RatMatrix.__mul__, exact_linalg._Exact.__init__
 
     def counting_mul(self, other):
         if isinstance(other, RatMatrix):
             products.append((self.nrows, other.ncols))
         return plain_mul(self, other)
 
-    def counting_init(self, rows):
-        plain_init(self, rows)
-        built.append(self.nrows)
+    def counting_init(self, frame, vec, den=1):
+        plain_init(self, frame, vec, den)
+        if isinstance(self, RatMatrix):
+            built.append(self.nrows)
 
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
-    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
+    # every matrix, products and `Orbitals.matrix` included, is made by the one constructor
+    monkeypatch.setattr(exact_linalg._Exact, "__init__", counting_init)
     assert main(["scheme-verify", "--q", "2,3", "--n", "1", "--json"]) == 0
     assert '"R4_constants_well_defined":true' in capsys.readouterr().out
     assert products == [] and built == []
@@ -205,7 +208,7 @@ def test_scheme_verify_builds_no_matrix(monkeypatch, capsys):
     inst = Instance(SchemeParams((2, 3), 1))
     identity = relation_matrices(inst)[inst.shapes[0]]
     assert identity * identity == identity
-    assert built == [6] * len(inst.shapes) and len(products) == 1
+    assert built == [6] * (len(inst.shapes) + 1) and len(products) == 1
 
 
 @pytest.mark.parametrize(

@@ -700,7 +700,7 @@ def test_structure_report_closes_t_once(monkeypatch, q, n, closures):
 
     def counting_closure(gens):
         nonlocal count
-        count += OrbitalMatrix.identity(gens[0].orbitals) in gens
+        count += OrbitalMatrix.identity(gens[0].frame) in gens
         return plain_closure(gens)
 
     monkeypatch.setattr(terwilliger_module, "algebra_closure", counting_closure)
