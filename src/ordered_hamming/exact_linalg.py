@@ -174,19 +174,16 @@ class RatMatrix(_Exact):
 
     # -- arithmetic -----------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            (n, k), (inner, m) = self.frame, other.frame
-            if k != inner:
-                raise DimensionMismatch(f"{n}x{k} times {inner}x{m}")
-            rows = [self.vec[i : i + k] for i in range(0, n * k, k)]
-            cols = [other.vec[j::m] for j in range(m)]
-            vec = [sum(map(mul, row, col)) for row in rows for col in cols]
-            return self._new((n, m), vec, self.den * other.den)
-        return self.scale(other)
-
-    def __rmul__(self, scalar) -> RatMatrix:
-        return self.scale(scalar)
+    def __mul__(self, other: RatMatrix) -> RatMatrix:
+        if not isinstance(other, RatMatrix):
+            raise DimensionMismatch(f"{self!r} times {type(other).__name__} (scale takes a scalar)")
+        (n, k), (inner, m) = self.frame, other.frame
+        if k != inner:
+            raise DimensionMismatch(f"{n}x{k} times {inner}x{m}")
+        rows = [self.vec[i : i + k] for i in range(0, n * k, k)]
+        cols = [other.vec[j::m] for j in range(m)]
+        vec = [sum(map(mul, row, col)) for row in rows for col in cols]
+        return self._new((n, m), vec, self.den * other.den)
 
     def trace(self) -> Fraction:
         n, m = self.frame
@@ -347,6 +344,11 @@ class Orbitals:
     def count(self) -> int:
         return len(self.reps)
 
+    @cached_property
+    def diagonal(self) -> list[int]:
+        """The orbital of each point's pair (x, x). A diagonal orbital holds no other pair."""
+        return self.labels[:: self.side + 1]
+
     def _entries(self, flat: list[int]) -> list[int] | None:
         """The orbital vector of row-major entries, or None if not constant on every orbital."""
         if len(flat) != len(self.labels):
@@ -439,9 +441,9 @@ class OrbitalMatrix(_Exact):
 
     @classmethod
     def identity(cls, orbitals: Orbitals) -> OrbitalMatrix:
-        """1 on the orbitals of diagonal pairs, which hold no other pair, and 0 elsewhere."""
-        side = orbitals.side
-        return cls(orbitals, [int(x == y) for x, y in (divmod(p, side) for p in orbitals.reps)])
+        """1 on the diagonal orbitals and 0 elsewhere."""
+        eye = set(orbitals.diagonal)
+        return cls(orbitals, [int(o in eye) for o in range(orbitals.count)])
 
     def matches(self, *factors: RatMatrix) -> bool:
         """Whether the Kronecker product of `factors` is this matrix; a non-constant one is not."""
@@ -466,9 +468,8 @@ class OrbitalMatrix(_Exact):
         return OrbitalMatrix(self._shared(other), entries, self.den * other.den)
 
     def trace(self) -> Fraction:
-        """The sum of the N diagonal entries, each read through its pair's label."""
-        side, labels, vec = self.frame.side, self.frame.labels, self.vec
-        return Fraction(sum(vec[labels[x * (side + 1)]] for x in range(side)), self.den)
+        """The sum of the N diagonal entries, each read at its point's diagonal orbital."""
+        return Fraction(sum(map(self.vec.__getitem__, self.frame.diagonal)), self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +484,7 @@ class MatrixSubspace:
     one coordinate system is exact; a plain span keeps only those rows, and
     `spin` None. Only `algebra_closure` sets the set S of orbital vectors in
     `spin`: the generators it accepted, which generate the closure as an
-    algebra; a unital closure was passed I, so I is in its S. Equality
-    ignores S.
+    algebra. A closure that should hold I is passed I. Equality ignores S.
     """
 
     __slots__ = ("orbitals", "_reducer", "spin")
@@ -520,13 +520,12 @@ class MatrixSubspace:
 def _point_classes(orbitals: Orbitals, spin: list[list[int]]) -> tuple[list, list, set[int]]:
     """Points split by the values of the diagonal members of `spin`: returns the others, each
     orbital's (class(x), class(z)) at its rep, and the classes where a diagonal one is nonzero."""
-    side, eye = orbitals.side, OrbitalMatrix.identity(orbitals).vec
+    side, eye = orbitals.side, set(orbitals.diagonal)
     others, diagonal = [], []
     for s in spin:  # diagonal: zero off the diagonal orbitals, which hold only pairs (x, x)
-        (others if any(a for a, d in zip(s, eye) if not d) else diagonal).append(s)
+        (others if any(a for o, a in enumerate(s) if a and o not in eye) else diagonal).append(s)
     number: dict[tuple[int, ...], int] = {}
-    keys = (tuple(s[orbitals.labels[x * (side + 1)]] for s in diagonal) for x in range(side))
-    cls = [number.setdefault(key, len(number)) for key in keys]
+    cls = [number.setdefault(tuple(s[d] for s in diagonal), len(number)) for d in orbitals.diagonal]
     live = {c for key, c in number.items() if any(key)}
     return others, [(cls[rep // side], cls[rep % side]) for rep in orbitals.reps], live
 
@@ -626,9 +625,11 @@ def center_dimension(alg: MatrixSubspace) -> int:
     class. The center is that kernel less the rank of the vectors that
     concatenate [z, s] = zs - sz over the other s, one per kernel element z.
 
-    `alg` must be the result of `algebra_closure`: only a closure has S,
-    and its walk proves it closed under multiplication.
+    Only a result of `algebra_closure` has S, and its walk proves it closed
+    under multiplication; a plain span raises ValueError.
     """
+    if alg.spin is None:
+        raise ValueError("center_dimension needs a result of algebra_closure, which holds its S")
     orbitals, count = alg.orbitals, alg.orbitals.count
     others, blocks, _ = _point_classes(orbitals, alg.spin)
     rows = alg._reducer._rows.items()

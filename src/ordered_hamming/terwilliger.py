@@ -204,12 +204,11 @@ class Instance:
         )
 
     def _diagonals(self) -> Iterator[OrbitalMatrix]:
-        """Per shape, the 0/1 diagonal at the x that row 0 of the sweep puts in it. An orbital's
-        key holds shape(0 - x) and shape(x - z), so its representative (x, z) gives its flag."""
-        npts, orbitals = self.params.num_points, self.orbitals
-        row0, pairs = self.pair_shapes[:npts], [divmod(rep, npts) for rep in orbitals.reps]
+        """Per shape, 1 on the diagonal orbital of each x that row 0 of the sweep puts in it."""
+        orbitals, row0 = self.orbitals, self.pair_shapes[: self.params.num_points]
         for lam in self.shapes:
-            yield OrbitalMatrix(orbitals, [int(x == z and row0[x] == lam) for x, z in pairs])
+            on = {d for d, shape in zip(orbitals.diagonal, row0) if shape == lam}
+            yield OrbitalMatrix(orbitals, [int(o in on) for o in range(orbitals.count)])
 
     @cached_property
     def orbitals(self) -> Orbitals:

@@ -219,6 +219,13 @@ def test_center_of_commutative_closure_equals_dimension():
     assert center_dimension(sub) == sub.dimension == 3
 
 
+def test_center_needs_a_closure():
+    """A plain span has no generating set S, so its center is not measured."""
+    (unit,) = discrete([RatMatrix.identity(2)])
+    with pytest.raises(ValueError, match="algebra_closure"):
+        center_dimension(MatrixSubspace.span(unit.frame, [unit.vec]))
+
+
 def test_matrix_json_round_trip():
     m = RatMatrix([[Fraction(-3, 2), 5], [0, Fraction(7, 3)]])
     blob = m.to_json()
@@ -315,9 +322,14 @@ def test_the_frame_tells_shapes_and_kinds_apart():
         for op in (add, sub):
             with pytest.raises(DimensionMismatch):
                 op(x, y)
-    for op in (mul, OrbitalMatrix.hadamard):
+    for x, y in ((orbital, square), (square, orbital), (square, 2)):
         with pytest.raises(DimensionMismatch):
-            op(orbital, square)
+            x * y
+    with pytest.raises(DimensionMismatch):
+        OrbitalMatrix.hadamard(orbital, square)
+    with pytest.raises(TypeError):
+        2 * square
+    assert square.scale(2) == RatMatrix([[2, 1], [6, 8]])
 
 
 def test_entries_must_be_exact():
@@ -593,6 +605,9 @@ def test_orbitals_are_labelled_by_first_pair(q, n):
     assert orbitals.reps == sorted(orbitals.reps)
     assert all(orbitals.labels[rep] == o for o, rep in enumerate(orbitals.reps))
     assert all(orbitals.reps[label] <= p for p, label in enumerate(orbitals.labels))
+    side = orbitals.side
+    assert orbitals.diagonal == [orbitals.labels[x * (side + 1)] for x in range(side)]
+    assert Orbitals(3).diagonal == [0, 4, 8]
 
 
 @pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 3), 1)])

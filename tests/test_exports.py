@@ -83,3 +83,4 @@ def test_one_base_class_holds_the_exact_form():
         assert not own, (kind.__name__, sorted(own))
     for name in ("_grid", "_den", "denominator"):
         assert not hasattr(exact_linalg.RatMatrix.identity(2), name)
+    assert "__rmul__" not in vars(exact_linalg.RatMatrix)
