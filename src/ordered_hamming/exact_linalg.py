@@ -346,8 +346,12 @@ class Orbitals:
 
     @cached_property
     def diagonal(self) -> list[int]:
-        """The orbital of each point's pair (x, x). A diagonal orbital holds no other pair."""
-        return self.labels[:: self.side + 1]
+        """The orbital of each point's pair (x, x); ValueError if one also holds some other pair."""
+        side, labels = self.side, self.labels
+        eye = set(labels[:: side + 1])  # the side pairs after each (x, x) but the last lie off it
+        if any(not eye.isdisjoint(labels[a : a + side]) for a in range(1, side * side, side + 1)):
+            raise ValueError("a diagonal orbital also holds an off-diagonal pair")
+        return labels[:: side + 1]
 
     def _entries(self, flat: list[int]) -> list[int] | None:
         """The orbital vector of row-major entries, or None if not constant on every orbital."""
@@ -508,7 +512,7 @@ class MatrixSubspace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixSubspace)
-            and self.orbitals.labels == other.orbitals.labels
+            and (other.orbitals is self.orbitals or other.orbitals.labels == self.orbitals.labels)
             and self._reducer._rows == other._reducer._rows
         )
 

@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .exact_linalg import (
@@ -165,6 +165,12 @@ class Instance:
     def lift(self, mats: Sequence[OrbitalMatrix]) -> dict[tuple[int, ...], OrbitalMatrix]:
         """The `lifted_family` of depth-one `mats`, on this instance's orbitals."""
         return lifted_family(mats, self.orbitals, self.blocks)
+
+    @cached_property
+    def split_lifts(self) -> tuple[dict, dict]:
+        """The lifts of F + G and of F* + G*; read them with `in` or `get`, which store no zero."""
+        tw = self.basis
+        return self.lift(tw.F + tw.G), self.lift(tw.Fstar + tw.Gstar)
 
     def _family(self, name: str, closed, expected: Iterable, holds, mismatch: str):
         """Depth one enters closed form j once and checks holds(it, expected[j]); depth n lifts."""
@@ -394,10 +400,12 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
 
     checks["g_orthogonal_idempotents"] = _orthogonal_idempotents(tw.G)
     checks["gstar_orthogonal_idempotents"] = _orthogonal_idempotents(tw.Gstar)
-    checks["g_annihilates_f"] = _mutually_annihilating(tw.G, F)
-    checks["g_annihilates_fstar"] = _mutually_annihilating(tw.G, Fstar)
-    checks["gstar_annihilates_f"] = _mutually_annihilating(tw.Gstar, F)
-    checks["gstar_annihilates_fstar"] = _mutually_annihilating(tw.Gstar, Fstar)
+    product = inst.base.orbitals.product
+    g, gs, f, fs = ([x.vec for x in fam] for fam in (tw.G, tw.Gstar, F, Fstar))
+    checks["g_annihilates_f"] = _annihilating(product, g, f)
+    checks["g_annihilates_fstar"] = _annihilating(product, g, fs)
+    checks["gstar_annihilates_f"] = _annihilating(product, gs, f)
+    checks["gstar_annihilates_fstar"] = _annihilating(product, gs, fs)
     checks["g_product_difference"] = all(
         g_gs[i - 1][j - 1] == e_es[i][j] - f_fs[i][j] for i, j in pairs
     )
@@ -425,10 +433,12 @@ def verify_terw_identities(inst: Instance) -> dict[str, bool | None]:
     else:
         checks["g_products_by_regime"] = _g_product_regimes_hold(q, g_gs, gs_g)
         inner = compositions(n, m)
-        lifted_g, lifted_gs = (inst.lift(fam) for fam in (tw.G, tw.Gstar))
-        g_sum, gs_sum = (mat_sum(fam[tau] for tau in inner) for fam in (lifted_g, lifted_gs))
+        # G_tau is key pad + tau of the split lift, absent when it is zero
+        zero, pad = OrbitalMatrix(inst.orbitals, [0] * inst.orbitals.count), (0,) * (m + 1)
+        g_n, gs_n = ({tau: lift.get(pad + tau, zero) for tau in inner} for lift in inst.split_lifts)
+        g_sum, gs_sum = (mat_sum(fam.values()) for fam in (g_n, gs_n))
         checks["g_natural_lifted"] = g_sum == gs_sum == inst.lift([tw.Gnat])[(n,)]
-        checks["lifted_g_products"] = _lifted_g_products_hold(inst, lifted_g, lifted_gs, g_gs)
+        checks["lifted_g_products"] = _lifted_g_products_hold(inst, g_n, gs_n, g_gs)
 
     f_matches = F[1:] == E[1:] and Fstar[1:] == estar[1:]
     checks["f_equals_e_only_in_binary_single_case"] = f_matches == inst.degenerate
@@ -447,9 +457,9 @@ def _orthogonal_idempotents(fam: Sequence) -> bool:
     return all(x * x == x for x in fam) and (len(fam) == 1 or total * total == total)
 
 
-def _mutually_annihilating(xs: Sequence, ys: Sequence) -> bool:
-    """Whether x y = y x = 0 for every x in `xs` and y in `ys`."""
-    return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
+def _annihilating(product, xs: Sequence, ys: Sequence) -> bool:
+    """Whether x y = y x = 0 for all x in `xs` and y in `ys`, orbital vectors under `product`."""
+    return all(not any(product(x, y)) and not any(product(y, x)) for x in xs for y in ys)
 
 
 def _factor_identities_hold(q: tuple[int, ...]) -> bool:
@@ -605,7 +615,7 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
     """Dimensions of the closure-generated pieces graded by G-degree d.
 
     For each d every spanning matrix is one lifted sum over the combined
-    F/G multiset (one `lift` of F and G, one of F* and G*): n - d factors
+    F/G multiset (a key of `Instance.split_lifts`): n - d factors
     from the F family and d from the G family, with the starred twin; the
     piece is the closure of that set, which is not passed I. Cross products between
     distinct degrees must vanish (the returned `components_pairwise_annihilating`);
@@ -620,9 +630,8 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
     n = params.n
     if inst.degenerate:
         raise ValueError("component split is vacuous when the G families vanish")
-    tw = inst.basis
 
-    lifts = [inst.lift(fam + gfam) for fam, gfam in ((tw.F, tw.G), (tw.Fstar, tw.Gstar))]
+    lifts = inst.split_lifts
     infos = []
     pieces: list[MatrixSubspace] = []
     for d in range(n + 1):
@@ -639,31 +648,16 @@ def component_dims(inst: Instance) -> tuple[tuple[ComponentInfo, ...], dict[str,
         )
         pieces.append(comp)
 
-    annihilating = all(
-        _annihilate(x, y) for a, x in enumerate(pieces) for y in pieces[a + 1 :]
-    )
+    # every word of one piece times a word of another contains some s t or t s of their spin sets
+    product = inst.orbitals.product
+    annihilating = all(_annihilating(product, x.spin, y.spin) for x, y in combinations(pieces, 2))
     return tuple(infos), {"components_pairwise_annihilating": annihilating}
 
 
 def _commutative(piece: MatrixSubspace) -> bool:
     """Whether a closure is commutative: exactly when its spin set commutes in pairs."""
     product = piece.orbitals.product
-    spin = piece.spin
-    return all(
-        product(s, t) == product(t, s) for i, s in enumerate(spin) for t in spin[i + 1 :]
-    )
-
-
-def _annihilate(x: MatrixSubspace, y: MatrixSubspace) -> bool:
-    """Whether xy = yx = 0 for two closures.
-
-    Every word of one closure times a word of the other contains a product
-    s t or t s of their spin sets, so those products decide it.
-    """
-    product = x.orbitals.product
-    return all(
-        not any(product(s, t)) and not any(product(t, s)) for s in x.spin for t in y.spin
-    )
+    return all(product(s, t) == product(t, s) for s, t in combinations(piece.spin, 2))
 
 
 # ---------------------------------------------------------------------------

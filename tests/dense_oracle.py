@@ -59,7 +59,6 @@ from ordered_hamming.spectral import (
 from ordered_hamming.terwilliger import (
     TerwBasisSet,
     _factor_identities_hold,
-    _mutually_annihilating,
     _survives,
     _theta_enumerate,
     _theta_feasible,
@@ -758,6 +757,11 @@ def _orthogonal_idempotents(fam) -> bool:
         for i, x in enumerate(fam)
         for j, y in enumerate(fam)
     )
+
+
+def _mutually_annihilating(xs, ys) -> bool:
+    """The literal law: x y and y x are both 0, over every x in `xs` and y in `ys`."""
+    return all((x * y).is_zero() and (y * x).is_zero() for x in xs for y in ys)
 
 
 def _g_product_regimes_hold(params, tw) -> bool:

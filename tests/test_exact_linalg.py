@@ -610,6 +610,23 @@ def test_orbitals_are_labelled_by_first_pair(q, n):
     assert Orbitals(3).diagonal == [0, 4, 8]
 
 
+def test_a_diagonal_orbital_holding_another_pair_is_refused():
+    """Every off-diagonal pair is read: a stray pair in any row, its diagonal point's or not."""
+    with pytest.raises(ValueError, match="off-diagonal"):
+        OrbitalMatrix.identity(Orbitals(2, [0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="off-diagonal"):
+        OrbitalMatrix(Orbitals(2, [0, 0, 0, 0]), [1]).trace()
+    side = 4
+    for x in range(side):
+        for stray in (p for p in range(side * side) if p % (side + 1)):
+            keys = [p // side if p % (side + 1) == 0 else "off" for p in range(side * side)]
+            keys[stray] = x  # the pair stray joins the diagonal orbital of point x
+            with pytest.raises(ValueError, match="off-diagonal"):
+                Orbitals(side, keys).diagonal
+    apart = [p // side if p % (side + 1) == 0 else "off" for p in range(side * side)]
+    assert Orbitals(side, apart).diagonal == [0, 2, 3, 4]  # "off" is orbital 1
+
+
 @pytest.mark.parametrize("q,n", [((2,), 3), ((3,), 2), ((2, 3), 1)])
 def test_orbital_product_matches_dense_product(q, n):
     inst = Instance(SchemeParams(q, n))
@@ -690,6 +707,28 @@ def test_subspace_equality_across_coordinates():
     assert orbital != dense and basis_matrices(orbital) == basis_matrices(dense)
     assert contains(orbital, RatMatrix.identity(9))
     assert not contains(orbital, RatMatrix.diagonal([0, 1] + [0] * 7))
+
+
+class _UnreadLabels(list):
+    """Labels that fail any comparison, to show a reader compared them."""
+
+    def __eq__(self, other):
+        raise AssertionError("labels were compared")
+
+    __ne__ = __eq__
+
+
+def test_subspace_equality_on_one_orbitals_reads_no_labels():
+    """Spans on one `Orbitals` compare their rows without comparing the N^2 labels."""
+    inst = Instance(SchemeParams((3,), 2))
+    a, b = (terwilliger_closure(inst, which) for which in ("bm", "idem"))
+    orbitals = inst.orbitals
+    unit = MatrixSubspace.span(orbitals, [OrbitalMatrix.identity(orbitals).vec])
+    # spans on another `Orbitals` still compare its labels
+    assert MatrixSubspace(Orbitals(orbitals.side, orbitals.labels), a._reducer) == a
+    assert MatrixSubspace(Orbitals(orbitals.side), a._reducer) != a
+    orbitals.labels = _UnreadLabels(orbitals.labels)
+    assert a == b and a != unit
 
 
 def _label(value):

@@ -408,6 +408,51 @@ def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, caps
     assert calls <= 53
 
 
+def _held(mats):
+    """The (orbital vector, denominator) pairs of `mats`, comparable across frames."""
+    return [(x.vec, x.den) for x in mats]
+
+
+def test_report_lifts_the_f_g_split_once(monkeypatch, capsys):
+    """A, E and E*, the split F + G and F* + G*, Gnat and the G products: 7 lifts.
+
+    The identity suite reads each lifted G_tau and G*_tau as a key of the split lifts;
+    lifting G and G* on their own as well made 9.
+    """
+    lifted = []
+    plain = terwilliger_module.lifted_family
+
+    def recording(mats, *args):
+        lifted.append(_held(mats))
+        return plain(mats, *args)
+
+    monkeypatch.setattr(terwilliger_module, "lifted_family", recording)
+    assert main(["report", "--q", "2,2", "--n", "2"]) == 0
+    capsys.readouterr()
+    tw = Instance(SchemeParams((2, 2), 1)).basis
+    assert len(lifted) == 7
+    assert _held(tw.F + tw.G) in lifted and _held(tw.Fstar + tw.Gstar) in lifted
+    assert _held(tw.G) not in lifted and _held(tw.Gstar) not in lifted
+
+
+@pytest.mark.parametrize("zeroed", [False, True], ids=["basis", "zero-g1"])
+def test_identity_suite_stores_no_key_in_the_split_lifts(zeroed):
+    """The suite reads absent G keys as zero without adding them to the shared lifts.
+
+    With G_1 doctored to zero, every key that takes G_1 is absent from the F + G lift.
+    """
+    inst = Instance(SchemeParams((2, 3), 2))
+    if zeroed:
+        tw = inst.base.basis
+        inst.base.basis = tw._replace(G=(tw.G[0].scale(0),) + tw.G[1:])
+    before = [set(lift) for lift in inst.split_lifts]
+    checks = verify_terw_identities(inst)
+    assert [set(lift) for lift in inst.split_lifts] == before
+    assert (False in checks.values()) is zeroed
+    if zeroed:
+        assert (0, 0, 0, 2, 0) not in before[0] and (0, 0, 0, 1, 1) not in before[0]
+
+
 @pytest.mark.parametrize(
     "argv,bound",
     [
