@@ -168,9 +168,9 @@ class Instance:
 
     @cached_property
     def split_lifts(self) -> tuple[dict, dict]:
-        """The lifts of F + G and of F* + G*; read them with `in` or `get`, which store no zero."""
+        """The lifts of F + G and F* + G*, as plain dicts: an absent key is zero, `[]` raises."""
         tw = self.basis
-        return self.lift(tw.F + tw.G), self.lift(tw.Fstar + tw.Gstar)
+        return dict(self.lift(tw.F + tw.G)), dict(self.lift(tw.Fstar + tw.Gstar))
 
     def _family(self, name: str, closed, expected: Iterable, holds, mismatch: str):
         """Depth one enters closed form j once and checks holds(it, expected[j]); depth n lifts."""

@@ -451,6 +451,12 @@ def test_identity_suite_stores_no_key_in_the_split_lifts(zeroed):
     assert (False in checks.values()) is zeroed
     if zeroed:
         assert (0, 0, 0, 2, 0) not in before[0] and (0, 0, 0, 1, 1) not in before[0]
+    # the lifts are plain dicts: reading an absent key with [] raises instead of storing a zero
+    absent = (0, 0, 0, 2, 0) if zeroed else (0,) * 5
+    for lift in inst.split_lifts:
+        with pytest.raises(KeyError):
+            lift[absent]
+    assert [set(lift) for lift in inst.split_lifts] == before
 
 
 @pytest.mark.parametrize(
