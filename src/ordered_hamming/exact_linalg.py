@@ -51,13 +51,6 @@ class InternalMismatch(AssertionError):
     """
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _coerce(value) -> Fraction | int:
     """An exact rational; an int stays an int, since it has a numerator and a denominator."""
     if isinstance(value, (Fraction, int)):
@@ -202,7 +195,7 @@ class RatMatrix(_Exact):
     def to_json(self) -> dict:
         # one string per distinct entry, shared by every cell that holds it
         (rows, cols), den = self.frame, self.den
-        text = {a: format_rational(Fraction(a, den)) for a in set(self.vec)}
+        text = {a: str(Fraction(a, den)) for a in set(self.vec)}
         cells = [text[a] for a in self.vec]
         entries = [cells[i : i + cols] for i in range(0, rows * cols, cols)]
         return {"rows": rows, "cols": cols, "entries": entries}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, product
+from operator import add
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact_linalg import Orbitals
@@ -126,11 +127,12 @@ def pair_shapes(params: SchemeParams) -> list[Shape]:
     base = params.n + 1
     digit = [[1]]
     for j, qj in enumerate(params.q, 1):
-        digit = [
-            [d if u == v else base**j for d in row for v in range(qj)]
-            for row in digit
-            for u in range(qj)
-        ]
+        grown = []
+        for row, u in product(digit, range(qj)):
+            new = [base**j] * (len(row) * qj)  # the new coordinates differ: level j
+            new[u::qj] = row  # they agree: the earlier digit stands
+            grown.append(new)
+        digit = grown
     shared = {sum(c * base**j for j, c in enumerate(lam)): lam for lam in enumerate_shapes(params)}
     return [shared[s] for row in block_sums(digit, params.n) for s in row]
 
@@ -171,30 +173,32 @@ def intersection_counts(
     The relations are the orbitals of `Orbitals(N, sweep)`, labelled by first
     pair, so its structure table counts p^k_ij: the z with label(x, z) = i and
     label(z, y) = j at the first pair (x, y) of relation k. R4,
-    A_i A_j = sum_k p^k_ij A_k, is checked on every row x: row z of A_b is
-    sum_y [label(z, y) = b] 2**(w y), w = N.bit_length(), so row x of A_i A_j
-    is the sum of the rows z of A_j with label(x, z) = i, and no entry (at
-    most N) carries. None if a row differs, as p^k_ij is then undefined. Keys
-    run over i, j, then the k that have a pair.
+    A_i A_j = sum_k p^k_ij A_k, is checked one pair (i, j) at a time on
+    every row x at once: row z of A_b is packed as sum_y [label(z, y) = b]
+    2**(w y), w = N.bit_length(), so row x of A_i A_j is the sum of the rows
+    z of A_j with label(x, z) = i, and no entry (at most N) carries. Both
+    sides are lists over x, compared whole. None at the first (i, j) whose
+    lists differ, as p^k_ij is then undefined. Keys run over i, j, then the
+    k that have a pair.
     """
     npts = math.isqrt(len(sweep))
     relations = Orbitals(npts, sweep)
     label = {sweep[rep]: a for a, rep in enumerate(relations.reps)}
     c = relations.count
     p = {(i, j, k): n for i, row in enumerate(relations._table) for k, j, n in row}
-    rows = [relations.labels[x * npts : (x + 1) * npts] for x in range(npts)]
+    related = [[[] for _ in range(c)] for _ in range(npts)]  # [x][b]: z with label(x, z) = b
+    for zs, r in zip(related, range(0, npts * npts, npts)):
+        for z, b in enumerate(relations.labels[r : r + npts]):
+            zs[b].append(z)
     bits = [1 << npts.bit_length() * y for y in range(npts)]
-    packed = [[0] * npts for _ in range(c)]  # packed[b][x]: row x of A_b
-    related = [[[] for _ in range(c)] for _ in rows]  # related[x][b]: the z with label(x, z) = b
-    for x, row in enumerate(rows):
-        for z, (b, bit) in enumerate(zip(row, bits)):
-            packed[b][x] |= bit
-            related[x][b].append(z)
+    packed = [[sum(map(bits.__getitem__, zs[b])) for zs in related] for b in range(c)]
     for i, j in product(range(c), repeat=2):
-        terms = [(p[i, j, k], packed[k]) for k in range(c) if (i, j, k) in p]
-        for x, zs in enumerate(related):
-            if sum(map(packed[j].__getitem__, zs[i])) != sum(n * ak[x] for n, ak in terms):
-                return None
+        right = [0] * npts
+        for k, ak in enumerate(packed):
+            if (i, j, k) in p:
+                right = list(map(add, right, map(p[i, j, k].__mul__, ak)))
+        if [sum(map(packed[j].__getitem__, zs[i])) for zs in related] != right:
+            return None
     return {
         (i, j, k): p.get((label.get(i), label.get(j), label[k]), 0)
         for i in shapes
@@ -213,13 +217,12 @@ def verify_axioms(inst: Instance) -> dict[str, bool | None]:
     shapes = inst.shapes
     npts = inst.params.num_points
     counts = inst.intersection_counts
-    transposed = [s for y in range(npts) for s in sweep[y::npts]]
+    rows = range(0, npts * npts, npts)
     return {
-        "R1_diagonal_relation": all(
-            (lam == shapes[0]) == (r % (npts + 1) == 0) for r, lam in enumerate(sweep)
-        ),
+        "R1_diagonal_relation": sweep.count(shapes[0]) == npts
+        and sweep[:: npts + 1].count(shapes[0]) == npts,
         "R2_partition": set(sweep) <= set(shapes),
-        "R3_symmetric": transposed == list(sweep),
+        "R3_symmetric": all(sweep[r : r + npts] == sweep[x::npts] for x, r in enumerate(rows)),
         "R4_constants_well_defined": counts is not None,
         "R5_constants_commute": None
         if counts is None

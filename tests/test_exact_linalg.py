@@ -17,7 +17,6 @@ from ordered_hamming import (
     SchemeParams,
     algebra_closure,
     center_dimension,
-    format_rational,
     terwilliger_closure,
 )
 from ordered_hamming.cli import SUITE_INSTANCES
@@ -232,11 +231,6 @@ def test_matrix_json_round_trip():
     assert blob["entries"][0][0] == "-3/2"
     assert blob["entries"][0][1] == "5"
     assert blob == {"rows": 2, "cols": 2, "entries": [["-3/2", "5"], ["0", "7/3"]]}
-
-
-def test_format_rational():
-    assert format_rational(Fraction(-3, 2)) == "-3/2"
-    assert format_rational(Fraction(10, 5)) == "2"
 
 
 def _entries(m):

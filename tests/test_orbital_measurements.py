@@ -302,6 +302,25 @@ def test_spin_generators_decide_commutativity_and_annihilation():
         assert terwilliger_module._commutative(p) == dense_commutative(p)
 
 
+def test_annihilation_needs_both_orders_on_a_scheme():
+    """x = E*_lam and y = E*_mu A_nu E*_lam (lam != mu): x y = 0 but y x = y."""
+    inst = Instance(SchemeParams((2, 2), 2))
+    lam, mu = inst.shapes[:2]
+    x, duals = inst.duals[lam], inst.duals
+    sandwiches = {nu: duals[mu] * a * x for nu, a in inst.adjacency.items()}
+    nu, y = next((nu, y) for nu, y in sandwiches.items() if any(y.vec))
+    product = inst.orbitals.product
+    assert not any(product(x.vec, y.vec)) and product(y.vec, x.vec) == y.vec
+    assert not terwilliger_module._annihilating(product, [x.vec], [y.vec])
+    assert not terwilliger_module._annihilating(product, [y.vec], [x.vec])
+    data = dense_spectral(inst.base.params)
+    dense_duals = dense_family(inst, data.Estar)
+    dx = dense_duals[lam]
+    dy = dense_duals[mu] * dense_family(inst, data.A)[nu] * dx
+    assert dy == y.matrix()
+    assert (dx * dy).is_zero() and dy * dx == dy
+
+
 @pytest.mark.parametrize("q,n", [((3,), 2), ((2, 2), 2)], ids=_label)
 def test_measurements_make_no_dense_products(monkeypatch, q, n):
     """Once the families and the closure exist, the three stages multiply in orbital coordinates only."""

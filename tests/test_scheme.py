@@ -303,6 +303,22 @@ def test_packed_row_check_matches_the_profile_count_on_any_labelling(labelling):
     assert got is None or list(got.items()) == list(want.items())
 
 
+@settings(max_examples=300, deadline=None)
+@given(labellings())
+def test_axioms_match_dense_checks_on_any_labelling(labelling):
+    shapes, sweep = labelling
+    npts = math.isqrt(len(sweep))
+    inst = Instance(SchemeParams((npts,), 1))
+    inst.shapes = shapes
+    inst.__dict__["pair_shapes"] = sweep
+    checks, _ = dense_scheme_checks(shapes, relation_matrices(inst))
+    got = verify_axioms(inst)
+    # R4 and R5 only on a partition: the dense products see the matrices of
+    # `shapes` alone, while the sweep may also hold (9,)
+    keys = list(checks) if checks["R2_partition"] else list(checks)[:3]
+    assert {key: got[key] for key in keys} == {key: checks[key] for key in keys}
+
+
 @pytest.mark.parametrize("npts", [4, 8])
 def test_one_relation_counts_n_at_a_power_of_two(npts):
     """J J = N J: every entry of the one product is N, the largest any product holds."""
@@ -313,7 +329,12 @@ def test_one_relation_counts_n_at_a_power_of_two(npts):
 
 @pytest.mark.parametrize(
     "pair,label,failed",
-    [(0, (1, 1), "R1_diagonal_relation"), (1, (1,), "R2_partition"), (1, (0, 2), "R3_symmetric")],
+    [
+        (0, (1, 1), "R1_diagonal_relation"),
+        (1, (1,), "R2_partition"),
+        (1, (0, 2), "R3_symmetric"),
+        (71, (0, 2), "R3_symmetric"),  # the pair (7, 8): both in the last rows
+    ],
 )
 def test_doctored_sweep_fails_r1_to_r3(pair, label, failed):
     params = SchemeParams((3,), 2)

@@ -392,7 +392,7 @@ def test_identity_suite_makes_no_dense_product_beyond_the_letter_factors(
 
 
 def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, capsys):
-    """Each lifted matrix passes the entry-by-entry orbital check once; the parent made 90."""
+    """Only the depth-one families are entered entry by entry; every lift is orbital."""
     calls = 0
     plain_vector = Orbitals.vector
 
@@ -404,8 +404,8 @@ def test_report_enters_each_family_in_orbital_coordinates_once(monkeypatch, caps
     monkeypatch.setattr(Orbitals, "vector", counting_vector)
     assert main(["report", "--q", "2,2", "--n", "2", "--json"]) == 0
     capsys.readouterr()
-    # 18 depth-two A/E/E*, 9 depth-one A/E/E*, 6 lifted G and 20 component generators
-    assert calls <= 53
+    # the depth-one A, E and E*, three each; the depth-two families and the split are lifts
+    assert calls == 9
 
 
 def _held(mats):
