@@ -217,12 +217,13 @@ def verify_axioms(inst: Instance) -> dict[str, bool | None]:
     shapes = inst.shapes
     npts = inst.params.num_points
     counts = inst.intersection_counts
-    rows = range(0, npts * npts, npts)
     return {
         "R1_diagonal_relation": sweep.count(shapes[0]) == npts
         and sweep[:: npts + 1].count(shapes[0]) == npts,
         "R2_partition": set(sweep) <= set(shapes),
-        "R3_symmetric": all(sweep[r : r + npts] == sweep[x::npts] for x, r in enumerate(rows)),
+        "R3_symmetric": all(
+            sweep[x * npts : (x + 1) * npts] == sweep[x::npts] for x in range(npts)
+        ),
         "R4_constants_well_defined": counts is not None,
         "R5_constants_commute": None
         if counts is None

@@ -19,8 +19,8 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     walls = {"parent": iter([4.0, 5.0, 6.0, 5.0]), "change": iter([3.0, 4.0, 6.0, 2.0])}
     calls = []
 
-    def fake_run(tree, workload, seed, seconds):
-        side = tree.name
+    def fake_run(tree, workload, seed):
+        side = "parent" if tree == tmp_path.resolve() else "change"
         calls.append((side, seed))
         env = {"nproc": 2, "cpu_model": "cpu", "python": "3", "platform": "os", "seed": seed}
         metrics = {"wall_s": {"value": next(walls[side]), "unit": "s"}}
@@ -28,9 +28,9 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     out = tmp_path / "BENCH.json"
-    out.write_text(json.dumps({"note": "kept", "benchmark": {"other": {}}}))
-    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
-    argv += ["--workload", "w", "--pairs", "4", "--seed", "10", "--out", str(out)]
+    out.write_text(json.dumps({"stale": True}))
+    argv = ["--parent", str(tmp_path), "--workload", "w", "--pairs", "4", "--seed", "10"]
+    argv += ["--out", str(out)]
     assert bench_pairs.main(argv) == 0
 
     # even pairs run the parent first, odd pairs the change; both sides share the seed
@@ -39,7 +39,7 @@ def test_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
         ("parent", 12), ("change", 12), ("change", 13), ("parent", 13),
     ]
     blob = json.loads(out.read_text())
-    assert blob["note"] == "kept" and "other" in blob["benchmark"]
+    assert list(blob) == ["machine", "benchmark"] and list(blob["benchmark"]) == ["w"]
     assert blob["machine"] == {"nproc": 2, "cpu_model": "cpu", "python": "3", "platform": "os"}
     summary = blob["benchmark"]["w"]
     assert summary["seeds"] == "10-13" and summary["correct"] is True

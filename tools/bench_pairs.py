@@ -1,12 +1,12 @@
 """Paired benchmark runs: a parent checkout against this tree, alternating.
 
     python3 tools/bench_pairs.py --parent PATH --workload scheme-verify \\
-        --pairs 10 --seconds 36 --seed 3800 --out BENCH_38.json
+        --pairs 10 --seed 3800 --out BENCH_38.json
 
 For each workload, pair p runs `perfbench/run.py --workload W --seed S+p
---seconds T --trace 0` once in the parent tree and once in the change tree
-(this checkout, or --change), one after the other. Even pairs run the
-parent first and odd pairs the change, so a drift in machine speed over a
+--trace 0`, at the benchmark's own run length, once in the parent tree and
+once in this checkout, one after the other. Even pairs run the parent
+first and odd pairs this checkout, so a drift in machine speed over a
 pair does not favour one side. Before each run every `__pycache__` under
 the tree's `src` is removed and the run gets PYTHONDONTWRITEBYTECODE=1, so
 both sides compile the package alike. Both trees must hold the same
@@ -17,8 +17,7 @@ median and quartiles (`statistics.quantiles(n=4)`), how many pairs each
 side won (the lower value wins; a tie counts for neither), the change's
 median over the parent's, their gap and the parent's interquartile range.
 It also records the machine, the seeds and the failed and attempted
-operation counts. If --out exists, its other keys and workloads are kept,
-so workloads can be run one at a time into one file.
+operation counts. --out is written afresh from this call's runs.
 """
 
 from __future__ import annotations
@@ -36,12 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One `perfbench/run.py` run in `tree`: its result line, with the environment line."""
     for cache in (tree / "src").rglob("__pycache__"):
         shutil.rmtree(cache)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True)
     environment, result = map(json.loads, done.stdout.splitlines()[-2:])
@@ -70,13 +69,13 @@ def compare(runs: dict[str, list[dict]], metric: str) -> dict:
 
 
 def bench_workload(
-    trees: dict[str, Path], workload: str, pairs: int, seed: int, seconds: float
+    trees: dict[str, Path], workload: str, pairs: int, seed: int
 ) -> tuple[dict, dict]:
     """The summary of `pairs` alternating pairs of runs, and the first run's environment."""
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for p in range(pairs):
         for side in SIDES if p % 2 == 0 else SIDES[::-1]:
-            result = run_once(trees[side], workload, seed + p, seconds)
+            result = run_once(trees[side], workload, seed + p)
             runs[side].append(result)
             value = result["metrics"]["wall_s"]["value"]
             print(f"{workload} pair {p} {side}: wall_s {value:.6f}", file=sys.stderr, flush=True)
@@ -95,23 +94,20 @@ def bench_workload(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, default=ROOT, help="change checkout (this one)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--seed", type=int, default=0, help="pair p runs with seed + p")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
 
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    benchmark = {}
     for workload in args.workload:
-        summary, env = bench_workload(trees, workload, args.pairs, args.seed, args.seconds)
-        out["machine"] = {key: env[key] for key in ("nproc", "cpu_model", "python", "platform")}
-        out.setdefault("benchmark", {})[workload] = summary
-        args.out.write_text(json.dumps(out, indent=1) + "\n")
+        benchmark[workload], env = bench_workload(trees, workload, args.pairs, args.seed)
+    machine = {key: env[key] for key in ("nproc", "cpu_model", "python", "platform")}
+    args.out.write_text(json.dumps({"machine": machine, "benchmark": benchmark}, indent=1) + "\n")
     return 0
 
 
