@@ -339,11 +339,11 @@ class Orbitals:
 
     @cached_property
     def diagonal(self) -> list[int]:
-        """The orbital of each point's pair (x, x); ValueError if one also holds some other pair."""
+        """The orbital of each point's pair (x, x); InternalMismatch if one holds any other pair."""
         side, labels = self.side, self.labels
         eye = set(labels[:: side + 1])  # the side pairs after each (x, x) but the last lie off it
         if any(not eye.isdisjoint(labels[a : a + side]) for a in range(1, side * side, side + 1)):
-            raise ValueError("a diagonal orbital also holds an off-diagonal pair")
+            raise InternalMismatch("a diagonal orbital also holds an off-diagonal pair")
         return labels[:: side + 1]
 
     def _entries(self, flat: list[int]) -> list[int] | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, product
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact_linalg import Orbitals
@@ -171,39 +171,51 @@ def intersection_counts(
     """p^k_ij as {(i, j, k): p} over `shapes`, checked on the `pair_shapes` sweep.
 
     The relations are the orbitals of `Orbitals(N, sweep)`, labelled by first
-    pair, so its structure table counts p^k_ij: the z with label(x, z) = i and
-    label(z, y) = j at the first pair (x, y) of relation k. R4,
-    A_i A_j = sum_k p^k_ij A_k, is checked one pair (i, j) at a time on
-    every row x at once: row z of A_b is packed as sum_y [label(z, y) = b]
-    2**(w y), w = N.bit_length(), so row x of A_i A_j is the sum of the rows
-    z of A_j with label(x, z) = i, and no entry (at most N) carries. Both
-    sides are lists over x, compared whole. None at the first (i, j) whose
-    lists differ, as p^k_ij is then undefined. Keys run over i, j, then the
-    k that have a pair.
+    pair. R4, A_i A_j = sum_k p^k_ij A_k, is checked per pair (i, j) on every
+    row x at once: row z of A_b is packed as sum_y [label(z, y) = b] 2**(w y),
+    w = N.bit_length(), so row x of A_i A_j, the left list, is the sum of the
+    rows z of A_j with label(x, z) = i; no entry (at most N) carries. p^k_ij
+    is field y of left[x], (x, y) the first pair of relation k, and the right
+    list sum_k p^k_ij A_k equals the left exactly when A_i A_j is constant on
+    every relation. The relations partition the pairs, so the left lists of
+    one i sum to |{z : label(x, z) = i}| * sum_y 2**(w y) in row x: if relation
+    i holds at least N (c - 1) pairs, of c relations, its last list is that
+    less the others, which saves at least the additions it costs. None at the
+    first (i, j) whose lists differ; keys run over i, j, then the k with a pair.
     """
     npts = math.isqrt(len(sweep))
     relations = Orbitals(npts, sweep)
     label = {sweep[rep]: a for a, rep in enumerate(relations.reps)}
-    c = relations.count
-    p = {(i, j, k): n for i, row in enumerate(relations._table) for k, j, n in row}
+    c, w = relations.count, npts.bit_length()
     related = [[[] for _ in range(c)] for _ in range(npts)]  # [x][b]: z with label(x, z) = b
     for zs, r in zip(related, range(0, npts * npts, npts)):
         for z, b in enumerate(relations.labels[r : r + npts]):
             zs[b].append(z)
-    bits = [1 << npts.bit_length() * y for y in range(npts)]
+    bits = [1 << w * y for y in range(npts)]
     packed = [[sum(map(bits.__getitem__, zs[b])) for zs in related] for b in range(c)]
-    for i, j in product(range(c), repeat=2):
-        right = [0] * npts
-        for k, ak in enumerate(packed):
-            if (i, j, k) in p:
-                right = list(map(add, right, map(p[i, j, k].__mul__, ak)))
-        if [sum(map(packed[j].__getitem__, zs[i])) for zs in related] != right:
-            return None
+    at = [(x, w * y) for x, y in (divmod(rep, npts) for rep in relations.reps)]
+    full, mask = sum(bits), (1 << w) - 1
+    p = {}
+    for i in range(c):
+        sizes = [len(zs[i]) for zs in related]
+        rest = [n * full for n in sizes] if sum(sizes) >= npts * (c - 1) else None
+        for j in range(c):
+            if rest is not None and j == c - 1:
+                left = rest  # the others have been taken off
+            else:
+                left = [sum(map(packed[j].__getitem__, zs[i])) for zs in related]
+                if rest is not None:
+                    rest = list(map(sub, rest, left))
+            right = [0] * npts
+            for k, (x, shift) in enumerate(at):
+                p[i, j, k] = n = left[x] >> shift & mask
+                if n:
+                    right = list(map(add, right, map(n.__mul__, packed[k])))
+            if left != right:
+                return None
     return {
         (i, j, k): p.get((label.get(i), label.get(j), label[k]), 0)
-        for i in shapes
-        for j in shapes
-        for k in shapes
+        for i, j, k in product(shapes, repeat=3)
         if k in label
     }
 

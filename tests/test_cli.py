@@ -419,6 +419,25 @@ def test_a_wrong_dual_idempotent_closed_form_exits_3(capsys, monkeypatch, wrong,
     }
 
 
+def test_a_diagonal_orbital_holding_another_pair_exits_3(capsys, monkeypatch):
+    # on X(1,1;2) the keys put the pair (0, 1) in the orbital of (0, 0); the
+    # first read of `Orbitals.diagonal` refuses them as an internal inconsistency
+    def stray(sweep):
+        return Orbitals(2, ["diagonal 0", "diagonal 0", "off", "diagonal 1"])
+
+    monkeypatch.setattr(terwilliger_module, "triple_orbitals", stray)
+    code, payload = run_cli(capsys, "identities", "--q", "2", "--n", "1", "--json")
+    assert code == 3
+    assert payload == {
+        "command": "identities",
+        "error": {
+            "type": "InternalMismatch",
+            "message": "a diagonal orbital also holds an off-diagonal pair",
+        },
+        "overall_pass": False,
+    }
+
+
 def test_closure_with_too_coarse_depth_one_orbitals_exits_3(capsys, monkeypatch):
     # the depth-n orbitals and families are built from the depth-one ones, so
     # the depth-one labelling is the one checked: keyed by shape(x - y) alone

@@ -606,16 +606,16 @@ def test_orbitals_are_labelled_by_first_pair(q, n):
 
 def test_a_diagonal_orbital_holding_another_pair_is_refused():
     """Every off-diagonal pair is read: a stray pair in any row, its diagonal point's or not."""
-    with pytest.raises(ValueError, match="off-diagonal"):
+    with pytest.raises(InternalMismatch, match="off-diagonal"):
         OrbitalMatrix.identity(Orbitals(2, [0, 0, 0, 0]))
-    with pytest.raises(ValueError, match="off-diagonal"):
+    with pytest.raises(InternalMismatch, match="off-diagonal"):
         OrbitalMatrix(Orbitals(2, [0, 0, 0, 0]), [1]).trace()
     side = 4
     for x in range(side):
         for stray in (p for p in range(side * side) if p % (side + 1)):
             keys = [p // side if p % (side + 1) == 0 else "off" for p in range(side * side)]
             keys[stray] = x  # the pair stray joins the diagonal orbital of point x
-            with pytest.raises(ValueError, match="off-diagonal"):
+            with pytest.raises(InternalMismatch, match="off-diagonal"):
                 Orbitals(side, keys).diagonal
     apart = [p // side if p % (side + 1) == 0 else "off" for p in range(side * side)]
     assert Orbitals(side, apart).diagonal == [0, 2, 3, 4]  # "off" is orbital 1

@@ -201,9 +201,18 @@ def test_scheme_verify_builds_no_matrix(monkeypatch, capsys):
     monkeypatch.setattr(RatMatrix, "__mul__", counting_mul)
     # every matrix, products and `Orbitals.matrix` included, is made by the one constructor
     monkeypatch.setattr(exact_linalg._Exact, "__init__", counting_init)
+    # nor is a structure table built: the R4 rows hold every p^k_ij
+    tables = []
+    plain_table = Orbitals._table.func
+
+    def counting_table(self):
+        tables.append(self.side)
+        return plain_table(self)
+
+    monkeypatch.setattr(Orbitals, "_table", property(counting_table))
     assert main(["scheme-verify", "--q", "2,3", "--n", "1", "--json"]) == 0
     assert '"R4_constants_well_defined":true' in capsys.readouterr().out
-    assert products == [] and built == []
+    assert products == [] and built == [] and tables == []
     # the counters see the dense path when it is taken
     inst = Instance(SchemeParams((2, 3), 1))
     identity = relation_matrices(inst)[inst.shapes[0]]
@@ -317,6 +326,34 @@ def test_axioms_match_dense_checks_on_any_labelling(labelling):
     # `shapes` alone, while the sweep may also hold (9,)
     keys = list(checks) if checks["R2_partition"] else list(checks)[:3]
     assert {key: got[key] for key in keys} == {key: checks[key] for key in keys}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # relation 0 has rows of 2, 1 and 0 pairs, and both relations hold at
+        # least N (c - 1) = 3 pairs, so the lists (0, 1) and (1, 1) are
+        # derived; A_0 A_0 and A_1 A_0 are constant on each relation, and R4
+        # fails only at the derived lists
+        ((0, 1, 0), (1, 0, 1), (1, 1, 1)),
+        # A_2 A_0 and A_2 A_1 are constant on relations 0 and 1 but for their
+        # first pairs (0, 0) and (0, 1), where p^k_ij is read
+        ((0, 1, 2), (1, 0, 2), (1, 0, 2)),
+    ],
+)
+def test_r4_fails_on_a_derived_list_and_off_the_first_pair(rows):
+    npts = len(rows)
+    shapes = [(k,) for k in range(max(map(max, rows)) + 1)]
+    sweep = tuple((k,) for row in rows for k in row)
+    inst = Instance(SchemeParams((npts,), 1))
+    inst.shapes = shapes
+    inst.__dict__["pair_shapes"] = sweep
+    checks, table = dense_scheme_checks(shapes, relation_matrices(inst))
+    assert table is None and intersection_counts(sweep, shapes) is None
+    assert profile_intersection_counts(sweep, shapes) is None
+    got = verify_axioms(inst)
+    assert got == checks
+    assert (got["R4_constants_well_defined"], got["R5_constants_commute"]) == (False, None)
 
 
 @pytest.mark.parametrize("npts", [4, 8])

@@ -35,10 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One `perfbench/run.py` run in `tree`: its result line, with the environment line."""
+def clear_bytecode(tree: Path) -> None:
+    """Remove every `__pycache__` under the tree's `src`, so each run compiles the package."""
     for cache in (tree / "src").rglob("__pycache__"):
         shutil.rmtree(cache)
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """One `perfbench/run.py` run in `tree`: its result line, with the environment line."""
+    clear_bytecode(tree)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -52,9 +57,8 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(runs: dict[str, list[dict]], metric: str) -> dict:
-    """Both sides of one metric over the pairs, with the change's wins, ratio and gap."""
-    values = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
+def compare(values: dict[str, list[float]]) -> dict:
+    """Both sides' values, pair by pair, with the change's wins, ratio and gap."""
     parent, change = (spread(values[side]) for side in SIDES)
     pairs = list(zip(values["parent"], values["change"]))
     return {
@@ -87,7 +91,10 @@ def bench_workload(
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
     }
-    summary.update((metric, compare(runs, metric)) for metric in metrics)
+    for metric in metrics:
+        summary[metric] = compare(
+            {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
+        )
     return summary, runs["parent"][0]["environment"]
 
 
